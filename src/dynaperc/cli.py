@@ -50,16 +50,25 @@ def _load_config(path: Optional[str], overrides: dict) -> dict:
     return cfg
 
 
-def _config_hash(cfg: dict, subcommand: str, seed: int, mode: str) -> str:
-    blob = json.dumps({"cmd": subcommand, "seed": seed, "mode": mode,
+def _config_hash(cfg: dict, subcommand: str, seed: int) -> str:
+    blob = json.dumps({"cmd": subcommand, "seed": seed,
                        "cfg": dict(sorted(cfg.items()))}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _num(key: str, text: str, kind: type = float):
+    """A config value read as `kind` (int or float); malformed text is an InputError."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise InputError(f"config value {key} = {text!r} is not a valid "
+                         f"{kind.__name__}") from None
+
+
 def _params(cfg: dict) -> tuple[TorusGraph, DynParams]:
-    d, n = int(cfg["d"]), int(cfg["n"])
-    p, mu = float(cfg["p"]), float(cfg["mu"])
-    horizon = float(cfg["horizon"]) if cfg["horizon"] else 20.0 * n * n / mu
+    d, n = _num("d", cfg["d"], int), _num("n", cfg["n"], int)
+    p, mu = _num("p", cfg["p"]), _num("mu", cfg["mu"])
+    horizon = _num("horizon", cfg["horizon"]) if cfg["horizon"] else 20.0 * n * n / mu
     g = TorusGraph(d=d, n=n)
     return g, DynParams(p=p, mu=mu, horizon=horizon)
 
@@ -82,10 +91,9 @@ class Runner:
         self.cfg = _load_config(args.config, {
             k: getattr(args, k, None) for k in ("scenario",)})
         self.seed = args.seed
-        self.mode = args.mode
         self.out = Path(args.out)
         self.out.mkdir(parents=True, exist_ok=True)
-        self.hash = _config_hash(self.cfg, args.subcommand, args.seed, args.mode)
+        self.hash = _config_hash(self.cfg, args.subcommand, args.seed)
         self.budget = args.budget
         self.t0 = time.monotonic()
         self.cells: list[dict] = []
@@ -111,8 +119,6 @@ class Runner:
             return
         self.cells.append({"cell": name, "status": "ok",
                            "wall": time.monotonic() - t})
-        for r in rows:
-            r.setdefault("method", self.mode)
         self.rows.extend(rows)
 
     def finish(self, csv_name: str) -> int:
@@ -173,7 +179,8 @@ def cmd_walk_sim(run: Runner) -> int:
         lines = [f"# dynaperc-walk-v1 start={path.start} horizon={horizon!r}"]
         lines += [f"{t!r} {v}" for t, v in zip(path.jump_times, path.jump_targets)]
         (run.out / "walk.txt").write_text("\n".join(lines) + "\n")
-        assert walkmod.replay_is_legal(env, path)
+        if not walkmod.replay_is_legal(env, path):
+            raise AssertionError("simulated walk crossed an edge closed at its jump time")
         return [_base_row(run.cfg, env_seed=run.seed, statistic="walk_jump_count",
                           value=float(len(path.jump_times)), method="mc")]
 
@@ -183,9 +190,9 @@ def cmd_walk_sim(run: Runner) -> int:
 
 def cmd_mix(run: Runner) -> int:
     g, params = _params(run.cfg)
-    eps = float(run.cfg["eps"])
-    x = int(run.cfg["x"])
-    samples = int(run.cfg["env_samples"])
+    eps = _num("eps", run.cfg["eps"])
+    x = _num("x", run.cfg["x"], int)
+    samples = _num("env_samples", run.cfg["env_samples"], int)
 
     def quenched():
         rows = []
@@ -228,7 +235,7 @@ def _arc_target(g: TorusGraph, rng: np.random.Generator) -> VertexSet:
 
 def cmd_hit(run: Runner) -> int:
     g, params = _params(run.cfg)
-    samples = int(run.cfg["env_samples"])
+    samples = _num("env_samples", run.cfg["env_samples"], int)
 
     def body():
         rng = np.random.default_rng(run.seed)
@@ -283,7 +290,7 @@ def _random_chain(rng: np.random.Generator, n_states: int, n_kernels: int):
 
 def cmd_expansion(run: Runner) -> int:
     g, params = _params(run.cfg)
-    samples = int(run.cfg["env_samples"])
+    samples = _num("env_samples", run.cfg["env_samples"], int)
 
     def body():
         half = VertexSet(g, np.arange(g.n_vertices) < g.n_vertices // 2)
@@ -311,7 +318,7 @@ def cmd_expansion(run: Runner) -> int:
 
 def cmd_bound(run: Runner) -> int:
     g, params = _params(run.cfg)
-    eps = float(run.cfg["eps"])
+    eps = _num("eps", run.cfg["eps"])
 
     def body():
         if run.cfg["profile"]:
@@ -347,8 +354,9 @@ def cmd_lab(run: Runner) -> int:
             path = envlab.sample_env_path(chain, int(rng.integers(2)), 1, rng)
             q = envlab.quenched_law(chain, path, 0)
             q_tvs.append(dist.tv(q, chain.pi))
-        assert ann_tv == 0.0
-        assert all(t == 0.5 for t in q_tvs)
+        if ann_tv != 0.0 or any(t != 0.5 for t in q_tvs):
+            raise AssertionError("counterexample: annealed TV is not 0 "
+                                 "or a quenched TV is not 1/2")
         return [_base_row(run.cfg, statistic="counterexample_annealed_tv", value=ann_tv),
                 _base_row(run.cfg, statistic="counterexample_quenched_tv",
                           value=float(np.mean(q_tvs)), method="mc")]
@@ -385,12 +393,12 @@ def _lazy_demo_chain() -> envlab.FiniteEnvChain:
 
 def cmd_sweep(run: Runner) -> int:
     scenario = run.cfg["scenario"] or "subcritical-mixing"
-    ns = [int(t) for t in str(run.cfg["n_grid"]).split(",") if t]
-    mus = [float(t) for t in str(run.cfg["mu_grid"]).split(",") if t]
-    eps = float(run.cfg["eps"])
-    samples = int(run.cfg["env_samples"])
-    p = float(run.cfg["p"])
-    d = int(run.cfg["d"])
+    ns = [_num("n_grid", t, int) for t in str(run.cfg["n_grid"]).split(",") if t]
+    mus = [_num("mu_grid", t) for t in str(run.cfg["mu_grid"]).split(",") if t]
+    eps = _num("eps", run.cfg["eps"])
+    samples = _num("env_samples", run.cfg["env_samples"], int)
+    p = _num("p", run.cfg["p"])
+    d = _num("d", run.cfg["d"], int)
     cells = [(n, mu) for n in ns for mu in mus]
 
     def mixing_cell(n: int, mu: float) -> list[dict]:
@@ -458,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="INI config file")
         sp.add_argument("--seed", type=int, default=0, help="base RNG seed (u64)")
-        sp.add_argument("--mode", choices=("exact", "mc"), default="exact")
         sp.add_argument("--budget", type=float, default=None,
                         help="wall-clock cap in seconds; overruns are censored")
         sp.add_argument("--out", default="out", help="artifact directory")
@@ -470,10 +477,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         run = Runner(args)
+        # commands parse config values before any cell runs; a bad one lands here
+        return COMMANDS[args.subcommand](run)
     except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return COMMANDS[args.subcommand](run)
 
 
 if __name__ == "__main__":

@@ -29,8 +29,8 @@ CSV_COLUMNS = ("d", "n", "p", "mu", "eps", "env_seed", "x", "statistic",
 def as_dist(a, tol: float = 1e-10) -> np.ndarray:
     """Validate a nonnegative weight vector summing to 1."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or (a < -tol).any():
-        raise InputError("distribution must be a nonnegative 1-d vector")
+    if a.ndim != 1 or not np.isfinite(a).all() or (a < -tol).any():
+        raise InputError("distribution must be a finite nonnegative 1-d vector")
     if abs(a.sum() - 1.0) > tol:
         raise InputError(f"distribution sums to {a.sum()}, not 1")
     return a
@@ -66,8 +66,7 @@ def default_grid(params: DynParams, horizon: Optional[float] = None) -> np.ndarr
 
 
 def quenched_mixing_time(env: EnvTrajectory, x: int, eps: float,
-                         grid: Optional[Sequence[float]] = None,
-                         mode: str = "exact") -> float:
+                         grid: Optional[Sequence[float]] = None) -> float:
     """First grid time with TV(quenched law, uniform) <= eps, or NOT_MIXED.
 
     TV along the grid is checked to be nonincreasing (uniform is stationary
@@ -75,8 +74,6 @@ def quenched_mixing_time(env: EnvTrajectory, x: int, eps: float,
     """
     if eps >= 1.0:
         return 0.0
-    if mode != "exact":
-        raise InputError("only exact mode is implemented; use Monte Carlo helpers directly")
     if grid is None:
         grid = default_grid(env.params)
     grid = np.asarray(grid, dtype=float)
@@ -99,7 +96,8 @@ class TailReport:
     times: np.ndarray
 
 
-def _wilson(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
+    """Wilson score interval for k successes in n trials (z = 1.96: 95%)."""
     if n == 0:
         return (0.0, 1.0)
     phat = k / n
@@ -125,7 +123,7 @@ def quenched_tail(g: TorusGraph, params: DynParams, x: int, eps: float,
                          seed=None if seed is None else seed + i)
         times[i] = quenched_mixing_time(env, x, eps, grid=grid)
     k = int(np.sum(times >= threshold))
-    return TailReport(fraction=k / env_samples, ci=_wilson(k, env_samples),
+    return TailReport(fraction=k / env_samples, ci=wilson_interval(k, env_samples),
                       threshold=threshold, n_envs=env_samples, times=times)
 
 
@@ -141,7 +139,6 @@ class AnnealedMixReport:
 
 def annealed_mixing_time(g: TorusGraph, params: DynParams, x: int, eps: float,
                          env_samples: int, seed: Optional[int] = None,
-                         mode: str = "exact",
                          grid: Optional[Sequence[float]] = None,
                          bootstrap: int = 200) -> AnnealedMixReport:
     """First grid time where TV of the eta-averaged law to uniform is <= eps.
@@ -149,8 +146,6 @@ def annealed_mixing_time(g: TorusGraph, params: DynParams, x: int, eps: float,
     Environments start stationary.  Convexity (annealed TV <= mean quenched TV)
     is asserted per grid time.  The CI is a bootstrap over environment samples.
     """
-    if mode != "exact":
-        raise InputError("only exact mode is implemented here")
     if grid is None:
         grid = default_grid(params)
     grid = np.asarray(grid, dtype=float)
@@ -287,7 +282,7 @@ def quenched_lower_bound_experiment(g: TorusGraph, params: DynParams, beta: floa
             ok, _ = isolated_vertex_exists(env, L)
             hits += ok
         freq = hits / env_samples
-        ci = _wilson(hits, env_samples)
+        ci = wilson_interval(hits, env_samples)
     return LowerBoundReport(tvs=tvs, tv_time=t_eval, isolated_frequency=freq,
                             isolated_ci=ci, beta=beta, n_envs=env_samples)
 

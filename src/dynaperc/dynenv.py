@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
-from scipy import stats
 
 from .errors import HorizonError, InputError
 from .torus import TorusGraph
@@ -198,10 +197,6 @@ def sample_env(g: TorusGraph, params: DynParams,
     return EnvTrajectory(g, params, edges, tag, seed)
 
 
-def state_at(env: EnvTrajectory, edge: int, t: float) -> int:
-    return env.state_at(edge, t)
-
-
 def edge_transition_prob(p: float, mu: float, t: float,
                          frm: Optional[int] = None,
                          to: Optional[int] = None):
@@ -241,16 +236,6 @@ def count_open_throughout(env: EnvTrajectory, A: Iterable[int],
     return sum(1 for e in A if env.edges[e].open_throughout(a, b))
 
 
-def _wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    if n == 0:
-        return (0.0, 1.0)
-    phat = k / n
-    denom = 1.0 + z * z / n
-    centre = phat + z * z / (2 * n)
-    half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n))
-    return ((centre - half) / denom, (centre + half) / denom)
-
-
 @dataclass(frozen=True)
 class BinomialLemmaReport:
     empirical_prob: float
@@ -270,6 +255,10 @@ def binomial_lemma_check(g: TorusGraph, params: DynParams, A: Sequence[int],
     Also reports the analytic worst-case (all-closed start) Binomial tail with
     per-edge success probability p(1 - e^(-mu a)) e^(-(1-p) mu (b-a)).
     """
+    from scipy import stats
+
+    from .dist import wilson_interval
+
     if trials < 1:
         raise InputError("trials must be >= 1")
     a, b = interval
@@ -286,7 +275,7 @@ def binomial_lemma_check(g: TorusGraph, params: DynParams, A: Sequence[int],
     analytic = float(stats.binom.sf(k_threshold - 1, len(A), q))
     return BinomialLemmaReport(
         empirical_prob=hits / trials,
-        ci=_wilson_interval(hits, trials),
+        ci=wilson_interval(hits, trials),
         analytic_worst_case=analytic,
         per_edge_prob=q,
         threshold_count=k_threshold,

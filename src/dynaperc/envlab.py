@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import evoset
+from .dist import wilson_interval
 from .errors import CapabilityError, InputError
 from .expansion import (ExpansionProfile, integral_mixing_bound,
                         profile_from_values, profile_phi_env)
@@ -240,12 +241,7 @@ def _mc_tail(chain: FiniteEnvChain, x: int, zeta0: int, n: int, threshold: float
                 vecs[rows] = vecs[rows] @ chain.kernels[z2]
     chis = np.sqrt(np.sum((vecs - pi) ** 2 / pi, axis=1))
     k = int(np.sum(chis >= threshold))
-    phat = k / paths
-    zq = 1.96
-    denom = 1.0 + zq * zq / paths
-    centre = phat + zq * zq / (2 * paths)
-    half = zq * math.sqrt(phat * (1 - phat) / paths + zq * zq / (4 * paths * paths))
-    return phat, ((centre - half) / denom, (centre + half) / denom)
+    return k / paths, wilson_interval(k, paths)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,12 @@ chosen edge is open at the attempt instant.  Exact distribution evolution runs
 uniformization over the piecewise-constant jump generator between environment
 flips, with a certified truncation budget.  All positions are reported right
 continuously.
+
+One core does all exact evolution: `_Evolver.advance` walks the flip segments
+of the environment and `_apply_uniformized` runs the series on each.  Forward
+laws, window kernels and TV curves evolve rows through it; hitting profiles
+run it on the chain absorbed in the target set, where the series also returns
+the time each row spends off the target.
 """
 
 from __future__ import annotations
@@ -56,10 +62,6 @@ class WalkKernel:
     @property
     def n_states(self) -> int:
         return self.matrix.shape[0]
-
-    def to_text(self) -> str:
-        """Dense row-major text dump for debugging."""
-        return "\n".join(" ".join(repr(float(x)) for x in row) for row in self.matrix)
 
 
 def _edge_of_direction(g: TorusGraph, v: int, direction: int) -> tuple[int, int]:
@@ -170,14 +172,22 @@ def step_matrix(g: TorusGraph, open_mask: np.ndarray) -> np.ndarray:
     return P
 
 
-def _apply_uniformized(mat: np.ndarray, P: np.ndarray, s: float, tol: float) -> np.ndarray:
-    """mat @ expm((P - I) s) as a Poisson-weighted series, tail mass < tol."""
-    if s == 0.0:
-        return mat
+def _apply_uniformized(mat: np.ndarray, P: np.ndarray, s: float, tol: float,
+                       free: Optional[np.ndarray] = None
+                       ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """mat @ expm((P - I) s) as a Poisson-weighted series, tail mass < tol.
+
+    With a `free` mask, also returns int_0^s (mass of each row on `free`) dt;
+    otherwise None in its place.
+    """
     w = math.exp(-s)
     cum = w
     acc = w * mat
     term = mat
+    occ = None
+    if free is not None:
+        c = 1.0 - w  # int_0^s e^{-t} t^0/0! dt
+        occ = c * term[:, free].sum(axis=1)
     k = 0
     while cum < 1.0 - tol:
         k += 1
@@ -185,22 +195,43 @@ def _apply_uniformized(mat: np.ndarray, P: np.ndarray, s: float, tol: float) -> 
         w *= s / k
         acc = acc + w * term
         cum += w
+        if free is not None:
+            c = c - w  # int e^{-t} t^k/k! dt = previous - Poisson weight
+            occ += c * term[:, free].sum(axis=1)
         if w == 0.0:  # weights underflowed; the series is numerically complete
             break
-    return acc
+    return acc, occ
 
 
 class _Evolver:
-    """Walks a distribution (or matrix of rows) through env flip segments."""
+    """Walks a distribution (or matrix of rows) through env flip segments.
 
-    def __init__(self, env: EnvTrajectory, t0: float, tol_total: float = 1e-10):
+    With an `absorbing` vertex mask the walk is absorbed there: `occupation`
+    accumulates, per row, the time spent off the mask (rows must be indexed
+    by start vertex), and `advance` stops at the first flip after which every
+    row has less than 1e-14 mass off the mask, since later segments add
+    nothing.  Such an evolver is meant for a single `advance`.
+    """
+
+    def __init__(self, env: EnvTrajectory, t0: float, tol_total: float = 1e-10,
+                 absorbing: Optional[np.ndarray] = None):
         self.env = env
         self.g = env.graph
         self.t = t0
+        self.absorbing = absorbing
+        self.free = None if absorbing is None else ~absorbing
+        self.occupation = None if absorbing is None else np.zeros(self.g.n_vertices)
         self.open_mask = env.open_mask_at(t0)
-        self.P = step_matrix(self.g, self.open_mask)
+        self.P = self._step_matrix()
         self.tol_total = tol_total
         self.spent = 0.0
+
+    def _step_matrix(self) -> np.ndarray:
+        P = step_matrix(self.g, self.open_mask)
+        if self.absorbing is not None:
+            P[self.absorbing] = 0.0
+            P[self.absorbing, self.absorbing] = 1.0
+        return P
 
     def _segment_tol(self, n_segments: int) -> float:
         # floor at 1e-15 so the series always terminates; total drift stays
@@ -216,27 +247,26 @@ class _Evolver:
         n_seg = len(times) + 1 + int((t1 - self.t) / _MAX_SEGMENT)
         tol = self._segment_tol(n_seg)
         prev = self.t
+        self.t = t1
         for tm, e in zip(times, eids):
             mat = self._run_segment(mat, tm - prev, tol)
+            if self.free is not None and mat[:, self.free].sum(axis=1).max() < 1e-14:
+                return mat
             prev = tm
             self.open_mask[e] = not self.open_mask[e]
-            self.P = step_matrix(self.g, self.open_mask)
-        mat = self._run_segment(mat, t1 - prev, tol)
-        self.t = t1
-        return mat
+            self.P = self._step_matrix()
+        return self._run_segment(mat, t1 - prev, tol)
 
     def _run_segment(self, mat: np.ndarray, s: float, tol: float) -> np.ndarray:
-        if s <= 0.0:
-            return mat
-        if not self.open_mask.any():
-            # frozen walker: P = I
-            return mat
-        while s > _MAX_SEGMENT:
-            mat = _apply_uniformized(mat, self.P, _MAX_SEGMENT, tol)
+        if self.free is None and not self.open_mask.any():
+            return mat  # frozen walker: P = I (an absorbed walk still accrues time)
+        while s > 0.0:
+            h = min(s, _MAX_SEGMENT)
+            mat, occ = _apply_uniformized(mat, self.P, h, tol, self.free)
+            if occ is not None:
+                self.occupation += occ
             self.spent += tol
-            s -= _MAX_SEGMENT
-        mat = _apply_uniformized(mat, self.P, s, tol)
-        self.spent += tol
+            s -= h
         return mat
 
 
@@ -342,65 +372,11 @@ def exact_hitting_profile(env: EnvTrajectory, A_mask: np.ndarray,
     _check_budget(g, budget)
     if horizon > env.horizon:
         raise HorizonError("past horizon")
-    N = g.n_vertices
     A_mask = np.asarray(A_mask, dtype=bool)
-    free = ~A_mask
-    mat = np.eye(N)
-    expected = np.zeros(N)
-    t_prev = 0.0
-    # walk flips manually so each constant segment can accumulate time mass
-    times, eids = env.flip_events(0.0, horizon)
-    seg_bounds = list(zip(times, eids)) + [(horizon, -1)]
-    open_mask = env.open_mask_at(0.0)
-    P = step_matrix(g, open_mask)
-    Pa = P.copy()
-    Pa[A_mask] = 0.0
-    Pa[A_mask, A_mask] = 1.0
-    tol_seg = max(tol / (4 * (len(seg_bounds) + int(horizon / _MAX_SEGMENT) + 1)),
-                  1e-15)
-    for t_next, e in seg_bounds:
-        s_total = float(t_next) - t_prev
-        while s_total > 1e-15:
-            s = min(s_total, _MAX_SEGMENT)
-            mat, dt = _absorbed_segment(mat, Pa, s, free, tol_seg)
-            expected += dt
-            s_total -= s
-        t_prev = float(t_next)
-        if mat[:, free].sum(axis=1).max() < 1e-14:
-            break  # everything is absorbed; later segments contribute nothing
-        if e >= 0:
-            open_mask[e] = not open_mask[e]
-            P = step_matrix(g, open_mask)
-            Pa = P.copy()
-            Pa[A_mask] = 0.0
-            Pa[A_mask, A_mask] = 1.0
-    censored = mat[:, free].sum(axis=1)
+    ev = _Evolver(env, 0.0, tol, absorbing=A_mask)
+    mat = ev.advance(np.eye(g.n_vertices), horizon)
+    expected = ev.occupation
+    censored = mat[:, ev.free].sum(axis=1)
     expected[A_mask] = 0.0
     censored[A_mask] = 0.0
     return expected, censored
-
-
-def _absorbed_segment(mat: np.ndarray, Pa: np.ndarray, s: float, free: np.ndarray,
-                      tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """One uniformization segment of the absorbed chain plus the time integral
-    of the unabsorbed mass: int_0^s (mass outside A at t) dt per start."""
-    if s == 0.0:
-        return mat, np.zeros(mat.shape[0])
-    w = math.exp(-s)
-    cum = w
-    c = 1.0 - w  # int_0^s e^{-t} t^0/0! dt
-    acc = w * mat
-    term = mat
-    dt = c * term[:, free].sum(axis=1)
-    k = 0
-    while cum < 1.0 - tol:
-        k += 1
-        term = term @ Pa
-        w *= s / k
-        acc = acc + w * term
-        cum += w
-        c = c - w  # int e^{-t} t^k/k! dt = previous - Poisson weight
-        dt += c * term[:, free].sum(axis=1)
-        if w == 0.0:  # weights underflowed; the series is numerically complete
-            break
-    return acc, dt

@@ -1,4 +1,8 @@
 import json
+import subprocess
+import sys
+
+import pytest
 
 from dynaperc import cli
 
@@ -64,6 +68,26 @@ def test_bound_from_profile_file(tmp_path):
 def test_missing_config_errors(tmp_path):
     assert run(["mix", "--config", str(tmp_path / "absent.ini"),
                 "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("line", ["n = 2", "mu = abc"])
+def test_bad_config_value_exits_2(tmp_path, line):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[run]\n{line}\n")
+    assert run(["mix", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_walk_replay_check_survives_optimize(tmp_path):
+    # python -O strips asserts; an illegal replay must still fail the cell
+    out = tmp_path / "o"
+    code = ("import sys; from dynaperc import cli, walk; "
+            "walk.replay_is_legal = lambda env, path: False; "
+            f"sys.exit(cli.main(['walk-sim', '--out', {str(out)!r}]))")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          timeout=120)
+    assert proc.returncode == 1
+    rec = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
+    assert rec["status"].startswith("error")
 
 
 def test_unknown_scenario_errors(tmp_path):

@@ -18,6 +18,8 @@ def test_tv_basics():
         D.tv([0.5, 0.6], [0.5, 0.5])
     with pytest.raises(InputError):
         D.tv([1.0], [0.5, 0.5])
+    with pytest.raises(InputError):
+        D.tv([np.nan, 1.0], [0.5, 0.5])
 
 
 @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6))

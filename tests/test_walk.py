@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dynaperc.dynenv import DynParams, sample_env
+from dynaperc.dynenv import DynParams, EdgeTrajectory, EnvTrajectory, sample_env
 from dynaperc.errors import CapabilityError, HorizonError, InputError
 from dynaperc.torus import TorusGraph
 from dynaperc.walk import (WalkKernel, block_chain, exact_hitting_profile,
@@ -136,14 +136,29 @@ def test_exact_budget():
 
 
 def test_hitting_profile_static_triangle():
-    # p = 1, all open, n = 3: two rate-1 jumps to reach the target on average
-    env = _env(n=3, p=1.0, mu=0.25, init="all-open", seed=0, horizon=400.0)
-    A = np.array([True, False, False])
-    expected, censored = exact_hitting_profile(env, A, 400.0)
-    assert expected[0] == 0.0 and censored[0] == 0.0
-    assert expected[1] == pytest.approx(2.0, abs=1e-6)
-    assert expected[2] == pytest.approx(2.0, abs=1e-6)
-    assert censored.max() < 1e-10
+    # p = 1, all open: the static n-cycle (the triangle and two longer ones),
+    # where a rate-1 walk from k hits 0 after k(n - k) jumps on average
+    for n in (3, 5, 8):
+        env = _env(n=n, p=1.0, mu=0.25, init="all-open", seed=0, horizon=400.0)
+        A = np.arange(n) == 0
+        expected, censored = exact_hitting_profile(env, A, 400.0)
+        k = np.arange(n)
+        assert expected[0] == 0.0 and censored[0] == 0.0
+        assert np.abs(expected - k * (n - k)).max() < 1e-10
+        assert censored.max() < 1e-10
+
+
+def test_hitting_profile_frozen_walker_accrues_time():
+    # every edge closed and never flipping: no start off A is ever absorbed
+    g = TorusGraph(d=1, n=6)
+    edges = [EdgeTrajectory(0, np.empty(0)) for _ in range(g.n_edges)]
+    env = EnvTrajectory(g, DynParams(p=0.5, mu=0.25, horizon=70.0), edges,
+                        "all-closed", None)
+    A = np.arange(6) < 3
+    expected, censored = exact_hitting_profile(env, A, 70.0)
+    assert np.abs(expected[~A] - 70.0).max() < 1e-8
+    assert np.abs(censored[~A] - 1.0).max() < 1e-10
+    assert not expected[A].any() and not censored[A].any()
 
 
 def test_hitting_profile_matches_monte_carlo():
