@@ -25,7 +25,7 @@ INIT_TAGS = ("stationary", "all-closed", "all-open", "explicit")
 
 @dataclass(frozen=True)
 class DynParams:
-    """Open density p in (0, 1], refresh parameter mu in (0, 1/2], horizon T >= 0."""
+    """Open density p in (0, 1], refresh parameter mu in (0, 1/2], finite horizon T >= 0."""
 
     p: float
     mu: float
@@ -36,8 +36,8 @@ class DynParams:
             raise InputError(f"p must be in (0, 1], got {self.p}")
         if not 0.0 < self.mu <= 0.5:
             raise InputError(f"mu must be in (0, 1/2], got {self.mu}")
-        if not self.horizon >= 0.0:
-            raise InputError(f"horizon must be >= 0, got {self.horizon}")
+        if not 0.0 <= self.horizon < math.inf:
+            raise InputError(f"horizon must be finite and >= 0, got {self.horizon}")
 
     @property
     def rate_open(self) -> float:
@@ -350,19 +350,7 @@ def dump_env(env: EnvTrajectory, fh) -> None:
 
 
 def load_env(fh) -> EnvTrajectory:
-    magic = fh.read(len(_MAGIC))
-    if magic != _MAGIC:
-        raise InputError("not a dynaperc environment dump (bad magic)")
-    d, n, p, mu, T, tag_idx, seed, has_seed = _HEADER.unpack(fh.read(_HEADER.size))
-    g = TorusGraph(d, n)
-    params = DynParams(p, mu, T)
-    edges = []
-    for _ in range(g.n_edges):
-        state, count = _EDGE_HEADER.unpack(fh.read(_EDGE_HEADER.size))
-        times = np.frombuffer(fh.read(8 * count), dtype="<f8").copy()
-        edges.append(EdgeTrajectory(state, times))
-    return EnvTrajectory(g, params, edges, INIT_TAGS[tag_idx],
-                         seed if has_seed else None)
+    return loads_env(fh.read())
 
 
 def dumps_env(env: EnvTrajectory) -> bytes:
@@ -372,4 +360,35 @@ def dumps_env(env: EnvTrajectory) -> bytes:
 
 
 def loads_env(data: bytes) -> EnvTrajectory:
-    return load_env(io.BytesIO(data))
+    """Parse a dump of `dump_env`; truncated or corrupt data raises InputError."""
+    if data[:len(_MAGIC)] != _MAGIC:
+        raise InputError("not a dynaperc environment dump (bad magic)")
+    pos = len(_MAGIC) + _HEADER.size
+    if len(data) < pos:
+        raise InputError("environment dump truncated in its header")
+    d, n, p, mu, T, tag_idx, seed, has_seed = _HEADER.unpack_from(data, len(_MAGIC))
+    if tag_idx >= len(INIT_TAGS) or has_seed > 1 or (not has_seed and seed):
+        raise InputError("corrupt environment dump header")
+    g = TorusGraph(d, n)
+    params = DynParams(p, mu, T)
+    # every edge takes a header; test that before n^d makes a huge integer
+    room = (len(data) - pos) // _EDGE_HEADER.size
+    if room == 0 or d * math.log(n) > math.log(room) or g.n_edges > room:
+        raise InputError("environment dump truncated before its last edge")
+    edges = []
+    for _ in range(g.n_edges):
+        if len(data) < pos + _EDGE_HEADER.size:
+            raise InputError("environment dump truncated before its last edge")
+        state, count = _EDGE_HEADER.unpack_from(data, pos)
+        pos += _EDGE_HEADER.size
+        if len(data) < pos + 8 * count:
+            raise InputError("environment dump truncated inside flip times")
+        times = np.frombuffer(data, dtype="<f8", count=count, offset=pos).copy()
+        pos += 8 * count
+        if count and not (times[0] >= 0.0 and times[-1] <= T):
+            raise InputError("flip times outside [0, horizon]")
+        edges.append(EdgeTrajectory(state, times))
+    if pos != len(data):
+        raise InputError("trailing bytes after the environment dump")
+    return EnvTrajectory(g, params, edges, INIT_TAGS[tag_idx],
+                         seed if has_seed else None)

@@ -6,6 +6,10 @@ Hosts the annealed product chain, quenched laws along environment paths, the
 quenched-vs-annealed counterexample (i.i.d. identity/swap kernels), the
 laziness-coupled variant, and the end-to-end check of the quenched mixing
 bound P(chi >= eps^(1/4)) <= eps^(1/4).
+
+The exact certificate runs the Doob set process jointly with the environment
+as one flat transition over the reachable (subset, environment state) pairs,
+built once and applied to the weights of every start state together.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ class FiniteEnvChain:
         ks = tuple(np.asarray(K, dtype=float) for K in self.kernels)
         if R.ndim != 2 or R.shape[0] != R.shape[1]:
             raise InputError("R must be square")
+        if not all(np.isfinite(a).all() for a in (R, pi) + ks):
+            raise InputError("R, kernels and pi must be finite")
         if len(ks) != R.shape[0]:
             raise InputError("need one kernel per environment state")
         if np.abs(R.sum(axis=1) - 1.0).max() > 1e-12 or (R < -1e-15).any():
@@ -166,35 +172,52 @@ def sample_env_path(chain: FiniteEnvChain, zeta0: int, steps: int,
     return path
 
 
+def _doob_z_certificates(chain: FiniteEnvChain, x: int, n: int) -> np.ndarray:
+    """E over env paths from each zeta0 of E-hat[Z_n] for the Doob set process
+    started at {x}: one entry per start state, by exact propagation over
+    (subset, env state) pairs.
+
+    The pairs reachable from ({x}, zeta0) for any zeta0 are indexed in
+    breadth-first order, the one-step transition is kept as flat (row, col,
+    R(z, z2) p) arrays, and the (E, pairs) weight array of all starts moves
+    one step per bincount.
+    """
+    if chain.n_states > evoset.SET_LAW_MAX_STATES:
+        raise CapabilityError("too many walk states for exact set propagation")
+    E, R, pi = chain.n_env, chain.R, chain.pi
+    start = evoset.start_mask(x, chain.n_states)
+    pairs = [(start, z) for z in range(E)]  # start zeta0 is pair zeta0
+    index = {pair: i for i, pair in enumerate(pairs)}
+    laws: dict[tuple[int, int], tuple] = {}
+    rows, cols, vals = [], [], []
+    for i, (mask, z) in enumerate(pairs):  # grows while it is walked
+        for z2 in np.flatnonzero(R[z]).tolist():
+            law = laws.get((mask, z2))
+            if law is None:
+                law = laws[mask, z2] = evoset.doob_step_law(
+                    mask, chain.kernels[z2], pi).entries
+            for s, p in law:
+                j = index.setdefault((s, z2), len(pairs))
+                if j == len(pairs):
+                    pairs.append((s, z2))
+                rows.append(i)
+                cols.append(j)
+                vals.append(R[z, z2] * p)
+    P = len(pairs)
+    rows, vals = np.array(rows), np.array(vals)
+    flat = (np.array(cols) + P * np.arange(E)[:, None]).ravel()
+    weights = np.eye(E, P)
+    for _ in range(n):
+        weights = np.bincount(flat, weights=(weights[:, rows] * vals).ravel(),
+                              minlength=E * P).reshape(E, P)
+    return weights @ np.array([evoset.z_statistic(mask, pi) for mask, _ in pairs])
+
+
 def _doob_z_joint_expectation(chain: FiniteEnvChain, x: int, zeta0: int,
                               n: int) -> float:
     """E over env paths from zeta0 of E-hat[Z_n] for the Doob set process
-    started at {x}; exact propagation over (subset, env state) pairs."""
-    if chain.n_states > evoset.SET_LAW_MAX_STATES:
-        raise CapabilityError("too many walk states for exact set propagation")
-    pi = chain.pi
-    law_cache: dict[tuple[int, int], tuple] = {}
-
-    def cached_law(mask: int, z2: int):
-        key = (mask, z2)
-        if key not in law_cache:
-            law_cache[key] = evoset.doob_step_law(mask, chain.kernels[z2], pi).entries
-        return law_cache[key]
-
-    weights: dict[tuple[int, int], float] = {(1 << x, zeta0): 1.0}
-    for _ in range(n):
-        nxt: dict[tuple[int, int], float] = {}
-        for (mask, z), w in weights.items():
-            for z2 in range(chain.n_env):
-                rw = chain.R[z, z2]
-                if rw == 0.0:
-                    continue
-                law = cached_law(mask, z2)
-                for s, p in law:
-                    key = (s, z2)
-                    nxt[key] = nxt.get(key, 0.0) + w * rw * p
-        weights = nxt
-    return sum(w * evoset.z_statistic(mask, pi) for (mask, _), w in weights.items())
+    started at {x}."""
+    return float(_doob_z_certificates(chain, x, n)[zeta0])
 
 
 def _enumerate_tail(chain: FiniteEnvChain, x: int, zeta0: int, n: int,
@@ -271,6 +294,7 @@ def theorem_2_1_check(chain: FiniteEnvChain, x: int, eps: float,
       enumerate   - exact path enumeration (requires |E|^n <= PATH_ENUM_MAX).
       mc          - Monte Carlo tail over >= mc_paths environment paths.
     """
+    evoset.start_mask(x, chain.n_states)
     g = chain.gamma if gamma is None else gamma
     if g <= 0.0:
         raise InputError("theorem inapplicable: some kernel has a zero diagonal")
@@ -281,8 +305,7 @@ def theorem_2_1_check(chain: FiniteEnvChain, x: int, eps: float,
     threshold = eps ** 0.25
     E = chain.n_env
     if mode == "certificate":
-        certs = np.array([_doob_z_joint_expectation(chain, x, z, n)
-                          for z in range(E)])
+        certs = _doob_z_certificates(chain, x, n)
         passed = bool((certs <= math.sqrt(eps) + 1e-9).all())
         return Theorem21Report(gamma=g_used, steps=n, threshold=threshold,
                                mode=mode, per_zeta_tail=None,
@@ -338,17 +361,23 @@ def dump_chain(chain: FiniteEnvChain) -> str:
 
 
 def load_chain(text: str) -> FiniteEnvChain:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if lines[0] != "dynaperc-chain-v1":
+    """Parse a chain spec of `dump_chain`; malformed text raises InputError."""
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != ["dynaperc-chain-v1"]:
         raise InputError("not a dynaperc chain spec")
-    E, S = (int(t) for t in lines[1].split())
-    idx = 2
-    R = np.array([[float(t) for t in lines[idx + i].split()] for i in range(E)])
-    idx += E
-    kernels = []
-    for _ in range(E):
-        K = np.array([[float(t) for t in lines[idx + i].split()] for i in range(S)])
-        kernels.append(K)
-        idx += S
-    pi = np.array([float(t) for t in lines[idx].split()])
-    return FiniteEnvChain(R=R, kernels=tuple(kernels), pi=pi)
+    try:
+        E, S = (int(t) for t in lines[1]) if len(lines) > 1 else ()
+    except ValueError as exc:
+        raise InputError("chain spec line 2 must be 'n_env n_states'") from exc
+    if E < 1 or S < 1 or len(lines) != 2 + E + E * S + 1:
+        raise InputError(f"chain spec with {E} env and {S} walk states "
+                         f"needs {2 + E + E * S + 1} lines, has {len(lines)}")
+    widths = [E] * E + [S] * (E * S + 1)
+    if any(len(row) != w for row, w in zip(lines[2:], widths)):
+        raise InputError("chain spec row of the wrong length")
+    try:
+        rows = [[float(t) for t in row] for row in lines[2:]]
+    except ValueError as exc:
+        raise InputError(f"chain spec entry is not a number: {exc}") from exc
+    kernels = tuple(np.array(rows[E + k * S:E + (k + 1) * S]) for k in range(E))
+    return FiniteEnvChain(R=np.array(rows[:E]), kernels=kernels, pi=np.array(rows[-1]))

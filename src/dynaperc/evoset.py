@@ -5,6 +5,10 @@ exact: sort the distinct threshold values Q(S, y) / pi(y) and read off the
 piecewise-constant map U -> S-tilde (non-strict comparison, so U = 0 yields
 the full space).  The Doob transform reweights by pi(S') / pi(S); its
 normalization is equivalent to the martingale property of pi(S_k).
+
+`psi_profile_kernels` evaluates psi for every subset at once on the bit table
+of `expansion.half_mass_subsets`; the joint certificate over (subset,
+environment state) pairs is in `envlab`.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CapabilityError, InputError
-from .expansion import ExpansionProfile, profile_from_values, profile_integral
+from .expansion import ExpansionProfile, enumerated_profile, profile_integral
 
 # Exact subset-law propagation caps the state count.
 SET_LAW_MAX_STATES = 14
@@ -55,12 +59,24 @@ class InhomChain:
         return self.kernels[k]
 
 
+# _BIT[y] = 1 << y: a bitmask's members are the y with _BIT[y] & mask nonzero.
+_BIT = 1 << np.arange(62, dtype=np.int64)
+_BIT.setflags(write=False)
+
+
 def mask_members(mask: int, m: int) -> np.ndarray:
-    return np.array([(mask >> i) & 1 for i in range(m)], dtype=bool)
+    return (_BIT[:m] & mask).astype(bool)
 
 
 def set_mass(mask: int, pi: np.ndarray) -> float:
     return float(pi[mask_members(mask, len(pi))].sum())
+
+
+def start_mask(x: int, m: int) -> int:
+    """{x} as a bitmask; InputError unless x is a state in [0, m)."""
+    if not (isinstance(x, (int, np.integer)) and 0 <= x < m):
+        raise InputError(f"start state {x!r} outside [0, {m})")
+    return 1 << int(x)
 
 
 def z_statistic(mask: int, pi: np.ndarray) -> float:
@@ -110,31 +126,22 @@ def evolve_step(mask: int, K: np.ndarray, pi: np.ndarray, U: float) -> int:
     """Threshold rule: next set = {y : Q(S, y)/pi(y) >= U} (non-strict)."""
     if not 0.0 <= U <= 1.0:
         raise InputError("U must lie in [0, 1]")
-    m = len(pi)
     if mask == 0:
         return 0
-    r = _ratios(mask, K, pi)
-    out = 0
-    for y in range(m):
-        if r[y] >= U:
-            out |= 1 << y
-    return out
+    return int(_BIT[:len(pi)][_ratios(mask, K, pi) >= U].sum())
 
 
 def step_law(mask: int, K: np.ndarray, pi: np.ndarray) -> SetLaw:
     """Exact one-step law of the evolving set."""
-    m = len(pi)
     if mask == 0:
         return SetLaw(((0, 1.0),))
     r = _ratios(mask, K, pi)
-    values = [float(v) for v in np.unique(r)[::-1] if v > 0.0]  # descending
-    levels = []
-    for v in values:
-        s = 0
-        for y in range(m):
-            if r[y] >= v:
-                s |= 1 << y
-        levels.append((s, v))
+    # level sets {y : r_y >= v} are prefixes of the states in descending r;
+    # each distinct positive v ends one run of ties
+    order = np.argsort(-r, kind="stable")
+    desc = r[order]
+    ends = np.append(desc[1:] != desc[:-1], True) & (desc > 0.0)
+    levels = list(zip(np.cumsum(_BIT[order])[ends].tolist(), desc[ends].tolist()))
     # P(S-tilde = set at level v_i) = v_i - v_{i+1}; P(empty) = 1 - v_1
     out = []
     if levels:
@@ -250,9 +257,10 @@ def marginal_identity_check(chain: InhomChain, x: int, k: int) -> float:
     """Max abs discrepancy between the kernel-product law of X_k and
     pi(y)/pi(x) * P(y in S_k) from the exact subset law started at {x}."""
     pi = chain.pi
+    s0 = start_mask(x, chain.n_states)
     if k > len(chain.kernels):
         raise InputError("k exceeds the kernel sequence length")
-    laws, pruned = propagate_set_law(chain.kernels[:k], pi, 1 << x, doob=False,
+    laws, pruned = propagate_set_law(chain.kernels[:k], pi, s0, doob=False,
                                      prune=0.0)
     final = laws[-1]
     m = chain.n_states
@@ -274,24 +282,38 @@ def psi_profile_kernels(kernels: Sequence[np.ndarray], pi: np.ndarray) -> Expans
     m = len(pi)
     if m > SET_LAW_MAX_STATES:
         raise CapabilityError(f"{m} states exceeds the subset-law cap {SET_LAW_MAX_STATES}")
-    masses, psis = [], []
+    pi = np.asarray(pi, dtype=float)
     # deduplicate identical kernels to keep the scan cheap for cycled sequences
     uniq = []
     for K in kernels:
         if not any(K is U or (K.shape == U.shape and np.array_equal(K, U)) for U in uniq):
             uniq.append(K)
-    for bits in range(1, 1 << m):
-        mass = set_mass(bits, pi)
-        if mass > 0.5 + 1e-12:
-            continue
-        masses.append(mass)
-        psis.append(min(expected_sqrt_ratio(bits, K, pi) for K in uniq))
-    return profile_from_values(masses, psis, "exact-enumerated", float(pi.min()))
+
+    def psi(bits, masses):
+        weighted = bits * pi
+        return np.min([1.0 - _mean_sqrt_ratio(weighted @ K / pi, pi, masses)
+                       for K in uniq], axis=0)
+
+    return enumerated_profile(pi, psi)
+
+
+def _mean_sqrt_ratio(r: np.ndarray, pi: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """E[sqrt(pi(S-tilde) / pi(S))] for each row of ratios r_y = Q(S, y) / pi(y).
+
+    With a row sorted descending, S-tilde is the top j states with probability
+    r_(j) - r_(j+1) >= 0, r_(m+1) = 0; tied ratios get probability 0 until
+    the last of the tie, so each level set is counted once."""
+    if r.max(initial=0.0) > 1.0 + 1e-12:
+        raise InputError(f"ratio Q(S, y) / pi(y) = {r.max()!r} exceeds 1")
+    order = np.argsort(-r, axis=1, kind="stable")
+    gaps = -np.diff(np.take_along_axis(r, order, axis=1), axis=1, append=0.0)
+    return (gaps * np.sqrt(np.cumsum(pi[order], axis=1) / masses[:, None])).sum(axis=1)
 
 
 def psi_step_count(chain: InhomChain, x: int, eps: float) -> int:
     """Step count from the psi-profile integral: the smallest integer
     n >= integral_{4 pi(x)}^{4/eps} du / (u psi(u))."""
+    start_mask(x, chain.n_states)
     profile = psi_profile_kernels(chain.kernels, chain.pi)
     integral = profile_integral(profile, 4.0 * float(chain.pi[x]), 4.0 / eps,
                                 power=1)
@@ -314,11 +336,12 @@ def doob_z_bound_check(chain: InhomChain, x: int, k: Optional[int] = None,
     """Exact Doob propagation from {x}: checks chi(law of X_j, pi) <= E-hat[Z_j]
     per step, and E-hat[Z_n] <= sqrt(eps) at the psi-integral step count."""
     pi = chain.pi
+    s0 = start_mask(x, chain.n_states)
     if k is None:
         k = len(chain.kernels)
     if k > len(chain.kernels):
         raise InputError("k exceeds the kernel sequence length")
-    laws, pruned = propagate_set_law(chain.kernels[:k], pi, 1 << x, doob=True)
+    laws, pruned = propagate_set_law(chain.kernels[:k], pi, s0, doob=True)
     z_exp = np.empty(k + 1)
     chis = np.empty(k + 1)
     vec = np.zeros(chain.n_states)

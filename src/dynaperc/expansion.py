@@ -6,6 +6,10 @@ integral is evaluated in closed form per step, so no quadrature error enters a
 certified bound.  Certified provenance ("exact-enumerated" or
 "analytic-torus-bound") is required by the bound; family-restricted profiles
 are diagnostics only.
+
+Exact profiles enumerate subsets through one bit table, `half_mass_subsets`:
+chunks of masks as a boolean membership matrix with their masses, so a set
+function is evaluated for a whole chunk by a few matrix products.
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ from .errors import InputError, UncertifiedProfileError
 
 CERTIFIED_PROVENANCES = ("exact-enumerated", "analytic-torus-bound")
 PROVENANCES = CERTIFIED_PROVENANCES + ("family-restricted",)
+# Subset enumeration takes masks in chunks of 2^SUBSET_CHUNK_BITS: at 24
+# states one chunk's float table is about 50 MB, where all 2^24 sets at once
+# would need gigabytes.
+SUBSET_CHUNK_BITS = 18
 
 
 def q_flow(K: np.ndarray, pi: np.ndarray, A, B) -> float:
@@ -40,6 +48,51 @@ def _as_mask(S, n: int) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     mask[S.astype(int)] = True
     return mask
+
+
+def half_mass_subsets(pi: np.ndarray, chunk_bits: int = SUBSET_CHUNK_BITS):
+    """Bit table of the nonempty subsets S with pi(S) <= 1/2.
+
+    Yields (masks, bits, masses) per chunk of at most 2^chunk_bits masks, in
+    increasing mask order: `masks` (uint64) has bit y set when y is in S,
+    `bits[i, y]` is that membership as a bool matrix, `masses = bits @ pi`.
+    """
+    pi = np.asarray(pi, dtype=float)
+    shifts = np.arange(len(pi), dtype=np.uint64)
+    end = 1 << len(pi)
+    for lo in range(1, end, 1 << chunk_bits):
+        masks = np.arange(lo, min(lo + (1 << chunk_bits), end), dtype=np.uint64)
+        bits = ((masks[:, None] >> shifts) & np.uint64(1)).astype(bool)
+        masses = bits @ pi
+        keep = masses <= 0.5 + 1e-12
+        if keep.any():
+            yield masks[keep], bits[keep], masses[keep]
+
+
+def enumerated_profile(pi: np.ndarray,
+                       set_values: Callable[[np.ndarray, np.ndarray], np.ndarray]
+                       ) -> ExpansionProfile:
+    """Exact-enumerated profile of a set function over every nonempty S with
+    pi(S) <= 1/2; `set_values(bits, masses)` evaluates it on one chunk of
+    `half_mass_subsets`."""
+    masses, values = [np.empty(0)], [np.empty(0)]
+    for _, bits, mass in half_mass_subsets(pi):
+        masses.append(mass)
+        values.append(set_values(bits, mass))
+    return profile_from_values(np.concatenate(masses), np.concatenate(values),
+                               "exact-enumerated", float(np.min(pi)))
+
+
+def _phi_table(bits: np.ndarray, masses: np.ndarray,
+               kernels: Sequence[np.ndarray], pi: np.ndarray) -> np.ndarray:
+    """phi_K(S) for every row S of a bit table and every kernel K: (sets, kernels)."""
+    weighted = bits * pi
+    out = np.empty((len(masses), len(kernels)))
+    for j, K in enumerate(kernels):
+        flow = weighted @ np.asarray(K, dtype=float)  # Q(S, y) per state y
+        flow[bits] = 0.0
+        out[:, j] = flow.sum(axis=1) / masses
+    return out
 
 
 def expansion_phi(K: np.ndarray, pi: np.ndarray, S) -> float:
@@ -93,10 +146,14 @@ class ExpansionProfile:
         v = np.asarray(self.values, dtype=float)
         if k.shape != v.shape or k.ndim != 1 or len(k) == 0:
             raise InputError("knots and values must be matching nonempty 1-d arrays")
+        if not (np.isfinite(k).all() and np.isfinite(v).all()):
+            raise InputError("knots and values must be finite")
         if np.any(np.diff(k) <= 0):
             raise InputError("knots must be strictly increasing")
         if np.any(np.diff(v) > 1e-12):
             raise InputError("profile must be nonincreasing")
+        if not 0.0 < self.pi_star <= 1.0:
+            raise InputError(f"pi_star must be in (0, 1], got {self.pi_star!r}")
         object.__setattr__(self, "knots", k)
         object.__setattr__(self, "values", v)
 
@@ -119,14 +176,20 @@ class ExpansionProfile:
     @classmethod
     def deserialize(cls, text: str) -> "ExpansionProfile":
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = lines[0]
-        if not head.startswith("# dynaperc-profile-v1"):
+        if not lines or not lines[0].startswith("# dynaperc-profile-v1"):
             raise InputError("not a dynaperc profile")
-        fields = dict(tok.split("=", 1) for tok in head.split()[2:])
-        pairs = [tuple(float(t) for t in ln.split()) for ln in lines[1:]]
-        ks, vs = zip(*pairs)
-        return cls(np.array(ks), np.array(vs), fields["provenance"],
-                   float(fields["pi_star"]))
+        fields = dict(tok.partition("=")[::2] for tok in lines[0].split()[2:])
+        rows = [ln.split() for ln in lines[1:]]
+        if not rows or any(len(r) != 2 for r in rows):
+            raise InputError("a profile needs lines of one knot and one value")
+        try:
+            knots, values = np.array(rows, dtype=float).T
+            provenance, pi_star = fields["provenance"], float(fields["pi_star"])
+        except KeyError as exc:
+            raise InputError(f"profile header lacks {exc}") from exc
+        except ValueError as exc:
+            raise InputError(f"malformed profile: {exc}") from exc
+        return cls(knots, values, provenance, pi_star)
 
 
 def profile_from_values(masses: Sequence[float], phis: Sequence[float],
@@ -169,16 +232,10 @@ def profile_phi_env(R: np.ndarray, kernels: Sequence[np.ndarray],
     m = len(pi)
     if m > max_states:
         raise InputError(f"{m} states exceeds the enumeration cap {max_states}")
-    masses, phis = [], []
-    for bits in range(1, 1 << m):
-        mask = np.array([(bits >> i) & 1 for i in range(m)], dtype=bool)
-        mass = float(pi[mask].sum())
-        if mass > 0.5 + 1e-12:
-            continue
-        val = min(phi_env(R[z], kernels, pi, mask) for z in range(len(R)))
-        masses.append(mass)
-        phis.append(val)
-    return profile_from_values(masses, phis, "exact-enumerated", float(pi.min()))
+    # phi(zeta, S) = sum over zeta' with R(zeta, zeta') > 0 of R(zeta, zeta') phi_zeta'(S)
+    weights = np.maximum(np.asarray(R, dtype=float), 0.0).T
+    return enumerated_profile(
+        pi, lambda bits, mass: (_phi_table(bits, mass, kernels, pi) @ weights).min(axis=1))
 
 
 def profile_phi_kernels(kernels: Sequence[np.ndarray], pi: np.ndarray,
@@ -189,15 +246,8 @@ def profile_phi_kernels(kernels: Sequence[np.ndarray], pi: np.ndarray,
     m = len(pi)
     if m > max_states:
         raise InputError(f"{m} states exceeds the enumeration cap {max_states}")
-    masses, phis = [], []
-    for bits in range(1, 1 << m):
-        mask = np.array([(bits >> i) & 1 for i in range(m)], dtype=bool)
-        mass = float(pi[mask].sum())
-        if mass > 0.5 + 1e-12:
-            continue
-        masses.append(mass)
-        phis.append(min(expansion_phi(K, pi, mask) for K in kernels))
-    return profile_from_values(masses, phis, "exact-enumerated", float(pi.min()))
+    return enumerated_profile(
+        pi, lambda bits, mass: _phi_table(bits, mass, kernels, pi).min(axis=1))
 
 
 def profile_family(masses: Sequence[float], phis: Sequence[float],

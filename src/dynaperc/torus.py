@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapabilityError, InputError
+from .expansion import SUBSET_CHUNK_BITS, half_mass_subsets
 
 # Exhaustive subset enumeration is capped at this many vertices.
 ISO_ENUM_MAX_VERTICES = 24
@@ -216,7 +217,7 @@ class IsoProfileResult:
         return VertexSet(g, self.minimizer_bitmask)
 
 
-def iso_profile(g: TorusGraph, chunk_bits: int = 18) -> IsoProfileResult:
+def iso_profile(g: TorusGraph, chunk_bits: int = SUBSET_CHUNK_BITS) -> IsoProfileResult:
     """Exact min over nonempty S with pi(S) <= 1/2 of |dE(S)| / |S|^((d-1)/d).
 
     Enumerates all 2^(n^d) subsets; a witness lower bound for the universal
@@ -229,21 +230,10 @@ def iso_profile(g: TorusGraph, chunk_bits: int = 18) -> IsoProfileResult:
         )
     uv = g.edge_uv
     expo = (g.d - 1) / g.d
-    shifts = np.arange(N, dtype=np.uint64)
     best = math.inf
     best_mask = 0
-    chunk = 1 << chunk_bits
-    for lo in range(1, 1 << N, chunk):
-        hi = min(lo + chunk, 1 << N)
-        masks = np.arange(lo, hi, dtype=np.uint64)
-        bits = ((masks[:, None] >> shifts) & 1).astype(np.uint8)
-        sizes = bits.sum(axis=1).astype(np.int64)
-        keep = (sizes * 2) <= N
-        if not keep.any():
-            continue
-        bits = bits[keep]
-        sizes = sizes[keep]
-        masks = masks[keep]
+    for masks, bits, _ in half_mass_subsets(np.full(N, 1.0 / N), chunk_bits):
+        sizes = bits.sum(axis=1)
         bnd = (bits[:, uv[:, 0]] != bits[:, uv[:, 1]]).sum(axis=1)
         ratio = bnd / sizes.astype(float) ** expo
         i = int(np.argmin(ratio))

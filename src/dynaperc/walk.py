@@ -373,6 +373,9 @@ def exact_hitting_profile(env: EnvTrajectory, A_mask: np.ndarray,
     if horizon > env.horizon:
         raise HorizonError("past horizon")
     A_mask = np.asarray(A_mask, dtype=bool)
+    if A_mask.shape != (g.n_vertices,):
+        raise InputError(f"target mask has shape {A_mask.shape}, "
+                         f"expected ({g.n_vertices},)")
     ev = _Evolver(env, 0.0, tol, absorbing=A_mask)
     mat = ev.advance(np.eye(g.n_vertices), horizon)
     expected = ev.occupation

@@ -29,3 +29,43 @@ def random_kernels(rng, pi, k, activity=0.4):
 
 def lazy(K):
     return 0.5 * (K + np.eye(K.shape[0]))
+
+
+def dict_doob_z_expectation(chain, x, zeta0, n, number=float):
+    """Reference for the joint Doob certificate: E over env paths from zeta0
+    of E-hat[Z_n] from {x}, by a dict over (subset, env state) pairs.
+
+    `number=fractions.Fraction` carries the same float inputs through exact
+    rational sums instead of float ones."""
+    from dynaperc import evoset
+
+    pi = chain.pi
+    laws = {}
+    weights = {(1 << x, zeta0): number(1)}
+    for _ in range(n):
+        nxt = {}
+        for (mask, z), w in weights.items():
+            for z2 in range(chain.n_env):
+                rw = chain.R[z, z2]
+                if rw == 0.0:
+                    continue
+                if (mask, z2) not in laws:
+                    laws[mask, z2] = evoset.doob_step_law(mask, chain.kernels[z2], pi).entries
+                for s, p in laws[mask, z2]:
+                    nxt[s, z2] = nxt.get((s, z2), 0) + w * number(rw) * number(p)
+        weights = nxt
+    return float(sum(w * number(evoset.z_statistic(mask, pi))
+                     for (mask, _), w in weights.items()))
+
+
+def assert_profiles_close(a, b, tol):
+    """Two step profiles agree within tol between their knots.
+
+    Knots within 1e-9 of each other count as one: masses summed in another
+    order may differ in the last bits, which moves a knot but not a step."""
+    knots = np.unique(np.concatenate([a.knots, b.knots, [0.5]]))
+    reps = knots[np.append(True, np.diff(knots) > 1e-9)]
+    points = (reps[:-1] + reps[1:]) / 2.0
+    gap = max(abs(a.value(u) - b.value(u)) for u in points)
+    assert gap <= tol, f"profiles differ by {gap:.3e}"
+    assert a.provenance == b.provenance and a.pi_star == b.pi_star

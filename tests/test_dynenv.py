@@ -179,3 +179,22 @@ def test_dump_roundtrip():
 def test_dump_rejects_garbage():
     with pytest.raises(InputError):
         loads_env(b"not a dump at all")
+
+
+_DUMP = dumps_env(sample_env(TorusGraph(d=1, n=4), DynParams(p=0.5, mu=0.25, horizon=3.0),
+                             seed=7))
+
+
+@given(cut=st.integers(0, len(_DUMP)), pos=st.integers(0, len(_DUMP) - 1),
+       byte=st.integers(0, 255), tail=st.binary(max_size=24))
+@settings(max_examples=300, deadline=None)
+def test_loads_env_fuzz(cut, pos, byte, tail):
+    # truncated, corrupted or extended dumps either load as a valid
+    # environment or raise InputError
+    flipped = _DUMP[:pos] + bytes([byte]) + _DUMP[pos + 1:]
+    for data in (_DUMP[:cut], flipped, _DUMP + tail, _DUMP[:cut] + tail):
+        try:
+            env = loads_env(data)
+        except InputError:
+            continue
+        assert dumps_env(env) == data

@@ -1,14 +1,20 @@
 import math
+import subprocess
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynaperc import envlab as L
+from dynaperc import evoset
 from dynaperc.dist import tv
 from dynaperc.errors import CapabilityError, InputError
 
-from helpers import random_pi, random_kernels
+from helpers import dict_doob_z_expectation, random_pi, random_kernels
 
 
 def _ring_chain():
@@ -162,3 +168,85 @@ def test_chain_spec_roundtrip():
     assert L.dump_chain(back) == text
     with pytest.raises(InputError):
         L.load_chain("bogus\n1 1\n1.0\n1.0\n1.0\n")
+
+
+def _random_chain(rng, m, n_env, zero_entry):
+    pi = random_pi(rng, m)
+    w = rng.random((n_env, n_env)) + 0.2
+    if zero_entry:
+        w[0, 1] = 0.0
+    R = w / w.sum(axis=1, keepdims=True)
+    return L.FiniteEnvChain(R=R, kernels=random_kernels(rng, pi, n_env), pi=pi)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_certificate_matches_dict_reference(seed):
+    # 3-5 states, R with and without zero entries, and the variant chain
+    rng = np.random.default_rng(seed)
+    chain = _random_chain(rng, 3 + seed % 3, 2 + seed % 2, zero_entry=seed % 2 == 0)
+    for ch in (chain, L.variant_chain(chain)):
+        for n in (0, 1, 6):
+            got = L._doob_z_certificates(ch, 0, n)
+            for z in range(ch.n_env):
+                # the exact rational sum of the same float inputs bounds the
+                # engine's rounding; the float dict loop rounds in another
+                # order and was itself seen up to 1.6e-15 from the exact sum
+                exact = dict_doob_z_expectation(ch, 0, z, n, number=Fraction)
+                assert abs(got[z] - exact) <= 1e-15
+                assert abs(got[z] - dict_doob_z_expectation(ch, 0, z, n)) <= 4e-15
+                assert L._doob_z_joint_expectation(ch, 0, z, n) == got[z]
+
+
+def _three_state_chains():
+    rng = np.random.default_rng(4)
+    chain = _random_chain(rng, 3, 2, zero_entry=False)
+    return chain, evoset.InhomChain(pi=chain.pi, kernels=chain.kernels)
+
+
+_START_CHECKS = {
+    "theorem_2_1_check": lambda x: L.theorem_2_1_check(_three_state_chains()[0], x, 0.1),
+    "doob_z_bound_check": lambda x: evoset.doob_z_bound_check(_three_state_chains()[1], x),
+    "psi_step_count": lambda x: evoset.psi_step_count(_three_state_chains()[1], x, 0.1),
+    "marginal_identity_check":
+        lambda x: evoset.marginal_identity_check(_three_state_chains()[1], x, 2),
+}
+
+
+@pytest.mark.parametrize("x", [-1, 3, 5])
+@pytest.mark.parametrize("check", sorted(_START_CHECKS))
+def test_start_state_outside_the_chain_is_rejected(check, x):
+    with pytest.raises(InputError):
+        _START_CHECKS[check](x)
+
+
+_CHAIN_TEXT = L.dump_chain(_ring_chain())
+
+
+@given(cut=st.integers(0, len(_CHAIN_TEXT)),
+       noise=st.text(alphabet="0123456789.e-+ \nainfdynaperc-v", max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_load_chain_fuzz(cut, noise):
+    # truncated or corrupted specs either load as a valid chain or raise InputError
+    for text in (_CHAIN_TEXT[:cut], _CHAIN_TEXT[:cut] + noise,
+                 "dynaperc-chain-v1\n" + noise):
+        try:
+            chain = L.load_chain(text)
+        except InputError:
+            continue
+        assert np.isfinite(chain.R).all() and np.isfinite(chain.pi).all()
+
+
+def test_certificate_path_does_not_load_scipy():
+    code = ("import sys, numpy as np\n"
+            "import dynaperc\n"
+            "from dynaperc import envlab, evoset\n"
+            "chain = envlab.counterexample_chain()\n"
+            "lazy = envlab.FiniteEnvChain(R=chain.R, pi=chain.pi,\n"
+            "                             kernels=envlab.effective_kernels(chain))\n"
+            "envlab.theorem_2_1_check(lazy, 0, 0.1)\n"
+            "evoset.psi_profile_kernels(lazy.kernels, lazy.pi)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from dynaperc import evoset as E
 from dynaperc.errors import CapabilityError, InputError
-from dynaperc.expansion import expansion_phi
+from dynaperc.expansion import expansion_phi, profile_from_values
 
-from helpers import random_pi, random_kernels, random_reversible_kernel
+from helpers import (assert_profiles_close, lazy, random_pi, random_kernels,
+                     random_reversible_kernel)
 
 
 def _chain(seed, m=4, k=3, activity=0.4):
@@ -175,3 +176,39 @@ def test_doob_z_bound_check_passes():
     # Z expectations start at the single-state value and decay
     assert rep.z_expectations[0] == pytest.approx(E.z_statistic(1, pi))
     assert rep.z_expectations[-1] <= rep.z_expectations[0]
+
+
+def _psi_profile_by_mask(kernels, pi):
+    """Per-mask reference for psi_profile_kernels."""
+    masses, psis = [], []
+    for mask in range(1, 1 << len(pi)):
+        mass = E.set_mass(mask, pi)
+        if mass <= 0.5 + 1e-12:
+            masses.append(mass)
+            psis.append(min(E.expected_sqrt_ratio(mask, K, pi) for K in kernels))
+    return profile_from_values(masses, psis, "exact-enumerated", float(pi.min()))
+
+
+@pytest.mark.parametrize("kinds", [("random",), ("identity",), ("uniform",),
+                                   ("lazy-uniform",), ("random", "lazy-uniform")])
+@pytest.mark.parametrize("m", [6, 8])
+def test_psi_profile_matches_per_mask_loop(kinds, m):
+    # identity and uniform kernels tie many ratios Q(S, y) / pi(y)
+    rng = np.random.default_rng(m)
+    pi = random_pi(rng, m)
+    make = {"random": lambda: random_reversible_kernel(rng, pi),
+            "identity": lambda: np.eye(m),
+            "uniform": lambda: np.tile(pi, (m, 1)),
+            "lazy-uniform": lambda: lazy(np.tile(pi, (m, 1)))}
+    kernels = tuple(make[k]() for k in kinds)
+    assert_profiles_close(E.psi_profile_kernels(kernels, pi),
+                          _psi_profile_by_mask(kernels, pi), 1e-13)
+
+
+def test_psi_profile_rejects_ratio_above_one():
+    # pi is not stationary for K: Q({1, 2}, 0) / pi(0) = 2
+    pi = np.full(4, 0.25)
+    K = np.zeros((4, 4))
+    K[:, 0] = 1.0
+    with pytest.raises(InputError):
+        E.psi_profile_kernels((K,), pi)

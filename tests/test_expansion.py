@@ -11,7 +11,8 @@ from dynaperc.dynenv import DynParams, sample_env
 from dynaperc.errors import InputError, UncertifiedProfileError
 from dynaperc.torus import TorusGraph, VertexSet
 
-from helpers import random_pi, random_reversible_kernel
+from helpers import (assert_profiles_close, lazy, random_pi,
+                     random_reversible_kernel)
 
 
 def test_q_flow_and_phi_basic():
@@ -162,3 +163,45 @@ def test_torus_phi_lower_bound_record():
         assert rec.beta == 0.0 and rec.ratio is None
     else:
         assert rec.ratio == pytest.approx(rec.phi * 8 * 0.5 / rec.beta)
+
+
+def _members(mask, m):
+    return np.array([(mask >> y) & 1 for y in range(m)], dtype=bool)
+
+
+@pytest.mark.parametrize("m", [6, 7, 8])
+def test_phi_profiles_match_per_mask_loops(m):
+    # a lazy uniform kernel ties every Q(S, y) / pi(y) inside S and inside S^c
+    rng = np.random.default_rng(m)
+    pi = random_pi(rng, m)
+    kernels = (random_reversible_kernel(rng, pi), lazy(np.tile(pi, (m, 1))), np.eye(m))
+    R = np.array([[0.0, 0.7, 0.3], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+    masses, phis, envs = [], [], []
+    for mask in range(1, 1 << m):
+        S = _members(mask, m)
+        if pi[S].sum() <= 0.5 + 1e-12:
+            masses.append(pi[S].sum())
+            phis.append(min(X.expansion_phi(K, pi, S) for K in kernels[:2]))
+            envs.append(min(X.phi_env(R[z], kernels, pi, S) for z in range(3)))
+    ref = X.profile_from_values(masses, phis, "exact-enumerated", float(pi.min()))
+    assert_profiles_close(X.profile_phi_kernels(kernels[:2], pi), ref, 1e-13)
+    ref = X.profile_from_values(masses, envs, "exact-enumerated", float(pi.min()))
+    assert_profiles_close(X.profile_phi_env(R, kernels, pi), ref, 1e-13)
+
+
+_PROFILE_TEXT = X.profile_from_values(
+    [0.125, 0.25, 0.5], [0.8, 0.5, 0.25], "exact-enumerated", 0.125).serialize()
+
+
+@given(cut=st.integers(0, len(_PROFILE_TEXT)),
+       noise=st.text(alphabet="0123456789.e-= \nabnipr_#", max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_profile_deserialize_fuzz(cut, noise):
+    # truncated or corrupted text either loads as a valid profile or raises InputError
+    for text in (_PROFILE_TEXT[:cut], _PROFILE_TEXT[:cut] + noise, noise):
+        try:
+            prof = X.ExpansionProfile.deserialize(text)
+        except InputError:
+            continue
+        assert np.isfinite(prof.knots).all() and np.isfinite(prof.values).all()
+        assert 0.0 < prof.pi_star <= 1.0

@@ -161,6 +161,12 @@ def test_hitting_profile_frozen_walker_accrues_time():
     assert not expected[A].any() and not censored[A].any()
 
 
+def test_hitting_profile_rejects_mask_of_wrong_length():
+    env = _env(n=6, horizon=5.0)
+    with pytest.raises(InputError):
+        exact_hitting_profile(env, np.zeros(5, dtype=bool), 1.0)
+
+
 def test_hitting_profile_matches_monte_carlo():
     env = _env(n=6, seed=21, horizon=600.0)
     A = np.zeros(6, dtype=bool)
