@@ -9,13 +9,10 @@ the CSV byte for byte.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import configparser
 import hashlib
-import io
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -74,9 +71,10 @@ def _params(cfg: dict) -> tuple[TorusGraph, DynParams]:
 
 
 def _base_row(cfg: dict, **kw) -> dict:
-    row = {"d": int(cfg["d"]), "n": int(cfg["n"]), "p": float(cfg["p"]),
-           "mu": float(cfg["mu"]), "eps": float(cfg["eps"]),
-           "env_seed": None, "x": int(cfg["x"]), "statistic": "",
+    row = {"d": _num("d", cfg["d"], int), "n": _num("n", cfg["n"], int),
+           "p": _num("p", cfg["p"]), "mu": _num("mu", cfg["mu"]),
+           "eps": _num("eps", cfg["eps"]),
+           "env_seed": None, "x": _num("x", cfg["x"], int), "statistic": "",
            "value": None, "ci_lo": None, "ci_hi": None,
            "method": "exact", "censored_frac": 0.0}
     row.update(kw)
@@ -94,6 +92,7 @@ class Runner:
         self.out = Path(args.out)
         self.out.mkdir(parents=True, exist_ok=True)
         self.hash = _config_hash(self.cfg, args.subcommand, args.seed)
+        _base_row(self.cfg)  # a malformed row field fails here, before any cell
         self.budget = args.budget
         self.t0 = time.monotonic()
         self.cells: list[dict] = []
@@ -142,13 +141,6 @@ class Runner:
         return 1 if (bad or self.failed) else 0
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("DYNAPERC_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 # --------------------------------------------------------------------------
 # subcommand bodies
 # --------------------------------------------------------------------------
@@ -170,11 +162,12 @@ def cmd_env_sim(run: Runner) -> int:
 
 def cmd_walk_sim(run: Runner) -> int:
     g, params = _params(run.cfg)
+    x = _num("x", run.cfg["x"], int)
 
     def body():
         env = sample_env(g, params, init=run.cfg["init"], seed=run.seed)
         horizon = min(params.horizon, 10.0 / params.mu)
-        path = walkmod.simulate_walk(env, int(run.cfg["x"]), horizon,
+        path = walkmod.simulate_walk(env, x, horizon,
                                      seed=None if run.seed is None else run.seed + 1)
         lines = [f"# dynaperc-walk-v1 start={path.start} horizon={horizon!r}"]
         lines += [f"{t!r} {v}" for t, v in zip(path.jump_times, path.jump_targets)]
@@ -252,16 +245,17 @@ def cmd_hit(run: Runner) -> int:
 
 
 def cmd_evoset(run: Runner) -> int:
+    eps = _num("eps", run.cfg["eps"])
+
     def body():
         rng = np.random.default_rng(run.seed if run.seed is not None else 0)
         from .evoset import InhomChain, doob_z_bound_check, psi_step_count
         rows = []
         for i in range(10):
             pi, kernels = _random_chain(rng, n_states=4, n_kernels=1)
-            steps = psi_step_count(InhomChain(pi=pi, kernels=kernels), x=0,
-                                   eps=float(run.cfg["eps"]))
+            steps = psi_step_count(InhomChain(pi=pi, kernels=kernels), x=0, eps=eps)
             chain = InhomChain(pi=pi, kernels=kernels * max(steps, 1))
-            rep = doob_z_bound_check(chain, x=0, eps=float(run.cfg["eps"]))
+            rep = doob_z_bound_check(chain, x=0, eps=eps)
             ok = rep.chi_ok and bool(rep.z_bound_ok)
             rows.append(_base_row(run.cfg, statistic="evoset_z_bound_ok",
                                   value=float(ok), env_seed=i))
@@ -337,6 +331,7 @@ def cmd_bound(run: Runner) -> int:
 
 def cmd_lab(run: Runner) -> int:
     scenario = run.cfg["scenario"] or "counterexample"
+    eps = _num("eps", run.cfg["eps"])
 
     def counterexample():
         chain = envlab.counterexample_chain()
@@ -363,8 +358,7 @@ def cmd_lab(run: Runner) -> int:
 
     def theorem():
         chain = envlab.variant_chain(_lazy_demo_chain())
-        rep = envlab.theorem_2_1_check(chain, x=0, eps=float(run.cfg["eps"]),
-                                       mode="certificate")
+        rep = envlab.theorem_2_1_check(chain, x=0, eps=eps, mode="certificate")
         if not rep.passed:
             raise AssertionError("quenched tail bound certificate failed")
         return [_base_row(run.cfg, statistic="theorem_tail_certificate_ok",
@@ -437,15 +431,8 @@ def cmd_sweep(run: Runner) -> int:
               file=sys.stderr)
         return 2
     body = bodies[scenario]
-    workers = _workers()
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-            futs = {(n, mu): ex.submit(body, n, mu) for n, mu in cells}
-        for (n, mu) in cells:  # deterministic merge order
-            run.cell(f"n={n},mu={mu}", futs[(n, mu)].result)
-    else:
-        for n, mu in cells:
-            run.cell(f"n={n},mu={mu}", lambda n=n, mu=mu: body(n, mu))
+    for n, mu in cells:
+        run.cell(f"n={n},mu={mu}", lambda n=n, mu=mu: body(n, mu))
     return run.finish("sweep.csv")
 
 

@@ -7,9 +7,9 @@ quenched-vs-annealed counterexample (i.i.d. identity/swap kernels), the
 laziness-coupled variant, and the end-to-end check of the quenched mixing
 bound P(chi >= eps^(1/4)) <= eps^(1/4).
 
-The exact certificate runs the Doob set process jointly with the environment
-as one flat transition over the reachable (subset, environment state) pairs,
-built once and applied to the weights of every start state together.
+The exact certificate runs the Doob set process jointly with the environment,
+as one flat transition over (subset, environment state) pairs built from the
+law table of `evoset.set_law_table`.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import numpy as np
 from . import evoset
 from .dist import wilson_interval
 from .errors import CapabilityError, InputError
-from .expansion import (ExpansionProfile, integral_mixing_bound,
-                        profile_from_values, profile_phi_env)
+from .expansion import ExpansionProfile, integral_mixing_bound, profile_phi_env
 
 # Exact environment-path enumeration caps |E|^n at this.
 PATH_ENUM_MAX = 10 ** 6
@@ -177,40 +176,24 @@ def _doob_z_certificates(chain: FiniteEnvChain, x: int, n: int) -> np.ndarray:
     started at {x}: one entry per start state, by exact propagation over
     (subset, env state) pairs.
 
-    The pairs reachable from ({x}, zeta0) for any zeta0 are indexed in
-    breadth-first order, the one-step transition is kept as flat (row, col,
-    R(z, z2) p) arrays, and the (E, pairs) weight array of all starts moves
-    one step per bincount.
+    The Doob laws come from one `evoset.set_law_table`: pair (masks[r], z)
+    is z * M + r, and its per-kernel arrays give the pair transition T as flat
+    (z M + r, z2 M + c, R(z, z2) v) arrays over the (z, z2) with R > 0.  The
+    expectation from every pair at once is T^n Z, by n bincount steps.
     """
-    if chain.n_states > evoset.SET_LAW_MAX_STATES:
-        raise CapabilityError("too many walk states for exact set propagation")
     E, R, pi = chain.n_env, chain.R, chain.pi
     start = evoset.start_mask(x, chain.n_states)
-    pairs = [(start, z) for z in range(E)]  # start zeta0 is pair zeta0
-    index = {pair: i for i, pair in enumerate(pairs)}
-    laws: dict[tuple[int, int], tuple] = {}
-    rows, cols, vals = [], [], []
-    for i, (mask, z) in enumerate(pairs):  # grows while it is walked
-        for z2 in np.flatnonzero(R[z]).tolist():
-            law = laws.get((mask, z2))
-            if law is None:
-                law = laws[mask, z2] = evoset.doob_step_law(
-                    mask, chain.kernels[z2], pi).entries
-            for s, p in law:
-                j = index.setdefault((s, z2), len(pairs))
-                if j == len(pairs):
-                    pairs.append((s, z2))
-                rows.append(i)
-                cols.append(j)
-                vals.append(R[z, z2] * p)
-    P = len(pairs)
-    rows, vals = np.array(rows), np.array(vals)
-    flat = (np.array(cols) + P * np.arange(E)[:, None]).ravel()
-    weights = np.eye(E, P)
+    masks, transitions, which = evoset.set_law_table(chain.kernels, pi, start, doob=True)
+    M = len(masks)
+    parts = []
+    for z, z2 in zip(*np.nonzero(R > 0)):
+        r, c, v = transitions[which[z2]]
+        parts.append((z * M + r, z2 * M + c, R[z, z2] * v))
+    rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
+    expect = np.tile([evoset.z_statistic(mask, pi) for mask in masks], E)
     for _ in range(n):
-        weights = np.bincount(flat, weights=(weights[:, rows] * vals).ravel(),
-                              minlength=E * P).reshape(E, P)
-    return weights @ np.array([evoset.z_statistic(mask, pi) for mask, _ in pairs])
+        expect = np.bincount(rows, weights=vals * expect[cols], minlength=len(expect))
+    return expect[M * np.arange(E)]  # start zeta0 is pair (start, zeta0)
 
 
 def _doob_z_joint_expectation(chain: FiniteEnvChain, x: int, zeta0: int,

@@ -6,9 +6,11 @@ piecewise-constant map U -> S-tilde (non-strict comparison, so U = 0 yields
 the full space).  The Doob transform reweights by pi(S') / pi(S); its
 normalization is equivalent to the martingale property of pi(S_k).
 
+Exact set-law propagation, here and in the joint certificate of `envlab`,
+runs on one law table (`set_law_table`): each (mask, distinct kernel) law
+computed once, weights moved through it by one bincount per step.
 `psi_profile_kernels` evaluates psi for every subset at once on the bit table
-of `expansion.half_mass_subsets`; the joint certificate over (subset,
-environment state) pairs is in `envlab`.
+of `expansion.half_mass_subsets`.
 """
 
 from __future__ import annotations
@@ -227,29 +229,70 @@ def _state(mask: int, pi: np.ndarray) -> EvoSetState:
     return EvoSetState(mask=mask, pi_mass=mass, z=z)
 
 
+def _distinct_kernels(kernels: Sequence[np.ndarray]) -> tuple[list[np.ndarray], list[int]]:
+    """The distinct kernels (one copy of each set of equal entries) and, for
+    each given kernel, the position of its copy among them."""
+    uniq: list[np.ndarray] = []
+    which = []
+    for K in kernels:
+        j = next((i for i, U in enumerate(uniq)
+                  if K is U or (K.shape == U.shape and np.array_equal(K, U))), len(uniq))
+        if j == len(uniq):
+            uniq.append(K)
+        which.append(j)
+    return uniq, which
+
+
+def set_law_table(kernels: Sequence[np.ndarray], pi: np.ndarray, s0: int,
+                  doob: bool = False) -> tuple[list[int], list[tuple], list[int]]:
+    """One-step set laws (Doob laws if `doob`) over the masks reachable from s0.
+
+    Returns (masks, transitions, which): `masks` lists s0 first, then every
+    mask reachable from it under any kernel, breadth first; `transitions[j]`
+    is the one-step transition of the j-th distinct kernel as flat (rows,
+    cols, vals) arrays, P(next = masks[c] | now = masks[r]) = v; the i-th
+    given kernel is distinct kernel `which[i]`.  Each (mask, distinct kernel)
+    law is computed once.
+    """
+    m = len(pi)
+    if m > SET_LAW_MAX_STATES:
+        raise CapabilityError(f"{m} states exceeds the subset-law cap {SET_LAW_MAX_STATES}")
+    uniq, which = _distinct_kernels(kernels)
+    law = doob_step_law if doob else step_law
+    masks = [s0]
+    index = {s0: 0}
+    entries: list[list[tuple[int, int, float]]] = [[] for _ in uniq]
+    for r, mask in enumerate(masks):  # grows while it is walked
+        for j, K in enumerate(uniq):
+            for s, p in law(mask, K, pi).entries:
+                if s not in index:
+                    index[s] = len(masks)
+                    masks.append(s)
+                entries[j].append((r, index[s], p))
+    transitions = [tuple(np.array(col) for col in zip(*e)) for e in entries]
+    return masks, transitions, which
+
+
 def propagate_set_law(kernels: Sequence[np.ndarray], pi: np.ndarray, s0: int,
                       doob: bool = False,
                       prune: float = PRUNE_EPS) -> tuple[list[dict[int, float]], float]:
     """Exact subset-law propagation: list of {mask: prob} per step, plus the
-    total pruned mass (added to the caller's error budget)."""
-    m = len(pi)
-    if m > SET_LAW_MAX_STATES:
-        raise CapabilityError(f"{m} states exceeds the subset-law cap {SET_LAW_MAX_STATES}")
+    total pruned mass (entries below `prune` after a step; added to the
+    caller's error budget)."""
+    masks, transitions, which = set_law_table(kernels, pi, s0, doob)
+    masks = np.array(masks)
+    weights = np.zeros(len(masks))
+    weights[0] = 1.0
     laws = [{s0: 1.0}]
     pruned = 0.0
-    current = {s0: 1.0}
-    for K in kernels:
-        nxt: dict[int, float] = {}
-        for mask, prob in current.items():
-            law = doob_step_law(mask, K, pi) if doob else step_law(mask, K, pi)
-            for s, p in law.entries:
-                nxt[s] = nxt.get(s, 0.0) + prob * p
-        if prune > 0.0:
-            small = [s for s, p in nxt.items() if p < prune]
-            for s in small:
-                pruned += nxt.pop(s)
-        current = nxt
-        laws.append(dict(current))
+    for j in which:
+        rows, cols, vals = transitions[j]
+        weights = np.bincount(cols, weights=weights[rows] * vals, minlength=len(masks))
+        small = weights < prune
+        pruned += float(weights[small].sum())
+        weights[small] = 0.0
+        live = np.flatnonzero(weights)
+        laws.append(dict(zip(masks[live].tolist(), weights[live].tolist())))
     return laws, pruned
 
 
@@ -257,18 +300,15 @@ def marginal_identity_check(chain: InhomChain, x: int, k: int) -> float:
     """Max abs discrepancy between the kernel-product law of X_k and
     pi(y)/pi(x) * P(y in S_k) from the exact subset law started at {x}."""
     pi = chain.pi
-    s0 = start_mask(x, chain.n_states)
+    m = chain.n_states
+    s0 = start_mask(x, m)
     if k > len(chain.kernels):
         raise InputError("k exceeds the kernel sequence length")
     laws, pruned = propagate_set_law(chain.kernels[:k], pi, s0, doob=False,
                                      prune=0.0)
     final = laws[-1]
-    m = chain.n_states
-    member_prob = np.zeros(m)
-    for mask, p in final.items():
-        for y in range(m):
-            if (mask >> y) & 1:
-                member_prob[y] += p
+    member_prob = np.array(list(final.values())) @ np.array(
+        [mask_members(mask, m) for mask in final])
     vec = np.zeros(m)
     vec[x] = 1.0
     for K in chain.kernels[:k]:
@@ -283,11 +323,8 @@ def psi_profile_kernels(kernels: Sequence[np.ndarray], pi: np.ndarray) -> Expans
     if m > SET_LAW_MAX_STATES:
         raise CapabilityError(f"{m} states exceeds the subset-law cap {SET_LAW_MAX_STATES}")
     pi = np.asarray(pi, dtype=float)
-    # deduplicate identical kernels to keep the scan cheap for cycled sequences
-    uniq = []
-    for K in kernels:
-        if not any(K is U or (K.shape == U.shape and np.array_equal(K, U)) for U in uniq):
-            uniq.append(K)
+    # one scan per distinct kernel keeps cycled sequences cheap
+    uniq, _ = _distinct_kernels(kernels)
 
     def psi(bits, masses):
         weighted = bits * pi
@@ -342,12 +379,12 @@ def doob_z_bound_check(chain: InhomChain, x: int, k: Optional[int] = None,
     if k > len(chain.kernels):
         raise InputError("k exceeds the kernel sequence length")
     laws, pruned = propagate_set_law(chain.kernels[:k], pi, s0, doob=True)
-    z_exp = np.empty(k + 1)
+    z_of = {mask: z_statistic(mask, pi) for mask in set().union(*laws)}
+    z_exp = np.array([sum(p * z_of[mask] for mask, p in law.items()) for law in laws])
     chis = np.empty(k + 1)
     vec = np.zeros(chain.n_states)
     vec[x] = 1.0
     for j in range(k + 1):
-        z_exp[j] = sum(p * z_statistic(mask, pi) for mask, p in laws[j].items())
         chis[j] = math.sqrt(max(0.0, float(np.sum((vec - pi) ** 2 / pi))))
         if j < k:
             vec = vec @ chain.kernel(j)

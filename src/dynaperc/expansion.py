@@ -24,6 +24,8 @@ from .errors import InputError, UncertifiedProfileError
 
 CERTIFIED_PROVENANCES = ("exact-enumerated", "analytic-torus-bound")
 PROVENANCES = CERTIFIED_PROVENANCES + ("family-restricted",)
+# Exhaustive subset enumeration is capped at this many states.
+SUBSET_ENUM_MAX_STATES = 24
 # Subset enumeration takes masks in chunks of 2^SUBSET_CHUNK_BITS: at 24
 # states one chunk's float table is about 50 MB, where all 2^24 sets at once
 # would need gigabytes.
@@ -50,18 +52,19 @@ def _as_mask(S, n: int) -> np.ndarray:
     return mask
 
 
-def half_mass_subsets(pi: np.ndarray, chunk_bits: int = SUBSET_CHUNK_BITS):
+def half_mass_subsets(pi: np.ndarray):
     """Bit table of the nonempty subsets S with pi(S) <= 1/2.
 
-    Yields (masks, bits, masses) per chunk of at most 2^chunk_bits masks, in
-    increasing mask order: `masks` (uint64) has bit y set when y is in S,
-    `bits[i, y]` is that membership as a bool matrix, `masses = bits @ pi`.
+    Yields (masks, bits, masses) per chunk of at most 2^SUBSET_CHUNK_BITS
+    masks, in increasing mask order: `masks` (uint64) has bit y set when y is
+    in S, `bits[i, y]` is that membership as a bool matrix, `masses = bits @ pi`.
     """
     pi = np.asarray(pi, dtype=float)
     shifts = np.arange(len(pi), dtype=np.uint64)
     end = 1 << len(pi)
-    for lo in range(1, end, 1 << chunk_bits):
-        masks = np.arange(lo, min(lo + (1 << chunk_bits), end), dtype=np.uint64)
+    step = 1 << SUBSET_CHUNK_BITS
+    for lo in range(1, end, step):
+        masks = np.arange(lo, min(lo + step, end), dtype=np.uint64)
         bits = ((masks[:, None] >> shifts) & np.uint64(1)).astype(bool)
         masses = bits @ pi
         keep = masses <= 0.5 + 1e-12
@@ -75,6 +78,9 @@ def enumerated_profile(pi: np.ndarray,
     """Exact-enumerated profile of a set function over every nonempty S with
     pi(S) <= 1/2; `set_values(bits, masses)` evaluates it on one chunk of
     `half_mass_subsets`."""
+    if len(pi) > SUBSET_ENUM_MAX_STATES:
+        raise InputError(f"{len(pi)} states exceeds the enumeration cap "
+                         f"{SUBSET_ENUM_MAX_STATES}")
     masses, values = [np.empty(0)], [np.empty(0)]
     for _, bits, mass in half_mass_subsets(pi):
         masses.append(mass)
@@ -226,26 +232,19 @@ def profile_from_values(masses: Sequence[float], phis: Sequence[float],
 
 
 def profile_phi_env(R: np.ndarray, kernels: Sequence[np.ndarray],
-                    pi: np.ndarray, max_states: int = 24) -> ExpansionProfile:
+                    pi: np.ndarray) -> ExpansionProfile:
     """Exact profile phi(r) = inf over env states and pi(S) <= r of phi(zeta, S)."""
     pi = np.asarray(pi, dtype=float)
-    m = len(pi)
-    if m > max_states:
-        raise InputError(f"{m} states exceeds the enumeration cap {max_states}")
     # phi(zeta, S) = sum over zeta' with R(zeta, zeta') > 0 of R(zeta, zeta') phi_zeta'(S)
     weights = np.maximum(np.asarray(R, dtype=float), 0.0).T
     return enumerated_profile(
         pi, lambda bits, mass: (_phi_table(bits, mass, kernels, pi) @ weights).min(axis=1))
 
 
-def profile_phi_kernels(kernels: Sequence[np.ndarray], pi: np.ndarray,
-                        max_states: int = 24) -> ExpansionProfile:
+def profile_phi_kernels(kernels: Sequence[np.ndarray], pi: np.ndarray) -> ExpansionProfile:
     """Exact profile over a fixed kernel collection (quenched sequences):
     phi(r) = min over kernels and pi(S) <= r of phi_p(S)."""
     pi = np.asarray(pi, dtype=float)
-    m = len(pi)
-    if m > max_states:
-        raise InputError(f"{m} states exceeds the enumeration cap {max_states}")
     return enumerated_profile(
         pi, lambda bits, mass: _phi_table(bits, mass, kernels, pi).min(axis=1))
 

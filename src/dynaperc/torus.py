@@ -16,10 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapabilityError, InputError
-from .expansion import SUBSET_CHUNK_BITS, half_mass_subsets
-
-# Exhaustive subset enumeration is capped at this many vertices.
-ISO_ENUM_MAX_VERTICES = 24
+from .expansion import SUBSET_ENUM_MAX_STATES, half_mass_subsets
 
 
 @dataclass(frozen=True)
@@ -217,22 +214,22 @@ class IsoProfileResult:
         return VertexSet(g, self.minimizer_bitmask)
 
 
-def iso_profile(g: TorusGraph, chunk_bits: int = SUBSET_CHUNK_BITS) -> IsoProfileResult:
+def iso_profile(g: TorusGraph) -> IsoProfileResult:
     """Exact min over nonempty S with pi(S) <= 1/2 of |dE(S)| / |S|^((d-1)/d).
 
     Enumerates all 2^(n^d) subsets; a witness lower bound for the universal
     isoperimetric constant on this torus.
     """
     N = g.n_vertices
-    if N > ISO_ENUM_MAX_VERTICES:
+    if N > SUBSET_ENUM_MAX_STATES:
         raise CapabilityError(
-            f"{N} vertices exceeds the enumeration cap of {ISO_ENUM_MAX_VERTICES}"
+            f"{N} vertices exceeds the enumeration cap of {SUBSET_ENUM_MAX_STATES}"
         )
     uv = g.edge_uv
     expo = (g.d - 1) / g.d
     best = math.inf
     best_mask = 0
-    for masks, bits, _ in half_mass_subsets(np.full(N, 1.0 / N), chunk_bits):
+    for masks, bits, _ in half_mass_subsets(np.full(N, 1.0 / N)):
         sizes = bits.sum(axis=1)
         bnd = (bits[:, uv[:, 0]] != bits[:, uv[:, 1]]).sum(axis=1)
         ratio = bnd / sizes.astype(float) ** expo

@@ -31,6 +31,29 @@ def lazy(K):
     return 0.5 * (K + np.eye(K.shape[0]))
 
 
+def dict_propagate_set_law(kernels, pi, s0, doob=False, prune=1e-15):
+    """Reference for `evoset.propagate_set_law`: the subset law as a dict,
+    with one step-law call per (mask, step) and entries below `prune` moved
+    into the pruned total after each step."""
+    from dynaperc import evoset
+
+    laws = [{s0: 1.0}]
+    pruned = 0.0
+    current = {s0: 1.0}
+    for K in kernels:
+        nxt = {}
+        for mask, prob in current.items():
+            law = evoset.doob_step_law(mask, K, pi) if doob else evoset.step_law(mask, K, pi)
+            for s, p in law.entries:
+                nxt[s] = nxt.get(s, 0.0) + prob * p
+        if prune > 0.0:
+            for s in [s for s, p in nxt.items() if p < prune]:
+                pruned += nxt.pop(s)
+        current = nxt
+        laws.append(dict(current))
+    return laws, pruned
+
+
 def dict_doob_z_expectation(chain, x, zeta0, n, number=float):
     """Reference for the joint Doob certificate: E over env paths from zeta0
     of E-hat[Z_n] from {x}, by a dict over (subset, env state) pairs.

@@ -70,11 +70,15 @@ def test_missing_config_errors(tmp_path):
                 "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("line", ["n = 2", "mu = abc"])
-def test_bad_config_value_exits_2(tmp_path, line):
+@pytest.mark.parametrize("subcommand, line", [
+    ("mix", "n = 2"), ("mix", "mu = abc"), ("evoset", "eps = abc"),
+    ("walk-sim", "eps = abc"), ("walk-sim", "x = abc"),
+    ("lab --scenario theorem", "eps = abc")])
+def test_bad_config_value_exits_2(tmp_path, subcommand, line):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(f"[run]\n{line}\n")
-    assert run(["mix", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert run(subcommand.split() + ["--config", str(cfg),
+                                     "--out", str(tmp_path / "o")]) == 2
 
 
 def test_walk_replay_check_survives_optimize(tmp_path):
@@ -100,6 +104,18 @@ def test_budget_censors_cells(tmp_path):
     assert run(["mix", "--budget", "0", "--seed", "1", "--out", str(out)]) == 0
     recs = [json.loads(ln) for ln in (out / "manifest.jsonl").read_text().splitlines()]
     assert all(r["status"] == "censored" for r in recs)
+
+
+def test_sweep_times_every_cell_with_workers_set(tmp_path, monkeypatch):
+    # no environment variable may change how sweep cells are run or timed
+    monkeypatch.setenv("DYNAPERC_WORKERS", "2")
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[run]\nn_grid = 6,8\nmu_grid = 0.5\nenv_samples = 3\n")
+    out = tmp_path / "o"
+    assert run(["sweep", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 0
+    recs = [json.loads(ln) for ln in (out / "manifest.jsonl").read_text().splitlines()]
+    assert len(recs) == 2
+    assert all(r["status"] == "ok" and r["wall_clock"] > 0 for r in recs)
 
 
 def test_lab_theorem_scenario(tmp_path):

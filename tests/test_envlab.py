@@ -245,6 +245,9 @@ def test_certificate_path_does_not_load_scipy():
             "                             kernels=envlab.effective_kernels(chain))\n"
             "envlab.theorem_2_1_check(lazy, 0, 0.1)\n"
             "evoset.psi_profile_kernels(lazy.kernels, lazy.pi)\n"
+            "inhom = evoset.InhomChain(pi=lazy.pi, kernels=lazy.kernels * 3)\n"
+            "evoset.doob_z_bound_check(inhom, 0)\n"
+            "evoset.marginal_identity_check(inhom, 0, 6)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)

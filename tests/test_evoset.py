@@ -9,8 +9,8 @@ from dynaperc import evoset as E
 from dynaperc.errors import CapabilityError, InputError
 from dynaperc.expansion import expansion_phi, profile_from_values
 
-from helpers import (assert_profiles_close, lazy, random_pi, random_kernels,
-                     random_reversible_kernel)
+from helpers import (assert_profiles_close, dict_propagate_set_law, lazy,
+                     random_pi, random_kernels, random_reversible_kernel)
 
 
 def _chain(seed, m=4, k=3, activity=0.4):
@@ -138,6 +138,41 @@ def test_propagate_set_law_and_doob_consistency():
         lhs = sum(p * mass0 / E.set_mass(s, pi) for s, p in doob[k].items())
         survive = sum(p for s, p in plain[k].items() if s != 0)
         assert lhs == pytest.approx(survive, abs=1e-12)
+
+
+@pytest.mark.parametrize("prune", [0.0, 1e-15])
+@pytest.mark.parametrize("doob", [False, True])
+@pytest.mark.parametrize("repeat", [False, True])
+def test_propagate_set_law_matches_dict_reference(repeat, doob, prune):
+    # 3-5 states; six distinct kernels, or one kernel repeated eight times
+    for seed in range(9):
+        rng = np.random.default_rng(seed)
+        m = 3 + seed % 3
+        pi = random_pi(rng, m)
+        kernels = random_kernels(rng, pi, 1 if repeat else 6, activity=0.9)
+        if repeat:
+            kernels = kernels * 8
+        s0 = 1 << int(rng.integers(m))
+        got, got_pruned = E.propagate_set_law(kernels, pi, s0, doob=doob, prune=prune)
+        want, want_pruned = dict_propagate_set_law(kernels, pi, s0, doob=doob, prune=prune)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.keys() == w.keys()
+            assert max(abs(g[s] - w[s]) for s in w) <= 1e-15
+        assert abs(got_pruned - want_pruned) <= 1e-15
+
+
+def test_doob_z_bound_check_computes_each_law_once(monkeypatch):
+    rng = np.random.default_rng(21)
+    m = 4
+    pi = random_pi(rng, m)
+    K = lazy(random_reversible_kernel(rng, pi))
+    calls = []
+    law = E.doob_step_law
+    monkeypatch.setattr(E, "doob_step_law",
+                        lambda mask, K, pi: calls.append(mask) or law(mask, K, pi))
+    E.doob_z_bound_check(E.InhomChain(pi=pi, kernels=(K,) * 30), x=0)
+    assert 0 < len(calls) <= 2 ** m - 1
 
 
 def test_marginal_identity_exact():

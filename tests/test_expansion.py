@@ -205,3 +205,25 @@ def test_profile_deserialize_fuzz(cut, noise):
             continue
         assert np.isfinite(prof.knots).all() and np.isfinite(prof.values).all()
         assert 0.0 < prof.pi_star <= 1.0
+
+
+def test_subset_chunks_do_not_change_profiles(monkeypatch):
+    # chunks of 4 masks: the 255 subsets of 8 states span 64 chunks
+    from dynaperc.evoset import psi_profile_kernels
+    from dynaperc.torus import iso_profile
+
+    rng = np.random.default_rng(8)
+    pi = random_pi(rng, 8)
+    kernels = (random_reversible_kernel(rng, pi), lazy(np.tile(pi, (8, 1))))
+    cycle = TorusGraph(d=1, n=8)
+
+    def run():
+        return (iso_profile(cycle), psi_profile_kernels(kernels, pi),
+                X.profile_phi_kernels(kernels, pi))
+
+    default = run()
+    monkeypatch.setattr(X, "SUBSET_CHUNK_BITS", 2)
+    chunked = run()
+    assert chunked[0] == default[0]
+    for a, b in zip(chunked[1:], default[1:]):
+        assert np.array_equal(a.knots, b.knots) and np.array_equal(a.values, b.values)
