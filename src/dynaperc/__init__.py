@@ -7,10 +7,10 @@ profiles, evolving-set certificates, and finite Markovian-environment chains.
 from .dynenv import DynParams, EnvTrajectory, sample_env
 from .errors import (CapabilityError, HorizonError, InputError,
                      UncertifiedProfileError)
-from .torus import TorusGraph, VertexSet
+from .torus import TorusGraph
 
 __all__ = [
-    "TorusGraph", "VertexSet", "DynParams", "EnvTrajectory", "sample_env",
+    "TorusGraph", "DynParams", "EnvTrajectory", "sample_env",
     "InputError", "CapabilityError", "HorizonError", "UncertifiedProfileError",
 ]
 

@@ -3,7 +3,7 @@
 Every run is driven by an INI config plus flags, emits CSV rows against the
 shared result schema, and records a JSON-lines manifest with the config hash
 and per-cell status.  Re-running with an identical config and seed reproduces
-the CSV byte for byte.
+the CSV byte for byte and replaces that config hash's manifest records.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import configparser
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -24,7 +25,7 @@ from . import __version__, dist, dynenv, envlab, evoset, expansion
 from . import walk as walkmod
 from .dynenv import DynParams, sample_env
 from .errors import InputError
-from .torus import TorusGraph, VertexSet
+from .torus import TorusGraph
 
 DEFAULTS = {
     "d": "1", "n": "8", "p": "0.5", "mu": "0.25", "eps": "0.25",
@@ -81,6 +82,14 @@ def _base_row(cfg: dict, **kw) -> dict:
     return row
 
 
+def _record_hash(line: str) -> Optional[str]:
+    """The config hash of one manifest line, None if it is not a record."""
+    try:
+        return json.loads(line).get("config_hash")
+    except (ValueError, AttributeError):
+        return None
+
+
 class Runner:
     """Shared plumbing: artifact directory, manifest, budget accounting."""
 
@@ -127,14 +136,19 @@ class Runner:
              for r in self.rows])
         csv_path.write_text(text)
         digest = hashlib.sha256(text.encode()).hexdigest()
+        # a rerun of this config hash replaces its records; other lines keep
+        # their order, and the swap leaves the old manifest whole on a crash
         manifest = self.out / "manifest.jsonl"
-        with manifest.open("a") as fh:
-            for c in self.cells:
-                fh.write(json.dumps({
-                    "config_hash": self.hash, "version": __version__,
-                    "cell": c["cell"], "status": c["status"],
-                    "wall_clock": round(c["wall"], 3),
-                    "outputs": {csv_name: digest}}) + "\n")
+        old = manifest.read_text().splitlines() if manifest.exists() else []
+        lines = [ln for ln in old if _record_hash(ln) != self.hash]
+        lines += [json.dumps({
+            "config_hash": self.hash, "version": __version__,
+            "cell": c["cell"], "status": c["status"],
+            "wall_clock": round(c["wall"], 3),
+            "outputs": {csv_name: digest}}) for c in self.cells]
+        tmp = manifest.with_name(manifest.name + ".tmp")
+        tmp.write_text("".join(ln + "\n" for ln in lines))
+        os.replace(tmp, manifest)
         bad = [c for c in self.cells if c["status"].startswith("error")]
         for c in bad:
             print(f"FAIL {c['cell']}: {c['status']}", file=sys.stderr)
@@ -214,16 +228,13 @@ def cmd_mix(run: Runner) -> int:
     return run.finish("mix.csv")
 
 
-def _arc_target(g: TorusGraph, rng: np.random.Generator) -> VertexSet:
-    """Contiguous axis-0 slab of half the vertices, at a random offset."""
+def _arc_target(g: TorusGraph, rng: np.random.Generator) -> np.ndarray:
+    """Vertex mask of the contiguous axis-0 slab of half the vertices, at a
+    random offset."""
     n = g.n
     offset = int(rng.integers(n))
-    half = n // 2
-    mask = np.zeros(g.n_vertices, dtype=bool)
-    for v in range(g.n_vertices):
-        if (g.coords(v)[0] - offset) % n < half:
-            mask[v] = True
-    return VertexSet(g, mask)
+    axis0 = np.arange(g.n_vertices) // n ** (g.d - 1)  # coordinate 0, as v < n^d
+    return (axis0 - offset) % n < n // 2
 
 
 def cmd_hit(run: Runner) -> int:
@@ -287,7 +298,7 @@ def cmd_expansion(run: Runner) -> int:
     samples = _num("env_samples", run.cfg["env_samples"], int)
 
     def body():
-        half = VertexSet(g, np.arange(g.n_vertices) < g.n_vertices // 2)
+        half = np.arange(g.n_vertices) < g.n_vertices // 2
         ratios = []
         for i in range(samples):
             env = sample_env(g, params, init="stationary",

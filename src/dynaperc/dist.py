@@ -17,7 +17,8 @@ import numpy as np
 from . import walk as walkmod
 from .dynenv import DynParams, EnvTrajectory, sample_env
 from .errors import InputError
-from .torus import TorusGraph, VertexSet
+from .expansion import as_mask
+from .torus import TorusGraph
 
 NOT_MIXED = math.inf
 
@@ -198,19 +199,21 @@ class HittingReport:
     usable: bool
 
 
-def hitting_time_stats(g: TorusGraph, params: DynParams, A: VertexSet,
+def hitting_time_stats(g: TorusGraph, params: DynParams, A: np.ndarray,
                        env_samples: int = 10, horizon: Optional[float] = None,
                        seed: Optional[int] = None, init="stationary",
                        allow_small: bool = False,
                        envs: Optional[Sequence[EnvTrajectory]] = None) -> HittingReport:
     """Quenched and annealed E[tau_A] estimates via exact absorbed evolution.
 
-    For theorem-scope experiments |A| >= n^d / 2 is required; pass
-    `allow_small=True` to probe smaller targets.
+    A is a bool vertex mask.  For theorem-scope experiments |A| >= n^d / 2
+    is required; pass `allow_small=True` to probe smaller targets.
     """
-    if A.size == 0:
+    A = as_mask(A, g.n_vertices)
+    size = int(A.sum())
+    if size == 0:
         raise InputError("A must be nonempty")
-    if not allow_small and 2 * A.size < g.n_vertices:
+    if not allow_small and 2 * size < g.n_vertices:
         raise InputError("|A| < n^d / 2; pass allow_small=True to override")
     if horizon is None:
         horizon = params.horizon
@@ -221,7 +224,7 @@ def hitting_time_stats(g: TorusGraph, params: DynParams, A: VertexSet,
     q_means = []
     censored = []
     for env in envs:
-        exp_t, cens = walkmod.exact_hitting_profile(env, A.mask, horizon)
+        exp_t, cens = walkmod.exact_hitting_profile(env, A, horizon)
         q_means.append(exp_t)
         censored.append(cens)
     q_means = np.asarray(q_means)

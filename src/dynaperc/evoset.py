@@ -1,7 +1,10 @@
 """Evolving sets for time-inhomogeneous finite chains.
 
-Subsets are Python int bitmasks over the state space.  The one-step law is
-exact: sort the distinct threshold values Q(S, y) / pi(y) and read off the
+Subsets are Python int bitmasks over the state space, because they are the
+dict keys and the table index of the set-law engine.  Outside this module a
+set is a bool mask (`mask_members` converts one bitmask);
+`expansion.half_mass_subsets` yields both forms.  The one-step law is exact:
+sort the distinct threshold values Q(S, y) / pi(y) and read off the
 piecewise-constant map U -> S-tilde (non-strict comparison, so U = 0 yields
 the full space).  The Doob transform reweights by pi(S') / pi(S); its
 normalization is equivalent to the martingale property of pi(S_k).

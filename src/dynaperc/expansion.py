@@ -10,6 +10,11 @@ are diagnostics only.
 Exact profiles enumerate subsets through one bit table, `half_mass_subsets`:
 chunks of masks as a boolean membership matrix with their masses, so a set
 function is evaluated for a whole chunk by a few matrix products.
+
+A set is a bool mask over the states (`as_mask` rejects anything else, so an
+index list or an int 0/1 vector is an error, not a different set).  Int
+bitmasks are kept only inside `evoset`'s set-law engine, where they are dict
+keys and table indices, and as the `masks` column of `half_mass_subsets`.
 """
 
 from __future__ import annotations
@@ -32,24 +37,22 @@ SUBSET_ENUM_MAX_STATES = 24
 SUBSET_CHUNK_BITS = 18
 
 
+def as_mask(S, n: int) -> np.ndarray:
+    """Validate a set given as a bool mask over n states."""
+    S = np.asarray(S)
+    if S.dtype != bool or S.shape != (n,):
+        raise InputError(f"a set must be a bool mask of shape ({n},), "
+                         f"got a {S.dtype} array of shape {S.shape}")
+    return S
+
+
 def q_flow(K: np.ndarray, pi: np.ndarray, A, B) -> float:
-    """Q(A, B) = sum_{x in A, y in B} pi(x) K(x, y)."""
+    """Q(A, B) = sum_{x in A, y in B} pi(x) K(x, y) for bool masks A, B."""
     K = np.asarray(K, dtype=float)
     pi = np.asarray(pi, dtype=float)
-    A = _as_mask(A, len(pi))
-    B = _as_mask(B, len(pi))
+    A = as_mask(A, len(pi))
+    B = as_mask(B, len(pi))
     return float(pi[A] @ K[np.ix_(A, B)].sum(axis=1))
-
-
-def _as_mask(S, n: int) -> np.ndarray:
-    S = np.asarray(S)
-    if S.dtype == bool:
-        if S.shape != (n,):
-            raise InputError("mask has wrong length")
-        return S
-    mask = np.zeros(n, dtype=bool)
-    mask[S.astype(int)] = True
-    return mask
 
 
 def half_mass_subsets(pi: np.ndarray):
@@ -104,7 +107,7 @@ def _phi_table(bits: np.ndarray, masses: np.ndarray,
 def expansion_phi(K: np.ndarray, pi: np.ndarray, S) -> float:
     """phi(S) = Q(S, S^c) / pi(S), the stationary one-step escape probability."""
     pi = np.asarray(pi, dtype=float)
-    mask = _as_mask(S, len(pi))
+    mask = as_mask(S, len(pi))
     if not mask.any():
         raise InputError("S must be nonempty")
     return q_flow(K, pi, mask, ~mask) / float(pi[mask].sum())
@@ -333,8 +336,10 @@ def torus_phi_lower_bound_check(env, S, interval: Optional[tuple[float, float]] 
     from .walk import window_kernel
 
     g = env.graph
-    if S.pi_mass > 0.5 + 1e-12:
-        raise InputError("need pi(S) <= 1/2")
+    S = as_mask(S, g.n_vertices)
+    pi_S = int(S.sum()) / g.n_vertices
+    if not 0.0 < pi_S <= 0.5 + 1e-12:
+        raise InputError("need 0 < pi(S) <= 1/2")
     if interval is None:
         interval = (0.0, 1.0)
     a, b = interval
@@ -343,10 +348,10 @@ def torus_phi_lower_bound_check(env, S, interval: Optional[tuple[float, float]] 
     beta = open_cnt / len(boundary)
     K = window_kernel(env, (a, b), laziness=laziness)
     pi = np.full(g.n_vertices, 1.0 / g.n_vertices)
-    phi = expansion_phi(K.matrix, pi, S.mask)
+    phi = expansion_phi(K.matrix, pi, S)
     if beta == 0.0:
-        return PhiLowerBoundRecord(phi=phi, beta=0.0, pi_S=S.pi_mass,
+        return PhiLowerBoundRecord(phi=phi, beta=0.0, pi_S=pi_S,
                                    ratio=None, vacuous=True)
-    ratio = phi * g.n * S.pi_mass ** (1.0 / g.d) / beta
-    return PhiLowerBoundRecord(phi=phi, beta=beta, pi_S=S.pi_mass,
+    ratio = phi * g.n * pi_S ** (1.0 / g.d) / beta
+    return PhiLowerBoundRecord(phi=phi, beta=beta, pi_S=pi_S,
                                ratio=ratio, vacuous=False)

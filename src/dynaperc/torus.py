@@ -4,6 +4,12 @@ Vertices are indexed lexicographically by coordinates, with coordinate 0 the
 most significant digit.  Every edge is owned by its endpoint on the negative
 side of the axis: edge ``v*d + axis`` joins ``v`` to ``v`` shifted by +1 along
 ``axis``.  Both layouts are frozen; serialized trajectories depend on them.
+
+Neighbours come from cached tables built by array arithmetic on the
+coordinate digits (`neighbor_vertices`, `incident_edges`, `edge_uv`); the
+scalar helpers validate their arguments and serve single lookups.  A vertex
+set is a bool mask of length n^d; int bitmasks appear only inside `evoset`'s
+set-law engine and as the `masks` column of `expansion.half_mass_subsets`.
 """
 
 from __future__ import annotations
@@ -11,12 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CapabilityError, InputError
-from .expansion import SUBSET_ENUM_MAX_STATES, half_mass_subsets
+from .expansion import SUBSET_ENUM_MAX_STATES, as_mask, half_mass_subsets
 
 
 @dataclass(frozen=True)
@@ -88,130 +94,51 @@ class TorusGraph:
         return v, self.shift(v, axis, +1)
 
     @cached_property
+    def neighbor_vertices(self) -> np.ndarray:
+        """(n_vertices, 2d) array: column 2*axis + (0 for +1, 1 for -1) holds
+        each vertex's neighbour in that direction."""
+        v = np.arange(self.n_vertices)[:, None]
+        weights = self.n ** np.arange(self.d - 1, -1, -1)
+        digits = (v // weights) % self.n
+        nbr = np.empty((self.n_vertices, 2 * self.d), dtype=np.int64)
+        nbr[:, 0::2] = v + ((digits + 1) % self.n - digits) * weights
+        nbr[:, 1::2] = v + ((digits - 1) % self.n - digits) * weights
+        return _read_only(nbr)
+
+    @cached_property
     def edge_uv(self) -> np.ndarray:
         """(n_edges, 2) array of edge endpoints, row e = endpoints of edge e."""
-        uv = np.empty((self.n_edges, 2), dtype=np.int64)
-        for e in range(self.n_edges):
-            uv[e] = self.edge_endpoints(e)
-        uv.setflags(write=False)
-        return uv
+        owners = np.repeat(np.arange(self.n_vertices), self.d)
+        return _read_only(np.stack([owners, self.neighbor_vertices[:, 0::2].ravel()],
+                                   axis=1))
 
     @cached_property
     def incident_edges(self) -> np.ndarray:
-        """(n_vertices, 2d) array: edges incident to each vertex."""
+        """(n_vertices, 2d) array: column k holds the edge each vertex crosses
+        to `neighbor_vertices[:, k]`."""
+        axes = np.arange(self.d)
         inc = np.empty((self.n_vertices, 2 * self.d), dtype=np.int64)
-        for v in range(self.n_vertices):
-            inc[v] = [e for _, e in neighbors(self, v)]
-        inc.setflags(write=False)
-        return inc
+        inc[:, 0::2] = np.arange(self.n_vertices)[:, None] * self.d + axes
+        inc[:, 1::2] = self.neighbor_vertices[:, 1::2] * self.d + axes
+        return _read_only(inc)
 
 
-def neighbors(g: TorusGraph, v: int) -> list[tuple[int, int]]:
-    """The 2d neighbours of v as (vertex, edge id) pairs.
-
-    Symmetric: u lists v with the same edge id that v lists u with.
-    """
-    g._check_vertex(v)
-    out = []
-    for axis in range(g.d):
-        up = g.shift(v, axis, +1)
-        down = g.shift(v, axis, -1)
-        out.append((up, g.edge_id(v, axis)))
-        out.append((down, g.edge_id(down, axis)))
-    return out
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
-class VertexSet:
-    """Dense bit-indexed subset of torus vertices with cached cardinality."""
-
-    __slots__ = ("graph", "mask", "_size")
-
-    def __init__(self, graph: TorusGraph, members=()):
-        self.graph = graph
-        n = graph.n_vertices
-        if isinstance(members, np.ndarray) and members.dtype == bool:
-            if members.shape != (n,):
-                raise InputError("membership array has wrong length")
-            mask = members.copy()
-        elif isinstance(members, (int, np.integer)) and not isinstance(members, bool):
-            # integer bitmask, bit v = membership of vertex v
-            if members < 0 or members >> n:
-                raise InputError("bitmask out of range for this graph")
-            mask = np.zeros(n, dtype=bool)
-            for v in range(n):
-                if (members >> v) & 1:
-                    mask[v] = True
-        else:
-            mask = np.zeros(n, dtype=bool)
-            for v in members:
-                graph._check_vertex(int(v))
-                mask[int(v)] = True
-        self.mask = mask
-        self._size = int(mask.sum())
-
-    @classmethod
-    def full(cls, graph: TorusGraph) -> "VertexSet":
-        s = cls(graph)
-        s.mask[:] = True
-        s._size = graph.n_vertices
-        return s
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    @property
-    def pi_mass(self) -> float:
-        """Mass under the uniform distribution, |S| / n^d."""
-        return self._size / self.graph.n_vertices
-
-    def __contains__(self, v: int) -> bool:
-        return bool(self.mask[v])
-
-    def __len__(self) -> int:
-        return self._size
-
-    def add(self, v: int) -> None:
-        self.graph._check_vertex(v)
-        if not self.mask[v]:
-            self.mask[v] = True
-            self._size += 1
-
-    def remove(self, v: int) -> None:
-        self.graph._check_vertex(v)
-        if self.mask[v]:
-            self.mask[v] = False
-            self._size -= 1
-
-    def complement(self) -> "VertexSet":
-        return VertexSet(self.graph, ~self.mask)
-
-    def members(self) -> np.ndarray:
-        return np.nonzero(self.mask)[0]
-
-    def to_bitmask(self) -> int:
-        m = 0
-        for v in self.members():
-            m |= 1 << int(v)
-        return m
-
-    def __repr__(self):
-        return f"VertexSet(d={self.graph.d}, n={self.graph.n}, members={list(self.members())})"
-
-
-def edge_boundary(g: TorusGraph, S: VertexSet) -> np.ndarray:
-    """Edge ids with exactly one endpoint in S; equals edge_boundary(S^c)."""
+def edge_boundary(g: TorusGraph, S) -> np.ndarray:
+    """Edge ids with exactly one endpoint in the vertex mask S; equals edge_boundary(~S)."""
+    S = as_mask(S, g.n_vertices)
     uv = g.edge_uv
-    return np.nonzero(S.mask[uv[:, 0]] != S.mask[uv[:, 1]])[0]
+    return np.nonzero(S[uv[:, 0]] != S[uv[:, 1]])[0]
 
 
 @dataclass(frozen=True)
 class IsoProfileResult:
     value: float
-    minimizer_bitmask: int
-
-    def minimizer(self, g: TorusGraph) -> VertexSet:
-        return VertexSet(g, self.minimizer_bitmask)
+    minimizer: np.ndarray  # vertex mask of a set attaining the value
 
 
 def iso_profile(g: TorusGraph) -> IsoProfileResult:
@@ -228,13 +155,13 @@ def iso_profile(g: TorusGraph) -> IsoProfileResult:
     uv = g.edge_uv
     expo = (g.d - 1) / g.d
     best = math.inf
-    best_mask = 0
-    for masks, bits, _ in half_mass_subsets(np.full(N, 1.0 / N)):
+    best_set = None
+    for _, bits, _ in half_mass_subsets(np.full(N, 1.0 / N)):
         sizes = bits.sum(axis=1)
         bnd = (bits[:, uv[:, 0]] != bits[:, uv[:, 1]]).sum(axis=1)
         ratio = bnd / sizes.astype(float) ** expo
         i = int(np.argmin(ratio))
         if ratio[i] < best:
             best = float(ratio[i])
-            best_mask = int(masks[i])
-    return IsoProfileResult(value=best, minimizer_bitmask=best_mask)
+            best_set = bits[i].copy()
+    return IsoProfileResult(value=best, minimizer=best_set)

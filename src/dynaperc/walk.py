@@ -24,7 +24,8 @@ import numpy as np
 
 from .dynenv import EnvTrajectory
 from .errors import CapabilityError, HorizonError, InputError
-from .torus import TorusGraph, neighbors
+from .expansion import as_mask
+from .torus import TorusGraph
 
 # Exact evolution refuses state spaces larger than this by default.
 EXACT_STATE_BUDGET = 4096
@@ -64,16 +65,6 @@ class WalkKernel:
         return self.matrix.shape[0]
 
 
-def _edge_of_direction(g: TorusGraph, v: int, direction: int) -> tuple[int, int]:
-    """(target vertex, edge id) for direction k in [0, 2d): axis k//2, sign by parity."""
-    axis, parity = divmod(direction, 2)
-    if parity == 0:
-        u = g.shift(v, axis, +1)
-        return u, g.edge_id(v, axis)
-    u = g.shift(v, axis, -1)
-    return u, g.edge_id(u, axis)
-
-
 def simulate_walk(env: EnvTrajectory, x0: int, horizon: float,
                   seed: Optional[int] = None,
                   query_times: Sequence[float] = ()) -> WalkPath:
@@ -82,6 +73,7 @@ def simulate_walk(env: EnvTrajectory, x0: int, horizon: float,
     g._check_vertex(x0)
     if horizon > env.horizon:
         raise HorizonError(f"walk horizon {horizon} past env horizon {env.horizon}")
+    nbr, inc = g.neighbor_vertices, g.incident_edges
     rng = np.random.default_rng(seed)
     t = 0.0
     v = x0
@@ -91,9 +83,9 @@ def simulate_walk(env: EnvTrajectory, x0: int, horizon: float,
         t += rng.exponential(1.0)
         if t > horizon:
             break
-        u, e = _edge_of_direction(g, v, int(rng.integers(2 * g.d)))
-        if env.edges[e].state_at(t) == 1:
-            v = u
+        k = int(rng.integers(2 * g.d))
+        if env.edges[inc[v, k]].state_at(t) == 1:
+            v = int(nbr[v, k])
             jt.append(t)
             jv.append(v)
     q = np.asarray(sorted(query_times), dtype=float)
@@ -108,7 +100,11 @@ def simulate_walk(env: EnvTrajectory, x0: int, horizon: float,
 
 def simulate_positions(env: EnvTrajectory, x0: int, t: float, n_replicas: int,
                        seed: Optional[int] = None) -> np.ndarray:
-    """Vectorized ensemble of walk positions at time t through one fixed env."""
+    """Positions at time t of independent walks from x0 through one fixed env.
+
+    Each attempt round draws times and directions for all replicas at once,
+    but tests the crossed edges' states in a Python loop over the replicas.
+    """
     g = env.graph
     g._check_vertex(x0)
     if t > env.horizon:
@@ -131,8 +127,9 @@ def simulate_positions(env: EnvTrajectory, x0: int, t: float, n_replicas: int,
             1.0 - rng.random(len(active)) ** (1.0 / (counts[active] - j)))
         times[active] = times_active
         dirs = rng.integers(2 * g.d, size=len(active))
-        for a, tm, dr in zip(active, times_active, dirs):
-            u, e = _edge_of_direction(g, int(pos[a]), int(dr))
+        here = pos[active]
+        for a, tm, e, u in zip(active, times_active, g.incident_edges[here, dirs],
+                               g.neighbor_vertices[here, dirs]):
             if env.edges[e].state_at(float(tm)) == 1:
                 pos[a] = u
     return pos
@@ -141,14 +138,11 @@ def simulate_positions(env: EnvTrajectory, x0: int, t: float, n_replicas: int,
 def replay_is_legal(env: EnvTrajectory, path: WalkPath) -> bool:
     """Every jump of the path crossed an edge open at its jump instant."""
     g = env.graph
+    g._check_vertex(path.start)
     v = path.start
     for t, u in zip(path.jump_times, path.jump_targets):
-        e = None
-        for w, eid in neighbors(g, v):
-            if w == u:
-                e = eid
-                break
-        if e is None or env.edges[e].state_at(float(t)) != 1:
+        k = np.flatnonzero(g.neighbor_vertices[v] == u)
+        if len(k) == 0 or env.edges[g.incident_edges[v, k[0]]].state_at(float(t)) != 1:
             return False
         v = int(u)
     return True
@@ -372,10 +366,7 @@ def exact_hitting_profile(env: EnvTrajectory, A_mask: np.ndarray,
     _check_budget(g, budget)
     if horizon > env.horizon:
         raise HorizonError("past horizon")
-    A_mask = np.asarray(A_mask, dtype=bool)
-    if A_mask.shape != (g.n_vertices,):
-        raise InputError(f"target mask has shape {A_mask.shape}, "
-                         f"expected ({g.n_vertices},)")
+    A_mask = as_mask(A_mask, g.n_vertices)
     ev = _Evolver(env, 0.0, tol, absorbing=A_mask)
     mat = ev.advance(np.eye(g.n_vertices), horizon)
     expected = ev.occupation

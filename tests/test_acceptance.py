@@ -19,7 +19,7 @@ from dynaperc import walk as W
 from dynaperc.dynenv import (DynParams, edge_transition_prob,
                              isolated_vertex_exists, sample_env,
                              simulate_edge_state_at)
-from dynaperc.torus import TorusGraph, VertexSet
+from dynaperc.torus import TorusGraph
 
 from helpers import lazy, random_kernels, random_pi, random_reversible_kernel
 
@@ -249,11 +249,7 @@ def test_criterion_09_hitting_time_scaling():
             params = DynParams(p=0.5, mu=mu, horizon=5 * n * n / mu + 40 / mu)
             rng = np.random.default_rng(base + n)
             offset = int(rng.integers(n))
-            mask = np.zeros(n, dtype=bool)
-            for v in range(n):
-                if (v - offset) % n < n // 2:
-                    mask[v] = True
-            A = VertexSet(g, mask)
+            A = (np.arange(n) - offset) % n < n // 2
             rep = D.hitting_time_stats(g, params, A, env_samples=10,
                                        seed=base + 1000 * n, init="all-closed")
             assert rep.censored_frac.max() < 1e-6
@@ -328,7 +324,7 @@ def test_criterion_11_expansion_lower_bound():
     for (d, n) in ((1, 16), (2, 4)):
         g = TorusGraph(d=d, n=n)
         params = DynParams(p=0.5, mu=mu, horizon=1.0 / mu)
-        half = VertexSet(g, np.arange(g.n_vertices) < g.n_vertices // 2)
+        half = np.arange(g.n_vertices) < g.n_vertices // 2
         for i in range(100):
             env = sample_env(g, params, init="stationary", seed=11_000 + 10 * i + d)
             rec = X.torus_phi_lower_bound_check(env, half, interval=(0.0, 1.0 / mu))

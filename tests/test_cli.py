@@ -39,6 +39,25 @@ def test_env_sim_and_manifest(tmp_path):
     assert "env_sim.csv" in rec["outputs"]
 
 
+def test_rerun_replaces_its_manifest_records(tmp_path):
+    out = tmp_path / "o"
+    manifest = out / "manifest.jsonl"
+    assert run(["bound", "--seed", "0", "--out", str(out)]) == 0
+    (first,) = manifest.read_text().splitlines()
+    with manifest.open("a") as fh:  # a line that is not a record stays in place
+        fh.write("not json\n")
+    assert run(["bound", "--seed", "0", "--out", str(out)]) == 0
+    lines = manifest.read_text().splitlines()
+    assert len(lines) == 2 and lines[0] == "not json"
+    assert json.loads(lines[1])["config_hash"] == json.loads(first)["config_hash"]
+    rerun = lines
+    assert run(["bound", "--seed", "1", "--out", str(out)]) == 0
+    lines = manifest.read_text().splitlines()
+    assert len(lines) == 3 and lines[:2] == rerun  # another seed adds a record
+    assert json.loads(lines[2])["config_hash"] != json.loads(first)["config_hash"]
+    assert not list(out.glob("*.tmp"))
+
+
 def test_walk_sim(tmp_path):
     out = tmp_path / "o"
     assert run(["walk-sim", "--seed", "2", "--out", str(out)]) == 0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dynaperc import dist as D
 from dynaperc.dynenv import DynParams, sample_env
 from dynaperc.errors import InputError
-from dynaperc.torus import TorusGraph, VertexSet
+from dynaperc.torus import TorusGraph
 
 
 def test_tv_basics():
@@ -85,12 +85,12 @@ def test_annealed_mixing_and_convexity():
 def test_hitting_stats_shapes_and_gate():
     g = TorusGraph(d=1, n=8)
     params = DynParams(p=0.5, mu=0.25, horizon=800.0)
-    A = VertexSet(g, np.arange(8) < 4)
+    A = np.arange(8) < 4
     rep = D.hitting_time_stats(g, params, A, env_samples=4, seed=5)
     assert rep.quenched_means.shape == (4, 8)
-    assert (rep.quenched_means[:, A.mask] == 0.0).all()
+    assert (rep.quenched_means[:, A] == 0.0).all()
     assert rep.usable
-    small = VertexSet(g, [0])
+    small = np.arange(8) == 0
     with pytest.raises(InputError):
         D.hitting_time_stats(g, params, small, env_samples=2)
     rep2 = D.hitting_time_stats(g, params, small, env_samples=2, seed=6,
@@ -118,3 +118,24 @@ def test_csv_format_deterministic():
     assert out1 == out2
     assert out1.splitlines()[1] == ",".join(D.CSV_COLUMNS)
     assert "16.0" in out1 and out1.startswith("# schema=dynaperc-results-v1")
+
+
+def test_hitting_gate_counts_members():
+    # 3 of 8 vertices is below n^d / 2: the gate counts members, not the mask length
+    g = TorusGraph(d=1, n=8)
+    params = DynParams(p=0.5, mu=0.25, horizon=100.0)
+    A = np.arange(8) < 3
+    with pytest.raises(InputError):
+        D.hitting_time_stats(g, params, A, env_samples=1, seed=5)
+    rep = D.hitting_time_stats(g, params, A, env_samples=1, seed=5, allow_small=True)
+    assert (rep.quenched_means[:, A] == 0.0).all()
+
+
+@pytest.mark.parametrize("A", [(np.arange(8) < 4).astype(int),  # int 0/1 vector
+                               [4, 5, 6, 7],                    # index list
+                               np.ones(7, dtype=bool)])         # wrong length
+def test_hitting_stats_rejects_malformed_sets(A):
+    g = TorusGraph(d=1, n=8)
+    with pytest.raises(InputError):
+        D.hitting_time_stats(g, DynParams(p=0.5, mu=0.25, horizon=100.0), A,
+                             env_samples=1, seed=5, allow_small=True)

@@ -9,7 +9,7 @@ from scipy import integrate
 from dynaperc import expansion as X
 from dynaperc.dynenv import DynParams, sample_env
 from dynaperc.errors import InputError, UncertifiedProfileError
-from dynaperc.torus import TorusGraph, VertexSet
+from dynaperc.torus import TorusGraph
 
 from helpers import (assert_profiles_close, lazy, random_pi,
                      random_reversible_kernel)
@@ -18,10 +18,51 @@ from helpers import (assert_profiles_close, lazy, random_pi,
 def test_q_flow_and_phi_basic():
     pi = np.array([0.5, 0.5])
     K = np.array([[0.75, 0.25], [0.25, 0.75]])
-    assert X.q_flow(K, pi, [0], [1]) == pytest.approx(0.125)
-    assert X.expansion_phi(K, pi, [0]) == pytest.approx(0.25)
+    first = np.array([True, False])
+    assert X.q_flow(K, pi, first, ~first) == pytest.approx(0.125)
+    assert X.expansion_phi(K, pi, first) == pytest.approx(0.25)
     with pytest.raises(InputError):
         X.expansion_phi(K, pi, np.zeros(2, dtype=bool))
+
+
+def _path4():
+    """Walk on the 4-state path 0-1-2-3 that holds at the ends; pi uniform."""
+    K = np.array([[0.5, 0.5, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0],
+                  [0.0, 0.5, 0.0, 0.5], [0.0, 0.0, 0.5, 0.5]])
+    return K, np.full(4, 0.25)
+
+
+def test_phi_reads_a_mask_not_indices():
+    # phi({0, 2}) = 0.75, where reading [1, 0, 1, 0] as indices gives phi({0, 1}) = 0.25
+    K, pi = _path4()
+    assert X.expansion_phi(K, pi, np.array([True, False, True, False])) == pytest.approx(0.75)
+    assert X.expansion_phi(K, pi, np.array([True, True, False, False])) == pytest.approx(0.25)
+    with pytest.raises(InputError):  # an int 0/1 vector is not a set
+        X.expansion_phi(K, pi, np.array([1, 0, 1, 0]))
+
+
+@pytest.mark.parametrize("S", [np.array([1, 0, 1, 0]),             # int 0/1 vector
+                               [0, 2],                             # index list
+                               np.array([True, False, True])])     # wrong length
+def test_set_functions_reject_malformed_sets(S):
+    K, pi = _path4()
+    with pytest.raises(InputError):
+        X.expansion_phi(K, pi, S)
+    with pytest.raises(InputError):
+        X.q_flow(K, pi, S, np.ones(4, dtype=bool))
+    with pytest.raises(InputError):
+        X.q_flow(K, pi, np.ones(4, dtype=bool), S)
+
+
+@pytest.mark.parametrize("S", [(np.arange(8) < 4).astype(int), [0, 1, 2, 3],
+                               np.arange(7) < 3, np.zeros(8, dtype=bool)])
+def test_torus_phi_check_rejects_malformed_sets(S):
+    # the empty set has no boundary edges to take an open fraction of
+    g = TorusGraph(d=1, n=8)
+    env = sample_env(g, DynParams(p=0.5, mu=0.25, horizon=10.0),
+                     init="stationary", seed=5)
+    with pytest.raises(InputError):
+        X.torus_phi_lower_bound_check(env, S)
 
 
 def test_q_flow_symmetric_for_reversible():
@@ -155,7 +196,7 @@ def test_torus_phi_lower_bound_record():
     g = TorusGraph(d=1, n=8)
     env = sample_env(g, DynParams(p=0.5, mu=0.25, horizon=10.0),
                      init="stationary", seed=5)
-    S = VertexSet(g, np.arange(8) < 4)
+    S = np.arange(8) < 4
     rec = X.torus_phi_lower_bound_check(env, S)
     assert 0.0 <= rec.phi <= 1.0
     assert rec.pi_S == 0.5
@@ -224,6 +265,7 @@ def test_subset_chunks_do_not_change_profiles(monkeypatch):
     default = run()
     monkeypatch.setattr(X, "SUBSET_CHUNK_BITS", 2)
     chunked = run()
-    assert chunked[0] == default[0]
+    assert chunked[0].value == default[0].value
+    assert np.array_equal(chunked[0].minimizer, default[0].minimizer)
     for a, b in zip(chunked[1:], default[1:]):
         assert np.array_equal(a.knots, b.knots) and np.array_equal(a.values, b.values)

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynaperc.errors import CapabilityError, InputError
-from dynaperc.torus import (TorusGraph, VertexSet, edge_boundary, iso_profile,
-                            neighbors)
+from dynaperc.torus import TorusGraph, edge_boundary, iso_profile
 
 
 def test_counts():
@@ -45,12 +44,32 @@ def test_edge_endpoints_consistent():
 
 
 def test_neighbors_symmetric():
+    # u is v's neighbour across edge e in direction k iff v is u's across e in
+    # the opposite direction k ^ 1
     g = TorusGraph(d=2, n=4)
+    nbr, inc = g.neighbor_vertices, g.incident_edges
+    assert nbr.shape == inc.shape == (g.n_vertices, 2 * g.d)
     for v in range(g.n_vertices):
-        nb = neighbors(g, v)
-        assert len(nb) == 2 * g.d
-        for u, e in nb:
-            assert (v, e) in neighbors(g, u)
+        for k in range(2 * g.d):
+            u, e = nbr[v, k], inc[v, k]
+            assert nbr[u, k ^ 1] == v and inc[u, k ^ 1] == e
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_geometry_tables_match_scalar_helpers(d, n):
+    g = TorusGraph(d=d, n=n)
+    for e in range(g.n_edges):
+        assert tuple(g.edge_uv[e]) == g.edge_endpoints(e)
+    for v in range(g.n_vertices):
+        for axis in range(d):
+            up, down = g.shift(v, axis, +1), g.shift(v, axis, -1)
+            assert g.neighbor_vertices[v, 2 * axis] == up
+            assert g.neighbor_vertices[v, 2 * axis + 1] == down
+            assert g.incident_edges[v, 2 * axis] == g.edge_id(v, axis)
+            assert g.incident_edges[v, 2 * axis + 1] == g.edge_id(down, axis)
+    for table in (g.edge_uv, g.incident_edges, g.neighbor_vertices):
+        assert table.dtype == np.int64 and not table.flags.writeable
 
 
 @given(d=st.integers(1, 2), n=st.integers(3, 5))
@@ -65,41 +84,20 @@ def test_degree_regular(d, n):
     assert (counts == 2 * d).all()
 
 
-def test_vertexset_constructors_agree():
-    g = TorusGraph(d=1, n=6)
-    s1 = VertexSet(g, [0, 2, 5])
-    s2 = VertexSet(g, s1.mask)
-    s3 = VertexSet(g, s1.to_bitmask())
-    assert (s1.mask == s2.mask).all() and (s1.mask == s3.mask).all()
-    assert s1.size == 3 and s1.pi_mass == 0.5
-
-
-def test_vertexset_mutation_and_complement():
-    g = TorusGraph(d=1, n=5)
-    s = VertexSet(g, [1])
-    s.add(3)
-    s.add(3)
-    assert s.size == 2
-    s.remove(1)
-    assert s.size == 1 and 3 in s
-    c = s.complement()
-    assert c.size == 4 and 3 not in c
-
-
 def test_edge_boundary_self_dual():
     g = TorusGraph(d=2, n=4)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        s = VertexSet(g, rng.random(g.n_vertices) < 0.5)
+        s = rng.random(g.n_vertices) < 0.5
         b1 = edge_boundary(g, s)
-        b2 = edge_boundary(g, s.complement())
+        b2 = edge_boundary(g, ~s)
         assert np.array_equal(b1, b2)
 
 
 def test_edge_boundary_interval():
     # contiguous arc of a cycle has exactly two boundary edges
     g = TorusGraph(d=1, n=8)
-    s = VertexSet(g, [2, 3, 4])
+    s = np.isin(np.arange(8), [2, 3, 4])
     assert len(edge_boundary(g, s)) == 2
 
 
@@ -108,15 +106,16 @@ def test_iso_profile_cycle():
     g = TorusGraph(d=1, n=6)
     r = iso_profile(g)
     assert r.value == 2.0
-    assert len(edge_boundary(g, r.minimizer(g))) == 2
+    assert r.minimizer.dtype == bool and r.minimizer.shape == (6,)
+    assert len(edge_boundary(g, r.minimizer)) == 2
 
 
 def test_iso_profile_square_torus():
     # a full row of Z_4^2 has 8 boundary edges and |S|^(1/2) = 2
     g = TorusGraph(d=2, n=4)
     r = iso_profile(g)
-    row = VertexSet(g, [g.vertex_index((0, j)) for j in range(4)])
-    row_ratio = len(edge_boundary(g, row)) / row.size ** 0.5
+    row = np.isin(np.arange(16), [g.vertex_index((0, j)) for j in range(4)])
+    row_ratio = len(edge_boundary(g, row)) / row.sum() ** 0.5
     assert r.value <= row_ratio + 1e-12
     assert r.value > 0
 
@@ -124,3 +123,11 @@ def test_iso_profile_square_torus():
 def test_iso_profile_cap():
     with pytest.raises(CapabilityError):
         iso_profile(TorusGraph(d=2, n=5))
+
+
+@pytest.mark.parametrize("S", [np.array([1, 0, 1, 0, 0, 0, 0, 0]),  # int 0/1 vector
+                               [0, 2],                              # index list
+                               np.zeros(7, dtype=bool)])            # wrong length
+def test_edge_boundary_rejects_malformed_sets(S):
+    with pytest.raises(InputError):
+        edge_boundary(TorusGraph(d=1, n=8), S)
