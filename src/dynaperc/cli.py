@@ -166,7 +166,7 @@ def cmd_env_sim(run: Runner) -> int:
         env = sample_env(g, params, init=run.cfg["init"], seed=run.seed)
         with (run.out / "env.bin").open("wb") as fh:
             dynenv.dump_env(env, fh)
-        n_flips = sum(len(e.flip_times) for e in env.edges)
+        n_flips = len(env.flip_times)
         return [_base_row(run.cfg, env_seed=run.seed, statistic="env_flip_count",
                           value=float(n_flips), method="mc")]
 

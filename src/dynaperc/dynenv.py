@@ -2,17 +2,31 @@
 
 Each edge is an independent two-state jump process: closed -> open at rate
 p*mu, open -> closed at rate (1-p)*mu.  The stationary law is i.i.d.
-Bernoulli(p) per edge.  Trajectories are fully materialized up to the horizon
-and immutable afterwards; all paths are right continuous (the state at a flip
+Bernoulli(p) per edge.  All paths are right continuous (the state at a flip
 instant is the new state).
+
+An environment is sampled up to its horizon in one go and is immutable
+afterwards.  It is stored flat: the initial states as int8[E], every flip
+time in one float64 array, and int64 CSR offsets, so the flips of edge e are
+`flip_times[offsets[e]:offsets[e + 1]]`.  `env.edges` holds per-edge
+`EdgeTrajectory` views into that array.  Time queries (`flip_events`,
+`open_mask_at`) read a time-sorted (time, edge) stream that is built lazily:
+it is sorted up to a watermark, and a query past the watermark at least
+doubles it.
+
+The sampler draws standard exponentials in blocks, edge after edge, and
+scales and sums them as one `t += rng.exponential(1 / rate)` per hold would,
+so a (params, init, seed) gives the same flip times, bit for bit, as the
+per-hold loop.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import mmap
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -88,22 +102,52 @@ class EnvTrajectory:
     """A full environment realization eta = (eta_t) on [0, T] for one torus.
 
     Immutable after sampling; reproducible bit for bit from (params, init, seed).
+    Built by hand from per-edge `EdgeTrajectory`s; `sample_env` and
+    `loads_env` fill the flat arrays directly.
     """
 
-    __slots__ = ("graph", "params", "edges", "init_tag", "seed")
+    __slots__ = ("graph", "params", "init_tag", "seed", "initial", "flip_times",
+                 "offsets", "edges", "_mark", "_next", "_times", "_edge_ids")
 
     def __init__(self, graph: TorusGraph, params: DynParams,
                  edges: Sequence[EdgeTrajectory], init_tag: str,
                  seed: Optional[int]):
         if len(edges) != graph.n_edges:
             raise InputError("edge trajectory count does not match the graph")
+        initial = np.array([tr.initial_state for tr in edges], dtype=np.int8)
+        offsets = np.zeros(len(edges) + 1, dtype=np.int64)
+        np.cumsum([len(tr.flip_times) for tr in edges], out=offsets[1:])
+        flips = np.concatenate([tr.flip_times for tr in edges])
+        self._store(graph, params, initial, flips, offsets, init_tag, seed)
+
+    @classmethod
+    def _from_arrays(cls, graph: TorusGraph, params: DynParams,
+                     initial: np.ndarray, flip_times: np.ndarray,
+                     offsets: np.ndarray, init_tag: str,
+                     seed: Optional[int]) -> "EnvTrajectory":
+        env = cls.__new__(cls)
+        env._store(graph, params, initial, flip_times, offsets, init_tag, seed)
+        return env
+
+    def _store(self, graph, params, initial, flip_times, offsets, init_tag, seed):
         if init_tag not in INIT_TAGS:
             raise InputError(f"unknown init tag {init_tag!r}")
         self.graph = graph
         self.params = params
-        self.edges = tuple(edges)
         self.init_tag = init_tag
         self.seed = seed
+        self.initial = initial
+        self.flip_times = flip_times
+        self.offsets = offsets
+        self.edges = tuple(EdgeTrajectory(s, flip_times[a:b]) for s, a, b in
+                           zip(initial.tolist(), offsets[:-1].tolist(),
+                               offsets[1:].tolist()))
+        # the (time, edge) stream holds every flip at or before _mark;
+        # _next[e] indexes edge e's first flip after it
+        self._mark = -1.0
+        self._next = offsets[:-1].copy()
+        self._times = np.empty(0)
+        self._edge_ids = np.empty(0, dtype=np.int64)
 
     @property
     def horizon(self) -> float:
@@ -112,8 +156,44 @@ class EnvTrajectory:
     def _check_time(self, t: float) -> None:
         if t < 0.0:
             raise HorizonError(f"time {t} is negative")
-        if t > self.horizon:
+        if not t <= self.horizon:
             raise HorizonError(f"time {t} past horizon {self.horizon}")
+
+    def _extend(self, t: float) -> None:
+        """Sort every flip up to at least t into the stream.
+
+        The watermark at least doubles.  Each edge's new flips are found by a
+        binary search run on all edges at once, so no pass over the whole
+        flat array is made; a stable sort of the edge-major new slice keeps
+        equal times in edge order.
+        """
+        if t <= self._mark:
+            return
+        mark = min(self.horizon, max(t, 2.0 * self._mark))
+        flips = self.flip_times
+        lo, hi = self._next.copy(), self.offsets[1:].copy()
+        act = np.flatnonzero(lo < hi)
+        while act.size:
+            mid = (lo[act] + hi[act]) // 2
+            below = flips[mid] <= mark
+            lo[act[below]] = mid[below] + 1
+            hi[act[~below]] = mid[~below]
+            act = act[lo[act] < hi[act]]
+        counts = lo - self._next
+        idx = np.repeat(self._next - (np.cumsum(counts) - counts), counts) \
+            + np.arange(counts.sum())
+        order = np.argsort(flips[idx], kind="stable")
+        self._times = np.concatenate((self._times, flips[idx[order]]))
+        self._edge_ids = np.concatenate(
+            (self._edge_ids, np.repeat(np.arange(len(counts)), counts)[order]))
+        self._next = lo
+        self._mark = mark
+
+    def _flip_counts(self, t: float) -> np.ndarray:
+        """Flips of each edge in [0, t]."""
+        self._extend(t)
+        k = np.searchsorted(self._times, t, side="right")
+        return np.bincount(self._edge_ids[:k], minlength=self.graph.n_edges)
 
     def state_at(self, edge: int, t: float) -> int:
         self._check_time(t)
@@ -121,47 +201,101 @@ class EnvTrajectory:
 
     def open_mask_at(self, t: float) -> np.ndarray:
         self._check_time(t)
-        return np.fromiter((e.state_at(t) for e in self.edges),
-                           dtype=bool, count=len(self.edges))
+        return ((self.initial ^ self._flip_counts(t)) & 1).astype(bool)
 
     def flip_events(self, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
-        """All flips with time in (t0, t1], time-sorted: (times, edge ids)."""
+        """All flips with time in (t0, t1], time-sorted: (times, edge ids).
+
+        Equal times come in edge order.
+        """
         self._check_time(t0)
         self._check_time(t1)
-        times = []
-        ids = []
-        for e, tr in enumerate(self.edges):
-            ft = tr.flip_times
-            i = np.searchsorted(ft, t0, side="right")
-            j = np.searchsorted(ft, t1, side="right")
-            if j > i:
-                times.append(ft[i:j])
-                ids.append(np.full(j - i, e, dtype=np.int64))
-        if not times:
-            return np.empty(0), np.empty(0, dtype=np.int64)
-        t = np.concatenate(times)
-        e = np.concatenate(ids)
-        order = np.argsort(t, kind="stable")
-        return t[order], e[order]
+        self._extend(t1)
+        i, j = np.searchsorted(self._times, (t0, t1), side="right")
+        return self._times[i:j].copy(), self._edge_ids[i:j].copy()
 
 
-def _sample_flips(rng: np.random.Generator, params: DynParams, state: int) -> np.ndarray:
-    """Flip times of one edge up to the horizon, starting in `state` at time 0."""
+# standard exponentials drawn per rng call, at most
+_BLOCK = 1 << 16
+
+
+def _mean_flips(params: DynParams) -> float:
+    """Expected flips of a stationary edge up to the horizon."""
+    r0, r1 = params.rate_open, params.rate_close
+    return 2.0 * r0 * r1 / (r0 + r1) * params.horizon
+
+
+def _flip_capacity(params: DynParams, n_edges: int) -> int:
+    """Flip buffer to allocate: the stationary mean, one flip per edge for a
+    start off stationarity, and four standard deviations."""
+    mean = n_edges * _mean_flips(params)
+    return int(mean + n_edges + 4.0 * math.sqrt(mean))
+
+
+def _mapped_array(n: int) -> np.ndarray:
+    """float64[n] on its own anonymous mapping, unmapped when the last view
+    goes.  Pages past what is written are never touched and take no memory.
+
+    A flip array is megabytes.  From malloc, freeing one raises glibc's
+    dynamic mmap threshold to its size, and the next environments and walk
+    matrices then fill a heap that does not shrink: +7 MB of peak RSS over
+    the `sweep` benchmark's repeated sweeps.
+    """
+    return np.frombuffer(mmap.mmap(-1, 8 * max(n, 1)), dtype=np.float64, count=n)
+
+
+def _sample_flips(rng: np.random.Generator, params: DynParams,
+                  states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flip times of every edge up to the horizon: (flat times, CSR offsets).
+
+    Edge after edge, as one `t += rng.exponential(1 / rate)` per hold would:
+    hold k is a standard exponential times 1/rate of the state held, its flip
+    time is the running sum, and the edge stops after the first draw past the
+    horizon or on entering a rate-0 state.
+    """
     T = params.horizon
     rates = (params.rate_open, params.rate_close)
-    t = 0.0
-    s = state
-    out = []
-    while True:
-        rate = rates[s]
-        if rate == 0.0:
-            break
-        t += rng.exponential(1.0 / rate)
-        if t > T:
-            break
-        out.append(t)
-        s ^= 1
-    return np.asarray(out, dtype=np.float64)
+    scale = [1.0 / r if r > 0.0 else 0.0 for r in rates]
+    # draws an edge may make from each start state
+    limit = [0 if rates[s] == 0.0 else 1 if rates[s ^ 1] == 0.0 else math.inf
+             for s in (0, 1)]
+    mean = _mean_flips(params)
+    window = min(int(mean + 4.0 * math.sqrt(mean)) + 2, _BLOCK)
+    alt = np.empty((2, window))  # hold scales from start state 0 and 1
+    alt[0, 0::2] = alt[1, 1::2] = scale[0]
+    alt[0, 1::2] = alt[1, 0::2] = scale[1]
+    E = len(states)
+    flips = _mapped_array(_flip_capacity(params, E))
+    offsets = np.zeros(E + 1, dtype=np.int64)
+    draws = np.empty(0)
+    pos = n = 0
+    for e, s in enumerate(states.tolist()):
+        t = 0.0
+        left = limit[s]
+        while left:
+            if pos == len(draws):
+                draws = rng.standard_exponential(min(_BLOCK, (E - e) * window))
+                pos = 0
+            k = int(min(window, len(draws) - pos, left))
+            h = draws[pos:pos + k] * alt[s, :k]
+            h[0] += t
+            np.cumsum(h, out=h)
+            j = int(np.searchsorted(h, T, side="right"))
+            if n + j > len(flips):
+                grown = _mapped_array(2 * (n + j))
+                grown[:n] = flips[:n]
+                flips = grown
+            flips[n:n + j] = h[:j]
+            n += j
+            if j < k:
+                pos += j + 1
+                break
+            pos += k
+            left -= k
+            t = h[-1]
+            s ^= k & 1
+        offsets[e + 1] = n
+    return flips[:n], offsets
 
 
 def sample_env(g: TorusGraph, params: DynParams,
@@ -188,13 +322,12 @@ def sample_env(g: TorusGraph, params: DynParams,
         else:
             raise InputError(f"unknown init {init!r}")
     else:
-        states = np.asarray(init, dtype=np.int8)
+        states = np.array(init, dtype=np.int8)
         if states.shape != (E,) or not np.isin(states, (0, 1)).all():
             raise InputError("explicit init must be a 0/1 vector over edges")
         tag = "explicit"
-    edges = [EdgeTrajectory(int(states[e]), _sample_flips(rng, params, int(states[e])))
-             for e in range(E)]
-    return EnvTrajectory(g, params, edges, tag, seed)
+    flips, offsets = _sample_flips(rng, params, states)
+    return EnvTrajectory._from_arrays(g, params, states, flips, offsets, tag, seed)
 
 
 def edge_transition_prob(p: float, mu: float, t: float,
@@ -233,7 +366,9 @@ def count_open_throughout(env: EnvTrajectory, A: Iterable[int],
         raise InputError("need 0 <= a <= b")
     env._check_time(a)
     env._check_time(b)
-    return sum(1 for e in A if env.edges[e].open_throughout(a, b))
+    at_a = env._flip_counts(a)
+    ok = ((env.initial ^ at_a) & 1).astype(bool) & (at_a == env._flip_counts(b))
+    return int(ok[np.fromiter(A, dtype=np.int64)].sum())
 
 
 @dataclass(frozen=True)
@@ -284,14 +419,17 @@ def binomial_lemma_check(g: TorusGraph, params: DynParams, A: Sequence[int],
 
 
 def isolated_vertex_exists(env: EnvTrajectory, L: float) -> tuple[bool, Optional[int]]:
-    """Is some vertex surrounded by edges closed on all of [0, L]?  Returns a witness."""
+    """Is some vertex surrounded by edges closed on all of [0, L]?  Returns the
+    lowest such vertex as a witness."""
     env._check_time(L)
-    g = env.graph
-    inc = g.incident_edges
-    for v in range(g.n_vertices):
-        if all(env.edges[e].closed_throughout(0.0, L) for e in inc[v]):
-            return True, v
-    return False, None
+    starts = env.offsets[:-1]
+    flips = starts < env.offsets[1:]
+    # closed throughout: starts closed and its first flip, if any, is after L
+    closed = env.initial == 0
+    closed[flips] &= env.flip_times[starts[flips]] > L
+    isolated = closed[env.graph.incident_edges].all(axis=1)
+    v = int(np.argmax(isolated))
+    return (True, v) if isolated[v] else (False, None)
 
 
 def simulate_edge_state_at(p: float, mu: float, t: float, n_samples: int,
@@ -344,9 +482,10 @@ def dump_env(env: EnvTrajectory, fh) -> None:
                           env.params.horizon, INIT_TAGS.index(env.init_tag),
                           0 if seed is None else int(seed),
                           0 if seed is None else 1))
-    for tr in env.edges:
-        fh.write(_EDGE_HEADER.pack(tr.initial_state, len(tr.flip_times)))
-        fh.write(tr.flip_times.astype("<f8").tobytes())
+    off = env.offsets.tolist()
+    for e, state in enumerate(env.initial.tolist()):
+        fh.write(_EDGE_HEADER.pack(state, off[e + 1] - off[e]))
+        fh.write(env.flip_times[off[e]:off[e + 1]].astype("<f8", copy=False).tobytes())
 
 
 def load_env(fh) -> EnvTrajectory:
@@ -375,20 +514,28 @@ def loads_env(data: bytes) -> EnvTrajectory:
     room = (len(data) - pos) // _EDGE_HEADER.size
     if room == 0 or d * math.log(n) > math.log(room) or g.n_edges > room:
         raise InputError("environment dump truncated before its last edge")
-    edges = []
+    states, counts, starts = [], [], []
     for _ in range(g.n_edges):
         if len(data) < pos + _EDGE_HEADER.size:
             raise InputError("environment dump truncated before its last edge")
         state, count = _EDGE_HEADER.unpack_from(data, pos)
         pos += _EDGE_HEADER.size
+        if state > 1:
+            raise InputError("initial state must be 0 or 1")
         if len(data) < pos + 8 * count:
             raise InputError("environment dump truncated inside flip times")
-        times = np.frombuffer(data, dtype="<f8", count=count, offset=pos).copy()
+        states.append(state)
+        counts.append(count)
+        starts.append(pos)
         pos += 8 * count
-        if count and not (times[0] >= 0.0 and times[-1] <= T):
-            raise InputError("flip times outside [0, horizon]")
-        edges.append(EdgeTrajectory(state, times))
     if pos != len(data):
         raise InputError("trailing bytes after the environment dump")
-    return EnvTrajectory(g, params, edges, INIT_TAGS[tag_idx],
-                         seed if has_seed else None)
+    flips = np.concatenate([np.frombuffer(data, dtype="<f8", count=c, offset=a)
+                            for c, a in zip(counts, starts)]).astype(np.float64, copy=False)
+    offsets = np.zeros(g.n_edges + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    if len(flips) and not (flips.min() >= 0.0 and flips.max() <= T):
+        raise InputError("flip times outside [0, horizon]")
+    return EnvTrajectory._from_arrays(g, params, np.array(states, dtype=np.int8),
+                                      flips, offsets, INIT_TAGS[tag_idx],
+                                      seed if has_seed else None)

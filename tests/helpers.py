@@ -1,4 +1,5 @@
-"""Shared generators for the test suite: random reversible kernels and chains."""
+"""Shared generators and reference loops for the test suite: random reversible
+kernels and chains, and the per-hold and per-edge environment loops."""
 
 import numpy as np
 
@@ -92,3 +93,51 @@ def assert_profiles_close(a, b, tol):
     gap = max(abs(a.value(u) - b.value(u)) for u in points)
     assert gap <= tol, f"profiles differ by {gap:.3e}"
     assert a.provenance == b.provenance and a.pi_star == b.pi_star
+
+
+def scalar_sample_env(g, params, init, seed):
+    """Reference for `dynenv.sample_env`: (initial states, per-edge flip times)
+    drawn by one `t += rng.exponential(1 / rate)` per hold, edge after edge."""
+    rng = np.random.default_rng(seed)
+    E = g.n_edges
+    if init == "stationary":
+        states = (rng.random(E) < params.p).astype(np.int8)
+    elif init == "all-closed":
+        states = np.zeros(E, dtype=np.int8)
+    elif init == "all-open":
+        states = np.ones(E, dtype=np.int8)
+    else:
+        states = np.asarray(init, dtype=np.int8)
+    rates = (params.rate_open, params.rate_close)
+    flips = []
+    for s in states.tolist():
+        t = 0.0
+        out = []
+        while rates[s] != 0.0:
+            t += rng.exponential(1.0 / rates[s])
+            if t > params.horizon:
+                break
+            out.append(t)
+            s ^= 1
+        flips.append(np.asarray(out, dtype=np.float64))
+    return states, flips
+
+
+def loop_flip_events(env, t0, t1):
+    """Reference for `EnvTrajectory.flip_events`: a window per edge, then a
+    stable sort of the edge-major concatenation."""
+    times, ids = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+    for e, tr in enumerate(env.edges):
+        ft = tr.flip_times
+        i = np.searchsorted(ft, t0, side="right")
+        j = np.searchsorted(ft, t1, side="right")
+        times.append(ft[i:j])
+        ids.append(np.full(max(j - i, 0), e, dtype=np.int64))
+    t, e = np.concatenate(times), np.concatenate(ids)
+    order = np.argsort(t, kind="stable")
+    return t[order], e[order]
+
+
+def loop_open_mask_at(env, t):
+    """Reference for `EnvTrajectory.open_mask_at`: one state per edge."""
+    return np.array([tr.state_at(t) == 1 for tr in env.edges])

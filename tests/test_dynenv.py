@@ -1,4 +1,4 @@
-import io
+import hashlib
 import math
 
 import numpy as np
@@ -7,13 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from dynaperc.dynenv import (DynParams, EdgeTrajectory, binomial_lemma_check,
-                             count_open_throughout, dumps_env,
-                             edge_transition_prob, isolated_vertex_exists,
-                             loads_env, open_throughout_prob_from_closed,
-                             sample_env, simulate_edge_state_at)
+from dynaperc import dynenv
+from dynaperc.dynenv import (DynParams, EdgeTrajectory, EnvTrajectory,
+                             binomial_lemma_check, count_open_throughout,
+                             dumps_env, edge_transition_prob,
+                             isolated_vertex_exists, loads_env,
+                             open_throughout_prob_from_closed, sample_env,
+                             simulate_edge_state_at)
 from dynaperc.errors import HorizonError, InputError
 from dynaperc.torus import TorusGraph
+
+from helpers import loop_flip_events, loop_open_mask_at, scalar_sample_env
 
 
 def test_params_validation():
@@ -149,17 +153,47 @@ def test_binomial_lemma_report_consistent():
     assert rep.ci[0] - 0.1 <= rep.analytic_worst_case <= rep.ci[1] + 0.1
 
 
+def _hand_built(n, horizon, paths):
+    """Env on the n-cycle from {edge: (initial state, flip times)}; every other
+    edge is open with no flips."""
+    g = TorusGraph(d=1, n=n)
+    edges = [EdgeTrajectory(*paths.get(e, (1, []))) for e in range(g.n_edges)]
+    return EnvTrajectory(g, DynParams(p=0.5, mu=0.25, horizon=horizon), edges,
+                         "explicit", None)
+
+
+def _brute_isolated(env, L):
+    g = env.graph
+    for v in range(g.n_vertices):
+        if all(env.edges[e].closed_throughout(0.0, L) for e in g.incident_edges[v]):
+            return True, v
+    return False, None
+
+
 def test_isolated_vertex_detection():
-    g = TorusGraph(d=1, n=4)
-    params = DynParams(p=0.5, mu=0.25, horizon=10.0)
-    # explicit: edges around vertex 2 closed, no flips before t=1 w.h.p. is not
-    # reliable, so build an env where every edge starts closed and check the
-    # witness is consistent with the definition
-    env = sample_env(g, params, init="all-closed", seed=9)
-    found, v = isolated_vertex_exists(env, 0.5)
-    if found:
-        for e in g.incident_edges[v]:
-            assert env.edges[e].closed_throughout(0.0, 0.5)
+    g = TorusGraph(d=1, n=6)
+    around = {v: [int(e) for e in g.incident_edges[v]] for v in range(6)}
+    # vertex 4: both edges closed, first flips after L = 1
+    env = _hand_built(6, 5.0, {around[4][0]: (0, [1.5, 2.0]), around[4][1]: (0, [])})
+    assert isolated_vertex_exists(env, 1.0) == (True, 4)
+    assert isolated_vertex_exists(env, 1.5) == (False, None)  # the flip at L has happened
+    # vertices 2, 3 and 4 all isolated: the lowest is the witness
+    closed = {e: (0, [4.0]) for v in (2, 4) for e in around[v]}
+    env = _hand_built(6, 5.0, closed)
+    assert isolated_vertex_exists(env, 3.0) == (True, 2)
+    # an edge that starts open and closes before L does not isolate
+    env = _hand_built(6, 5.0, {around[1][0]: (1, [0.5]), around[1][1]: (0, [])})
+    assert isolated_vertex_exists(env, 1.0) == (False, None)
+    # the edge arrays agree with the per-edge definition on sampled envs
+    params = DynParams(p=0.3, mu=0.5, horizon=3.0)
+    found = 0
+    for seed in range(40):
+        env = sample_env(TorusGraph(d=2, n=3), params, init="stationary", seed=seed)
+        for L in (0.0, 0.4, 3.0):
+            got = isolated_vertex_exists(env, L)
+            assert got == _brute_isolated(env, L)
+            found += got[0]
+    assert found > 0
 
 
 def test_dump_roundtrip():
@@ -198,3 +232,143 @@ def test_loads_env_fuzz(cut, pos, byte, tail):
         except InputError:
             continue
         assert dumps_env(env) == data
+
+
+# (d, n, p, mu, T, init, seed) -> sha256 of the dump, recorded with the
+# per-hold sampler (`helpers.scalar_sample_env`); they pin the random stream
+_DUMP_HASHES = [
+    ((1, 8, 0.5, 0.25, 50.0, "stationary", 0),
+     "2b9e8d6a1a3d61cfe13a201231c6eca806444eb5685a08aa6d277fe11370f79f"),
+    ((2, 4, 0.35, 0.125, 25.0, "stationary", 42),
+     "37c8f841fb3e3295b229f6abca96319553f85da8700f15a908dffc9bcac84d8c"),
+    ((3, 3, 0.5, 0.5, 10.0, "all-closed", 1),
+     "ec82f902be04d46a89f9693c16bec66d8b4bf9bd805d5a20a37b5592fba32d57"),
+    ((1, 16, 0.02, 0.5, 200.0, "all-open", 2),
+     "12d09620c5e01fe85a39c299796dd978b40ee8be625075633b9d3c5d80295f6d"),
+    ((2, 3, 1.0, 0.25, 5.0, "stationary", 3),
+     "8dc8c2e295fb8b43ebd990d17f84ddbee1015b6166fbe0524fb3fc372546dc94"),
+    ((1, 6, 1.0, 0.1, 30.0, "all-closed", 4),
+     "3e7854fe42f82b88c7c24a52e6ea3d7ce9672528bdcc720538e387aa666e9150"),
+    ((1, 5, 0.5, 0.5, 0.0, "stationary", 5),
+     "e5c4f41ec233edd977c6a07c58417e1589c2a362f8dc2d1d3070a173e178421e"),
+    ((1, 6, 0.4, 0.25, 20.0, (1, 0, 1, 0, 1, 0), 6),
+     "aa9645d5399ce918d0b17c4a570f5803c54bbd8d83efcbeb041cb95ee234a275"),
+    ((1, 32, 0.5, 0.5, 20000.0, "stationary", 7),  # spans several draw blocks
+     "be7a48923a6554986fdadefe5bd26f4a10650ab922e737719bb885a0260600dd"),
+    ((2, 5, 1e-9, 0.01, 100.0, "stationary", 8),
+     "b51d57928c1abe41fe9133432af4bd19026683f8078f09cc98a0d0025cce8c18"),
+]
+
+
+@pytest.mark.parametrize("case, digest", _DUMP_HASHES,
+                         ids=[str(i) for i in range(len(_DUMP_HASHES))])
+def test_dump_hashes_pinned(case, digest):
+    d, n, p, mu, T, init, seed = case
+    init = list(init) if isinstance(init, tuple) else init
+    env = sample_env(TorusGraph(d, n), DynParams(p, mu, T), init=init, seed=seed)
+    assert hashlib.sha256(dumps_env(env)).hexdigest() == digest
+
+
+@given(d=st.integers(1, 3), n=st.integers(3, 4),
+       p=st.sampled_from([1e-9, 0.5, 1.0]) | st.floats(0.01, 1.0),
+       mu=st.floats(0.01, 0.5), horizon=st.just(0.0) | st.floats(0.0, 60.0),
+       init=st.sampled_from(["stationary", "all-closed", "all-open", "explicit"]),
+       seed=st.integers(0, 2 ** 32), block=st.sampled_from([1, 3, 64, dynenv._BLOCK]),
+       tight=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_sampler_matches_per_hold_loop(d, n, p, mu, horizon, init, seed, block, tight):
+    g = TorusGraph(d, n)
+    params = DynParams(p, mu, horizon)
+    if init == "explicit":
+        init = np.random.default_rng(seed).integers(0, 2, g.n_edges).tolist()
+    states, flips = scalar_sample_env(g, params, init, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynenv, "_BLOCK", block)  # refills inside an edge's path
+        if tight:  # the flip buffer has to grow
+            mp.setattr(dynenv, "_flip_capacity", lambda params, n_edges: 1)
+        env = sample_env(g, params, init=init, seed=seed)
+    assert env.initial.tobytes() == states.tobytes()
+    assert np.array_equal(np.diff(env.offsets), [len(f) for f in flips])
+    for tr, want in zip(env.edges, flips):
+        assert tr.flip_times.tobytes() == want.tobytes()
+        assert not len(want) or np.shares_memory(tr.flip_times, env.flip_times)  # a view
+
+
+def _flip_instants(env, rng, k):
+    if len(env.flip_times) == 0:
+        return []
+    return rng.choice(env.flip_times, size=k).tolist()
+
+
+def _index_envs():
+    g = TorusGraph(d=2, n=4)
+    sampled = sample_env(g, DynParams(p=0.4, mu=0.5, horizon=30.0), seed=5)
+    # ties across edges, a flip at 0 and one at the horizon
+    built = _hand_built(4, 3.0, {0: (0, [0.0, 1.0, 2.5]), 1: (1, [1.0, 2.5]),
+                                 2: (0, []), 3: (1, [1.0, 3.0])})
+    return {"sampled": sampled, "loaded": loads_env(dumps_env(sampled)),
+            "hand-built": built,
+            "all-open-p1": sample_env(TorusGraph(d=1, n=5),
+                                      DynParams(p=1.0, mu=0.25, horizon=10.0),
+                                      init="all-open", seed=1)}
+
+
+@pytest.mark.parametrize("kind", ["sampled", "loaded", "hand-built", "all-open-p1"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_event_index_matches_per_edge_loops(kind, seed):
+    # fresh envs: the query order drives the watermark
+    env, ref = _index_envs()[kind], _index_envs()[kind]
+    T = env.horizon
+    rng = np.random.default_rng(seed)
+    points = ([0.0, T] + _flip_instants(ref, rng, 6)
+              + rng.uniform(0.0, T, 6).tolist())
+    windows = [(a, b) for a, b in zip(points, points[1:])]  # back and forth in time
+    windows += [(a, a) for a in points[:4]] + [(a, T) for a in points[2:5]]
+    windows += [(min(a, b), max(a, b)) for a, b in windows]
+    rng.shuffle(windows)
+    for t0, t1 in windows:
+        want_t, want_e = loop_flip_events(ref, t0, t1)
+        got_t, got_e = env.flip_events(t0, t1)
+        assert got_t.tobytes() == want_t.tobytes()
+        assert np.array_equal(got_e, want_e) and got_e.dtype == np.int64
+        for t in (t1, t0):
+            assert np.array_equal(env.open_mask_at(t), loop_open_mask_at(ref, t))
+
+
+def test_event_index_replays_states():
+    env = _index_envs()["hand-built"]
+    assert np.array_equal(env.open_mask_at(0.0), [True, True, False, True])  # flip at 0
+    times, eids = env.flip_events(0.0, 1.0)
+    assert times.tolist() == [1.0] * 3 and eids.tolist() == [0, 1, 3]
+    times, eids = env.flip_events(2.5, 3.0)
+    assert times.tolist() == [3.0] and eids.tolist() == [3]
+    assert env.flip_events(1.0, 1.0)[0].size == 0
+
+
+@pytest.mark.parametrize("kind", ["sampled", "hand-built"])
+def test_event_index_rejects_times_outside_horizon(kind):
+    env = _index_envs()[kind]
+    T = env.horizon
+    for t0, t1 in ((-0.1, 1.0), (0.0, T + 1e-9), (-1.0, T + 1.0), (0.0, math.nan)):
+        with pytest.raises(HorizonError):
+            env.flip_events(t0, t1)
+    for t in (-1e-12, T + 1e-9, math.nan):
+        with pytest.raises(HorizonError):
+            env.open_mask_at(t)
+    env.flip_events(T / 2, T)  # the watermark has moved; still refused
+    with pytest.raises(HorizonError):
+        env.open_mask_at(T * 2)
+
+
+def test_count_open_throughout_matches_per_edge_loop():
+    rng = np.random.default_rng(4)
+    for kind, env in _index_envs().items():
+        T = env.horizon
+        points = [0.0, T] + _flip_instants(env, rng, 4) + rng.uniform(0.0, T, 4).tolist()
+        A = rng.integers(0, env.graph.n_edges, 7)
+        for a in points:
+            for b in points:
+                if a > b:
+                    continue
+                want = sum(env.edges[e].open_throughout(a, b) for e in A)
+                assert count_open_throughout(env, A, a, b) == want, (kind, a, b)
