@@ -8,10 +8,15 @@ flips, with a certified truncation budget.  All positions are reported right
 continuously.
 
 One core does all exact evolution: `_Evolver.advance` walks the flip segments
-of the environment and `_apply_uniformized` runs the series on each.  Forward
-laws, window kernels and TV curves evolve rows through it; hitting profiles
-run it on the chain absorbed in the target set, where the series also returns
-the time each row spends off the target.
+of the environment and `_apply_uniformized` runs the series on each.  The
+jump matrix is built once per evolver and each flip rewrites the entries of
+its edge in place.  Forward laws, window kernels and TV curves evolve rows
+through it.  Hitting profiles run it on the chain absorbed in the target set:
+only the block of free (off-target) states is evolved, flips on edges inside
+the target are skipped, and the series also adds up the time each row spends
+off the target.  An evolver counts the series it ran (`segments`), their
+matrix products (`terms`), and the truncation mass actually dropped
+(`dropped`) beside the allowance it handed out (`spent`).
 """
 
 from __future__ import annotations
@@ -167,69 +172,107 @@ def step_matrix(g: TorusGraph, open_mask: np.ndarray) -> np.ndarray:
 
 
 def _apply_uniformized(mat: np.ndarray, P: np.ndarray, s: float, tol: float,
-                       free: Optional[np.ndarray] = None
-                       ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+                       occupation: Optional[np.ndarray] = None
+                       ) -> tuple[np.ndarray, int, float]:
     """mat @ expm((P - I) s) as a Poisson-weighted series, tail mass < tol.
 
-    With a `free` mask, also returns int_0^s (mass of each row on `free`) dt;
-    otherwise None in its place.
+    Returns (result, terms, dropped): the matrix products taken and the
+    Poisson mass 1 - cum the series left out.  With an `occupation` vector,
+    also adds int_0^s (row sums of the evolving rows) dt into it.
     """
     w = math.exp(-s)
     cum = w
     acc = w * mat
     term = mat
-    occ = None
-    if free is not None:
+    if occupation is not None:
         c = 1.0 - w  # int_0^s e^{-t} t^0/0! dt
-        occ = c * term[:, free].sum(axis=1)
+        occupation += c * term.sum(axis=1)
     k = 0
     while cum < 1.0 - tol:
         k += 1
         term = term @ P
         w *= s / k
-        acc = acc + w * term
+        acc += w * term
         cum += w
-        if free is not None:
-            c = c - w  # int e^{-t} t^k/k! dt = previous - Poisson weight
-            occ += c * term[:, free].sum(axis=1)
+        if occupation is not None:
+            c -= w  # int e^{-t} t^k/k! dt = previous - Poisson weight
+            occupation += c * term.sum(axis=1)
         if w == 0.0:  # weights underflowed; the series is numerically complete
             break
-    return acc, occ
+    return acc, k, max(1.0 - cum, 0.0)
 
 
 class _Evolver:
     """Walks a distribution (or matrix of rows) through env flip segments.
 
-    With an `absorbing` vertex mask the walk is absorbed there: `occupation`
-    accumulates, per row, the time spent off the mask (rows must be indexed
-    by start vertex), and `advance` stops at the first flip after which every
-    row has less than 1e-14 mass off the mask, since later segments add
-    nothing.  Such an evolver is meant for a single `advance`.
+    P is built once by `step_matrix`; a flip then adds +-1/(2d) to the four
+    entries of its edge in place.  Each diagonal entry is 1 - k/(2d) rounded
+    one subtraction at a time, as `step_matrix` computes it, and adding the
+    rate back lands on the previous value exactly (checked for d <= 12), so P
+    always equals a fresh build bit for bit.
+
+    With an `absorbing` vertex mask the walk is absorbed there, and only the
+    sub-stochastic block of P on the free vertices (those off the mask) is
+    evolved, since absorbed rows and columns never feed back into it: rows
+    and columns of `mat` are the free vertices in increasing order, and
+    `occupation` accumulates, per row, the time spent off the mask.  Flips on
+    edges with both ends in the mask leave that block unchanged and are
+    skipped (their `open_mask` entries go stale).  `advance` stops at the
+    first flip after which every row has less than 1e-14 mass left, since
+    later segments add nothing.  Such an evolver is meant for a single
+    `advance`.
+
+    Counters: `segments` (uniformization series run; a constant stretch
+    longer than `_MAX_SEGMENT` runs in pieces), `terms` (matrix products
+    taken by those series), `spent` (the truncation allowance handed out,
+    which sizes later segments) and `dropped` (the Poisson tail mass the
+    series actually left out, at most `spent`).
     """
 
     def __init__(self, env: EnvTrajectory, t0: float, tol_total: float = 1e-10,
                  absorbing: Optional[np.ndarray] = None):
+        g = env.graph
         self.env = env
-        self.g = env.graph
         self.t = t0
         self.absorbing = absorbing
-        self.free = None if absorbing is None else ~absorbing
-        self.occupation = None if absorbing is None else np.zeros(self.g.n_vertices)
         self.open_mask = env.open_mask_at(t0)
-        self.P = self._step_matrix()
+        P = step_matrix(g, self.open_mask)
+        live = np.ones(g.n_vertices, dtype=bool) if absorbing is None else ~absorbing
+        row = np.full(g.n_vertices, -1)
+        row[live] = np.arange(int(live.sum()))
+        rows = row[g.edge_uv]
+        # row of each endpoint of each edge in the evolved block, -1 if absorbed
+        self._rows = rows.tolist()
+        self._live_edge = (rows >= 0).any(axis=1)
+        self._rate = 1.0 / (2 * g.d)
+        self.P = P if absorbing is None else P[np.ix_(live, live)]
+        self.occupation = None if absorbing is None else np.zeros(len(self.P))
         self.tol_total = tol_total
         self.spent = 0.0
+        self.dropped = 0.0
+        self.segments = 0
+        self.terms = 0
 
-    def _step_matrix(self) -> np.ndarray:
-        P = step_matrix(self.g, self.open_mask)
-        if self.absorbing is not None:
-            P[self.absorbing] = 0.0
-            P[self.absorbing, self.absorbing] = 1.0
-        return P
+    def _flip(self, e: int) -> None:
+        """Toggle edge e and add or remove its rate in the block entries it touches."""
+        is_open = not self.open_mask[e]
+        self.open_mask[e] = is_open
+        r = self._rate if is_open else -self._rate
+        i, j = self._rows[e]
+        P = self.P
+        if i >= 0:
+            P[i, i] -= r
+        if j >= 0:
+            P[j, j] -= r
+            if i >= 0:
+                P[i, j] += r
+                P[j, i] += r
 
     def _segment_tol(self, n_segments: int) -> float:
-        # floor at 1e-15 so the series always terminates; total drift stays
-        # below ~1e-15 per segment even on very long horizons
+        # What is left of the budget, split over the segments still to run.
+        # The floor keeps each series from chasing rounding noise near
+        # cum = 1; past about tol_total / 1e-15 segments it lets `spent` grow
+        # beyond tol_total, and `dropped` is the mass actually cut.
         return max((self.tol_total - self.spent) / (4 * max(n_segments, 1)),
                    1e-15)
 
@@ -238,27 +281,31 @@ class _Evolver:
         if t1 < self.t:
             raise InputError("cannot evolve backwards")
         times, eids = self.env.flip_events(self.t, t1)
+        if self.absorbing is not None:
+            keep = self._live_edge[eids]
+            times, eids = times[keep], eids[keep]
         n_seg = len(times) + 1 + int((t1 - self.t) / _MAX_SEGMENT)
         tol = self._segment_tol(n_seg)
         prev = self.t
         self.t = t1
         for tm, e in zip(times, eids):
             mat = self._run_segment(mat, tm - prev, tol)
-            if self.free is not None and mat[:, self.free].sum(axis=1).max() < 1e-14:
+            if self.absorbing is not None and mat.sum(axis=1).max(initial=0.0) < 1e-14:
                 return mat
             prev = tm
-            self.open_mask[e] = not self.open_mask[e]
-            self.P = self._step_matrix()
+            self._flip(e)
         return self._run_segment(mat, t1 - prev, tol)
 
     def _run_segment(self, mat: np.ndarray, s: float, tol: float) -> np.ndarray:
-        if self.free is None and not self.open_mask.any():
+        if self.absorbing is None and not self.open_mask.any():
             return mat  # frozen walker: P = I (an absorbed walk still accrues time)
         while s > 0.0:
             h = min(s, _MAX_SEGMENT)
-            mat, occ = _apply_uniformized(mat, self.P, h, tol, self.free)
-            if occ is not None:
-                self.occupation += occ
+            mat, terms, dropped = _apply_uniformized(mat, self.P, h, tol,
+                                                     self.occupation)
+            self.segments += 1
+            self.terms += terms
+            self.dropped += dropped
             self.spent += tol
             s -= h
         return mat
@@ -367,10 +414,11 @@ def exact_hitting_profile(env: EnvTrajectory, A_mask: np.ndarray,
     if horizon > env.horizon:
         raise HorizonError("past horizon")
     A_mask = as_mask(A_mask, g.n_vertices)
+    free = ~A_mask
     ev = _Evolver(env, 0.0, tol, absorbing=A_mask)
-    mat = ev.advance(np.eye(g.n_vertices), horizon)
-    expected = ev.occupation
-    censored = mat[:, ev.free].sum(axis=1)
-    expected[A_mask] = 0.0
-    censored[A_mask] = 0.0
+    mat = ev.advance(np.eye(int(free.sum())), horizon)
+    expected = np.zeros(g.n_vertices)
+    censored = np.zeros(g.n_vertices)
+    expected[free] = ev.occupation
+    censored[free] = mat.sum(axis=1)
     return expected, censored

@@ -141,3 +141,75 @@ def loop_flip_events(env, t0, t1):
 def loop_open_mask_at(env, t):
     """Reference for `EnvTrajectory.open_mask_at`: one state per edge."""
     return np.array([tr.state_at(t) == 1 for tr in env.edges])
+
+
+def rebuild_hitting_profile(env, A, horizon, tol=1e-10):
+    """Reference for `walk.exact_hitting_profile`: the N x N absorbed chain,
+    with P rebuilt by `step_matrix` after every flip (flips inside A too),
+    rows of A set to the identity, and the time off A read from the free
+    columns of each series term.  Returns (expected, censored)."""
+    import math
+
+    from dynaperc.walk import _MAX_SEGMENT, step_matrix
+
+    g = env.graph
+    free = ~A
+    open_mask = env.open_mask_at(0.0)
+
+    def absorbed_step():
+        P = step_matrix(g, open_mask)
+        P[A] = 0.0
+        P[A, A] = 1.0
+        return P
+
+    def series(mat, P, s, tol):
+        w = math.exp(-s)
+        cum = w
+        acc = w * mat
+        term = mat
+        c = 1.0 - w
+        occ = c * term[:, free].sum(axis=1)
+        k = 0
+        while cum < 1.0 - tol:
+            k += 1
+            term = term @ P
+            w *= s / k
+            acc = acc + w * term
+            cum += w
+            c = c - w
+            occ += c * term[:, free].sum(axis=1)
+            if w == 0.0:
+                break
+        return acc, occ
+
+    occupation = np.zeros(g.n_vertices)
+
+    def segment(mat, s, tol):
+        while s > 0.0:
+            h = min(s, _MAX_SEGMENT)
+            mat, occ = series(mat, P, h, tol)
+            occupation[:] += occ
+            s -= h
+        return mat
+
+    P = absorbed_step()
+    times, eids = env.flip_events(0.0, horizon)
+    n_seg = len(times) + 1 + int(horizon / _MAX_SEGMENT)
+    tol = max(tol / (4 * n_seg), 1e-15)
+    mat = np.eye(g.n_vertices)
+    prev = 0.0
+    stopped = False
+    for tm, e in zip(times, eids):
+        mat = segment(mat, tm - prev, tol)
+        if mat[:, free].sum(axis=1).max() < 1e-14:
+            stopped = True
+            break
+        prev = tm
+        open_mask[e] = not open_mask[e]
+        P = absorbed_step()
+    if not stopped:
+        mat = segment(mat, horizon - prev, tol)
+    censored = mat[:, free].sum(axis=1)
+    occupation[A] = 0.0
+    censored[A] = 0.0
+    return occupation, censored

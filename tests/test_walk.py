@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,10 +8,11 @@ from scipy.linalg import expm
 from dynaperc.dynenv import DynParams, EdgeTrajectory, EnvTrajectory, sample_env
 from dynaperc.errors import CapabilityError, HorizonError, InputError
 from dynaperc.torus import TorusGraph
-from dynaperc.walk import (WalkKernel, block_chain, exact_hitting_profile,
-                           exact_quenched_distribution, replay_is_legal,
-                           simulate_positions, simulate_walk, step_matrix,
-                           window_kernel, quenched_tv_curve)
+from dynaperc.walk import (_MAX_SEGMENT, WalkKernel, _Evolver, block_chain,
+                           exact_hitting_profile, exact_quenched_distribution,
+                           replay_is_legal, simulate_positions, simulate_walk,
+                           step_matrix, window_kernel, quenched_tv_curve)
+from helpers import rebuild_hitting_profile
 
 
 def _env(d=1, n=6, p=0.5, mu=0.25, horizon=100.0, seed=0, init="stationary"):
@@ -189,3 +191,163 @@ def test_hitting_profile_matches_monte_carlo():
     mc = float(np.mean(samples))
     se = float(np.std(samples) / math.sqrt(len(samples)))
     assert abs(mc - expected[1]) < 4 * se + 1e-6
+
+
+def _half_target(g, seed):
+    A = np.zeros(g.n_vertices, dtype=bool)
+    rng = np.random.default_rng(seed)
+    A[rng.choice(g.n_vertices, (g.n_vertices + 1) // 2, replace=False)] = True
+    return A
+
+
+def _hand_env(g, horizon, initial, flips):
+    """Environment with the given per-edge initial states and flip times."""
+    edges = [EdgeTrajectory(int(s), np.asarray(f, dtype=float))
+             for s, f in zip(initial, flips)]
+    return EnvTrajectory(g, DynParams(p=0.5, mu=0.25, horizon=horizon), edges,
+                         "stationary", None)
+
+
+def _inside_only_env(g, A, horizon, seed):
+    """Edges inside A flip at random times; every other edge stays open."""
+    rng = np.random.default_rng(seed)
+    inside = A[g.edge_uv].all(axis=1)
+    flips = [np.sort(rng.uniform(0.0, horizon, 40)) if inside[e] else []
+             for e in range(g.n_edges)]
+    return _hand_env(g, horizon, np.ones(g.n_edges), flips)
+
+
+def _hitting_cases():
+    cases = []
+    for d, n, mu, T, seed in [(1, 12, 0.125, 400.0, 0), (1, 16, 0.125, 2000.0, 1),
+                              (2, 4, 0.25, 300.0, 2), (3, 3, 0.25, 200.0, 3)]:
+        g = TorusGraph(d, n)
+        env = _env(d=d, n=n, mu=mu, horizon=T, seed=seed)
+        cases.append((f"sampled-d{d}-n{n}", env, _half_target(g, seed), T))
+    for d, n in [(1, 8), (2, 4)]:
+        g = TorusGraph(d, n)
+        A = np.arange(g.n_vertices) != 5  # all but one vertex
+        cases.append((f"all-but-one-d{d}", _env(d=d, n=n, horizon=150.0, seed=d),
+                      A, 150.0))
+    g = TorusGraph(1, 10)
+    A = np.arange(10) < 6
+    cases.append(("inside-only", _inside_only_env(g, A, 300.0, 5), A, 300.0))
+    g = TorusGraph(2, 4)
+    initial = np.arange(g.n_edges) % 3 != 0
+    cases.append(("no-flips", _hand_env(g, 250.0, initial, [[]] * g.n_edges),
+                  _half_target(g, 6), 250.0))
+    g = TorusGraph(1, 12)
+    env = _env(n=12, mu=0.125, horizon=500.0, seed=7)
+    A = _half_target(g, 7)
+    live = ~A[g.edge_uv].all(axis=1)
+    times, eids = env.flip_events(0.0, 500.0)
+    t_flip = float(times[live[eids]][20])  # a flip the absorbed evolution runs
+    cases.append(("horizon-at-flip", env, A, t_flip))
+    return cases
+
+
+_HITTING_CASES = _hitting_cases()
+
+
+@pytest.mark.parametrize("name, env, A, horizon", _HITTING_CASES,
+                         ids=[c[0] for c in _HITTING_CASES])
+def test_hitting_profile_matches_rebuild_reference(name, env, A, horizon):
+    # the free block with in-place flips against the N x N absorbed chain
+    # rebuilt after every flip.  Skipped flips merge segments and move the
+    # truncation points, so allow 1e-12 relative.  The early stop is tested
+    # only at flips that reach the free block: where the rebuild stopped at
+    # a flip inside A, the free block runs on to the next one, so there both
+    # sides are only known to hold less than the 1e-14 stop threshold.
+    expected, censored = exact_hitting_profile(env, A, horizon)
+    ref_expected, ref_censored = rebuild_hitting_profile(env, A, horizon)
+    assert not expected[A].any() and not censored[A].any()
+    assert np.all(np.abs(expected - ref_expected) <= 1e-12 * ref_expected)
+    bound = np.where(ref_censored < 1e-14, 1e-14, 1e-15 + 1e-12 * ref_censored)
+    assert np.all(np.abs(censored - ref_censored) <= bound)
+
+
+def test_hitting_skips_flips_inside_target():
+    g = TorusGraph(1, 10)
+    A = np.arange(10) < 6
+    env = _inside_only_env(g, A, 300.0, 5)
+    ev = _Evolver(env, 0.0, absorbing=A)
+    ev.advance(np.eye(4), 300.0)
+    # no flip reaches the free block: one series per _MAX_SEGMENT piece
+    assert ev.segments == math.ceil(300.0 / _MAX_SEGMENT)
+    assert ev.terms > ev.segments
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_diagonal_steps_are_reversible(d):
+    # step_matrix subtracts the rate once per open edge; adding it back
+    # returns each value exactly, so +-rate in place stays on those values
+    rate = 1.0 / (2 * d)
+    diag = [1.0]
+    for _ in range(2 * d):
+        diag.append(diag[-1] - rate)
+    assert all(diag[k + 1] + rate == diag[k] for k in range(2 * d))
+
+
+@pytest.mark.parametrize("d, n", [(1, 7), (2, 4), (3, 3)])
+def test_in_place_flips_match_fresh_step_matrix(d, n):
+    g = TorusGraph(d, n)
+    env = _env(d=d, n=n, horizon=10.0, seed=d)
+    A = _half_target(g, d)
+    free = ~A
+    forward = _Evolver(env, 3.0)
+    absorbed = _Evolver(env, 3.0, absorbing=A)
+    mask = env.open_mask_at(3.0)
+    rng = np.random.default_rng(d)
+    for e in rng.integers(g.n_edges, size=300):
+        mask[e] = not mask[e]
+        forward._flip(e)
+        absorbed._flip(e)
+        fresh = step_matrix(g, mask)
+        assert np.array_equal(forward.open_mask, mask)
+        assert np.array_equal(forward.P, fresh)
+        assert np.array_equal(absorbed.P, fresh[np.ix_(free, free)])
+
+
+def test_dropped_mass_reported_past_the_allowance():
+    # 1e-13 over ~1000 segments: the 1e-15 floor hands out more allowance
+    # than tol_total, and the mass actually cut is reported beside it
+    env = _env(n=8, mu=0.5, horizon=600.0, seed=11)
+    ev = _Evolver(env, 0.0, tol_total=1e-13)
+    ev.advance(np.eye(8), 600.0)
+    assert ev.segments > 1000
+    assert ev.spent > ev.tol_total
+    assert 0.0 < ev.dropped <= ev.spent
+
+
+# (d, n, mu, seed) -> sha256 of quenched_tv_curve, window_kernel and
+# exact_quenched_distribution outputs, recorded with the evolver that rebuilt
+# P after every flip (OpenBLAS on x86-64); they pin the forward path
+_FORWARD_HASHES = [
+    ((1, 8, 0.25, 0),
+     ("1c61876e4155e21b96aeb9e1e6b49590c1517afd89819324ecf21dbad3da7d0f",
+      "7813c46f48d17c70ee4872eff85ae2a2195400e12ea760497cbb63158c2cd2ed",
+      "e05fcf83a6a764a01dfa0dec6e0837d57ea5a31b23324a8ce5a6d713880b8d55")),
+    ((1, 16, 0.125, 1),
+     ("f531ab338422dc810bf7ac7475a170205c2366cd3a28d436a1349ad0fd006888",
+      "0e60fbdd842df4dff4392e391903bf32dc1e90492f0f5d888eed92afd98ab5a8",
+      "fe3bc2196785a7e591af982ce7c968f4e6732b39b5693e34d5b56b1f6abc72b9")),
+    ((2, 4, 0.5, 2),
+     ("51007e29292b8a0f62faf0730be749bfe1f05fab6f5c0ddd77ed8b70d06f8bca",
+      "dbac85e2c56e63db3518500d510c8939c9c3f71993c33a6fe604ea776ff8236d",
+      "f8b9e965578957a607e5e7178a6ba097b9ca075a37c1b18fa55f9249b8a190d3")),
+    ((3, 3, 0.25, 3),
+     ("74aec68c9105d6b9e2b502176c64c361684b4636f9df9850f0940dc4efd8b94a",
+      "2563ee8787937d68315cd0ae6b429c7247c866d30c7d21dd8af02f52c8cce2fb",
+      "5079d1dcb929c4a34fd4133919be6107c600e6ac04e57a33de0bd24ca679646a")),
+]
+
+
+@pytest.mark.parametrize("case, digests", _FORWARD_HASHES,
+                         ids=[str(i) for i in range(len(_FORWARD_HASHES))])
+def test_forward_outputs_pinned(case, digests):
+    d, n, mu, seed = case
+    env = sample_env(TorusGraph(d, n), DynParams(0.5, mu, 60.0), seed=seed)
+    outs = (quenched_tv_curve(env, 0, np.arange(2.0, 60.0, 2.0)),
+            window_kernel(env, (1.5, 40.0)).matrix,
+            exact_quenched_distribution(env, 1, 60.0))
+    assert tuple(hashlib.sha256(o.tobytes()).hexdigest() for o in outs) == digests
