@@ -94,6 +94,9 @@ class Runner:
     """Shared plumbing: artifact directory, manifest, budget accounting."""
 
     def __init__(self, args):
+        # environment dumps store the seed as an int64
+        if not 0 <= args.seed < 2 ** 63:
+            raise InputError(f"seed {args.seed} is outside [0, 2^63)")
         self.args = args
         self.cfg = _load_config(args.config, {
             k: getattr(args, k, None) for k in ("scenario",)})
@@ -106,7 +109,6 @@ class Runner:
         self.t0 = time.monotonic()
         self.cells: list[dict] = []
         self.rows: list[dict] = []
-        self.failed = False
 
     def over_budget(self) -> bool:
         return self.budget is not None and time.monotonic() - self.t0 > self.budget
@@ -123,7 +125,6 @@ class Runner:
         except Exception as exc:  # per-cell failure must not kill the run
             self.cells.append({"cell": name, "status": f"error: {exc}",
                                "wall": time.monotonic() - t})
-            self.failed = True
             return
         self.cells.append({"cell": name, "status": "ok",
                            "wall": time.monotonic() - t})
@@ -152,7 +153,7 @@ class Runner:
         bad = [c for c in self.cells if c["status"].startswith("error")]
         for c in bad:
             print(f"FAIL {c['cell']}: {c['status']}", file=sys.stderr)
-        return 1 if (bad or self.failed) else 0
+        return 1 if bad else 0
 
 
 # --------------------------------------------------------------------------
@@ -181,8 +182,7 @@ def cmd_walk_sim(run: Runner) -> int:
     def body():
         env = sample_env(g, params, init=run.cfg["init"], seed=run.seed)
         horizon = min(params.horizon, 10.0 / params.mu)
-        path = walkmod.simulate_walk(env, x, horizon,
-                                     seed=None if run.seed is None else run.seed + 1)
+        path = walkmod.simulate_walk(env, x, horizon, seed=run.seed + 1)
         lines = [f"# dynaperc-walk-v1 start={path.start} horizon={horizon!r}"]
         lines += [f"{t!r} {v}" for t, v in zip(path.jump_times, path.jump_targets)]
         (run.out / "walk.txt").write_text("\n".join(lines) + "\n")
@@ -204,14 +204,11 @@ def cmd_mix(run: Runner) -> int:
     def quenched():
         rows = []
         times = []
-        for i in range(samples):
-            env = sample_env(g, params, init=run.cfg["init"],
-                             seed=None if run.seed is None else run.seed + i)
+        for env in dist.sample_envs(g, params, run.cfg["init"], run.seed, samples):
             t = dist.quenched_mixing_time(env, x, eps)
             times.append(t)
-            rows.append(_base_row(run.cfg, env_seed=(None if run.seed is None else run.seed + i),
-                                  statistic="t_mix_quenched", value=t,
-                                  censored_frac=float(not math.isfinite(t))))
+            rows.append(_base_row(run.cfg, env_seed=env.seed, statistic="t_mix_quenched",
+                                  value=t, censored_frac=float(not math.isfinite(t))))
         finite = [t for t in times if math.isfinite(t)]
         med = float(np.median(finite)) if finite else dist.NOT_MIXED
         rows.append(_base_row(run.cfg, statistic="t_mix_quenched_median", value=med,
@@ -259,7 +256,7 @@ def cmd_evoset(run: Runner) -> int:
     eps = _num("eps", run.cfg["eps"])
 
     def body():
-        rng = np.random.default_rng(run.seed if run.seed is not None else 0)
+        rng = np.random.default_rng(run.seed)
         from .evoset import InhomChain, doob_z_bound_check, psi_step_count
         rows = []
         for i in range(10):
@@ -300,18 +297,14 @@ def cmd_expansion(run: Runner) -> int:
     def body():
         half = np.arange(g.n_vertices) < g.n_vertices // 2
         ratios = []
-        for i in range(samples):
-            env = sample_env(g, params, init="stationary",
-                             seed=None if run.seed is None else run.seed + i)
+        for env in dist.sample_envs(g, params, "stationary", run.seed, samples):
             rec = expansion.torus_phi_lower_bound_check(env, half)
             if rec.ratio is not None:
                 ratios.append(rec.ratio)
         c = float(min(ratios)) if ratios else 0.0
-        kernels = []
-        for i in range(min(samples, 8)):
-            env = sample_env(g, params, init="stationary",
-                             seed=None if run.seed is None else 10 ** 4 + run.seed + i)
-            kernels.append(walkmod.window_kernel(env, (0.0, 1.0 / params.mu)).matrix)
+        kernels = [walkmod.window_kernel(env, (0.0, 1.0 / params.mu)).matrix
+                   for env in dist.sample_envs(g, params, "stationary",
+                                               10 ** 4 + run.seed, min(samples, 8))]
         if g.n_vertices <= 12:
             prof = expansion.profile_phi_kernels(kernels, np.full(g.n_vertices, 1.0 / g.n_vertices))
             (run.out / "profile.txt").write_text(prof.serialize())
@@ -409,12 +402,8 @@ def cmd_sweep(run: Runner) -> int:
     def mixing_cell(n: int, mu: float) -> list[dict]:
         g = TorusGraph(d=d, n=n)
         params = DynParams(p=p, mu=mu, horizon=20.0 * n * n / mu)
-        times = []
-        base = 0 if run.seed is None else run.seed
-        for i in range(samples):
-            env = sample_env(g, params, init="stationary",
-                             seed=base + 1000 * n + i)
-            times.append(dist.quenched_mixing_time(env, 0, eps))
+        times = [dist.quenched_mixing_time(env, 0, eps) for env in
+                 dist.sample_envs(g, params, "stationary", run.seed + 1000 * n, samples)]
         finite = [t for t in times if math.isfinite(t)]
         med = float(np.median(finite)) if finite else dist.NOT_MIXED
         cfg = dict(run.cfg, n=n, mu=mu)
@@ -425,11 +414,9 @@ def cmd_sweep(run: Runner) -> int:
     def hitting_cell(n: int, mu: float) -> list[dict]:
         g = TorusGraph(d=d, n=n)
         params = DynParams(p=p, mu=mu, horizon=50.0 * n * n / mu)
-        base = 0 if run.seed is None else run.seed
-        rng = np.random.default_rng(base + n)
-        A = _arc_target(g, rng)
+        A = _arc_target(g, np.random.default_rng(run.seed + n))
         rep = dist.hitting_time_stats(g, params, A, env_samples=samples,
-                                      seed=base + 1000 * n)
+                                      seed=run.seed + 1000 * n)
         worst = float(rep.annealed_means.max())
         cfg = dict(run.cfg, n=n, mu=mu)
         return [_base_row(cfg, statistic="hit_time_annealed_max", value=worst,
@@ -463,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="INI config file")
-        sp.add_argument("--seed", type=int, default=0, help="base RNG seed (u64)")
+        sp.add_argument("--seed", type=int, default=0, help="base RNG seed, in [0, 2^63)")
         sp.add_argument("--budget", type=float, default=None,
                         help="wall-clock cap in seconds; overruns are censored")
         sp.add_argument("--out", default="out", help="artifact directory")

@@ -1,16 +1,20 @@
 """Total variation / chi-square distances and mixing / hitting time statistics.
 
-Mixing times are reported on an explicit evaluation grid (default: block
-boundaries of the 1/mu discretization).  "Not mixed by horizon" is the
-explicit outcome ``NOT_MIXED`` (math.inf), propagated through statistics as
+Mixing times are reported on the block boundaries of the 1/mu
+discretization (`default_grid`).  "Not mixed by horizon" is the explicit
+outcome ``NOT_MIXED`` (math.inf), propagated through statistics as
 censoring, never a guess.
+
+Every environment ensemble, here and in `cli` and `dynenv`, is drawn by
+`sample_envs`, the one place the seed rule lives: the i-th environment of an
+ensemble with base seed s is drawn with seed s + i.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -27,12 +31,12 @@ CSV_COLUMNS = ("d", "n", "p", "mu", "eps", "env_seed", "x", "statistic",
                "value", "ci_lo", "ci_hi", "method", "censored_frac")
 
 
-def as_dist(a, tol: float = 1e-10) -> np.ndarray:
-    """Validate a nonnegative weight vector summing to 1."""
+def as_dist(a) -> np.ndarray:
+    """Validate a nonnegative weight vector summing to 1, up to 1e-10."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or not np.isfinite(a).all() or (a < -tol).any():
+    if a.ndim != 1 or not np.isfinite(a).all() or (a < -1e-10).any():
         raise InputError("distribution must be a finite nonnegative 1-d vector")
-    if abs(a.sum() - 1.0) > tol:
+    if abs(a.sum() - 1.0) > 1e-10:
         raise InputError(f"distribution sums to {a.sum()}, not 1")
     return a
 
@@ -58,16 +62,22 @@ def chi(a, b) -> float:
     return float(math.sqrt(np.sum(b[good] * (a[good] / b[good] - 1.0) ** 2)))
 
 
-def default_grid(params: DynParams, horizon: Optional[float] = None) -> np.ndarray:
+def default_grid(params: DynParams) -> np.ndarray:
     """Block boundaries of the 1/mu discretization up to the horizon."""
-    T = params.horizon if horizon is None else horizon
     step = 1.0 / params.mu
-    n = int(math.floor(T / step + 1e-9))
+    n = int(math.floor(params.horizon / step + 1e-9))
     return step * np.arange(1, n + 1)
 
 
-def quenched_mixing_time(env: EnvTrajectory, x: int, eps: float,
-                         grid: Optional[Sequence[float]] = None) -> float:
+def sample_envs(g: TorusGraph, params: DynParams, init: Union[str, Sequence[int]],
+                seed: Optional[int], count: int) -> Iterator[EnvTrajectory]:
+    """`count` environments, the i-th drawn by `sample_env` with seed
+    `seed + i` (unseeded when `seed` is None), one at a time."""
+    for i in range(count):
+        yield sample_env(g, params, init=init, seed=None if seed is None else seed + i)
+
+
+def quenched_mixing_time(env: EnvTrajectory, x: int, eps: float) -> float:
     """First grid time with TV(quenched law, uniform) <= eps, or NOT_MIXED.
 
     TV along the grid is checked to be nonincreasing (uniform is stationary
@@ -75,9 +85,7 @@ def quenched_mixing_time(env: EnvTrajectory, x: int, eps: float,
     """
     if eps >= 1.0:
         return 0.0
-    if grid is None:
-        grid = default_grid(env.params)
-    grid = np.asarray(grid, dtype=float)
+    grid = default_grid(env.params)
     tvs = walkmod.quenched_tv_curve(env, x, grid, stop_below=eps)
     seen = tvs[~np.isnan(tvs)]
     if len(seen) > 1 and np.any(np.diff(seen) > 1e-8):
@@ -97,8 +105,9 @@ class TailReport:
     times: np.ndarray
 
 
-def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for k successes in n trials (z = 1.96: 95%)."""
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for k successes in n trials."""
+    z = 1.96
     if n == 0:
         return (0.0, 1.0)
     phat = k / n
@@ -110,19 +119,14 @@ def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
 
 def quenched_tail(g: TorusGraph, params: DynParams, x: int, eps: float,
                   threshold: float, env_samples: int,
-                  seed: Optional[int] = None, init="all-closed",
-                  grid: Optional[Sequence[float]] = None) -> TailReport:
-    """Empirical P(t_mix(eps, x, eta) >= threshold) across sampled environments.
-
-    The worst-case initial environment (all-closed) is the default.
+                  seed: Optional[int] = None) -> TailReport:
+    """Empirical P(t_mix(eps, x, eta) >= threshold) across environments
+    started from the worst case, all edges closed.
     """
     if env_samples < 30:
         raise InputError("need >= 30 environment samples for a confidence interval")
-    times = np.empty(env_samples)
-    for i in range(env_samples):
-        env = sample_env(g, params, init=init,
-                         seed=None if seed is None else seed + i)
-        times[i] = quenched_mixing_time(env, x, eps, grid=grid)
+    times = np.array([quenched_mixing_time(env, x, eps) for env in
+                      sample_envs(g, params, "all-closed", seed, env_samples)])
     k = int(np.sum(times >= threshold))
     return TailReport(fraction=k / env_samples, ci=wilson_interval(k, env_samples),
                       threshold=threshold, n_envs=env_samples, times=times)
@@ -139,25 +143,21 @@ class AnnealedMixReport:
 
 
 def annealed_mixing_time(g: TorusGraph, params: DynParams, x: int, eps: float,
-                         env_samples: int, seed: Optional[int] = None,
-                         grid: Optional[Sequence[float]] = None,
-                         bootstrap: int = 200) -> AnnealedMixReport:
+                         env_samples: int,
+                         seed: Optional[int] = None) -> AnnealedMixReport:
     """First grid time where TV of the eta-averaged law to uniform is <= eps.
 
     Environments start stationary.  Convexity (annealed TV <= mean quenched TV)
-    is asserted per grid time.  The CI is a bootstrap over environment samples.
+    is asserted per grid time.  The CI is a 200-resample bootstrap over
+    environment samples.
     """
-    if grid is None:
-        grid = default_grid(params)
-    grid = np.asarray(grid, dtype=float)
+    grid = default_grid(params)
     if eps >= 1.0:
         return AnnealedMixReport(0.0, (0.0, 0.0), grid, np.empty(0), np.empty(0), env_samples)
     N = g.n_vertices
     uniform = np.full(N, 1.0 / N)
     laws = np.empty((env_samples, len(grid), N))
-    for i in range(env_samples):
-        env = sample_env(g, params, init="stationary",
-                         seed=None if seed is None else seed + i)
+    for i, env in enumerate(sample_envs(g, params, "stationary", seed, env_samples)):
         ev = walkmod._Evolver(env, 0.0)
         vec = np.zeros(N)
         vec[x] = 1.0
@@ -179,7 +179,7 @@ def annealed_mixing_time(g: TorusGraph, params: DynParams, x: int, eps: float,
     t_hat = first_time(laws)
     rng = np.random.default_rng(None if seed is None else seed + 10 ** 6)
     boots = [first_time(laws[rng.integers(env_samples, size=env_samples)])
-             for _ in range(bootstrap)]
+             for _ in range(200)]
     finite = [b for b in boots if math.isfinite(b)]
     if finite:
         ci = (float(np.percentile(finite, 2.5)), float(np.percentile(finite, 97.5)))
@@ -200,11 +200,10 @@ class HittingReport:
 
 
 def hitting_time_stats(g: TorusGraph, params: DynParams, A: np.ndarray,
-                       env_samples: int = 10, horizon: Optional[float] = None,
-                       seed: Optional[int] = None, init="stationary",
-                       allow_small: bool = False,
-                       envs: Optional[Sequence[EnvTrajectory]] = None) -> HittingReport:
-    """Quenched and annealed E[tau_A] estimates via exact absorbed evolution.
+                       env_samples: int = 10, seed: Optional[int] = None,
+                       init="stationary", allow_small: bool = False) -> HittingReport:
+    """Quenched and annealed E[min(tau_A, T)] estimates via exact absorbed
+    evolution up to the environment horizon T.
 
     A is a bool vertex mask.  For theorem-scope experiments |A| >= n^d / 2
     is required; pass `allow_small=True` to probe smaller targets.
@@ -215,16 +214,10 @@ def hitting_time_stats(g: TorusGraph, params: DynParams, A: np.ndarray,
         raise InputError("A must be nonempty")
     if not allow_small and 2 * size < g.n_vertices:
         raise InputError("|A| < n^d / 2; pass allow_small=True to override")
-    if horizon is None:
-        horizon = params.horizon
-    if envs is None:
-        envs = [sample_env(g, params, init=init,
-                           seed=None if seed is None else seed + i)
-                for i in range(env_samples)]
     q_means = []
     censored = []
-    for env in envs:
-        exp_t, cens = walkmod.exact_hitting_profile(env, A, horizon)
+    for env in sample_envs(g, params, init, seed, env_samples):
+        exp_t, cens = walkmod.exact_hitting_profile(env, A, params.horizon)
         q_means.append(exp_t)
         censored.append(cens)
     q_means = np.asarray(q_means)
@@ -233,61 +226,46 @@ def hitting_time_stats(g: TorusGraph, params: DynParams, A: np.ndarray,
     return HittingReport(quenched_means=q_means,
                          annealed_means=q_means.mean(axis=0),
                          censored_frac=censored_frac,
-                         horizon=horizon, usable=usable)
+                         horizon=params.horizon, usable=usable)
 
 
 @dataclass(frozen=True)
 class LowerBoundReport:
-    tvs: Optional[np.ndarray]             # TV at beta n^2 / mu per environment
-    tv_time: Optional[float]
-    isolated_frequency: Optional[float]
-    isolated_ci: Optional[tuple[float, float]]
+    tvs: np.ndarray                       # TV at beta n^2 / mu per environment
+    tv_time: float
+    isolated_frequency: float
+    isolated_ci: tuple[float, float]
     beta: float
     n_envs: int
 
 
 def quenched_lower_bound_experiment(g: TorusGraph, params: DynParams, beta: float,
-                                    env_samples: int, seed: Optional[int] = None,
-                                    x: int = 0,
-                                    run_tv: bool = True,
-                                    run_isolated: bool = True) -> LowerBoundReport:
+                                    env_samples: int,
+                                    seed: Optional[int] = None) -> LowerBoundReport:
     """Empirics behind the quenched lower bounds.
 
-    (i) distribution of TV(quenched law at beta n^2/mu, uniform) across
-    stationary environments; (ii) frequency of an isolated vertex on
-    [0, beta/mu].
+    (i) distribution of TV(quenched law from vertex 0 at beta n^2/mu,
+    uniform) across stationary environments; (ii) frequency of an isolated
+    vertex on [0, beta/mu].
     """
     from .dynenv import isolated_vertex_exists
 
-    tvs = None
-    t_eval = None
-    if run_tv:
-        t_eval = beta * g.n ** 2 / params.mu
-        if t_eval > params.horizon:
-            raise InputError("horizon too short for the TV evaluation time")
-        tvs = np.empty(env_samples)
-        uniform = np.full(g.n_vertices, 1.0 / g.n_vertices)
-        for i in range(env_samples):
-            env = sample_env(g, params, init="stationary",
-                             seed=None if seed is None else seed + i)
-            law = walkmod.exact_quenched_distribution(env, x, t_eval)
-            tvs[i] = tv(law, uniform)
-    freq = None
-    ci = None
-    if run_isolated:
-        L = beta / params.mu
-        if L > params.horizon:
-            raise InputError("horizon too short for the isolation interval")
-        hits = 0
-        for i in range(env_samples):
-            env = sample_env(g, params, init="stationary",
-                             seed=None if seed is None else 7 ** 5 + seed + i)
-            ok, _ = isolated_vertex_exists(env, L)
-            hits += ok
-        freq = hits / env_samples
-        ci = wilson_interval(hits, env_samples)
-    return LowerBoundReport(tvs=tvs, tv_time=t_eval, isolated_frequency=freq,
-                            isolated_ci=ci, beta=beta, n_envs=env_samples)
+    t_eval = beta * g.n ** 2 / params.mu
+    if t_eval > params.horizon:
+        raise InputError("horizon too short for the TV evaluation time")
+    L = beta / params.mu
+    if L > params.horizon:
+        raise InputError("horizon too short for the isolation interval")
+    uniform = np.full(g.n_vertices, 1.0 / g.n_vertices)
+    tvs = np.array([tv(walkmod.exact_quenched_distribution(env, 0, t_eval), uniform)
+                    for env in sample_envs(g, params, "stationary", seed, env_samples)])
+    iso_seed = None if seed is None else 7 ** 5 + seed
+    hits = sum(isolated_vertex_exists(env, L)[0]
+               for env in sample_envs(g, params, "stationary", iso_seed, env_samples))
+    return LowerBoundReport(tvs=tvs, tv_time=t_eval,
+                            isolated_frequency=hits / env_samples,
+                            isolated_ci=wilson_interval(hits, env_samples),
+                            beta=beta, n_envs=env_samples)
 
 
 def format_csv_rows(rows: Iterable[dict]) -> str:

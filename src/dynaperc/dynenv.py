@@ -382,30 +382,26 @@ class BinomialLemmaReport:
 
 
 def binomial_lemma_check(g: TorusGraph, params: DynParams, A: Sequence[int],
-                         sigma: float, interval: tuple[float, float] = (0.5, 1.0),
-                         trials: int = 200, seed: Optional[int] = None,
-                         init: Union[str, Sequence[int]] = "all-closed") -> BinomialLemmaReport:
-    """Monte Carlo check that #open-throughout edges of A >= |A|*sigma*mu often.
+                         sigma: float, trials: int = 200,
+                         seed: Optional[int] = None) -> BinomialLemmaReport:
+    """Monte Carlo check that #edges of A open throughout [a, b] = [1/2, 1]
+    is >= |A|*sigma*mu often, for environments started all closed.
 
     Also reports the analytic worst-case (all-closed start) Binomial tail with
     per-edge success probability p(1 - e^(-mu a)) e^(-(1-p) mu (b-a)).
     """
     from scipy import stats
 
-    from .dist import wilson_interval
+    from .dist import sample_envs, wilson_interval
 
     if trials < 1:
         raise InputError("trials must be >= 1")
-    a, b = interval
+    a, b = 0.5, 1.0
     A = list(A)
     threshold = len(A) * sigma * params.mu
     k_threshold = math.ceil(threshold - 1e-12)
-    hits = 0
-    for i in range(trials):
-        sub_seed = None if seed is None else seed + i
-        env = sample_env(g, params, init=init, seed=sub_seed)
-        if count_open_throughout(env, A, a, b) >= k_threshold:
-            hits += 1
+    hits = sum(count_open_throughout(env, A, a, b) >= k_threshold
+               for env in sample_envs(g, params, "all-closed", seed, trials))
     q = open_throughout_prob_from_closed(params.p, params.mu, a, b)
     analytic = float(stats.binom.sf(k_threshold - 1, len(A), q))
     return BinomialLemmaReport(

@@ -24,7 +24,7 @@ import numpy as np
 from . import evoset
 from .dist import wilson_interval
 from .errors import CapabilityError, InputError
-from .expansion import ExpansionProfile, integral_mixing_bound, profile_phi_env
+from .expansion import integral_mixing_bound, profile_phi_env
 
 # Exact environment-path enumeration caps |E|^n at this.
 PATH_ENUM_MAX = 10 ** 6
@@ -40,25 +40,13 @@ class FiniteEnvChain:
 
     def __post_init__(self):
         R = np.asarray(self.R, dtype=float)
-        pi = np.asarray(self.pi, dtype=float)
-        ks = tuple(np.asarray(K, dtype=float) for K in self.kernels)
-        if R.ndim != 2 or R.shape[0] != R.shape[1]:
-            raise InputError("R must be square")
-        if not all(np.isfinite(a).all() for a in (R, pi) + ks):
-            raise InputError("R, kernels and pi must be finite")
+        if R.ndim != 2 or R.shape[0] != R.shape[1] or not np.isfinite(R).all():
+            raise InputError("R must be a finite square matrix")
+        pi, ks = evoset.check_chain(self.pi, self.kernels)
         if len(ks) != R.shape[0]:
             raise InputError("need one kernel per environment state")
         if np.abs(R.sum(axis=1) - 1.0).max() > 1e-12 or (R < -1e-15).any():
             raise InputError("R rows must be nonnegative and sum to 1")
-        if pi.ndim != 1 or (pi <= 0).any() or abs(pi.sum() - 1.0) > 1e-10:
-            raise InputError("pi must be strictly positive with full support")
-        for K in ks:
-            if K.shape != (len(pi), len(pi)):
-                raise InputError("kernel shape mismatch")
-            if np.abs(K.sum(axis=1) - 1.0).max() > 1e-12:
-                raise InputError("kernel rows must sum to 1")
-            if np.abs(pi @ K - pi).max() > 1e-12:
-                raise InputError("pi must be stationary for every kernel")
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "kernels", ks)
         object.__setattr__(self, "pi", pi)
@@ -150,17 +138,6 @@ def variant_chain(chain: FiniteEnvChain) -> FiniteEnvChain:
     return FiniteEnvChain(R=R2, kernels=tuple(kernels), pi=chain.pi)
 
 
-def effective_kernels(chain: FiniteEnvChain) -> tuple[np.ndarray, ...]:
-    """Half-lazy kernels (p_zeta + I)/2 of the laziness-coupled dynamics."""
-    eye = np.eye(chain.n_states)
-    return tuple(0.5 * (K + eye) for K in chain.kernels)
-
-
-def effective_gamma(chain: FiniteEnvChain) -> float:
-    """gamma' = (1 + gamma)/2, the diagonal floor of the effective kernels."""
-    return 0.5 * (1.0 + chain.gamma)
-
-
 def sample_env_path(chain: FiniteEnvChain, zeta0: int, steps: int,
                     rng: np.random.Generator) -> np.ndarray:
     path = np.empty(steps, dtype=np.int64)
@@ -194,13 +171,6 @@ def _doob_z_certificates(chain: FiniteEnvChain, x: int, n: int) -> np.ndarray:
     for _ in range(n):
         expect = np.bincount(rows, weights=vals * expect[cols], minlength=len(expect))
     return expect[M * np.arange(E)]  # start zeta0 is pair (start, zeta0)
-
-
-def _doob_z_joint_expectation(chain: FiniteEnvChain, x: int, zeta0: int,
-                              n: int) -> float:
-    """E over env paths from zeta0 of E-hat[Z_n] for the Doob set process
-    started at {x}."""
-    return float(_doob_z_certificates(chain, x, n)[zeta0])
 
 
 def _enumerate_tail(chain: FiniteEnvChain, x: int, zeta0: int, n: int,
@@ -264,11 +234,12 @@ class Theorem21Report:
 
 def theorem_2_1_check(chain: FiniteEnvChain, x: int, eps: float,
                       mode: str = "certificate",
-                      gamma: Optional[float] = None,
-                      profile: Optional[ExpansionProfile] = None,
                       mc_paths: int = 10 ** 4,
                       seed: Optional[int] = None) -> Theorem21Report:
     """Verify P_zeta(chi(quenched law at n, pi) >= eps^(1/4)) <= eps^(1/4).
+
+    The step count n comes from the integral mixing bound on the chain's
+    exact environment profile, with gamma = min(chain.gamma, 1/2).
 
     Modes:
       certificate - exact joint Doob propagation; E-hat[Z_n] <= sqrt(eps)
@@ -278,12 +249,11 @@ def theorem_2_1_check(chain: FiniteEnvChain, x: int, eps: float,
       mc          - Monte Carlo tail over >= mc_paths environment paths.
     """
     evoset.start_mask(x, chain.n_states)
-    g = chain.gamma if gamma is None else gamma
-    if g <= 0.0:
+    gamma = chain.gamma
+    if gamma <= 0.0:
         raise InputError("theorem inapplicable: some kernel has a zero diagonal")
-    g_used = min(g, 0.5)
-    if profile is None:
-        profile = profile_phi_env(chain.R, chain.kernels, chain.pi)
+    g_used = min(gamma, 0.5)
+    profile = profile_phi_env(chain.R, chain.kernels, chain.pi)
     n = integral_mixing_bound(profile, g_used, float(chain.pi[x]), eps)
     threshold = eps ** 0.25
     E = chain.n_env

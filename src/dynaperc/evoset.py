@@ -33,6 +33,30 @@ SET_LAW_MAX_STATES = 14
 PRUNE_EPS = 1e-15
 
 
+def check_chain(pi, kernels) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Validate walk kernels sharing a stationary pi; return them as float arrays.
+
+    pi must be a finite distribution with full support, and each kernel a
+    finite N x N matrix (N = len(pi)) whose rows sum to 1 and which leaves pi
+    stationary.  NaN fails every comparison, so finiteness is tested first.
+    """
+    pi = np.asarray(pi, dtype=float)
+    if (pi.ndim != 1 or not np.isfinite(pi).all() or (pi <= 0).any()
+            or abs(pi.sum() - 1.0) > 1e-10):
+        raise InputError("pi must be a finite, strictly positive distribution")
+    ks = tuple(np.asarray(K, dtype=float) for K in kernels)
+    for K in ks:
+        if K.shape != (len(pi), len(pi)):
+            raise InputError("kernel shape mismatch")
+        if not np.isfinite(K).all():
+            raise InputError("kernels must be finite")
+        if np.abs(K.sum(axis=1) - 1.0).max() > 1e-12:
+            raise InputError("kernel rows must sum to 1")
+        if np.abs(pi @ K - pi).max() > 1e-12:
+            raise InputError("pi is not stationary for some kernel")
+    return pi, ks
+
+
 @dataclass(frozen=True)
 class InhomChain:
     """A fixed kernel sequence sharing one full-support stationary pi."""
@@ -41,17 +65,7 @@ class InhomChain:
     kernels: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        pi = np.asarray(self.pi, dtype=float)
-        if pi.ndim != 1 or (pi <= 0).any() or abs(pi.sum() - 1.0) > 1e-10:
-            raise InputError("pi must be a strictly positive distribution")
-        ks = tuple(np.asarray(K, dtype=float) for K in self.kernels)
-        for K in ks:
-            if K.shape != (len(pi), len(pi)):
-                raise InputError("kernel shape mismatch")
-            if np.abs(K.sum(axis=1) - 1.0).max() > 1e-12:
-                raise InputError("kernel rows must sum to 1")
-            if np.abs(pi @ K - pi).max() > 1e-12:
-                raise InputError("pi is not stationary for some kernel")
+        pi, ks = check_chain(self.pi, self.kernels)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "kernels", ks)
 
@@ -371,17 +385,15 @@ class ZBoundReport:
     pruned_mass: float
 
 
-def doob_z_bound_check(chain: InhomChain, x: int, k: Optional[int] = None,
+def doob_z_bound_check(chain: InhomChain, x: int,
                        eps: Optional[float] = None) -> ZBoundReport:
-    """Exact Doob propagation from {x}: checks chi(law of X_j, pi) <= E-hat[Z_j]
-    per step, and E-hat[Z_n] <= sqrt(eps) at the psi-integral step count."""
+    """Exact Doob propagation from {x} over the whole kernel sequence: checks
+    chi(law of X_j, pi) <= E-hat[Z_j] per step, and E-hat[Z_n] <= sqrt(eps)
+    at the psi-integral step count."""
     pi = chain.pi
     s0 = start_mask(x, chain.n_states)
-    if k is None:
-        k = len(chain.kernels)
-    if k > len(chain.kernels):
-        raise InputError("k exceeds the kernel sequence length")
-    laws, pruned = propagate_set_law(chain.kernels[:k], pi, s0, doob=True)
+    k = len(chain.kernels)
+    laws, pruned = propagate_set_law(chain.kernels, pi, s0, doob=True)
     z_of = {mask: z_statistic(mask, pi) for mask in set().union(*laws)}
     z_exp = np.array([sum(p * z_of[mask] for mask, p in law.items()) for law in laws])
     chis = np.empty(k + 1)

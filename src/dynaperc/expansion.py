@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -252,15 +252,9 @@ def profile_phi_kernels(kernels: Sequence[np.ndarray], pi: np.ndarray) -> Expans
         pi, lambda bits, mass: _phi_table(bits, mass, kernels, pi).min(axis=1))
 
 
-def profile_family(masses: Sequence[float], phis: Sequence[float],
-                   pi_star: float) -> ExpansionProfile:
-    """Upper envelope over a documented candidate family; diagnostics only."""
-    return profile_from_values(masses, phis, "family-restricted", pi_star)
-
-
-def torus_analytic_profile(d: int, n: int, mu: float, c: float,
-                           knots_per_decade: int = 16) -> ExpansionProfile:
-    """Discretized analytic lower-bound profile r -> c mu^2 / (n r^(1/d)).
+def torus_analytic_profile(d: int, n: int, mu: float, c: float) -> ExpansionProfile:
+    """Discretized analytic lower-bound profile r -> c mu^2 / (n r^(1/d)),
+    on 16 log-spaced knots per decade of mass.
 
     The unit-block environment averaging contributes one factor of mu through
     the binomial open-edge bound and one through its probability, hence mu^2.
@@ -269,7 +263,7 @@ def torus_analytic_profile(d: int, n: int, mu: float, c: float,
     """
     pi_star = 1.0 / n ** d
     lo = math.log10(pi_star)
-    count = max(2, int(-lo * knots_per_decade) + 1)
+    count = max(2, int(-lo * 16) + 1)
     knots = np.logspace(lo, math.log10(0.5), count)
     knots[0] = pi_star
     knots[-1] = 0.5
@@ -323,8 +317,8 @@ class PhiLowerBoundRecord:
     vacuous: bool
 
 
-def torus_phi_lower_bound_check(env, S, interval: Optional[tuple[float, float]] = None,
-                                laziness: str = "plain") -> PhiLowerBoundRecord:
+def torus_phi_lower_bound_check(env, S, interval: Optional[tuple[float, float]] = None
+                                ) -> PhiLowerBoundRecord:
     """Measure phi of a window kernel against the boundary-opening fraction.
 
     beta is the fraction of boundary edges open throughout the second half of
@@ -346,7 +340,7 @@ def torus_phi_lower_bound_check(env, S, interval: Optional[tuple[float, float]] 
     boundary = edge_boundary(g, S)
     open_cnt = count_open_throughout(env, boundary, (a + b) / 2.0, b)
     beta = open_cnt / len(boundary)
-    K = window_kernel(env, (a, b), laziness=laziness)
+    K = window_kernel(env, (a, b))
     pi = np.full(g.n_vertices, 1.0 / g.n_vertices)
     phi = expansion_phi(K.matrix, pi, S)
     if beta == 0.0:

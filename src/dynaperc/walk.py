@@ -17,12 +17,17 @@ the target are skipped, and the series also adds up the time each row spends
 off the target.  An evolver counts the series it ran (`segments`), their
 matrix products (`terms`), and the truncation mass actually dropped
 (`dropped`) beside the allowance it handed out (`spent`).
+
+Every exact entry point builds an `_Evolver`, whose constructor holds the one
+size check: more than `EXACT_STATE_BUDGET` states raise `CapabilityError`
+before any matrix is allocated.  Kernels are those of the plain walk; there
+is no half-lazy option.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,7 +37,7 @@ from .errors import CapabilityError, HorizonError, InputError
 from .expansion import as_mask
 from .torus import TorusGraph
 
-# Exact evolution refuses state spaces larger than this by default.
+# Exact evolution refuses state spaces larger than this (`_Evolver` checks).
 EXACT_STATE_BUDGET = 4096
 # Uniformization segments longer than this are split to avoid exp underflow.
 _MAX_SEGMENT = 32.0
@@ -59,11 +64,6 @@ class WalkKernel:
 
     window: tuple[float, float]
     matrix: np.ndarray
-    laziness: str = "plain"  # "plain" | "half-lazy"
-
-    def __post_init__(self):
-        if self.laziness not in ("plain", "half-lazy"):
-            raise InputError(f"unknown laziness tag {self.laziness!r}")
 
     @property
     def n_states(self) -> int:
@@ -232,6 +232,10 @@ class _Evolver:
     def __init__(self, env: EnvTrajectory, t0: float, tol_total: float = 1e-10,
                  absorbing: Optional[np.ndarray] = None):
         g = env.graph
+        if g.n_vertices > EXACT_STATE_BUDGET:
+            raise CapabilityError(
+                f"{g.n_vertices} states exceeds the exact-mode budget "
+                f"{EXACT_STATE_BUDGET}; use the Monte Carlo estimators")
         self.env = env
         self.t = t0
         self.absorbing = absorbing
@@ -311,22 +315,13 @@ class _Evolver:
         return mat
 
 
-def _check_budget(g: TorusGraph, budget: int) -> None:
-    if g.n_vertices > budget:
-        raise CapabilityError(
-            f"{g.n_vertices} states exceeds the exact-mode budget {budget}; "
-            "use the Monte Carlo estimators")
-
-
 def exact_quenched_distribution(env: EnvTrajectory, x0: int, t: float,
-                                tol: float = 1e-10,
-                                budget: int = EXACT_STATE_BUDGET) -> np.ndarray:
+                                tol: float = 1e-10) -> np.ndarray:
     """The quenched law of the walk at time t, exact up to `tol` total variation."""
     g = env.graph
     g._check_vertex(x0)
     if t > env.horizon:
         raise HorizonError("past horizon")
-    _check_budget(g, budget)
     vec = np.zeros(g.n_vertices)
     vec[x0] = 1.0
     ev = _Evolver(env, 0.0, tol)
@@ -335,24 +330,18 @@ def exact_quenched_distribution(env: EnvTrajectory, x0: int, t: float,
 
 
 def window_kernel(env: EnvTrajectory, window: tuple[float, float],
-                  laziness: str = "plain", tol: float = 1e-10,
-                  budget: int = EXACT_STATE_BUDGET) -> WalkKernel:
+                  tol: float = 1e-10) -> WalkKernel:
     """Exact stochastic matrix of the walk across [a, b] of the environment."""
     a, b = window
     if not 0 <= a <= b <= env.horizon:
         raise HorizonError(f"window {window} outside [0, {env.horizon}]")
-    g = env.graph
-    _check_budget(g, budget)
     ev = _Evolver(env, a, tol)
-    K = ev.advance(np.eye(g.n_vertices), b)
-    if laziness == "half-lazy":
-        K = 0.5 * (K + np.eye(g.n_vertices))
-    return WalkKernel(window=(a, b), matrix=K, laziness=laziness)
+    K = ev.advance(np.eye(env.graph.n_vertices), b)
+    return WalkKernel(window=(a, b), matrix=K)
 
 
 def block_chain(env: EnvTrajectory, block_length: float,
-                laziness: str = "plain", tol: float = 1e-10,
-                budget: int = EXACT_STATE_BUDGET) -> list[WalkKernel]:
+                tol: float = 1e-10) -> list[WalkKernel]:
     """Kernels of consecutive blocks [0, L], [L, 2L], ... up to the horizon.
 
     A horizon that is not a multiple of the block length is truncated (the
@@ -360,21 +349,18 @@ def block_chain(env: EnvTrajectory, block_length: float,
     """
     if block_length <= 0:
         raise InputError("block length must be positive")
-    g = env.graph
-    _check_budget(g, budget)
     n_blocks = int(math.floor(env.horizon / block_length + 1e-9))
     kernels = []
     for k in range(n_blocks):
         a = k * block_length
         b = min((k + 1) * block_length, env.horizon)
-        kernels.append(window_kernel(env, (a, b), laziness=laziness, tol=tol,
-                                     budget=budget))
+        kernels.append(window_kernel(env, (a, b), tol=tol))
     return kernels
 
 
 def quenched_tv_curve(env: EnvTrajectory, x0: int, grid: Sequence[float],
-                      tol: float = 1e-10, stop_below: Optional[float] = None,
-                      budget: int = EXACT_STATE_BUDGET) -> np.ndarray:
+                      tol: float = 1e-10,
+                      stop_below: Optional[float] = None) -> np.ndarray:
     """TV distance to uniform at each grid time, evolving incrementally.
 
     With `stop_below`, evolution stops at the first grid time whose TV is at or
@@ -382,7 +368,6 @@ def quenched_tv_curve(env: EnvTrajectory, x0: int, grid: Sequence[float],
     """
     g = env.graph
     g._check_vertex(x0)
-    _check_budget(g, budget)
     grid = np.asarray(grid, dtype=float)
     if len(grid) and grid[-1] > env.horizon:
         raise HorizonError("grid reaches past horizon")
@@ -401,8 +386,8 @@ def quenched_tv_curve(env: EnvTrajectory, x0: int, grid: Sequence[float],
 
 
 def exact_hitting_profile(env: EnvTrajectory, A_mask: np.ndarray,
-                          horizon: float, tol: float = 1e-10,
-                          budget: int = EXACT_STATE_BUDGET) -> tuple[np.ndarray, np.ndarray]:
+                          horizon: float,
+                          tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Quenched expected hitting times of A from every start, by absorbed evolution.
 
     Returns (expected_times, censored_mass): for each start x, the accumulated
@@ -410,7 +395,6 @@ def exact_hitting_profile(env: EnvTrajectory, A_mask: np.ndarray,
     x in A both are (0, 0).
     """
     g = env.graph
-    _check_budget(g, budget)
     if horizon > env.horizon:
         raise HorizonError("past horizon")
     A_mask = as_mask(A_mask, g.n_vertices)

@@ -100,6 +100,15 @@ def test_bad_config_value_exits_2(tmp_path, subcommand, line):
                                      "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 63], ids=["-1", "2**63"])
+def test_bad_seed_exits_2(tmp_path, seed):
+    # environment dumps store the seed as an int64; no cell may run first
+    for subcommand in ("env-sim", "hit"):
+        out = tmp_path / subcommand
+        assert run([subcommand, "--seed", str(seed), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 def test_walk_replay_check_survives_optimize(tmp_path):
     # python -O strips asserts; an illegal replay must still fail the cell
     out = tmp_path / "o"

@@ -170,7 +170,7 @@ def test_integral_mixing_bound_gates():
     assert n == math.ceil(expect - 1e-9)
     with pytest.raises(InputError):
         X.integral_mixing_bound(prof, gamma=0.7, pi_x=0.25, eps=0.1)
-    diag = X.profile_family([0.25, 0.5], [0.5, 0.25], 0.25)
+    diag = X.profile_from_values([0.25, 0.5], [0.5, 0.25], "family-restricted", 0.25)
     with pytest.raises(UncertifiedProfileError):
         X.integral_mixing_bound(diag, gamma=0.5, pi_x=0.25, eps=0.1)
 

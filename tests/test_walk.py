@@ -8,7 +8,8 @@ from scipy.linalg import expm
 from dynaperc.dynenv import DynParams, EdgeTrajectory, EnvTrajectory, sample_env
 from dynaperc.errors import CapabilityError, HorizonError, InputError
 from dynaperc.torus import TorusGraph
-from dynaperc.walk import (_MAX_SEGMENT, WalkKernel, _Evolver, block_chain,
+from dynaperc import dist, walk
+from dynaperc.walk import (_MAX_SEGMENT, _Evolver, block_chain,
                            exact_hitting_profile, exact_quenched_distribution,
                            replay_is_legal, simulate_positions, simulate_walk,
                            step_matrix, window_kernel, quenched_tv_curve)
@@ -91,15 +92,6 @@ def test_window_kernel_composes():
     assert np.abs(K1 @ K2 - K12).max() < 1e-9
 
 
-def test_half_lazy_kernel():
-    env = _env(seed=2)
-    plain = window_kernel(env, (0.0, 4.0)).matrix
-    lazy = window_kernel(env, (0.0, 4.0), laziness="half-lazy").matrix
-    assert np.allclose(lazy, 0.5 * (plain + np.eye(6)))
-    with pytest.raises(InputError):
-        WalkKernel(window=(0.0, 1.0), matrix=plain, laziness="bogus")
-
-
 def test_unit_window_diagonal_floor():
     # within one time unit the walker attempts no jump with probability 1/e
     for seed in range(5):
@@ -135,6 +127,32 @@ def test_exact_budget():
     env = sample_env(g, DynParams(p=0.5, mu=0.25, horizon=1.0), seed=0)
     with pytest.raises(CapabilityError):
         exact_quenched_distribution(env, 0, 0.5)
+
+
+_EXACT_ENTRY_POINTS = {
+    "exact_quenched_distribution": lambda env: exact_quenched_distribution(env, 0, 4.0),
+    "window_kernel": lambda env: window_kernel(env, (0.0, 4.0)),
+    "block_chain": lambda env: block_chain(env, 4.0),
+    "quenched_tv_curve": lambda env: quenched_tv_curve(env, 0, [4.0, 8.0]),
+    "exact_hitting_profile": lambda env: exact_hitting_profile(env, np.arange(16) < 8, 8.0),
+    "annealed_mixing_time": lambda env: dist.annealed_mixing_time(
+        env.graph, env.params, 0, 0.25, 2, seed=0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_EXACT_ENTRY_POINTS))
+def test_every_exact_entry_point_checks_the_size(entry, monkeypatch):
+    # the limit is read when the evolver is built, before any matrix exists
+    env = _env(n=16, horizon=8.0)
+    monkeypatch.setattr(walk, "EXACT_STATE_BUDGET", 8)
+
+    def no_evolution(*args):
+        raise AssertionError("evolution started past the size limit")
+
+    monkeypatch.setattr(walk, "step_matrix", no_evolution)
+    monkeypatch.setattr(walk, "_apply_uniformized", no_evolution)
+    with pytest.raises(CapabilityError):
+        _EXACT_ENTRY_POINTS[entry](env)
 
 
 def test_hitting_profile_static_triangle():
