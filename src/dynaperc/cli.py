@@ -2,14 +2,17 @@
 
 Every run is driven by an INI config plus flags, emits CSV rows against the
 shared result schema, and records a JSON-lines manifest with the config hash
-and per-cell status.  Re-running with an identical config and seed reproduces
-the CSV byte for byte and replaces that config hash's manifest records.
+and per-cell status.  Each config value is parsed once, by its `FIELDS`
+entry, and each command builds its tori before its first cell, so bad input
+runs no cell.  Re-running with an identical config and seed reproduces the
+CSV byte for byte and replaces that config hash's manifest records.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import math
@@ -27,59 +30,91 @@ from .dynenv import DynParams, sample_env
 from .errors import InputError
 from .torus import TorusGraph
 
-DEFAULTS = {
-    "d": "1", "n": "8", "p": "0.5", "mu": "0.25", "eps": "0.25",
-    "horizon": "", "x": "0", "env_samples": "30", "beta": "0.1",
-    "scenario": "", "init": "stationary", "sigma": "1.0",
-    "n_grid": "8,16,32", "mu_grid": "0.5,0.125", "profile": "",
+
+def _positive(kind: type) -> Callable[[str], object]:
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise ValueError("must be > 0")
+        return value
+    return parse
+
+
+def _list(parse: Callable[[str], object]) -> Callable[[str], tuple]:
+    return lambda text: tuple(parse(t) for t in text.split(",") if t)
+
+
+def _init(text: str) -> str:
+    if text not in ("stationary", "all-closed", "all-open"):
+        raise ValueError("choose from stationary, all-closed, all-open")
+    return text
+
+
+# every config key: its parser (a ValueError is bad input) and its default text
+FIELDS: dict[str, tuple[Callable[[str], object], str]] = {
+    "d": (int, "1"), "n": (int, "8"), "p": (float, "0.5"),
+    "mu": (_positive(float), "0.25"), "eps": (float, "0.25"),
+    "horizon": (lambda text: float(text) if text else None, ""),
+    "x": (int, "0"), "env_samples": (_positive(int), "30"),
+    "scenario": (str, ""), "init": (_init, "stationary"),
+    "n_grid": (_list(int), "8,16,32"), "mu_grid": (_list(_positive(float)), "0.5,0.125"),
+    "profile": (str, ""),
 }
 
 
-def _load_config(path: Optional[str], overrides: dict) -> dict:
-    cfg = dict(DEFAULTS)
+def _load_config(path: Optional[str], overrides: dict) -> tuple[dict, dict]:
+    """The config as written (texts, which the hash covers) and as parsed."""
+    texts = {key: default for key, (_, default) in FIELDS.items()}
     if path:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise InputError(f"config file not found: {path}")
-        for section in parser.sections():
-            cfg.update(parser[section])
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
-    return cfg
+        try:
+            if not parser.read(path):
+                raise InputError(f"config file not found: {path}")
+            for section in parser.values():  # [DEFAULT] first, then the rest
+                texts.update(section)
+        except configparser.Error as exc:
+            raise InputError(f"config file {path}: {exc}") from None
+    texts.update({k: v for k, v in overrides.items() if v is not None})
+    values = {}
+    for key, text in texts.items():
+        if key not in FIELDS:
+            raise InputError(f"unknown config key {key!r}; choose from {sorted(FIELDS)}")
+        try:
+            values[key] = FIELDS[key][0](text)
+        except ValueError as exc:
+            raise InputError(f"config value {key} = {text!r} is not valid: {exc}") from None
+    return texts, values
 
 
-def _config_hash(cfg: dict, subcommand: str, seed: int) -> str:
+def _config_hash(texts: dict, subcommand: str, seed: int) -> str:
     blob = json.dumps({"cmd": subcommand, "seed": seed,
-                       "cfg": dict(sorted(cfg.items()))}, sort_keys=True)
+                       "cfg": dict(sorted(texts.items()))}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _num(key: str, text: str, kind: type = float):
-    """A config value read as `kind` (int or float); malformed text is an InputError."""
-    try:
-        return kind(text)
-    except ValueError:
-        raise InputError(f"config value {key} = {text!r} is not a valid "
-                         f"{kind.__name__}") from None
-
-
 def _params(cfg: dict) -> tuple[TorusGraph, DynParams]:
-    d, n = _num("d", cfg["d"], int), _num("n", cfg["n"], int)
-    p, mu = _num("p", cfg["p"]), _num("mu", cfg["mu"])
-    horizon = _num("horizon", cfg["horizon"]) if cfg["horizon"] else 20.0 * n * n / mu
-    g = TorusGraph(d=d, n=n)
-    return g, DynParams(p=p, mu=mu, horizon=horizon)
+    n, mu, horizon = cfg["n"], cfg["mu"], cfg["horizon"]
+    g = TorusGraph(d=cfg["d"], n=n)
+    g._check_vertex(cfg["x"])
+    horizon = 20.0 * n * n / mu if horizon is None else horizon
+    return g, DynParams(p=cfg["p"], mu=mu, horizon=horizon)
 
 
 def _base_row(cfg: dict, **kw) -> dict:
-    row = {"d": _num("d", cfg["d"], int), "n": _num("n", cfg["n"], int),
-           "p": _num("p", cfg["p"]), "mu": _num("mu", cfg["mu"]),
-           "eps": _num("eps", cfg["eps"]),
-           "env_seed": None, "x": _num("x", cfg["x"], int), "statistic": "",
+    row = {"d": cfg["d"], "n": cfg["n"], "p": cfg["p"], "mu": cfg["mu"],
+           "eps": cfg["eps"], "env_seed": None, "x": cfg["x"], "statistic": "",
            "value": None, "ci_lo": None, "ci_hi": None,
            "method": "exact", "censored_frac": 0.0}
     row.update(kw)
     return row
+
+
+def _median_row(cfg: dict, times: list[float], **kw) -> dict:
+    """The median of the finite quenched mixing times; the rest are censored."""
+    finite = [t for t in times if math.isfinite(t)]
+    med = float(np.median(finite)) if finite else dist.NOT_MIXED
+    return _base_row(cfg, statistic="t_mix_quenched_median", value=med,
+                     censored_frac=1.0 - len(finite) / len(times), **kw)
 
 
 def _record_hash(line: str) -> Optional[str]:
@@ -97,14 +132,11 @@ class Runner:
         # environment dumps store the seed as an int64
         if not 0 <= args.seed < 2 ** 63:
             raise InputError(f"seed {args.seed} is outside [0, 2^63)")
-        self.args = args
-        self.cfg = _load_config(args.config, {
-            k: getattr(args, k, None) for k in ("scenario",)})
+        texts, self.cfg = _load_config(args.config, {"scenario": args.scenario})
+        self.hash = _config_hash(texts, args.subcommand, args.seed)
         self.seed = args.seed
         self.out = Path(args.out)
         self.out.mkdir(parents=True, exist_ok=True)
-        self.hash = _config_hash(self.cfg, args.subcommand, args.seed)
-        _base_row(self.cfg)  # a malformed row field fails here, before any cell
         self.budget = args.budget
         self.t0 = time.monotonic()
         self.cells: list[dict] = []
@@ -177,12 +209,11 @@ def cmd_env_sim(run: Runner) -> int:
 
 def cmd_walk_sim(run: Runner) -> int:
     g, params = _params(run.cfg)
-    x = _num("x", run.cfg["x"], int)
 
     def body():
         env = sample_env(g, params, init=run.cfg["init"], seed=run.seed)
         horizon = min(params.horizon, 10.0 / params.mu)
-        path = walkmod.simulate_walk(env, x, horizon, seed=run.seed + 1)
+        path = walkmod.simulate_walk(env, run.cfg["x"], horizon, seed=run.seed + 1)
         lines = [f"# dynaperc-walk-v1 start={path.start} horizon={horizon!r}"]
         lines += [f"{t!r} {v}" for t, v in zip(path.jump_times, path.jump_targets)]
         (run.out / "walk.txt").write_text("\n".join(lines) + "\n")
@@ -197,22 +228,16 @@ def cmd_walk_sim(run: Runner) -> int:
 
 def cmd_mix(run: Runner) -> int:
     g, params = _params(run.cfg)
-    eps = _num("eps", run.cfg["eps"])
-    x = _num("x", run.cfg["x"], int)
-    samples = _num("env_samples", run.cfg["env_samples"], int)
+    eps, x, samples = run.cfg["eps"], run.cfg["x"], run.cfg["env_samples"]
 
     def quenched():
-        rows = []
-        times = []
+        rows, times = [], []
         for env in dist.sample_envs(g, params, run.cfg["init"], run.seed, samples):
             t = dist.quenched_mixing_time(env, x, eps)
             times.append(t)
             rows.append(_base_row(run.cfg, env_seed=env.seed, statistic="t_mix_quenched",
                                   value=t, censored_frac=float(not math.isfinite(t))))
-        finite = [t for t in times if math.isfinite(t)]
-        med = float(np.median(finite)) if finite else dist.NOT_MIXED
-        rows.append(_base_row(run.cfg, statistic="t_mix_quenched_median", value=med,
-                              censored_frac=1.0 - len(finite) / max(len(times), 1)))
+        rows.append(_median_row(run.cfg, times))
         return rows
 
     def annealed():
@@ -236,12 +261,11 @@ def _arc_target(g: TorusGraph, rng: np.random.Generator) -> np.ndarray:
 
 def cmd_hit(run: Runner) -> int:
     g, params = _params(run.cfg)
-    samples = _num("env_samples", run.cfg["env_samples"], int)
 
     def body():
         rng = np.random.default_rng(run.seed)
         A = _arc_target(g, rng)
-        rep = dist.hitting_time_stats(g, params, A, env_samples=samples,
+        rep = dist.hitting_time_stats(g, params, A, env_samples=run.cfg["env_samples"],
                                       seed=run.seed)
         worst = int(np.argmax(rep.annealed_means))
         return [_base_row(run.cfg, x=worst, statistic="hit_time_annealed_max",
@@ -253,7 +277,7 @@ def cmd_hit(run: Runner) -> int:
 
 
 def cmd_evoset(run: Runner) -> int:
-    eps = _num("eps", run.cfg["eps"])
+    eps = run.cfg["eps"]
 
     def body():
         rng = np.random.default_rng(run.seed)
@@ -292,7 +316,7 @@ def _random_chain(rng: np.random.Generator, n_states: int, n_kernels: int):
 
 def cmd_expansion(run: Runner) -> int:
     g, params = _params(run.cfg)
-    samples = _num("env_samples", run.cfg["env_samples"], int)
+    samples = run.cfg["env_samples"]
 
     def body():
         half = np.arange(g.n_vertices) < g.n_vertices // 2
@@ -302,11 +326,12 @@ def cmd_expansion(run: Runner) -> int:
             if rec.ratio is not None:
                 ratios.append(rec.ratio)
         c = float(min(ratios)) if ratios else 0.0
-        kernels = [walkmod.window_kernel(env, (0.0, 1.0 / params.mu)).matrix
-                   for env in dist.sample_envs(g, params, "stationary",
-                                               10 ** 4 + run.seed, min(samples, 8))]
         if g.n_vertices <= 12:
-            prof = expansion.profile_phi_kernels(kernels, np.full(g.n_vertices, 1.0 / g.n_vertices))
+            kernels = [walkmod.window_kernel(env, (0.0, 1.0 / params.mu)).matrix
+                       for env in dist.sample_envs(g, params, "stationary",
+                                                   10 ** 4 + run.seed, min(samples, 8))]
+            prof = expansion.profile_phi_kernels(
+                kernels, np.full(g.n_vertices, 1.0 / g.n_vertices))
             (run.out / "profile.txt").write_text(prof.serialize())
         return [_base_row(run.cfg, statistic="phi_lower_bound_witness_c", value=c)]
 
@@ -316,7 +341,6 @@ def cmd_expansion(run: Runner) -> int:
 
 def cmd_bound(run: Runner) -> int:
     g, params = _params(run.cfg)
-    eps = _num("eps", run.cfg["eps"])
 
     def body():
         if run.cfg["profile"]:
@@ -325,7 +349,7 @@ def cmd_bound(run: Runner) -> int:
         else:
             prof = expansion.torus_analytic_profile(g.d, g.n, params.mu, c=0.1)
         n_steps = expansion.integral_mixing_bound(prof, gamma=0.5,
-                                                  pi_x=1.0 / g.n_vertices, eps=eps)
+                                                  pi_x=1.0 / g.n_vertices, eps=run.cfg["eps"])
         return [_base_row(run.cfg, statistic="integral_bound_steps",
                           value=float(n_steps))]
 
@@ -335,7 +359,6 @@ def cmd_bound(run: Runner) -> int:
 
 def cmd_lab(run: Runner) -> int:
     scenario = run.cfg["scenario"] or "counterexample"
-    eps = _num("eps", run.cfg["eps"])
 
     def counterexample():
         chain = envlab.counterexample_chain()
@@ -362,7 +385,7 @@ def cmd_lab(run: Runner) -> int:
 
     def theorem():
         chain = envlab.variant_chain(_lazy_demo_chain())
-        rep = envlab.theorem_2_1_check(chain, x=0, eps=eps, mode="certificate")
+        rep = envlab.theorem_2_1_check(chain, x=0, eps=run.cfg["eps"], mode="certificate")
         if not rep.passed:
             raise AssertionError("quenched tail bound certificate failed")
         return [_base_row(run.cfg, statistic="theorem_tail_certificate_ok",
@@ -370,9 +393,7 @@ def cmd_lab(run: Runner) -> int:
 
     bodies = {"counterexample": counterexample, "theorem": theorem}
     if scenario not in bodies:
-        print(f"unknown lab scenario {scenario!r}; choose from {sorted(bodies)}",
-              file=sys.stderr)
-        return 2
+        raise InputError(f"unknown lab scenario {scenario!r}; choose from {sorted(bodies)}")
     run.cell(scenario, bodies[scenario])
     return run.finish("lab.csv")
 
@@ -391,46 +412,32 @@ def _lazy_demo_chain() -> envlab.FiniteEnvChain:
 
 def cmd_sweep(run: Runner) -> int:
     scenario = run.cfg["scenario"] or "subcritical-mixing"
-    ns = [_num("n_grid", t, int) for t in str(run.cfg["n_grid"]).split(",") if t]
-    mus = [_num("mu_grid", t) for t in str(run.cfg["mu_grid"]).split(",") if t]
-    eps = _num("eps", run.cfg["eps"])
-    samples = _num("env_samples", run.cfg["env_samples"], int)
-    p = _num("p", run.cfg["p"])
-    d = _num("d", run.cfg["d"], int)
-    cells = [(n, mu) for n in ns for mu in mus]
 
-    def mixing_cell(n: int, mu: float) -> list[dict]:
-        g = TorusGraph(d=d, n=n)
-        params = DynParams(p=p, mu=mu, horizon=20.0 * n * n / mu)
-        times = [dist.quenched_mixing_time(env, 0, eps) for env in
-                 dist.sample_envs(g, params, "stationary", run.seed + 1000 * n, samples)]
-        finite = [t for t in times if math.isfinite(t)]
-        med = float(np.median(finite)) if finite else dist.NOT_MIXED
-        cfg = dict(run.cfg, n=n, mu=mu)
-        return [_base_row(cfg, statistic="t_mix_quenched_median", value=med,
-                          cell_id=f"n{n}mu{mu}",
-                          censored_frac=1.0 - len(finite) / len(times))]
+    def mixing_cell(cfg: dict, g: TorusGraph, params: DynParams) -> list[dict]:
+        times = [dist.quenched_mixing_time(env, 0, cfg["eps"]) for env in
+                 dist.sample_envs(g, params, "stationary", run.seed + 1000 * g.n,
+                                  cfg["env_samples"])]
+        return [_median_row(cfg, times, cell_id=f"n{g.n}mu{params.mu}")]
 
-    def hitting_cell(n: int, mu: float) -> list[dict]:
-        g = TorusGraph(d=d, n=n)
-        params = DynParams(p=p, mu=mu, horizon=50.0 * n * n / mu)
-        A = _arc_target(g, np.random.default_rng(run.seed + n))
-        rep = dist.hitting_time_stats(g, params, A, env_samples=samples,
-                                      seed=run.seed + 1000 * n)
-        worst = float(rep.annealed_means.max())
-        cfg = dict(run.cfg, n=n, mu=mu)
-        return [_base_row(cfg, statistic="hit_time_annealed_max", value=worst,
-                          cell_id=f"n{n}mu{mu}",
+    def hitting_cell(cfg: dict, g: TorusGraph, params: DynParams) -> list[dict]:
+        A = _arc_target(g, np.random.default_rng(run.seed + g.n))
+        rep = dist.hitting_time_stats(g, params, A, env_samples=cfg["env_samples"],
+                                      seed=run.seed + 1000 * g.n)
+        return [_base_row(cfg, statistic="hit_time_annealed_max",
+                          value=float(rep.annealed_means.max()),
+                          cell_id=f"n{g.n}mu{params.mu}",
                           censored_frac=float(rep.censored_frac.max()))]
 
-    bodies = {"subcritical-mixing": mixing_cell, "hitting": hitting_cell}
+    # scenario: (horizon in units of n^2/mu, cell body)
+    bodies = {"subcritical-mixing": (20.0, mixing_cell), "hitting": (50.0, hitting_cell)}
     if scenario not in bodies:
-        print(f"unknown sweep scenario {scenario!r}; choose from {sorted(bodies)}",
-              file=sys.stderr)
-        return 2
-    body = bodies[scenario]
-    for n, mu in cells:
-        run.cell(f"n={n},mu={mu}", lambda n=n, mu=mu: body(n, mu))
+        raise InputError(f"unknown sweep scenario {scenario!r}; choose from {sorted(bodies)}")
+    factor, body = bodies[scenario]
+    grid = [dict(run.cfg, n=n, mu=mu, horizon=factor * n * n / mu)
+            for n in run.cfg["n_grid"] for mu in run.cfg["mu_grid"]]
+    cells = [(cfg, *_params(cfg)) for cfg in grid]  # all checked before any cell runs
+    for cfg, g, params in cells:
+        run.cell(f"n={g.n},mu={params.mu}", functools.partial(body, cfg, g, params))
     return run.finish("sweep.csv")
 
 
@@ -462,7 +469,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         run = Runner(args)
-        # commands parse config values before any cell runs; a bad one lands here
+        # commands check their config before any cell runs; bad input lands here
         return COMMANDS[args.subcommand](run)
     except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)

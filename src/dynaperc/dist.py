@@ -151,6 +151,7 @@ def annealed_mixing_time(g: TorusGraph, params: DynParams, x: int, eps: float,
     is asserted per grid time.  The CI is a 200-resample bootstrap over
     environment samples.
     """
+    g._check_vertex(x)
     grid = default_grid(params)
     if eps >= 1.0:
         return AnnealedMixReport(0.0, (0.0, 0.0), grid, np.empty(0), np.empty(0), env_samples)

@@ -45,13 +45,11 @@ _MAX_SEGMENT = 32.0
 
 @dataclass(frozen=True)
 class WalkPath:
-    """A realized walk: start, realized jumps, and positions at query times."""
+    """A realized walk: its start and its jumps (times and target vertices)."""
 
     start: int
     jump_times: np.ndarray
     jump_targets: np.ndarray
-    query_times: np.ndarray
-    query_positions: np.ndarray
 
     def position_at(self, t: float) -> int:
         k = int(np.searchsorted(self.jump_times, t, side="right"))
@@ -71,8 +69,7 @@ class WalkKernel:
 
 
 def simulate_walk(env: EnvTrajectory, x0: int, horizon: float,
-                  seed: Optional[int] = None,
-                  query_times: Sequence[float] = ()) -> WalkPath:
+                  seed: Optional[int] = None) -> WalkPath:
     """One walk realization through a fixed environment."""
     g = env.graph
     g._check_vertex(x0)
@@ -93,14 +90,7 @@ def simulate_walk(env: EnvTrajectory, x0: int, horizon: float,
             v = int(nbr[v, k])
             jt.append(t)
             jv.append(v)
-    q = np.asarray(sorted(query_times), dtype=float)
-    jt_arr = np.asarray(jt)
-    jv_arr = np.asarray(jv, dtype=np.int64)
-    pos = np.empty(len(q), dtype=np.int64)
-    for i, tq in enumerate(q):
-        k = int(np.searchsorted(jt_arr, tq, side="right"))
-        pos[i] = x0 if k == 0 else jv_arr[k - 1]
-    return WalkPath(x0, jt_arr, jv_arr, q, pos)
+    return WalkPath(x0, np.asarray(jt), np.asarray(jv, dtype=np.int64))
 
 
 def simulate_positions(env: EnvTrajectory, x0: int, t: float, n_replicas: int,

@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +100,57 @@ def test_bad_config_value_exits_2(tmp_path, subcommand, line):
     cfg.write_text(f"[run]\n{line}\n")
     assert run(subcommand.split() + ["--config", str(cfg),
                                      "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("subcommand, text", [
+    ("mix", "d = 1\n"),
+    ("mix", "[run]\nn = 8\nn = 8\n"),
+    ("mix", "[run]\nmu_gird = 0.5\n"),
+    ("mix", "[DEFAULT]\nmu_gird = 0.5\n"),
+    ("bound", "[run]\nprofile = 50%\n"),
+    ("mix", "[run]\nenv_samples = 0\n"),
+    ("sweep", "[run]\nn_grid = 6\nmu_grid = 0.5\nenv_samples = -2\n"),
+    ("mix", "[run]\nx = -1\n"),
+    ("walk-sim", "[run]\nx = 99\n"),
+    ("hit", "[run]\ninit = bogus\n"),
+    ("mix", "[run]\nn_grid = 8,x\n"),
+    ("mix", "[run]\nmu = 0\n"),
+    ("sweep", "[run]\nn_grid = 6\nmu_grid = 0.5,0\n"),
+    ("sweep", "[run]\np = 2\nn_grid = 6\nmu_grid = 0.5\n"),
+], ids=["no section", "duplicate key", "unknown key", "unknown default key",
+        "bad interpolation", "env_samples 0", "env_samples -2", "x -1", "x 99",
+        "init bogus", "n_grid 8,x", "mu 0", "mu_grid 0", "sweep p 2"])
+def test_bad_config_exits_2(tmp_path, subcommand, text):
+    # every value and every cell's torus is checked before any cell runs
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert run([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+    assert not any(out.glob("*"))
+
+
+def test_readme_documents_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| [^|]+ \| ([^|]+) \|", readme, flags=re.M)
+    assert [key for key, _ in rows] == list(cli.FIELDS)
+    for key, default in rows:
+        text = cli.FIELDS[key][1]
+        assert default.strip() == (f"`{text}`" if text else "unset"), key
+
+
+def test_expansion_builds_profile_kernels_only_when_written(tmp_path, monkeypatch):
+    from dynaperc import walk
+    calls = []
+    real = walk.window_kernel
+    monkeypatch.setattr(walk, "window_kernel",
+                        lambda *args: calls.append(args) or real(*args))
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[run]\nd = 2\nn = 4\nenv_samples = 2\n")
+    out = tmp_path / "o"
+    assert run(["expansion", "--config", str(cfg), "--out", str(out)]) == 0
+    # one kernel per witness environment; 16 vertices are too many for a profile
+    assert len(calls) == 2
+    assert not (out / "profile.txt").exists()
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 63], ids=["-1", "2**63"])

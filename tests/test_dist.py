@@ -82,6 +82,19 @@ def test_annealed_mixing_and_convexity():
     assert rep.ci[0] <= rep.time <= rep.ci[1] or rep.ci[0] <= rep.ci[1]
 
 
+@pytest.mark.parametrize("x", [-1, 6])
+def test_annealed_mixing_checks_start_before_sampling(monkeypatch, x):
+    g = TorusGraph(d=1, n=6)
+    params = DynParams(p=0.5, mu=0.25, horizon=200.0)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an environment was sampled before the start was checked")
+
+    monkeypatch.setattr(D, "sample_env", no_draw)
+    with pytest.raises(InputError):
+        D.annealed_mixing_time(g, params, x, eps=0.25, env_samples=2, seed=4)
+
+
 def test_hitting_stats_shapes_and_gate():
     g = TorusGraph(d=1, n=8)
     params = DynParams(p=0.5, mu=0.25, horizon=800.0)

@@ -23,12 +23,17 @@ def _env(d=1, n=6, p=0.5, mu=0.25, horizon=100.0, seed=0, init="stationary"):
 
 def test_simulate_walk_reproducible_and_legal():
     env = _env(seed=4)
-    p1 = simulate_walk(env, 0, 80.0, seed=9, query_times=[10.0, 50.0])
+    p1 = simulate_walk(env, 0, 80.0, seed=9)
     p2 = simulate_walk(env, 0, 80.0, seed=9)
     assert np.array_equal(p1.jump_times, p2.jump_times)
     assert np.array_equal(p1.jump_targets, p2.jump_targets)
     assert replay_is_legal(env, p1)
-    assert p1.position_at(10.0) == p1.query_positions[0]
+    assert len(p1.jump_times) >= 2
+    assert p1.position_at(0.0) == p1.start == 0
+    t1 = p1.jump_times[1]  # right-continuous: at a jump instant the walk has moved
+    assert p1.position_at(t1) == p1.jump_targets[1]
+    assert p1.position_at(np.nextafter(t1, 0.0)) == p1.jump_targets[0]
+    assert p1.position_at(80.0) == p1.jump_targets[-1]
 
 
 def test_simulate_walk_horizon():
