@@ -40,6 +40,13 @@ def _positive(kind: type) -> Callable[[str], object]:
     return parse
 
 
+def _open_unit(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise ValueError("must be in (0, 1)")
+    return value
+
+
 def _list(parse: Callable[[str], object]) -> Callable[[str], tuple]:
     return lambda text: tuple(parse(t) for t in text.split(",") if t)
 
@@ -53,7 +60,7 @@ def _init(text: str) -> str:
 # every config key: its parser (a ValueError is bad input) and its default text
 FIELDS: dict[str, tuple[Callable[[str], object], str]] = {
     "d": (int, "1"), "n": (int, "8"), "p": (float, "0.5"),
-    "mu": (_positive(float), "0.25"), "eps": (float, "0.25"),
+    "mu": (_positive(float), "0.25"), "eps": (_open_unit, "0.25"),
     "horizon": (lambda text: float(text) if text else None, ""),
     "x": (int, "0"), "env_samples": (_positive(int), "30"),
     "scenario": (str, ""), "init": (_init, "stationary"),

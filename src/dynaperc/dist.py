@@ -72,9 +72,14 @@ def default_grid(params: DynParams) -> np.ndarray:
 def sample_envs(g: TorusGraph, params: DynParams, init: Union[str, Sequence[int]],
                 seed: Optional[int], count: int) -> Iterator[EnvTrajectory]:
     """`count` environments, the i-th drawn by `sample_env` with seed
-    `seed + i` (unseeded when `seed` is None), one at a time."""
-    for i in range(count):
-        yield sample_env(g, params, init=init, seed=None if seed is None else seed + i)
+    `seed + i` (unseeded when `seed` is None), one at a time.
+
+    A count below 1 raises `InputError` at the call, before any draw.
+    """
+    if count < 1:
+        raise InputError(f"need at least one environment sample, got {count}")
+    return (sample_env(g, params, init=init, seed=None if seed is None else seed + i)
+            for i in range(count))
 
 
 def quenched_mixing_time(env: EnvTrajectory, x: int, eps: float) -> float:
@@ -152,13 +157,14 @@ def annealed_mixing_time(g: TorusGraph, params: DynParams, x: int, eps: float,
     environment samples.
     """
     g._check_vertex(x)
+    envs = sample_envs(g, params, "stationary", seed, env_samples)
     grid = default_grid(params)
     if eps >= 1.0:
         return AnnealedMixReport(0.0, (0.0, 0.0), grid, np.empty(0), np.empty(0), env_samples)
     N = g.n_vertices
     uniform = np.full(N, 1.0 / N)
     laws = np.empty((env_samples, len(grid), N))
-    for i, env in enumerate(sample_envs(g, params, "stationary", seed, env_samples)):
+    for i, env in enumerate(envs):
         ev = walkmod._Evolver(env, 0.0)
         vec = np.zeros(N)
         vec[x] = 1.0

@@ -9,10 +9,11 @@ An environment is sampled up to its horizon in one go and is immutable
 afterwards.  It is stored flat: the initial states as int8[E], every flip
 time in one float64 array, and int64 CSR offsets, so the flips of edge e are
 `flip_times[offsets[e]:offsets[e + 1]]`.  `env.edges` holds per-edge
-`EdgeTrajectory` views into that array.  Time queries (`flip_events`,
-`open_mask_at`) read a time-sorted (time, edge) stream that is built lazily:
-it is sorted up to a watermark, and a query past the watermark at least
-doubles it.
+`EdgeTrajectory` views into that array.  `flip_events` reads a time-sorted
+(time, edge) stream that is built lazily: it is sorted up to a watermark, and
+a query past the watermark at least doubles it.  `flip_counts` and
+`open_mask_at` count each edge's flips by a binary search on the flat arrays
+and leave the stream alone.
 
 The sampler draws standard exponentials in blocks, edge after edge, and
 scales and sums them as one `t += rng.exponential(1 / rate)` per hold would,
@@ -159,29 +160,37 @@ class EnvTrajectory:
         if not t <= self.horizon:
             raise HorizonError(f"time {t} past horizon {self.horizon}")
 
+    def _first_after(self, t: float, lo: np.ndarray) -> np.ndarray:
+        """Per edge, the flat index of its first flip after t, at or past lo.
+
+        One binary search runs on all edges at once, so no pass over the
+        whole flat array is made.
+        """
+        flips = self.flip_times
+        lo, hi = lo.copy(), self.offsets[1:].copy()
+        act = np.flatnonzero(lo < hi)
+        while act.size:
+            mid = (lo[act] + hi[act]) // 2
+            below = flips[mid] <= t
+            lo[act[below]] = mid[below] + 1
+            hi[act[~below]] = mid[~below]
+            act = act[lo[act] < hi[act]]
+        return lo
+
     def _extend(self, t: float) -> None:
         """Sort every flip up to at least t into the stream.
 
-        The watermark at least doubles.  Each edge's new flips are found by a
-        binary search run on all edges at once, so no pass over the whole
-        flat array is made; a stable sort of the edge-major new slice keeps
-        equal times in edge order.
+        The watermark at least doubles.  A stable sort of the edge-major new
+        slice keeps equal times in edge order.
         """
         if t <= self._mark:
             return
         mark = min(self.horizon, max(t, 2.0 * self._mark))
-        flips = self.flip_times
-        lo, hi = self._next.copy(), self.offsets[1:].copy()
-        act = np.flatnonzero(lo < hi)
-        while act.size:
-            mid = (lo[act] + hi[act]) // 2
-            below = flips[mid] <= mark
-            lo[act[below]] = mid[below] + 1
-            hi[act[~below]] = mid[~below]
-            act = act[lo[act] < hi[act]]
+        lo = self._first_after(mark, self._next)
         counts = lo - self._next
         idx = np.repeat(self._next - (np.cumsum(counts) - counts), counts) \
             + np.arange(counts.sum())
+        flips = self.flip_times
         order = np.argsort(flips[idx], kind="stable")
         self._times = np.concatenate((self._times, flips[idx[order]]))
         self._edge_ids = np.concatenate(
@@ -189,11 +198,10 @@ class EnvTrajectory:
         self._next = lo
         self._mark = mark
 
-    def _flip_counts(self, t: float) -> np.ndarray:
-        """Flips of each edge in [0, t]."""
-        self._extend(t)
-        k = np.searchsorted(self._times, t, side="right")
-        return np.bincount(self._edge_ids[:k], minlength=self.graph.n_edges)
+    def flip_counts(self, t: float) -> np.ndarray:
+        """Flips of each edge at or before t, counted on the flat arrays."""
+        start = self.offsets[:-1]
+        return self._first_after(t, start) - start
 
     def state_at(self, edge: int, t: float) -> int:
         self._check_time(t)
@@ -201,7 +209,7 @@ class EnvTrajectory:
 
     def open_mask_at(self, t: float) -> np.ndarray:
         self._check_time(t)
-        return ((self.initial ^ self._flip_counts(t)) & 1).astype(bool)
+        return ((self.initial ^ self.flip_counts(t)) & 1).astype(bool)
 
     def flip_events(self, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
         """All flips with time in (t0, t1], time-sorted: (times, edge ids).
@@ -366,8 +374,8 @@ def count_open_throughout(env: EnvTrajectory, A: Iterable[int],
         raise InputError("need 0 <= a <= b")
     env._check_time(a)
     env._check_time(b)
-    at_a = env._flip_counts(a)
-    ok = ((env.initial ^ at_a) & 1).astype(bool) & (at_a == env._flip_counts(b))
+    at_a = env.flip_counts(a)
+    ok = ((env.initial ^ at_a) & 1).astype(bool) & (at_a == env.flip_counts(b))
     return int(ok[np.fromiter(A, dtype=np.int64)].sum())
 
 

@@ -8,15 +8,20 @@ flips, with a certified truncation budget.  All positions are reported right
 continuously.
 
 One core does all exact evolution: `_Evolver.advance` walks the flip segments
-of the environment and `_apply_uniformized` runs the series on each.  The
-jump matrix is built once per evolver and each flip rewrites the entries of
-its edge in place.  Forward laws, window kernels and TV curves evolve rows
-through it.  Hitting profiles run it on the chain absorbed in the target set:
-only the block of free (off-target) states is evolved, flips on edges inside
-the target are skipped, and the series also adds up the time each row spends
-off the target.  An evolver counts the series it ran (`segments`), their
-matrix products (`terms`), and the truncation mass actually dropped
-(`dropped`) beside the allowance it handed out (`spent`).
+of the environment and `_apply_uniformized` runs the series.  The jump
+matrix is built once per evolver and each flip rewrites the entries of its
+edge in place.  Forward laws, window kernels and TV curves evolve rows
+through it, one series per segment.  Hitting profiles run it on the chain
+absorbed in the target set: only the block of free (off-target) states is
+evolved, flips on edges inside the target are skipped, and the series also
+adds up the time each row spends off the target.  The absorbed path works in
+chunks of up to 128 segments: it stacks the block of each segment, runs one
+series on the whole stack to get every segment's propagator and occupation
+integral, and chains those in time order, so the per-product Python cost is
+paid once per chunk rather than once per segment.  It reads the flips a
+window at a time and stops at absorption.  An evolver counts the series it
+ran (`segments`), their matrix products (`terms`), and the truncation mass
+actually dropped (`dropped`) beside the allowance it handed out (`spent`).
 
 Every exact entry point builds an `_Evolver`, whose constructor holds the one
 size check: more than `EXACT_STATE_BUDGET` states raise `CapabilityError`
@@ -28,6 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,6 +48,12 @@ from .torus import TorusGraph
 EXACT_STATE_BUDGET = 4096
 # Uniformization segments longer than this are split to avoid exp underflow.
 _MAX_SEGMENT = 32.0
+# Absorbed evolution runs one series per chunk of at most _CHUNK pieces and
+# _CHUNK_BYTES of stacked blocks: 128 pieces up to 11 free states, 64 at 16,
+# 16 at 32, and from 128 free states one piece at a time, where a stacked
+# series was measured slower than a series per piece.
+_CHUNK = 128
+_CHUNK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -161,35 +174,77 @@ def step_matrix(g: TorusGraph, open_mask: np.ndarray) -> np.ndarray:
     return P
 
 
-def _apply_uniformized(mat: np.ndarray, P: np.ndarray, s: float, tol: float,
-                       occupation: Optional[np.ndarray] = None
-                       ) -> tuple[np.ndarray, int, float]:
+def _apply_uniformized(mat: np.ndarray, P: np.ndarray, s, tol: float,
+                       occupation: Optional[np.ndarray] = None):
     """mat @ expm((P - I) s) as a Poisson-weighted series, tail mass < tol.
 
     Returns (result, terms, dropped): the matrix products taken and the
     Poisson mass 1 - cum the series left out.  With an `occupation` vector,
     also adds int_0^s (row sums of the evolving rows) dt into it.
+
+    With a sequence of lengths `s`, runs a stack of series at once: `mat`
+    is (B, r, n), `P` is (B, n, n), `occupation` is (B, r), and terms and
+    dropped are per-segment lists.  Each segment's weights follow its own
+    scalar recurrence, so its series stops at the term where it would stop
+    alone; past that term its weights are 0 and it adds nothing.  Stopped
+    segments are sliced off the end of the stack, so stacking the longest
+    first keeps the products to the segments still running.
     """
-    w = math.exp(-s)
-    cum = w
-    acc = w * mat
-    term = mat
+    stacked = not np.isscalar(s)
+    weights, terms, dropped = [], [], []
+    for h in (s if stacked else [s]):
+        w = math.exp(-h)
+        cum = w
+        ws = [w]
+        k = 0
+        while cum < 1.0 - tol:
+            k += 1
+            w *= h / k
+            cum += w
+            ws.append(w)
+            if w == 0.0:  # weights underflowed; the series is numerically complete
+                break
+        weights.append(ws)
+        terms.append(k)
+        dropped.append(max(1.0 - cum, 0.0))
     if occupation is not None:
-        c = 1.0 - w  # int_0^s e^{-t} t^0/0! dt
-        occupation += c * term.sum(axis=1)
-    k = 0
-    while cum < 1.0 - tol:
-        k += 1
-        term = term @ P
-        w *= s / k
-        acc += w * term
-        cum += w
+        # int_0^h e^{-t} t^k/k! dt: 1 - w_0 for k = 0, then the previous one
+        # less the Poisson weight
+        integrals = [list(accumulate(ws[1:], sub, initial=1.0 - ws[0]))
+                     for ws in weights]
+    if stacked:  # tables (terms + 1, B, 1, 1), zero past each segment's last term
+        K = max(terms)
+
+        def table(rows):
+            return np.array([r + [0.0] * (K - k) for r, k in zip(rows, terms)]).T
+
+        W = table(weights)[:, :, None, None]
         if occupation is not None:
-            c -= w  # int e^{-t} t^k/k! dt = previous - Poisson weight
-            occupation += c * term.sum(axis=1)
-        if w == 0.0:  # weights underflowed; the series is numerically complete
-            break
-    return acc, k, max(1.0 - cum, 0.0)
+            C = table(integrals)[:, :, None]
+    else:
+        W = weights[0]
+        if occupation is not None:
+            C = integrals[0]
+    acc = W[0] * mat
+    if occupation is not None:
+        ones = np.ones(P.shape[-1])  # row sums as products, cheaper than sums on a stack
+        occupation += C[0] * (mat @ ones)
+    term, head, occ = mat, acc, occupation
+    m = len(terms)
+    for k in range(1, len(W)):
+        if terms[m - 1] < k:  # slice the segments that have stopped off the end
+            while terms[m - 1] < k:
+                m -= 1
+            term, P, W, head = term[:m], P[:m], W[:, :m], head[:m]
+            if occupation is not None:
+                C, occ = C[:, :m], occ[:m]
+        term = term @ P
+        head += W[k] * term
+        if occupation is not None:
+            occ += C[k] * (term @ ones)
+    if stacked:
+        return acc, terms, dropped
+    return acc, terms[0], dropped[0]
 
 
 class _Evolver:
@@ -199,7 +254,8 @@ class _Evolver:
     entries of its edge in place.  Each diagonal entry is 1 - k/(2d) rounded
     one subtraction at a time, as `step_matrix` computes it, and adding the
     rate back lands on the previous value exactly (checked for d <= 12), so P
-    always equals a fresh build bit for bit.
+    always equals a fresh build bit for bit.  Forward evolution runs one
+    series per segment on the rows themselves.
 
     With an `absorbing` vertex mask the walk is absorbed there, and only the
     sub-stochastic block of P on the free vertices (those off the mask) is
@@ -207,16 +263,27 @@ class _Evolver:
     and columns of `mat` are the free vertices in increasing order, and
     `occupation` accumulates, per row, the time spent off the mask.  Flips on
     edges with both ends in the mask leave that block unchanged and are
-    skipped (their `open_mask` entries go stale).  `advance` stops at the
-    first flip after which every row has less than 1e-14 mass left, since
-    later segments add nothing.  Such an evolver is meant for a single
-    `advance`.
+    skipped (their `open_mask` entries go stale).  Flips are fetched a window
+    of about one chunk at a time, so the environment's sorted stream grows
+    only as far as the evolution reads.
 
-    Counters: `segments` (uniformization series run; a constant stretch
-    longer than `_MAX_SEGMENT` runs in pieces), `terms` (matrix products
-    taken by those series), `spent` (the truncation allowance handed out,
-    which sizes later segments) and `dropped` (the Poisson tail mass the
-    series actually left out, at most `spent`).
+    The absorbed path works in chunks: the block before each flip is copied
+    onto a stack (a stretch longer than `_MAX_SEGMENT` as several pieces,
+    split as the forward path splits it), and when the stack is full one
+    series runs on all of it, longest piece first.  Each piece k then has
+    its propagator E_k (the series applied to the identity) and its
+    occupation J_k = int E_k(t) 1 dt, and the chunk is chained in time
+    order: occupation += mat @ J_k, then mat = mat @ E_k.  `advance` stops
+    at the first flip after which every row has less than 1e-14 mass left,
+    since later segments add nothing; pieces stacked past that flip are not
+    counted.  A chunk holds at most `_CHUNK` pieces and `_CHUNK_BYTES` of
+    stacked blocks.  The block and flip state run ahead of an early stop,
+    so such an evolver is meant for a single `advance`.
+
+    Counters: `segments` (uniformization series run and used), `terms`
+    (matrix products taken by those series), `spent` (the truncation
+    allowance handed out, which sizes later segments) and `dropped` (the
+    Poisson tail mass the series actually left out, at most `spent`).
     """
 
     def __init__(self, env: EnvTrajectory, t0: float, tol_total: float = 1e-10,
@@ -240,7 +307,16 @@ class _Evolver:
         self._live_edge = (rows >= 0).any(axis=1)
         self._rate = 1.0 / (2 * g.d)
         self.P = P if absorbing is None else P[np.ix_(live, live)]
-        self.occupation = None if absorbing is None else np.zeros(len(self.P))
+        self.occupation = None
+        if absorbing is not None:
+            n = len(self.P)
+            self.occupation = np.zeros(n)
+            size = max(1, min(_CHUNK, _CHUNK_BYTES // (8 * max(n, 1) ** 2)))
+            self._stack = np.empty((size, n, n))  # blocks in time order
+            self._sorted = np.empty_like(self._stack)  # longest piece first
+            self._eye = np.eye(n)
+            self._lengths: list[float] = []
+            self._at_flip: list[bool] = []  # piece ends a flip segment
         self.tol_total = tol_total
         self.spent = 0.0
         self.dropped = 0.0
@@ -270,39 +346,108 @@ class _Evolver:
         return max((self.tol_total - self.spent) / (4 * max(n_segments, 1)),
                    1e-15)
 
+    def _count(self, terms: int, dropped: float, tol: float) -> None:
+        self.segments += 1
+        self.terms += terms
+        self.dropped += dropped
+        self.spent += tol
+
     def advance(self, mat: np.ndarray, t1: float) -> np.ndarray:
         """Evolve mat from the current time to t1."""
         if t1 < self.t:
             raise InputError("cannot evolve backwards")
-        times, eids = self.env.flip_events(self.t, t1)
         if self.absorbing is not None:
-            keep = self._live_edge[eids]
-            times, eids = times[keep], eids[keep]
-        n_seg = len(times) + 1 + int((t1 - self.t) / _MAX_SEGMENT)
-        tol = self._segment_tol(n_seg)
+            return self._advance_absorbed(mat, t1)
+        times, eids = self.env.flip_events(self.t, t1)
+        tol = self._segment_tol(len(times) + 1 + int((t1 - self.t) / _MAX_SEGMENT))
         prev = self.t
         self.t = t1
         for tm, e in zip(times, eids):
             mat = self._run_segment(mat, tm - prev, tol)
-            if self.absorbing is not None and mat.sum(axis=1).max(initial=0.0) < 1e-14:
-                return mat
             prev = tm
             self._flip(e)
         return self._run_segment(mat, t1 - prev, tol)
 
     def _run_segment(self, mat: np.ndarray, s: float, tol: float) -> np.ndarray:
-        if self.absorbing is None and not self.open_mask.any():
-            return mat  # frozen walker: P = I (an absorbed walk still accrues time)
+        if not self.open_mask.any():
+            return mat  # frozen walker: P = I
         while s > 0.0:
             h = min(s, _MAX_SEGMENT)
-            mat, terms, dropped = _apply_uniformized(mat, self.P, h, tol,
-                                                     self.occupation)
-            self.segments += 1
-            self.terms += terms
-            self.dropped += dropped
-            self.spent += tol
+            mat, terms, dropped = _apply_uniformized(mat, self.P, h, tol)
+            self._count(terms, dropped, tol)
             s -= h
         return mat
+
+    def _advance_absorbed(self, mat: np.ndarray, t1: float) -> np.ndarray:
+        env, live, t0 = self.env, self._live_edge, self.t
+        # live flips counted on the flat arrays: the tolerance is split over
+        # the same segments as if they had all been fetched
+        n_live = int((env.flip_counts(t1) - env.flip_counts(t0))[live].sum())
+        tol = self._segment_tol(n_live + 1 + int((t1 - t0) / _MAX_SEGMENT))
+        self.t = t1
+        windows = max(1, -(-n_live // len(self._stack)))
+        prev = a = t0
+        for j in range(1, windows + 1):
+            b = t1 if j == windows else t0 + (t1 - t0) * j / windows
+            times, eids = env.flip_events(a, b)
+            keep = live[eids]
+            for tm, e in zip(times[keep].tolist(), eids[keep].tolist()):
+                mat, stopped = self._push(mat, tm - prev, tol, at_flip=True)
+                if stopped:
+                    return mat
+                prev = tm
+                self._flip(e)
+            a = b
+        mat, _ = self._push(mat, t1 - prev, tol, at_flip=False)
+        return self._run_chunk(mat, tol)[0]
+
+    def _push(self, mat: np.ndarray, s: float, tol: float,
+              at_flip: bool) -> tuple[np.ndarray, bool]:
+        """Stack the block for a stretch of length s, running full chunks."""
+        while s > 0.0:
+            h = min(s, _MAX_SEGMENT)
+            s -= h
+            self._stack[len(self._lengths)] = self.P
+            self._lengths.append(h)
+            self._at_flip.append(at_flip and s <= 0.0)
+            if len(self._lengths) == len(self._stack):
+                mat, stopped = self._run_chunk(mat, tol)
+                if stopped:
+                    return mat, True
+        return mat, False
+
+    def _run_chunk(self, mat: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
+        """One series over the stacked pieces, then chain them in time order.
+
+        Returns (mat, stopped); pieces after an early stop are not counted.
+        """
+        lengths, at_flip = self._lengths, self._at_flip
+        self._lengths, self._at_flip = [], []
+        m = len(lengths)
+        if m == 0:
+            return mat, False
+        if m == 1:  # a lone piece runs its series on the rows themselves
+            mat, terms, dropped = _apply_uniformized(mat, self._stack[0], lengths[0],
+                                                     tol, self.occupation)
+            self._count(terms, dropped, tol)
+            return mat, at_flip[0] and mat.sum(axis=1).max(initial=0.0) < 1e-14
+        order = sorted(range(m), key=lengths.__getitem__, reverse=True)
+        stack = np.take(self._stack[:m], order, axis=0, out=self._sorted[:m])
+        n = len(self._eye)
+        J = np.zeros((m, n))
+        E, terms, dropped = _apply_uniformized(
+            np.broadcast_to(self._eye, (m, n, n)), stack,
+            [lengths[i] for i in order], tol, J)
+        rank = [0] * m
+        for r, i in enumerate(order):
+            rank[i] = r
+        for i, r in enumerate(rank):
+            self.occupation += mat @ J[r]
+            mat = mat @ E[r]
+            self._count(terms[r], dropped[r], tol)
+            if at_flip[i] and mat.sum(axis=1).max(initial=0.0) < 1e-14:
+                return mat, True
+        return mat, False
 
 
 def exact_quenched_distribution(env: EnvTrajectory, x0: int, t: float,

@@ -117,9 +117,13 @@ def test_bad_config_value_exits_2(tmp_path, subcommand, line):
     ("mix", "[run]\nmu = 0\n"),
     ("sweep", "[run]\nn_grid = 6\nmu_grid = 0.5,0\n"),
     ("sweep", "[run]\np = 2\nn_grid = 6\nmu_grid = 0.5\n"),
+    ("mix", "[run]\neps = -0.1\nenv_samples = 2\n"),
+    ("bound", "[run]\neps = 0\n"),
+    ("mix", "[run]\neps = 1\nenv_samples = 2\n"),
 ], ids=["no section", "duplicate key", "unknown key", "unknown default key",
         "bad interpolation", "env_samples 0", "env_samples -2", "x -1", "x 99",
-        "init bogus", "n_grid 8,x", "mu 0", "mu_grid 0", "sweep p 2"])
+        "init bogus", "n_grid 8,x", "mu 0", "mu_grid 0", "sweep p 2",
+        "eps -0.1", "eps 0", "eps 1"])
 def test_bad_config_exits_2(tmp_path, subcommand, text):
     # every value and every cell's torus is checked before any cell runs
     cfg = tmp_path / "cfg.ini"

@@ -95,6 +95,27 @@ def test_annealed_mixing_checks_start_before_sampling(monkeypatch, x):
         D.annealed_mixing_time(g, params, x, eps=0.25, env_samples=2, seed=4)
 
 
+_ENSEMBLE_CALLS = {
+    "sample_envs": lambda g, params, k: D.sample_envs(g, params, "stationary", 0, k),
+    "hitting_time_stats": lambda g, params, k: D.hitting_time_stats(
+        g, params, np.arange(6) < 3, env_samples=k, seed=0),
+    "annealed_mixing_time": lambda g, params, k: D.annealed_mixing_time(
+        g, params, 0, eps=0.25, env_samples=k, seed=0),
+    "quenched_lower_bound_experiment": lambda g, params, k:
+        D.quenched_lower_bound_experiment(g, params, beta=0.1, env_samples=k, seed=0),
+}
+
+
+@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("call", sorted(_ENSEMBLE_CALLS))
+def test_empty_ensembles_are_refused(call, count):
+    # NaN means, an infinite mixing time or a ZeroDivisionError otherwise
+    g = TorusGraph(d=1, n=6)
+    params = DynParams(p=0.5, mu=0.25, horizon=80.0)
+    with pytest.raises(InputError):
+        _ENSEMBLE_CALLS[call](g, params, count)
+
+
 def test_hitting_stats_shapes_and_gate():
     g = TorusGraph(d=1, n=8)
     params = DynParams(p=0.5, mu=0.25, horizon=800.0)

@@ -97,6 +97,12 @@ def test_window_kernel_composes():
     assert np.abs(K1 @ K2 - K12).max() < 1e-9
 
 
+def test_window_kernel_takes_integer_times():
+    env = _env(seed=8)
+    K = window_kernel(env, (3, 9)).matrix
+    assert K.tobytes() == window_kernel(env, (3.0, 9.0)).matrix.tobytes()
+
+
 def test_unit_window_diagonal_floor():
     # within one time unit the walker attempts no jump with probability 1/e
     for seed in range(5):
@@ -266,6 +272,14 @@ def _hitting_cases():
     times, eids = env.flip_events(0.0, 500.0)
     t_flip = float(times[live[eids]][20])  # a flip the absorbed evolution runs
     cases.append(("horizon-at-flip", env, A, t_flip))
+    # rare flips: one chunk holds stretches longer than _MAX_SEGMENT
+    g = TorusGraph(1, 10)
+    cases.append(("long-gaps", _env(n=10, mu=0.01, horizon=3000.0, seed=9),
+                  _half_target(g, 9), 3000.0))
+    # several chunks and flip windows before the early stop
+    g = TorusGraph(1, 16)
+    cases.append(("many-chunks", _env(n=16, mu=0.125, horizon=20000.0, seed=9),
+                  _half_target(g, 9), 20000.0))
     return cases
 
 
@@ -287,6 +301,74 @@ def test_hitting_profile_matches_rebuild_reference(name, env, A, horizon):
     assert np.all(np.abs(expected - ref_expected) <= 1e-12 * ref_expected)
     bound = np.where(ref_censored < 1e-14, 1e-14, 1e-15 + 1e-12 * ref_censored)
     assert np.all(np.abs(censored - ref_censored) <= bound)
+
+
+# (segments, terms) of the absorbed evolver on each hitting case, recorded
+# with the evolver that ran one series per segment, flip after flip
+_ABSORBED_COUNTS = {
+    "sampled-d1-n12": (205, 3634), "sampled-d1-n16": (178, 2855),
+    "sampled-d2-n4": (699, 7112), "sampled-d3-n3": (1266, 10219),
+    "all-but-one-d1": (9, 223), "all-but-one-d2": (41, 675),
+    "inside-only": (10, 745), "no-flips": (8, 614), "horizon-at-flip": (21, 325),
+    "long-gaps": (44, 2371), "many-chunks": (629, 10379),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 128])
+@pytest.mark.parametrize("name, env, A, horizon", _HITTING_CASES,
+                         ids=[c[0] for c in _HITTING_CASES])
+def test_absorbed_counters_pinned(name, env, A, horizon, chunk, monkeypatch):
+    # chunks of 7 put most early stops inside a chunk; chunks of 1 run each
+    # piece's series on the rows.  Every series stops at the term where it
+    # stopped alone, and pieces stacked past the stop are not counted.
+    expected, _ = exact_hitting_profile(env, A, horizon)
+    monkeypatch.setattr(walk, "_CHUNK", chunk)
+    ev = _Evolver(env, 0.0, absorbing=A)
+    ev.advance(np.eye(int((~A).sum())), horizon)
+    assert (ev.segments, ev.terms) == _ABSORBED_COUNTS[name]
+    assert 0.0 <= ev.dropped <= ev.spent
+    assert np.all(np.abs(ev.occupation - expected[~A]) <= 1e-12 * expected[~A])
+
+
+def _case(name):
+    return next(c for c in _HITTING_CASES if c[0] == name)
+
+
+def test_chunk_splits_long_stretches(monkeypatch):
+    _, env, A, horizon = _case("long-gaps")
+    stacks = []
+    series = walk._apply_uniformized
+
+    def spy(mat, P, s, tol, occupation=None):
+        stacks.append(s)
+        return series(mat, P, s, tol, occupation)
+
+    monkeypatch.setattr(walk, "_apply_uniformized", spy)
+    exact_hitting_profile(env, A, horizon)
+    # one chunk, stacked past the early stop, holding whole _MAX_SEGMENT pieces
+    assert len(stacks) == 1 and len(stacks[0]) > _ABSORBED_COUNTS["long-gaps"][0]
+    assert stacks[0].count(_MAX_SEGMENT) >= 2  # whole pieces of longer stretches
+
+
+def test_hitting_reads_flips_a_window_at_a_time(monkeypatch):
+    # a fresh environment: the shared cases' streams have been read to the end
+    _, env, A, horizon = _case("many-chunks")
+    env = sample_env(env.graph, env.params, seed=env.seed)
+    windows = []
+    flip_events = type(env).flip_events
+
+    def spy(self, t0, t1):
+        windows.append((t0, t1))
+        return flip_events(self, t0, t1)
+
+    monkeypatch.setattr(type(env), "flip_events", spy)
+    ev = _Evolver(env, 0.0, absorbing=A)
+    ev.advance(np.eye(int((~A).sum())), horizon)
+    assert ev.segments > 4 * walk._CHUNK
+    assert len(windows) > 4
+    assert all(b == c for (_, b), (c, _) in zip(windows, windows[1:]))
+    # the early stop came long before the horizon, and so did the sorting
+    assert env._mark < horizon / 10
 
 
 def test_hitting_skips_flips_inside_target():
