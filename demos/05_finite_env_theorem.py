@@ -24,14 +24,14 @@ ring = np.array([[0.5, 0.25, 0.0, 0.25],
 slow = 0.5 * ring + 0.5 * np.eye(4)
 chain = L.FiniteEnvChain(R=np.full((2, 2), 0.5), kernels=(ring, slow), pi=pi)
 
-rep = L.theorem_2_1_check(chain, x=0, eps=0.1, mode="certificate")
+rep = L.theorem_2_1_check(chain, x=0, eps=0.1)
 print(f"ring chain: gamma = {rep.gamma}, steps n = {rep.steps}")
 print(f"certificates per start env state: {rep.per_zeta_certificate}")
 print(f"tail bound certified: {rep.passed}")
 
 # half-frozen variant: each step freezes with probability 1/2
 var = L.variant_chain(chain)
-rep_v = L.theorem_2_1_check(var, x=0, eps=0.1, mode="certificate")
+rep_v = L.theorem_2_1_check(var, x=0, eps=0.1)
 print(f"\nhalf-frozen variant: steps n = {rep_v.steps}, certified: {rep_v.passed}")
 
 # the counterexample: annealed TV 0, quenched TV 1/2 forever

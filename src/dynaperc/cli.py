@@ -392,7 +392,7 @@ def cmd_lab(run: Runner) -> int:
 
     def theorem():
         chain = envlab.variant_chain(_lazy_demo_chain())
-        rep = envlab.theorem_2_1_check(chain, x=0, eps=run.cfg["eps"], mode="certificate")
+        rep = envlab.theorem_2_1_check(chain, x=0, eps=run.cfg["eps"])
         if not rep.passed:
             raise AssertionError("quenched tail bound certificate failed")
         return [_base_row(run.cfg, statistic="theorem_tail_certificate_ok",

@@ -51,7 +51,7 @@ def tv(a, b) -> float:
 
 
 def chi(a, b) -> float:
-    """chi(a, b) = sqrt(sum_y b(y) (a(y)/b(y) - 1)^2); requires b > 0 where a > 0."""
+    """chi(a, b) = sqrt(sum_y (a(y) - b(y))^2 / b(y)); requires b > 0 where a > 0."""
     a = as_dist(a)
     b = as_dist(b)
     if a.shape != b.shape:
@@ -59,7 +59,7 @@ def chi(a, b) -> float:
     if ((b == 0) & (a > 0)).any():
         raise InputError("chi undefined: second argument vanishes where first is positive")
     good = b > 0
-    return float(math.sqrt(np.sum(b[good] * (a[good] / b[good] - 1.0) ** 2)))
+    return math.sqrt(float(np.sum((a[good] - b[good]) ** 2 / b[good])))
 
 
 def default_grid(params: DynParams) -> np.ndarray:
@@ -74,8 +74,10 @@ def sample_envs(g: TorusGraph, params: DynParams, init: Union[str, Sequence[int]
     """`count` environments, the i-th drawn by `sample_env` with seed
     `seed + i` (unseeded when `seed` is None), one at a time.
 
-    A count below 1 raises `InputError` at the call, before any draw.
+    A count below 1 raises `InputError`, and a torus past the exact-size
+    limit `CapabilityError`, at the call, before any draw.
     """
+    walkmod.check_exact_size(g)
     if count < 1:
         raise InputError(f"need at least one environment sample, got {count}")
     return (sample_env(g, params, init=init, seed=None if seed is None else seed + i)
@@ -86,8 +88,10 @@ def quenched_mixing_time(env: EnvTrajectory, x: int, eps: float) -> float:
     """First grid time with TV(quenched law, uniform) <= eps, or NOT_MIXED.
 
     TV along the grid is checked to be nonincreasing (uniform is stationary
-    for every environment realization).
+    for every environment realization).  `eps` <= 0 raises `InputError`.
     """
+    if not eps > 0.0:
+        raise InputError(f"eps must be positive, got {eps}")
     if eps >= 1.0:
         return 0.0
     grid = default_grid(env.params)
@@ -99,42 +103,6 @@ def quenched_mixing_time(env: EnvTrajectory, x: int, eps: float) -> float:
     if len(hit) == 0:
         return NOT_MIXED
     return float(grid[hit[0]])
-
-
-@dataclass(frozen=True)
-class TailReport:
-    fraction: float
-    ci: tuple[float, float]
-    threshold: float
-    n_envs: int
-    times: np.ndarray
-
-
-def wilson_interval(k: int, n: int) -> tuple[float, float]:
-    """95% Wilson score interval for k successes in n trials."""
-    z = 1.96
-    if n == 0:
-        return (0.0, 1.0)
-    phat = k / n
-    denom = 1.0 + z * z / n
-    centre = phat + z * z / (2 * n)
-    half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n))
-    return ((centre - half) / denom, (centre + half) / denom)
-
-
-def quenched_tail(g: TorusGraph, params: DynParams, x: int, eps: float,
-                  threshold: float, env_samples: int,
-                  seed: Optional[int] = None) -> TailReport:
-    """Empirical P(t_mix(eps, x, eta) >= threshold) across environments
-    started from the worst case, all edges closed.
-    """
-    if env_samples < 30:
-        raise InputError("need >= 30 environment samples for a confidence interval")
-    times = np.array([quenched_mixing_time(env, x, eps) for env in
-                      sample_envs(g, params, "all-closed", seed, env_samples)])
-    k = int(np.sum(times >= threshold))
-    return TailReport(fraction=k / env_samples, ci=wilson_interval(k, env_samples),
-                      threshold=threshold, n_envs=env_samples, times=times)
 
 
 @dataclass(frozen=True)
@@ -154,9 +122,12 @@ def annealed_mixing_time(g: TorusGraph, params: DynParams, x: int, eps: float,
 
     Environments start stationary.  Convexity (annealed TV <= mean quenched TV)
     is asserted per grid time.  The CI is a 200-resample bootstrap over
-    environment samples.
+    environment samples.  A start off the torus or `eps` <= 0 raises
+    `InputError` before any environment is drawn.
     """
     g._check_vertex(x)
+    if not eps > 0.0:
+        raise InputError(f"eps must be positive, got {eps}")
     envs = sample_envs(g, params, "stationary", seed, env_samples)
     grid = default_grid(params)
     if eps >= 1.0:
@@ -234,45 +205,6 @@ def hitting_time_stats(g: TorusGraph, params: DynParams, A: np.ndarray,
                          annealed_means=q_means.mean(axis=0),
                          censored_frac=censored_frac,
                          horizon=params.horizon, usable=usable)
-
-
-@dataclass(frozen=True)
-class LowerBoundReport:
-    tvs: np.ndarray                       # TV at beta n^2 / mu per environment
-    tv_time: float
-    isolated_frequency: float
-    isolated_ci: tuple[float, float]
-    beta: float
-    n_envs: int
-
-
-def quenched_lower_bound_experiment(g: TorusGraph, params: DynParams, beta: float,
-                                    env_samples: int,
-                                    seed: Optional[int] = None) -> LowerBoundReport:
-    """Empirics behind the quenched lower bounds.
-
-    (i) distribution of TV(quenched law from vertex 0 at beta n^2/mu,
-    uniform) across stationary environments; (ii) frequency of an isolated
-    vertex on [0, beta/mu].
-    """
-    from .dynenv import isolated_vertex_exists
-
-    t_eval = beta * g.n ** 2 / params.mu
-    if t_eval > params.horizon:
-        raise InputError("horizon too short for the TV evaluation time")
-    L = beta / params.mu
-    if L > params.horizon:
-        raise InputError("horizon too short for the isolation interval")
-    uniform = np.full(g.n_vertices, 1.0 / g.n_vertices)
-    tvs = np.array([tv(walkmod.exact_quenched_distribution(env, 0, t_eval), uniform)
-                    for env in sample_envs(g, params, "stationary", seed, env_samples)])
-    iso_seed = None if seed is None else 7 ** 5 + seed
-    hits = sum(isolated_vertex_exists(env, L)[0]
-               for env in sample_envs(g, params, "stationary", iso_seed, env_samples))
-    return LowerBoundReport(tvs=tvs, tv_time=t_eval,
-                            isolated_frequency=hits / env_samples,
-                            isolated_ci=wilson_interval(hits, env_samples),
-                            beta=beta, n_envs=env_samples)
 
 
 def format_csv_rows(rows: Iterable[dict]) -> str:

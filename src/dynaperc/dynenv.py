@@ -23,7 +23,6 @@ per-hold loop.
 
 from __future__ import annotations
 
-import io
 import math
 import mmap
 import struct
@@ -357,16 +356,6 @@ def edge_transition_prob(p: float, mu: float, t: float,
     return float(K[frm, to])
 
 
-def open_throughout_prob_from_closed(p: float, mu: float, a: float, b: float) -> float:
-    """P(edge open on all of [a, b] | closed at 0), in closed form.
-
-    Open at a (prob p(1 - e^(-mu a))), then no closing flip over b - a.
-    """
-    if not 0 <= a <= b:
-        raise InputError("need 0 <= a <= b")
-    return p * (1.0 - math.exp(-mu * a)) * math.exp(-(1.0 - p) * mu * (b - a))
-
-
 def count_open_throughout(env: EnvTrajectory, A: Iterable[int],
                           a: float, b: float) -> int:
     """#{e in A : edge e open on all of [a, b]}."""
@@ -377,49 +366,6 @@ def count_open_throughout(env: EnvTrajectory, A: Iterable[int],
     at_a = env.flip_counts(a)
     ok = ((env.initial ^ at_a) & 1).astype(bool) & (at_a == env.flip_counts(b))
     return int(ok[np.fromiter(A, dtype=np.int64)].sum())
-
-
-@dataclass(frozen=True)
-class BinomialLemmaReport:
-    empirical_prob: float
-    ci: tuple[float, float]
-    analytic_worst_case: float
-    per_edge_prob: float
-    threshold_count: int
-    trials: int
-
-
-def binomial_lemma_check(g: TorusGraph, params: DynParams, A: Sequence[int],
-                         sigma: float, trials: int = 200,
-                         seed: Optional[int] = None) -> BinomialLemmaReport:
-    """Monte Carlo check that #edges of A open throughout [a, b] = [1/2, 1]
-    is >= |A|*sigma*mu often, for environments started all closed.
-
-    Also reports the analytic worst-case (all-closed start) Binomial tail with
-    per-edge success probability p(1 - e^(-mu a)) e^(-(1-p) mu (b-a)).
-    """
-    from scipy import stats
-
-    from .dist import sample_envs, wilson_interval
-
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    a, b = 0.5, 1.0
-    A = list(A)
-    threshold = len(A) * sigma * params.mu
-    k_threshold = math.ceil(threshold - 1e-12)
-    hits = sum(count_open_throughout(env, A, a, b) >= k_threshold
-               for env in sample_envs(g, params, "all-closed", seed, trials))
-    q = open_throughout_prob_from_closed(params.p, params.mu, a, b)
-    analytic = float(stats.binom.sf(k_threshold - 1, len(A), q))
-    return BinomialLemmaReport(
-        empirical_prob=hits / trials,
-        ci=wilson_interval(hits, trials),
-        analytic_worst_case=analytic,
-        per_edge_prob=q,
-        threshold_count=k_threshold,
-        trials=trials,
-    )
 
 
 def isolated_vertex_exists(env: EnvTrajectory, L: float) -> tuple[bool, Optional[int]]:
@@ -434,34 +380,6 @@ def isolated_vertex_exists(env: EnvTrajectory, L: float) -> tuple[bool, Optional
     isolated = closed[env.graph.incident_edges].all(axis=1)
     v = int(np.argmax(isolated))
     return (True, v) if isolated[v] else (False, None)
-
-
-def simulate_edge_state_at(p: float, mu: float, t: float, n_samples: int,
-                           init_state: int, seed: Optional[int] = None) -> np.ndarray:
-    """Vectorized simulation of n independent single-edge chains, state at time t.
-
-    Real trajectory simulation (alternating exponential holds), not the closed
-    form; used to validate the closed form by Monte Carlo.
-    """
-    rng = np.random.default_rng(seed)
-    states = np.full(n_samples, init_state, dtype=np.int8)
-    now = np.zeros(n_samples)
-    active = np.ones(n_samples, dtype=bool)
-    rate_of = np.array([p * mu, (1.0 - p) * mu])
-    while active.any():
-        idx = np.nonzero(active)[0]
-        rates = rate_of[states[idx]]
-        alive = rates > 0
-        idx = idx[alive]
-        if len(idx) == 0:
-            break
-        holds = rng.exponential(1.0 / rate_of[states[idx]])
-        now[idx] += holds
-        flipped = idx[now[idx] <= t]
-        states[flipped] ^= 1
-        active[:] = False
-        active[flipped] = True
-    return states
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +412,6 @@ def dump_env(env: EnvTrajectory, fh) -> None:
 
 def load_env(fh) -> EnvTrajectory:
     return loads_env(fh.read())
-
-
-def dumps_env(env: EnvTrajectory) -> bytes:
-    buf = io.BytesIO()
-    dump_env(env, buf)
-    return buf.getvalue()
 
 
 def loads_env(data: bytes) -> EnvTrajectory:

@@ -17,17 +17,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import evoset
-from .dist import wilson_interval
-from .errors import CapabilityError, InputError
+from .errors import InputError
 from .expansion import integral_mixing_bound, profile_phi_env
-
-# Exact environment-path enumeration caps |E|^n at this.
-PATH_ENUM_MAX = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -173,81 +169,28 @@ def _doob_z_certificates(chain: FiniteEnvChain, x: int, n: int) -> np.ndarray:
     return expect[M * np.arange(E)]  # start zeta0 is pair (start, zeta0)
 
 
-def _enumerate_tail(chain: FiniteEnvChain, x: int, zeta0: int, n: int,
-                    threshold: float) -> float:
-    """Exact P(chi(quenched law at n, pi) >= threshold) by path enumeration."""
-    pi = chain.pi
-    total = 0.0
-
-    def rec(z: int, vec: np.ndarray, prob: float, depth: int):
-        nonlocal total
-        if depth == n:
-            c = math.sqrt(float(np.sum((vec - pi) ** 2 / pi)))
-            if c >= threshold:
-                total += prob
-            return
-        for z2 in range(chain.n_env):
-            w = chain.R[z, z2]
-            if w > 0.0:
-                rec(z2, vec @ chain.kernels[z2], prob * w, depth + 1)
-
-    v0 = np.zeros(chain.n_states)
-    v0[x] = 1.0
-    rec(zeta0, v0, 1.0, 0)
-    return total
-
-
-def _mc_tail(chain: FiniteEnvChain, x: int, zeta0: int, n: int, threshold: float,
-             paths: int, seed: Optional[int]) -> tuple[float, tuple[float, float]]:
-    """Monte Carlo tail over env paths, vectorized over all paths at once."""
-    rng = np.random.default_rng(seed)
-    E, S = chain.n_env, chain.n_states
-    pi = chain.pi
-    # sample all env transitions up front via inverse cdf per current state
-    cdf = np.cumsum(chain.R, axis=1)
-    z = np.full(paths, zeta0, dtype=np.int64)
-    vecs = np.zeros((paths, S))
-    vecs[:, x] = 1.0
-    for _ in range(n):
-        u = rng.random(paths)
-        z = (u[:, None] > cdf[z]).sum(axis=1)
-        for z2 in range(E):
-            rows = z == z2
-            if rows.any():
-                vecs[rows] = vecs[rows] @ chain.kernels[z2]
-    chis = np.sqrt(np.sum((vecs - pi) ** 2 / pi, axis=1))
-    k = int(np.sum(chis >= threshold))
-    return k / paths, wilson_interval(k, paths)
-
-
 @dataclass(frozen=True)
 class Theorem21Report:
     gamma: float
     steps: int
     threshold: float
-    mode: str
-    per_zeta_tail: Optional[np.ndarray]
-    per_zeta_certificate: Optional[np.ndarray]  # joint E-hat[Z_n] per start zeta
-    tail_ci: Optional[tuple[float, float]]
+    per_zeta_certificate: np.ndarray  # joint E-hat[Z_n] per start zeta
     passed: bool
 
 
 def theorem_2_1_check(chain: FiniteEnvChain, x: int, eps: float,
-                      mode: str = "certificate",
-                      mc_paths: int = 10 ** 4,
-                      seed: Optional[int] = None) -> Theorem21Report:
+                      mode: str = "certificate") -> Theorem21Report:
     """Verify P_zeta(chi(quenched law at n, pi) >= eps^(1/4)) <= eps^(1/4).
 
     The step count n comes from the integral mixing bound on the chain's
-    exact environment profile, with gamma = min(chain.gamma, 1/2).
-
-    Modes:
-      certificate - exact joint Doob propagation; E-hat[Z_n] <= sqrt(eps)
-                    certifies the tail bound through the chi <= E-hat[Z]
-                    pathway and Markov's inequality.
-      enumerate   - exact path enumeration (requires |E|^n <= PATH_ENUM_MAX).
-      mc          - Monte Carlo tail over >= mc_paths environment paths.
+    exact environment profile, with gamma = min(chain.gamma, 1/2).  The
+    exact joint Doob propagation gives E-hat[Z_n] per start state, and
+    E-hat[Z_n] <= sqrt(eps) certifies the tail bound through the
+    chi <= E-hat[Z] pathway and Markov's inequality.  `mode` accepts only
+    "certificate".
     """
+    if mode != "certificate":
+        raise InputError(f"unknown mode {mode!r}; only 'certificate' is supported")
     evoset.start_mask(x, chain.n_states)
     gamma = chain.gamma
     if gamma <= 0.0:
@@ -255,82 +198,7 @@ def theorem_2_1_check(chain: FiniteEnvChain, x: int, eps: float,
     g_used = min(gamma, 0.5)
     profile = profile_phi_env(chain.R, chain.kernels, chain.pi)
     n = integral_mixing_bound(profile, g_used, float(chain.pi[x]), eps)
-    threshold = eps ** 0.25
-    E = chain.n_env
-    if mode == "certificate":
-        certs = _doob_z_certificates(chain, x, n)
-        passed = bool((certs <= math.sqrt(eps) + 1e-9).all())
-        return Theorem21Report(gamma=g_used, steps=n, threshold=threshold,
-                               mode=mode, per_zeta_tail=None,
-                               per_zeta_certificate=certs, tail_ci=None,
-                               passed=passed)
-    if mode == "enumerate":
-        if E ** n > PATH_ENUM_MAX:
-            raise CapabilityError(f"|E|^n = {E}^{n} exceeds {PATH_ENUM_MAX}")
-        tails = np.array([_enumerate_tail(chain, x, z, n, threshold)
-                          for z in range(E)])
-        passed = bool((tails <= threshold + 1e-12).all())
-        return Theorem21Report(gamma=g_used, steps=n, threshold=threshold,
-                               mode=mode, per_zeta_tail=tails,
-                               per_zeta_certificate=None, tail_ci=None,
-                               passed=passed)
-    if mode == "mc":
-        tails = []
-        cis = []
-        for z in range(E):
-            phat, ci = _mc_tail(chain, x, z, n, threshold, mc_paths,
-                                None if seed is None else seed + z)
-            tails.append(phat)
-            cis.append(ci)
-        tails = np.array(tails)
-        # CI slack: the point estimate may exceed the bound by sampling noise
-        passed = bool(all(ci[0] <= threshold + 1e-12 for ci in cis))
-        worst = max(cis, key=lambda c: c[1])
-        return Theorem21Report(gamma=g_used, steps=n, threshold=threshold,
-                               mode=mode, per_zeta_tail=tails,
-                               per_zeta_certificate=None, tail_ci=worst,
-                               passed=passed)
-    raise InputError(f"unknown mode {mode!r}")
-
-
-# ---------------------------------------------------------------------------
-# Chain spec file: plain-text numeric format, version 1.
-#
-#   line 1: "dynaperc-chain-v1"
-#   line 2: n_env n_states
-#   then  : R row-major (n_env lines), per-zeta kernels row-major
-#           (n_env * n_states lines), pi (1 line)
-# ---------------------------------------------------------------------------
-
-def dump_chain(chain: FiniteEnvChain) -> str:
-    lines = ["dynaperc-chain-v1", f"{chain.n_env} {chain.n_states}"]
-    for row in chain.R:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    for K in chain.kernels:
-        for row in K:
-            lines.append(" ".join(repr(float(v)) for v in row))
-    lines.append(" ".join(repr(float(v)) for v in chain.pi))
-    return "\n".join(lines) + "\n"
-
-
-def load_chain(text: str) -> FiniteEnvChain:
-    """Parse a chain spec of `dump_chain`; malformed text raises InputError."""
-    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != ["dynaperc-chain-v1"]:
-        raise InputError("not a dynaperc chain spec")
-    try:
-        E, S = (int(t) for t in lines[1]) if len(lines) > 1 else ()
-    except ValueError as exc:
-        raise InputError("chain spec line 2 must be 'n_env n_states'") from exc
-    if E < 1 or S < 1 or len(lines) != 2 + E + E * S + 1:
-        raise InputError(f"chain spec with {E} env and {S} walk states "
-                         f"needs {2 + E + E * S + 1} lines, has {len(lines)}")
-    widths = [E] * E + [S] * (E * S + 1)
-    if any(len(row) != w for row, w in zip(lines[2:], widths)):
-        raise InputError("chain spec row of the wrong length")
-    try:
-        rows = [[float(t) for t in row] for row in lines[2:]]
-    except ValueError as exc:
-        raise InputError(f"chain spec entry is not a number: {exc}") from exc
-    kernels = tuple(np.array(rows[E + k * S:E + (k + 1) * S]) for k in range(E))
-    return FiniteEnvChain(R=np.array(rows[:E]), kernels=kernels, pi=np.array(rows[-1]))
+    certs = _doob_z_certificates(chain, x, n)
+    passed = bool((certs <= math.sqrt(eps) + 1e-9).all())
+    return Theorem21Report(gamma=g_used, steps=n, threshold=eps ** 0.25,
+                           per_zeta_certificate=certs, passed=passed)

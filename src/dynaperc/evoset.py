@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .dist import chi
 from .errors import CapabilityError, InputError
 from .expansion import ExpansionProfile, enumerated_profile, profile_integral
 
@@ -110,13 +111,6 @@ def z_statistic(mask: int, pi: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class EvoSetState:
-    mask: int
-    pi_mass: float
-    z: Optional[float]  # None at the empty set
-
-
-@dataclass(frozen=True)
 class SetLaw:
     """Exact one-step law: distinct subsets with positive probabilities."""
 
@@ -139,15 +133,6 @@ def _ratios(mask: int, K: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """r_y = Q(S, y) / pi(y) for every state y."""
     members = mask_members(mask, len(pi))
     return (pi[members] @ K[members]) / pi
-
-
-def evolve_step(mask: int, K: np.ndarray, pi: np.ndarray, U: float) -> int:
-    """Threshold rule: next set = {y : Q(S, y)/pi(y) >= U} (non-strict)."""
-    if not 0.0 <= U <= 1.0:
-        raise InputError("U must lie in [0, 1]")
-    if mask == 0:
-        return 0
-    return int(_BIT[:len(pi)][_ratios(mask, K, pi) >= U].sum())
 
 
 def step_law(mask: int, K: np.ndarray, pi: np.ndarray) -> SetLaw:
@@ -198,52 +183,6 @@ def expected_sqrt_ratio(mask: int, K: np.ndarray, pi: np.ndarray) -> float:
     mass0 = set_mass(mask, pi)
     e = sum(p * math.sqrt(set_mass(s, pi) / mass0) for s, p in law.entries)
     return 1.0 - e
-
-
-def run_evoset(chain: InhomChain, s0: int, steps: int,
-               seed: Optional[int] = None) -> list[EvoSetState]:
-    """Ordinary run driven by i.i.d. uniforms; reports absorption states as-is."""
-    if steps > len(chain.kernels):
-        raise InputError("steps exceed the kernel sequence length")
-    rng = np.random.default_rng(seed)
-    pi = chain.pi
-    states = [_state(s0, pi)]
-    mask = s0
-    for k in range(steps):
-        mask = evolve_step(mask, chain.kernel(k), pi, float(rng.random()))
-        states.append(_state(mask, pi))
-    return states
-
-
-def doob_run(chain: InhomChain, s0: int, steps: int,
-             seed: Optional[int] = None) -> tuple[list[EvoSetState], list[float]]:
-    """Doob-transformed run; never reaches the empty set.  The importance
-    weights pi(S_0) / pi(S_k) convert Doob-path averages back to the
-    ordinary law."""
-    if s0 == 0:
-        raise InputError("Doob run cannot start at the empty set")
-    if steps > len(chain.kernels):
-        raise InputError("steps exceed the kernel sequence length")
-    rng = np.random.default_rng(seed)
-    pi = chain.pi
-    mask = s0
-    mass0 = set_mass(s0, pi)
-    states = [_state(mask, pi)]
-    weights = [1.0]
-    for k in range(steps):
-        law = doob_step_law(mask, chain.kernel(k), pi)
-        probs = np.array([p for _, p in law.entries])
-        idx = rng.choice(len(probs), p=probs / probs.sum())
-        mask = law.entries[int(idx)][0]
-        states.append(_state(mask, pi))
-        weights.append(mass0 / set_mass(mask, pi))
-    return states, weights
-
-
-def _state(mask: int, pi: np.ndarray) -> EvoSetState:
-    mass = set_mass(mask, pi)
-    z = None if mask == 0 else z_statistic(mask, pi)
-    return EvoSetState(mask=mask, pi_mass=mass, z=z)
 
 
 def _distinct_kernels(kernels: Sequence[np.ndarray]) -> tuple[list[np.ndarray], list[int]]:
@@ -313,27 +252,6 @@ def propagate_set_law(kernels: Sequence[np.ndarray], pi: np.ndarray, s0: int,
     return laws, pruned
 
 
-def marginal_identity_check(chain: InhomChain, x: int, k: int) -> float:
-    """Max abs discrepancy between the kernel-product law of X_k and
-    pi(y)/pi(x) * P(y in S_k) from the exact subset law started at {x}."""
-    pi = chain.pi
-    m = chain.n_states
-    s0 = start_mask(x, m)
-    if k > len(chain.kernels):
-        raise InputError("k exceeds the kernel sequence length")
-    laws, pruned = propagate_set_law(chain.kernels[:k], pi, s0, doob=False,
-                                     prune=0.0)
-    final = laws[-1]
-    member_prob = np.array(list(final.values())) @ np.array(
-        [mask_members(mask, m) for mask in final])
-    vec = np.zeros(m)
-    vec[x] = 1.0
-    for K in chain.kernels[:k]:
-        vec = vec @ K
-    rhs = pi / pi[x] * member_prob
-    return float(np.abs(vec - rhs).max())
-
-
 def psi_profile_kernels(kernels: Sequence[np.ndarray], pi: np.ndarray) -> ExpansionProfile:
     """Step profile psi(r) = min over kernels and pi(S) <= r of psi_p(S)."""
     m = len(pi)
@@ -400,7 +318,7 @@ def doob_z_bound_check(chain: InhomChain, x: int,
     vec = np.zeros(chain.n_states)
     vec[x] = 1.0
     for j in range(k + 1):
-        chis[j] = math.sqrt(max(0.0, float(np.sum((vec - pi) ** 2 / pi))))
+        chis[j] = chi(vec, pi)
         if j < k:
             vec = vec @ chain.kernel(j)
     slack = 1e-9 + pruned * 10.0

@@ -113,28 +113,6 @@ def expansion_phi(K: np.ndarray, pi: np.ndarray, S) -> float:
     return q_flow(K, pi, mask, ~mask) / float(pi[mask].sum())
 
 
-def phi_env(R_row: np.ndarray, kernels: Sequence[np.ndarray], pi: np.ndarray, S) -> float:
-    """Environment-averaged expansion: run the environment one step from zeta
-    (whose R-row is given) and average phi of the resulting kernel."""
-    R_row = np.asarray(R_row, dtype=float)
-    total = 0.0
-    for w, K in zip(R_row, kernels):
-        if w > 0:
-            total += w * expansion_phi(K, pi, S)
-    return total
-
-
-def phi_env_mc(sample_kernel: Callable[[int], np.ndarray], pi: np.ndarray, S,
-               samples: int = 1000) -> tuple[float, tuple[float, float]]:
-    """Monte Carlo E[phi_{K_1}(S)] when the one-step kernel can only be sampled."""
-    if samples < 2:
-        raise InputError("need at least 2 samples")
-    vals = np.array([expansion_phi(sample_kernel(i), pi, S) for i in range(samples)])
-    se = vals.std(ddof=1) / math.sqrt(samples)
-    m = float(vals.mean())
-    return m, (m - 1.96 * se, m + 1.96 * se)
-
-
 @dataclass(frozen=True)
 class ExpansionProfile:
     """Nonincreasing step function r -> phi(r), constant at phi(1/2) for r >= 1/2.

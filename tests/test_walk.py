@@ -9,7 +9,7 @@ from dynaperc.dynenv import DynParams, EdgeTrajectory, EnvTrajectory, sample_env
 from dynaperc.errors import CapabilityError, HorizonError, InputError
 from dynaperc.torus import TorusGraph
 from dynaperc import dist, walk
-from dynaperc.walk import (_MAX_SEGMENT, _Evolver, block_chain,
+from dynaperc.walk import (_MAX_SEGMENT, _Evolver,
                            exact_hitting_profile, exact_quenched_distribution,
                            replay_is_legal, simulate_positions, simulate_walk,
                            step_matrix, window_kernel, quenched_tv_curve)
@@ -112,12 +112,12 @@ def test_unit_window_diagonal_floor():
 
 
 def test_block_chain_product():
+    # window kernels form a semigroup: the kernels of the blocks [0, 4],
+    # [4, 8] and [8, 12] multiply to the kernel of [0, 12]
     env = _env(seed=5, horizon=20.0)
-    blocks = block_chain(env, 4.0)
-    assert len(blocks) == 5
     prod = np.eye(6)
-    for B in blocks[:3]:
-        prod = prod @ B.matrix
+    for a in (0.0, 4.0, 8.0):
+        prod = prod @ window_kernel(env, (a, a + 4.0)).matrix
     direct = window_kernel(env, (0.0, 12.0)).matrix
     assert np.abs(prod - direct).max() < 1e-9
 
@@ -143,25 +143,28 @@ def test_exact_budget():
 _EXACT_ENTRY_POINTS = {
     "exact_quenched_distribution": lambda env: exact_quenched_distribution(env, 0, 4.0),
     "window_kernel": lambda env: window_kernel(env, (0.0, 4.0)),
-    "block_chain": lambda env: block_chain(env, 4.0),
     "quenched_tv_curve": lambda env: quenched_tv_curve(env, 0, [4.0, 8.0]),
     "exact_hitting_profile": lambda env: exact_hitting_profile(env, np.arange(16) < 8, 8.0),
     "annealed_mixing_time": lambda env: dist.annealed_mixing_time(
         env.graph, env.params, 0, 0.25, 2, seed=0),
+    "hitting_time_stats": lambda env: dist.hitting_time_stats(
+        env.graph, env.params, np.arange(16) < 8, env_samples=2, seed=0),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(_EXACT_ENTRY_POINTS))
 def test_every_exact_entry_point_checks_the_size(entry, monkeypatch):
-    # the limit is read when the evolver is built, before any matrix exists
+    # the limit is read when an evolver is built or an ensemble requested,
+    # before any matrix exists or any environment is drawn
     env = _env(n=16, horizon=8.0)
     monkeypatch.setattr(walk, "EXACT_STATE_BUDGET", 8)
 
-    def no_evolution(*args):
-        raise AssertionError("evolution started past the size limit")
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started past the size limit")
 
-    monkeypatch.setattr(walk, "step_matrix", no_evolution)
-    monkeypatch.setattr(walk, "_apply_uniformized", no_evolution)
+    monkeypatch.setattr(walk, "step_matrix", no_work)
+    monkeypatch.setattr(walk, "_apply_uniformized", no_work)
+    monkeypatch.setattr(dist, "sample_env", no_work)
     with pytest.raises(CapabilityError):
         _EXACT_ENTRY_POINTS[entry](env)
 
