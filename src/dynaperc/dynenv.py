@@ -102,8 +102,8 @@ class EnvTrajectory:
     """A full environment realization eta = (eta_t) on [0, T] for one torus.
 
     Immutable after sampling; reproducible bit for bit from (params, init, seed).
-    Built by hand from per-edge `EdgeTrajectory`s; `sample_env` and
-    `loads_env` fill the flat arrays directly.
+    Built by hand from per-edge `EdgeTrajectory`s; `sample_env` fills the
+    flat arrays directly (`_from_arrays`).
     """
 
     __slots__ = ("graph", "params", "init_tag", "seed", "initial", "flip_times",
@@ -397,7 +397,7 @@ _EDGE_HEADER = struct.Struct("<BI")
 
 
 def dump_env(env: EnvTrajectory, fh) -> None:
-    """Write the versioned binary dump; round-trips bit-exactly via load_env."""
+    """Write the versioned binary dump above; no command reads one back."""
     seed = env.seed
     fh.write(_MAGIC)
     fh.write(_HEADER.pack(env.graph.d, env.graph.n, env.params.p, env.params.mu,
@@ -408,50 +408,3 @@ def dump_env(env: EnvTrajectory, fh) -> None:
     for e, state in enumerate(env.initial.tolist()):
         fh.write(_EDGE_HEADER.pack(state, off[e + 1] - off[e]))
         fh.write(env.flip_times[off[e]:off[e + 1]].astype("<f8", copy=False).tobytes())
-
-
-def load_env(fh) -> EnvTrajectory:
-    return loads_env(fh.read())
-
-
-def loads_env(data: bytes) -> EnvTrajectory:
-    """Parse a dump of `dump_env`; truncated or corrupt data raises InputError."""
-    if data[:len(_MAGIC)] != _MAGIC:
-        raise InputError("not a dynaperc environment dump (bad magic)")
-    pos = len(_MAGIC) + _HEADER.size
-    if len(data) < pos:
-        raise InputError("environment dump truncated in its header")
-    d, n, p, mu, T, tag_idx, seed, has_seed = _HEADER.unpack_from(data, len(_MAGIC))
-    if tag_idx >= len(INIT_TAGS) or has_seed > 1 or (not has_seed and seed):
-        raise InputError("corrupt environment dump header")
-    g = TorusGraph(d, n)
-    params = DynParams(p, mu, T)
-    # every edge takes a header; test that before n^d makes a huge integer
-    room = (len(data) - pos) // _EDGE_HEADER.size
-    if room == 0 or d * math.log(n) > math.log(room) or g.n_edges > room:
-        raise InputError("environment dump truncated before its last edge")
-    states, counts, starts = [], [], []
-    for _ in range(g.n_edges):
-        if len(data) < pos + _EDGE_HEADER.size:
-            raise InputError("environment dump truncated before its last edge")
-        state, count = _EDGE_HEADER.unpack_from(data, pos)
-        pos += _EDGE_HEADER.size
-        if state > 1:
-            raise InputError("initial state must be 0 or 1")
-        if len(data) < pos + 8 * count:
-            raise InputError("environment dump truncated inside flip times")
-        states.append(state)
-        counts.append(count)
-        starts.append(pos)
-        pos += 8 * count
-    if pos != len(data):
-        raise InputError("trailing bytes after the environment dump")
-    flips = np.concatenate([np.frombuffer(data, dtype="<f8", count=c, offset=a)
-                            for c, a in zip(counts, starts)]).astype(np.float64, copy=False)
-    offsets = np.zeros(g.n_edges + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    if len(flips) and not (flips.min() >= 0.0 and flips.max() <= T):
-        raise InputError("flip times outside [0, horizon]")
-    return EnvTrajectory._from_arrays(g, params, np.array(states, dtype=np.int8),
-                                      flips, offsets, INIT_TAGS[tag_idx],
-                                      seed if has_seed else None)

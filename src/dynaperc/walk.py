@@ -9,9 +9,17 @@ continuously.
 
 One core does all exact evolution: `_Evolver.advance` walks the flip segments
 of the environment and `_apply_uniformized` runs the series.  The jump
-matrix is built once per evolver and each flip rewrites the entries of its
+operator is built once per evolver and each flip rewrites the entries of its
 edge in place.  Forward laws, window kernels and TV curves evolve rows
-through it, one series per segment.  Hitting profiles run it on the chain
+through it, one series per segment, on one of two operators.  Below
+`_STENCIL_MIN_STATES` (128) states it is the dense matrix P and each series
+term is a row-matrix product.  From there on it is the stencil table
+(`_Stencil`): P's 2d + 1 nonzeros per row.  A single row (a law, a TV curve)
+then needs no N x N matrix: a segment writes its Krylov rows v, vP, ...,
+vP^K into one reused buffer and adds them up with one product by the
+Poisson weights, within about 1e-15 of the dense series.  Many rows (a
+window kernel) run the dense products on P scattered from the table, where
+they are faster.  Hitting profiles run it on the chain
 absorbed in the target set: only the block of free (off-target) states is
 evolved, flips on edges inside the target are skipped, and the series also
 adds up the time each row spends off the target.  The absorbed path works in
@@ -21,7 +29,8 @@ integral, and chains those in time order, so the per-product Python cost is
 paid once per chunk rather than once per segment.  It reads the flips a
 window at a time and stops at absorption.  An evolver counts the series it
 ran (`segments`), their matrix products (`terms`), and the truncation mass
-actually dropped (`dropped`) beside the allowance it handed out (`spent`).
+actually dropped (`dropped`), which bounds the error, beside the allowance
+it handed out (`spent`), which can pass the budget.
 
 One size check, `check_exact_size`, guards all exact evolution: more than
 `EXACT_STATE_BUDGET` states raise `CapabilityError`.  `_Evolver`'s
@@ -55,6 +64,12 @@ _MAX_SEGMENT = 32.0
 # series was measured slower than a series per piece.
 _CHUNK = 128
 _CHUNK_BYTES = 1 << 17
+# Forward evolution on this many states or more holds P as a stencil table
+# (`_Stencil`) instead of a dense matrix.  On TV curves below 128 states the
+# two came within about 15% of each other, either way; from 128 on the
+# stencil won every pair, by 1.3x to 2.8x (BENCH_12.json).  Below it the
+# dense series keeps its outputs byte for byte.
+_STENCIL_MIN_STATES = 128
 
 
 @dataclass(frozen=True)
@@ -161,21 +176,64 @@ def replay_is_legal(env: EnvTrajectory, path: WalkPath) -> bool:
 # Exact evolution
 # ---------------------------------------------------------------------------
 
+class _Stencil:
+    """P held by its nonzeros: tables D and idx, both (2d + 1, N), with
+    D[k, v] = P[v, idx[k, v]].
+
+    idx[0] is each vertex and idx[1 + k] its neighbour k
+    (`neighbor_vertices[:, k]`), so D[0] is the diagonal and D[1 + k] the
+    rate, 0 or 1/(2d), to neighbour k.  Each diagonal entry is 1 - k/(2d)
+    rounded one subtraction at a time.  P is symmetric, so row @ P sums
+    D * row[idx] over the 2d + 1 stencil entries.  `series` writes the
+    Krylov rows v, vP, ..., vP^K of a segment into one buffer, reused from
+    segment to segment, and adds them up with one product by the Poisson
+    weights.  `matrix` scatters the table into a dense P, kept for reuse.
+    """
+
+    def __init__(self, g: TorusGraph, open_mask: np.ndarray):
+        N = g.n_vertices
+        rate = 1.0 / (2 * g.d)
+        # C order, so a row's gather comes out contiguous
+        self.idx = np.empty((2 * g.d + 1, N), dtype=np.int64)
+        self.idx[0] = np.arange(N)
+        self.idx[1:] = g.neighbor_vertices.T
+        self.D = np.empty((2 * g.d + 1, N))
+        self.D[0] = 1.0
+        uv = g.edge_uv[open_mask]
+        np.subtract.at(self.D[0], uv[:, 0], rate)
+        np.subtract.at(self.D[0], uv[:, 1], rate)
+        self.D[1:] = np.where(open_mask[g.incident_edges.T], rate, 0.0)
+        self._ones = np.ones(len(self.D))  # sums the stencil entries
+        self._prods = np.empty(self.D.shape)
+        self._krylov = np.empty((0, N))
+        self._dense: Optional[np.ndarray] = None
+
+    def matrix(self) -> np.ndarray:
+        """P as a dense matrix: the table scattered onto its fixed nonzero pattern."""
+        N = self.D.shape[1]
+        if self._dense is None:
+            self._dense = np.zeros((N, N))
+        self._dense[np.arange(N), self.idx] = self.D
+        return self._dense
+
+    def series(self, row: np.ndarray, ws: list) -> np.ndarray:
+        """sum_k ws[k] row P^k for a (1, N) row."""
+        if len(self._krylov) < len(ws):
+            self._krylov = np.empty((len(ws), self.D.shape[1]))
+        T = self._krylov[:len(ws)]
+        T[0] = row[0]
+        for k in range(1, len(ws)):
+            np.multiply(self.D, T[k - 1][self.idx], out=self._prods)
+            np.dot(self._ones, self._prods, out=T[k])
+        return np.dot(ws, T)[None, :]
+
+
 def step_matrix(g: TorusGraph, open_mask: np.ndarray) -> np.ndarray:
     """P = I + Q for the frozen configuration; Q jumps across open edges at rate 1/(2d)."""
-    N = g.n_vertices
-    P = np.eye(N)
-    rate = 1.0 / (2 * g.d)
-    uv = g.edge_uv[open_mask]
-    if len(uv):
-        np.add.at(P, (uv[:, 0], uv[:, 1]), rate)
-        np.add.at(P, (uv[:, 1], uv[:, 0]), rate)
-        np.subtract.at(P, (uv[:, 0], uv[:, 0]), rate)
-        np.subtract.at(P, (uv[:, 1], uv[:, 1]), rate)
-    return P
+    return _Stencil(g, open_mask).matrix()
 
 
-def _apply_uniformized(mat: np.ndarray, P: np.ndarray, s, tol: float,
+def _apply_uniformized(mat: np.ndarray, P: np.ndarray | _Stencil, s, tol: float,
                        occupation: Optional[np.ndarray] = None):
     """mat @ expm((P - I) s) as a Poisson-weighted series, tail mass < tol.
 
@@ -190,6 +248,12 @@ def _apply_uniformized(mat: np.ndarray, P: np.ndarray, s, tol: float,
     alone; past that term its weights are 0 and it adds nothing.  Stopped
     segments are sliced off the end of the stack, so stacking the longest
     first keeps the products to the segments still running.
+
+    P may also be a `_Stencil` (one segment, no `occupation`).  One row
+    then runs on the stencil's Krylov rows; more rows run the products on
+    its dense matrix, which was measured faster for a window kernel's N
+    rows (at N = 256 a kernel took 7.1 s dense against 11.0 s on the
+    stencil).
     """
     stacked = not np.isscalar(s)
     weights, terms, dropped = [], [], []
@@ -208,6 +272,10 @@ def _apply_uniformized(mat: np.ndarray, P: np.ndarray, s, tol: float,
         weights.append(ws)
         terms.append(k)
         dropped.append(max(1.0 - cum, 0.0))
+    if isinstance(P, _Stencil):
+        if len(mat) == 1:
+            return P.series(mat, weights[0]), terms[0], dropped[0]
+        P = P.matrix()  # many rows: matrix products beat the stencil
     if occupation is not None:
         # int_0^h e^{-t} t^k/k! dt: 1 - w_0 for k = 0, then the previous one
         # less the Poisson weight
@@ -259,12 +327,16 @@ def check_exact_size(g: TorusGraph) -> None:
 class _Evolver:
     """Walks a distribution (or matrix of rows) through env flip segments.
 
-    P is built once by `step_matrix`; a flip then adds +-1/(2d) to the four
-    entries of its edge in place.  Each diagonal entry is 1 - k/(2d) rounded
-    one subtraction at a time, as `step_matrix` computes it, and adding the
-    rate back lands on the previous value exactly (checked for d <= 12), so P
-    always equals a fresh build bit for bit.  Forward evolution runs one
-    series per segment on the rows themselves.
+    P is built once, as the dense `step_matrix` or, for forward evolution on
+    `_STENCIL_MIN_STATES` states or more, as the stencil table `_Stencil.D`;
+    a flip then adds +-1/(2d) to the four entries of its edge in place,
+    through flat positions computed once per edge.  Each diagonal entry is
+    1 - k/(2d) rounded one subtraction at a time, as `step_matrix` computes
+    it, and adding the rate back lands on the previous value exactly
+    (checked for d <= 12), so the operator always equals a fresh build bit
+    for bit.  Forward evolution runs one series per segment on the rows
+    themselves, and skips segments with no open edge, by a count of open
+    edges that each flip keeps.
 
     With an `absorbing` vertex mask the walk is absorbed there, and only the
     sub-stochastic block of P on the free vertices (those off the mask) is
@@ -293,6 +365,9 @@ class _Evolver:
     (matrix products taken by those series), `spent` (the truncation
     allowance handed out, which sizes later segments) and `dropped` (the
     Poisson tail mass the series actually left out, at most `spent`).
+    Evolution is an L1 contraction, so each row's truncation error is at
+    most `dropped`: that is the bound to hold against `tol_total`.  `spent`
+    can pass `tol_total` on ordinary runs (see `_segment_tol`).
     """
 
     def __init__(self, env: EnvTrajectory, t0: float, tol_total: float = 1e-10,
@@ -303,19 +378,37 @@ class _Evolver:
         self.t = t0
         self.absorbing = absorbing
         self.open_mask = env.open_mask_at(t0)
-        P = step_matrix(g, self.open_mask)
-        live = np.ones(g.n_vertices, dtype=bool) if absorbing is None else ~absorbing
-        row = np.full(g.n_vertices, -1)
-        row[live] = np.arange(int(live.sum()))
-        rows = row[g.edge_uv]
-        # row of each endpoint of each edge in the evolved block, -1 if absorbed
-        self._rows = rows.tolist()
-        self._live_edge = (rows >= 0).any(axis=1)
+        self._n_open = int(np.count_nonzero(self.open_mask))
         self._rate = 1.0 / (2 * g.d)
-        self.P = P if absorbing is None else P[np.ix_(live, live)]
+        uv = g.edge_uv
+        if absorbing is None and g.n_vertices >= _STENCIL_MIN_STATES:
+            self.P = _Stencil(g, self.open_mask)
+            N = g.n_vertices
+            col = 1 + 2 * (np.arange(g.n_edges) % g.d)
+            u, v = uv[:, 0], uv[:, 1]
+            # v is neighbour 2 * axis of u, and u neighbour 2 * axis + 1 of v
+            pos = np.stack([u, v, col * N + u, (col + 1) * N + v], axis=1)
+            flat = self.P.D
+        else:
+            P = step_matrix(g, self.open_mask)
+            live = np.ones(g.n_vertices, dtype=bool) if absorbing is None else ~absorbing
+            n = int(live.sum())
+            row = np.full(g.n_vertices, -1)
+            row[live] = np.arange(n)
+            # row of each endpoint of each edge in the evolved block, -1 if absorbed
+            i, j = row[uv].T
+            self._live_edge = (i >= 0) | (j >= 0)
+            self.P = P if absorbing is None else P[np.ix_(live, live)]
+            pos = np.stack([np.where(i >= 0, i * (n + 1), -1),
+                            np.where(j >= 0, j * (n + 1), -1), i * n + j, j * n + i],
+                           axis=1)
+            flat = self.P
+        # flat positions of the diagonal entries an edge touches (-1 if
+        # absorbed) and of its two off-diagonal entries
+        self._pos = pos.tolist()
+        self._flat = flat.reshape(-1)
         self.occupation = None
         if absorbing is not None:
-            n = len(self.P)
             self.occupation = np.zeros(n)
             size = max(1, min(_CHUNK, _CHUNK_BYTES // (8 * max(n, 1) ** 2)))
             self._stack = np.empty((size, n, n))  # blocks in time order
@@ -330,25 +423,29 @@ class _Evolver:
         self.terms = 0
 
     def _flip(self, e: int) -> None:
-        """Toggle edge e and add or remove its rate in the block entries it touches."""
+        """Toggle edge e and add or remove its rate in the operator entries it touches."""
         is_open = not self.open_mask[e]
         self.open_mask[e] = is_open
+        self._n_open += 1 if is_open else -1
         r = self._rate if is_open else -self._rate
-        i, j = self._rows[e]
-        P = self.P
-        if i >= 0:
-            P[i, i] -= r
-        if j >= 0:
-            P[j, j] -= r
-            if i >= 0:
-                P[i, j] += r
-                P[j, i] += r
+        ii, jj, ij, ji = self._pos[e]
+        F = self._flat
+        if ii >= 0:
+            F[ii] -= r
+        if jj >= 0:
+            F[jj] -= r
+            if ii >= 0:
+                F[ij] += r
+                F[ji] += r
 
     def _segment_tol(self, n_segments: int) -> float:
-        # What is left of the budget, split over the segments still to run.
-        # The floor keeps each series from chasing rounding noise near
-        # cum = 1; past about tol_total / 1e-15 segments it lets `spent` grow
-        # beyond tol_total, and `dropped` is the mass actually cut.
+        # A quarter of what is left of the budget, split over the segments
+        # of this `advance`.  The floor keeps each series from chasing
+        # rounding noise near cum = 1.  A run of many `advance` calls (a TV
+        # curve makes one per grid time) shrinks the remainder call by call
+        # until the floor takes over, so `spent` passes tol_total on ordinary
+        # multi-window runs; `dropped`, the mass actually cut, is the bound
+        # that holds.
         return max((self.tol_total - self.spent) / (4 * max(n_segments, 1)),
                    1e-15)
 
@@ -368,14 +465,14 @@ class _Evolver:
         tol = self._segment_tol(len(times) + 1 + int((t1 - self.t) / _MAX_SEGMENT))
         prev = self.t
         self.t = t1
-        for tm, e in zip(times, eids):
+        for tm, e in zip(times.tolist(), eids.tolist()):
             mat = self._run_segment(mat, tm - prev, tol)
             prev = tm
             self._flip(e)
         return self._run_segment(mat, t1 - prev, tol)
 
     def _run_segment(self, mat: np.ndarray, s: float, tol: float) -> np.ndarray:
-        if not self.open_mask.any():
+        if not self._n_open:
             return mat  # frozen walker: P = I
         while s > 0.0:
             h = min(s, _MAX_SEGMENT)

@@ -7,7 +7,8 @@ References, each a second way to compute what the library computes:
 - environments: the per-hold sampler `scalar_sample_env`, the per-edge loops
   `loop_flip_events` and `loop_open_mask_at`, the single-edge trajectory
   simulation `simulate_edge_state_at`, the closed form
-  `open_throughout_prob_from_closed`, and `dumps_env`, the in-memory dump;
+  `open_throughout_prob_from_closed`, and `dumps_env` and `loads_env`, the
+  in-memory dump and its parser;
 - walks: `rebuild_hitting_profile`, the absorbed chain rebuilt per flip;
 - evolving sets: the threshold rule `evolve_step`, the dict set-law loop
   `dict_propagate_set_law`, the set-law marginal identity
@@ -279,6 +280,53 @@ def dumps_env(env):
     buf = io.BytesIO()
     dump_env(env, buf)
     return buf.getvalue()
+
+
+def loads_env(data):
+    """Parse a dump of `dynenv.dump_env`; truncated or corrupt data raises InputError."""
+    from dynaperc.dynenv import (_EDGE_HEADER, _HEADER, _MAGIC, INIT_TAGS, DynParams,
+                                 EnvTrajectory)
+    from dynaperc.torus import TorusGraph
+
+    if data[:len(_MAGIC)] != _MAGIC:
+        raise InputError("not a dynaperc environment dump (bad magic)")
+    pos = len(_MAGIC) + _HEADER.size
+    if len(data) < pos:
+        raise InputError("environment dump truncated in its header")
+    d, n, p, mu, T, tag_idx, seed, has_seed = _HEADER.unpack_from(data, len(_MAGIC))
+    if tag_idx >= len(INIT_TAGS) or has_seed > 1 or (not has_seed and seed):
+        raise InputError("corrupt environment dump header")
+    g = TorusGraph(d, n)
+    params = DynParams(p, mu, T)
+    # every edge takes a header; test that before n^d makes a huge integer
+    room = (len(data) - pos) // _EDGE_HEADER.size
+    if room == 0 or d * math.log(n) > math.log(room) or g.n_edges > room:
+        raise InputError("environment dump truncated before its last edge")
+    states, counts, starts = [], [], []
+    for _ in range(g.n_edges):
+        if len(data) < pos + _EDGE_HEADER.size:
+            raise InputError("environment dump truncated before its last edge")
+        state, count = _EDGE_HEADER.unpack_from(data, pos)
+        pos += _EDGE_HEADER.size
+        if state > 1:
+            raise InputError("initial state must be 0 or 1")
+        if len(data) < pos + 8 * count:
+            raise InputError("environment dump truncated inside flip times")
+        states.append(state)
+        counts.append(count)
+        starts.append(pos)
+        pos += 8 * count
+    if pos != len(data):
+        raise InputError("trailing bytes after the environment dump")
+    flips = np.concatenate([np.frombuffer(data, dtype="<f8", count=c, offset=a)
+                            for c, a in zip(counts, starts)]).astype(np.float64, copy=False)
+    offsets = np.zeros(g.n_edges + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    if len(flips) and not (flips.min() >= 0.0 and flips.max() <= T):
+        raise InputError("flip times outside [0, horizon]")
+    return EnvTrajectory._from_arrays(g, params, np.array(states, dtype=np.int8),
+                                      flips, offsets, INIT_TAGS[tag_idx],
+                                      seed if has_seed else None)
 
 
 def evolve_step(mask, K, pi, U):

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from dynaperc import dynenv
 from dynaperc.dynenv import (DynParams, EdgeTrajectory, EnvTrajectory,
                              count_open_throughout, edge_transition_prob,
-                             isolated_vertex_exists, loads_env, sample_env)
+                             isolated_vertex_exists, sample_env)
 from dynaperc.errors import HorizonError, InputError
 from dynaperc.torus import TorusGraph
 
-from helpers import (dumps_env, loop_flip_events, loop_open_mask_at,
-                     open_throughout_prob_from_closed, scalar_sample_env,
-                     simulate_edge_state_at)
+from helpers import (dumps_env, loads_env, loop_flip_events,
+                     loop_open_mask_at, open_throughout_prob_from_closed,
+                     scalar_sample_env, simulate_edge_state_at)
 
 
 def test_params_validation():

@@ -416,6 +416,67 @@ def test_in_place_flips_match_fresh_step_matrix(d, n):
         assert np.array_equal(absorbed.P, fresh[np.ix_(free, free)])
 
 
+@pytest.mark.parametrize("d, n", [(1, 7), (2, 4), (3, 3)])
+def test_in_place_flips_match_fresh_stencil_table(d, n, monkeypatch):
+    monkeypatch.setattr(walk, "_STENCIL_MIN_STATES", 1)
+    g = TorusGraph(d, n)
+    env = _env(d=d, n=n, horizon=10.0, seed=d)
+    ev = _Evolver(env, 3.0)
+    assert isinstance(ev.P, walk._Stencil)
+    rows = np.arange(g.n_vertices)
+    mask = env.open_mask_at(3.0)
+    rng = np.random.default_rng(d)
+    for e in rng.integers(g.n_edges, size=300):
+        mask[e] = not mask[e]
+        ev._flip(e)
+        assert np.array_equal(ev.open_mask, mask)
+        assert ev._n_open == mask.sum()
+        assert np.array_equal(ev.P.D, step_matrix(g, mask)[rows, ev.P.idx])
+
+
+def _forward_run(env, grid, window):
+    """Outputs of the three forward entry points, and an evolver's counters."""
+    outs = (quenched_tv_curve(env, 0, grid), window_kernel(env, window).matrix,
+            exact_quenched_distribution(env, 1, grid[-1]))
+    ev = _Evolver(env, 0.0)
+    vec = np.eye(env.graph.n_vertices)[:1]
+    for t in grid:
+        vec = ev.advance(vec, float(t))
+    return outs, (ev.segments, ev.terms, ev.dropped, ev.spent)
+
+
+@pytest.mark.parametrize("d, n", [(1, 16), (2, 6), (3, 4)])
+def test_stencil_matches_dense_operator(d, n, monkeypatch):
+    # window_kernel evolves N rows: on the stencil evolver they run the
+    # dense products on the scattered table
+    env = sample_env(TorusGraph(d, n), DynParams(0.5, 0.5, 40.0), seed=d)
+    grid = np.arange(2.0, 40.0, 2.0)
+    dense = _forward_run(env, grid, (1.5, 30.0))
+    monkeypatch.setattr(walk, "_STENCIL_MIN_STATES", 1)
+    stencil = _forward_run(env, grid, (1.5, 30.0))
+    for a, b in zip(dense[0], stencil[0]):
+        assert np.abs(a - b).max() <= 1e-14
+    assert stencil[1] == dense[1]  # same series: segments, terms, dropped, spent
+
+
+def test_stencil_at_torus_scale(monkeypatch):
+    # the d=2, n=16 mixing cell: 256 states, past the crossover
+    g = TorusGraph(2, 16)
+    env = sample_env(g, DynParams(0.5, 0.5, 90.0), seed=5)
+    grid = np.arange(2.0, 90.0, 2.0)
+    ev = _Evolver(env, 0.0)
+    assert isinstance(ev.P, walk._Stencil)
+    vec = np.eye(g.n_vertices)[:1]
+    tvs = []
+    for t in grid:
+        vec = ev.advance(vec, float(t))
+        tvs.append(0.5 * np.abs(vec[0] - 1.0 / g.n_vertices).sum())
+    assert ev.segments > 10000
+    assert 0.0 < ev.dropped <= ev.tol_total
+    monkeypatch.setattr(walk, "_STENCIL_MIN_STATES", g.n_vertices + 1)
+    assert np.abs(np.array(tvs) - quenched_tv_curve(env, 0, grid)).max() <= 1e-14
+
+
 def test_dropped_mass_reported_past_the_allowance():
     # 1e-13 over ~1000 segments: the 1e-15 floor hands out more allowance
     # than tol_total, and the mass actually cut is reported beside it
