@@ -136,12 +136,8 @@ def annealed_mixing_time(g: TorusGraph, params: DynParams, x: int, eps: float,
     uniform = np.full(N, 1.0 / N)
     laws = np.empty((env_samples, len(grid), N))
     for i, env in enumerate(envs):
-        ev = walkmod._Evolver(env, 0.0)
-        vec = np.zeros(N)
-        vec[x] = 1.0
-        for j, t in enumerate(grid):
-            vec = ev.advance(vec[None, :], float(t))[0]
-            laws[i, j] = vec
+        for j, law in enumerate(walkmod.quenched_laws(env, x, grid)):
+            laws[i, j] = law
     mean_law = laws.mean(axis=0)
     annealed_tvs = 0.5 * np.abs(mean_law - uniform).sum(axis=1)
     quenched_tvs = 0.5 * np.abs(laws - uniform).sum(axis=2)

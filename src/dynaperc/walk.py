@@ -9,28 +9,26 @@ continuously.
 
 One core does all exact evolution: `_Evolver.advance` walks the flip segments
 of the environment and `_apply_uniformized` runs the series.  The jump
-operator is built once per evolver and each flip rewrites the entries of its
-edge in place.  Forward laws, window kernels and TV curves evolve rows
-through it, one series per segment, on one of two operators.  Below
-`_STENCIL_MIN_STATES` (128) states it is the dense matrix P and each series
-term is a row-matrix product.  From there on it is the stencil table
-(`_Stencil`): P's 2d + 1 nonzeros per row.  A single row (a law, a TV curve)
-then needs no N x N matrix: a segment writes its Krylov rows v, vP, ...,
-vP^K into one reused buffer and adds them up with one product by the
-Poisson weights, within about 1e-15 of the dense series.  Many rows (a
-window kernel) run the dense products on P scattered from the table, where
-they are faster.  Hitting profiles run it on the chain
-absorbed in the target set: only the block of free (off-target) states is
-evolved, flips on edges inside the target are skipped, and the series also
-adds up the time each row spends off the target.  The absorbed path works in
-chunks of up to 128 segments: it stacks the block of each segment, runs one
-series on the whole stack to get every segment's propagator and occupation
-integral, and chains those in time order, so the per-product Python cost is
-paid once per chunk rather than once per segment.  It reads the flips a
-window at a time and stops at absorption.  An evolver counts the series it
-ran (`segments`), their matrix products (`terms`), and the truncation mass
-actually dropped (`dropped`), which bounds the error, beside the allowance
-it handed out (`spent`), which can pass the budget.
+operator is held one way only, as the stencil table `_Stencil`: P's 2d + 1
+nonzeros per row.  It is built once per evolver and each flip rewrites the
+four entries of its edge in place.  Forward laws, window kernels and TV
+curves evolve rows through it, one series per segment.  A single row (a law,
+a TV curve) needs no N x N matrix: a segment writes its Krylov rows v, vP,
+..., vP^K into one reused buffer and adds them up with one product by the
+Poisson weights.  Many rows (a window kernel) run dense products on P
+scattered from the table, where they are faster.  Hitting profiles run it on
+the chain absorbed in the target set: only the block of free (off-target)
+states is evolved, flips on edges inside the target are skipped, and the
+series also adds up the time each row spends off the target.  The absorbed
+path works in chunks of up to 128 segments: it scatters the block of each
+segment from the table onto a stack, runs one series on the whole stack to
+get every segment's propagator and occupation integral, and chains those in
+time order, so the per-product Python cost is paid once per chunk rather
+than once per segment.  It reads the flips a window at a time and stops at
+absorption.  An evolver counts the series it ran (`segments`), their matrix
+products (`terms`), and the truncation mass actually dropped (`dropped`),
+which bounds the error, beside the allowance it handed out (`spent`), which
+can pass the budget.
 
 One size check, `check_exact_size`, guards all exact evolution: more than
 `EXACT_STATE_BUDGET` states raise `CapabilityError`.  `_Evolver`'s
@@ -45,7 +43,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -64,12 +62,6 @@ _MAX_SEGMENT = 32.0
 # series was measured slower than a series per piece.
 _CHUNK = 128
 _CHUNK_BYTES = 1 << 17
-# Forward evolution on this many states or more holds P as a stencil table
-# (`_Stencil`) instead of a dense matrix.  On TV curves below 128 states the
-# two came within about 15% of each other, either way; from 128 on the
-# stencil won every pair, by 1.3x to 2.8x (BENCH_12.json).  Below it the
-# dense series keeps its outputs byte for byte.
-_STENCIL_MIN_STATES = 128
 
 
 @dataclass(frozen=True)
@@ -187,7 +179,8 @@ class _Stencil:
     D * row[idx] over the 2d + 1 stencil entries.  `series` writes the
     Krylov rows v, vP, ..., vP^K of a segment into one buffer, reused from
     segment to segment, and adds them up with one product by the Poisson
-    weights.  `matrix` scatters the table into a dense P, kept for reuse.
+    weights.  `matrix` scatters the table into a dense P, kept for reuse,
+    through flat positions computed with it.
     """
 
     def __init__(self, g: TorusGraph, open_mask: np.ndarray):
@@ -210,10 +203,11 @@ class _Stencil:
 
     def matrix(self) -> np.ndarray:
         """P as a dense matrix: the table scattered onto its fixed nonzero pattern."""
-        N = self.D.shape[1]
         if self._dense is None:
+            N = self.D.shape[1]
             self._dense = np.zeros((N, N))
-        self._dense[np.arange(N), self.idx] = self.D
+            self._at = (np.arange(N) * N + self.idx).reshape(-1)
+        self._dense.reshape(-1)[self._at] = self.D.reshape(-1)
         return self._dense
 
     def series(self, row: np.ndarray, ws: list) -> np.ndarray:
@@ -229,7 +223,11 @@ class _Stencil:
 
 
 def step_matrix(g: TorusGraph, open_mask: np.ndarray) -> np.ndarray:
-    """P = I + Q for the frozen configuration; Q jumps across open edges at rate 1/(2d)."""
+    """P = I + Q for the frozen configuration; Q jumps across open edges at rate 1/(2d).
+
+    Exact evolution never builds it: evolvers hold the stencil table.  The
+    benchmark tracer hooks this name.
+    """
     return _Stencil(g, open_mask).matrix()
 
 
@@ -249,11 +247,12 @@ def _apply_uniformized(mat: np.ndarray, P: np.ndarray | _Stencil, s, tol: float,
     segments are sliced off the end of the stack, so stacking the longest
     first keeps the products to the segments still running.
 
-    P may also be a `_Stencil` (one segment, no `occupation`).  One row
-    then runs on the stencil's Krylov rows; more rows run the products on
-    its dense matrix, which was measured faster for a window kernel's N
-    rows (at N = 256 a kernel took 7.1 s dense against 11.0 s on the
-    stencil).
+    Forward evolution passes the evolver's `_Stencil` (one segment, no
+    `occupation`); absorbed evolution passes dense free blocks scattered
+    from it.  On a stencil one row runs on the Krylov rows; more rows run
+    the products on its dense matrix, which was measured faster for a
+    window kernel's N rows (at N = 256 a kernel took 7.1 s dense against
+    11.0 s on the stencil).
     """
     stacked = not np.isscalar(s)
     weights, terms, dropped = [], [], []
@@ -327,11 +326,10 @@ def check_exact_size(g: TorusGraph) -> None:
 class _Evolver:
     """Walks a distribution (or matrix of rows) through env flip segments.
 
-    P is built once, as the dense `step_matrix` or, for forward evolution on
-    `_STENCIL_MIN_STATES` states or more, as the stencil table `_Stencil.D`;
-    a flip then adds +-1/(2d) to the four entries of its edge in place,
-    through flat positions computed once per edge.  Each diagonal entry is
-    1 - k/(2d) rounded one subtraction at a time, as `step_matrix` computes
+    P is built once, as the stencil table `_Stencil.D`; a flip then adds
+    +-1/(2d) to the four entries of its edge in place, through flat
+    positions in the table computed once per edge.  Each diagonal entry is
+    1 - k/(2d) rounded one subtraction at a time, as a fresh table computes
     it, and adding the rate back lands on the previous value exactly
     (checked for d <= 12), so the operator always equals a fresh build bit
     for bit.  Forward evolution runs one series per segment on the rows
@@ -348,10 +346,13 @@ class _Evolver:
     of about one chunk at a time, so the environment's sorted stream grows
     only as far as the evolution reads.
 
-    The absorbed path works in chunks: the block before each flip is copied
-    onto a stack (a stretch longer than `_MAX_SEGMENT` as several pieces,
-    split as the forward path splits it), and when the stack is full one
-    series runs on all of it, longest piece first.  Each piece k then has
+    The absorbed path works in chunks: the block before each flip is
+    scattered from the table onto a stack, through source and destination
+    positions computed once; the stack starts zeroed and each slot only
+    ever receives the block's pattern, so entries off it stay 0.  A
+    stretch longer than `_MAX_SEGMENT` is stacked as several pieces, split
+    as the forward path splits it.  When the stack is full one series runs
+    on all of it, longest piece first.  Each piece k then has
     its propagator E_k (the series applied to the identity) and its
     occupation J_k = int E_k(t) 1 dt, and the chunk is chained in time
     order: occupation += mat @ J_k, then mat = mat @ E_k.  `advance` stops
@@ -380,38 +381,30 @@ class _Evolver:
         self.open_mask = env.open_mask_at(t0)
         self._n_open = int(np.count_nonzero(self.open_mask))
         self._rate = 1.0 / (2 * g.d)
-        uv = g.edge_uv
-        if absorbing is None and g.n_vertices >= _STENCIL_MIN_STATES:
-            self.P = _Stencil(g, self.open_mask)
-            N = g.n_vertices
-            col = 1 + 2 * (np.arange(g.n_edges) % g.d)
-            u, v = uv[:, 0], uv[:, 1]
-            # v is neighbour 2 * axis of u, and u neighbour 2 * axis + 1 of v
-            pos = np.stack([u, v, col * N + u, (col + 1) * N + v], axis=1)
-            flat = self.P.D
-        else:
-            P = step_matrix(g, self.open_mask)
-            live = np.ones(g.n_vertices, dtype=bool) if absorbing is None else ~absorbing
-            n = int(live.sum())
-            row = np.full(g.n_vertices, -1)
-            row[live] = np.arange(n)
-            # row of each endpoint of each edge in the evolved block, -1 if absorbed
-            i, j = row[uv].T
-            self._live_edge = (i >= 0) | (j >= 0)
-            self.P = P if absorbing is None else P[np.ix_(live, live)]
-            pos = np.stack([np.where(i >= 0, i * (n + 1), -1),
-                            np.where(j >= 0, j * (n + 1), -1), i * n + j, j * n + i],
-                           axis=1)
-            flat = self.P
-        # flat positions of the diagonal entries an edge touches (-1 if
-        # absorbed) and of its two off-diagonal entries
-        self._pos = pos.tolist()
-        self._flat = flat.reshape(-1)
+        self.P = _Stencil(g, self.open_mask)
+        self._D = self.P.D.reshape(-1)  # a flat view, for `_flip` and the block scatter
+        N = g.n_vertices
+        col = 1 + 2 * (np.arange(g.n_edges) % g.d)
+        u, v = g.edge_uv.T
+        # flat positions in D of the edge's two diagonal entries and of its
+        # rates u -> v and v -> u: v is neighbour 2 * axis of u, and u
+        # neighbour 2 * axis + 1 of v
+        self._pos = np.stack([u, v, col * N + u, (col + 1) * N + v], axis=1).tolist()
         self.occupation = None
         if absorbing is not None:
+            free = ~absorbing
+            n = int(free.sum())
+            row = np.cumsum(free) - 1  # row of each free vertex in the block
+            self._live_edge = free[g.edge_uv].any(axis=1)
+            # the free block: D[k, v] goes to (row[v], row[idx[k, v]]) for
+            # every entry with both ends free
+            idx = self.P.idx.reshape(-1)
+            self._src = np.flatnonzero(free & free[self.P.idx])
+            self._dst = row[self._src % N] * n + row[idx[self._src]]
             self.occupation = np.zeros(n)
             size = max(1, min(_CHUNK, _CHUNK_BYTES // (8 * max(n, 1) ** 2)))
-            self._stack = np.empty((size, n, n))  # blocks in time order
+            self._stack = np.zeros((size, n, n))  # blocks in time order
+            self._blocks = self._stack.reshape(size, n * n)
             self._sorted = np.empty_like(self._stack)  # longest piece first
             self._eye = np.eye(n)
             self._lengths: list[float] = []
@@ -429,14 +422,11 @@ class _Evolver:
         self._n_open += 1 if is_open else -1
         r = self._rate if is_open else -self._rate
         ii, jj, ij, ji = self._pos[e]
-        F = self._flat
-        if ii >= 0:
-            F[ii] -= r
-        if jj >= 0:
-            F[jj] -= r
-            if ii >= 0:
-                F[ij] += r
-                F[ji] += r
+        D = self._D
+        D[ii] -= r
+        D[jj] -= r
+        D[ij] += r
+        D[ji] += r
 
     def _segment_tol(self, n_segments: int) -> float:
         # A quarter of what is left of the budget, split over the segments
@@ -510,7 +500,7 @@ class _Evolver:
         while s > 0.0:
             h = min(s, _MAX_SEGMENT)
             s -= h
-            self._stack[len(self._lengths)] = self.P
+            self._blocks[len(self._lengths)][self._dst] = self._D[self._src]
             self._lengths.append(h)
             self._at_flip.append(at_flip and s <= 0.0)
             if len(self._lengths) == len(self._stack):
@@ -553,18 +543,27 @@ class _Evolver:
         return mat, False
 
 
+def quenched_laws(env: EnvTrajectory, x0: int, grid: Sequence[float],
+                  tol: float = 1e-10) -> Iterator[np.ndarray]:
+    """The quenched law of the walk from x0 at each time of an increasing grid,
+    evolved incrementally by one evolver, exact up to `tol` total variation."""
+    g = env.graph
+    g._check_vertex(x0)
+    grid = np.asarray(grid, dtype=float)
+    if len(grid) and grid[-1] > env.horizon:
+        raise HorizonError("grid reaches past horizon")
+    ev = _Evolver(env, 0.0, tol)
+    vec = np.zeros((1, g.n_vertices))
+    vec[0, x0] = 1.0
+    for t in grid.tolist():
+        vec = ev.advance(vec, t)
+        yield vec[0]
+
+
 def exact_quenched_distribution(env: EnvTrajectory, x0: int, t: float,
                                 tol: float = 1e-10) -> np.ndarray:
     """The quenched law of the walk at time t, exact up to `tol` total variation."""
-    g = env.graph
-    g._check_vertex(x0)
-    if t > env.horizon:
-        raise HorizonError("past horizon")
-    vec = np.zeros(g.n_vertices)
-    vec[x0] = 1.0
-    ev = _Evolver(env, 0.0, tol)
-    vec = ev.advance(vec[None, :], t)[0]
-    return vec
+    return next(quenched_laws(env, x0, [t], tol))
 
 
 def window_kernel(env: EnvTrajectory, window: tuple[float, float],
@@ -586,19 +585,10 @@ def quenched_tv_curve(env: EnvTrajectory, x0: int, grid: Sequence[float],
     With `stop_below`, evolution stops at the first grid time whose TV is at or
     below the threshold; later entries are NaN.
     """
-    g = env.graph
-    g._check_vertex(x0)
-    grid = np.asarray(grid, dtype=float)
-    if len(grid) and grid[-1] > env.horizon:
-        raise HorizonError("grid reaches past horizon")
-    N = g.n_vertices
+    N = env.graph.n_vertices
     uniform = np.full(N, 1.0 / N)
-    vec = np.zeros(N)
-    vec[x0] = 1.0
-    ev = _Evolver(env, 0.0, tol)
     out = np.full(len(grid), np.nan)
-    for i, t in enumerate(grid):
-        vec = ev.advance(vec[None, :], float(t))[0]
+    for i, vec in enumerate(quenched_laws(env, x0, grid, tol)):
         out[i] = 0.5 * np.abs(vec - uniform).sum()
         if stop_below is not None and out[i] <= stop_below:
             break

@@ -9,7 +9,9 @@ References, each a second way to compute what the library computes:
   simulation `simulate_edge_state_at`, the closed form
   `open_throughout_prob_from_closed`, and `dumps_env` and `loads_env`, the
   in-memory dump and its parser;
-- walks: `rebuild_hitting_profile`, the absorbed chain rebuilt per flip;
+- walks: `rebuild_step_matrix`, the dense jump matrix built edge by edge,
+  and on it `rebuild_forward` and `rebuild_hitting_profile`, forward and
+  absorbed evolution with P rebuilt per flip;
 - evolving sets: the threshold rule `evolve_step`, the dict set-law loop
   `dict_propagate_set_law`, the set-law marginal identity
   `marginal_identity_check`, and the joint Doob loop `dict_doob_z_expectation`;
@@ -166,49 +168,106 @@ def loop_open_mask_at(env, t):
     return np.array([tr.state_at(t) == 1 for tr in env.edges])
 
 
+def rebuild_step_matrix(g, open_mask):
+    """Reference for the evolvers' jump operator: P = I + Q for a frozen
+    configuration, dense.  P starts as the identity; each open edge takes
+    the rate 1/(2d) off both its diagonal entries and sets both its
+    off-diagonal ones.  Every subtraction takes off the same rate, so a
+    diagonal entry depends only on its number of open edges."""
+    rate = 1.0 / (2 * g.d)
+    P = np.eye(g.n_vertices)
+    u, v = g.edge_uv[open_mask].T
+    np.subtract.at(P, (u, u), rate)
+    np.subtract.at(P, (v, v), rate)
+    P[u, v] = rate
+    P[v, u] = rate
+    return P
+
+
+def _series(mat, P, s, tol, free=None):
+    """mat @ expm((P - I) s) summed term by term, the Poisson weights cut
+    once their sum reaches 1 - tol.  With a `free` mask, also returns the
+    integral over [0, s] of each row's mass on `free`."""
+    w = math.exp(-s)
+    cum = w
+    acc = w * mat
+    term = mat
+    c = 1.0 - w
+    occ = None if free is None else c * term[:, free].sum(axis=1)
+    k = 0
+    while cum < 1.0 - tol:
+        k += 1
+        term = term @ P
+        w *= s / k
+        acc = acc + w * term
+        cum += w
+        if free is not None:
+            c = c - w
+            occ += c * term[:, free].sum(axis=1)
+        if w == 0.0:
+            break
+    return acc, occ
+
+
+def rebuild_forward(env, rows, t0, grid, tol=1e-10):
+    """Reference for forward evolution (`walk.quenched_laws`, `window_kernel`,
+    `quenched_tv_curve`): `rows` evolved from t0 through each time of
+    `grid`, with P rebuilt by `rebuild_step_matrix` after every flip and each
+    series summed term by term.  The truncation allowance is split as the
+    evolver splits it: from one grid time to the next, a quarter of what is
+    left over the stretch's segments, floored at 1e-15; a segment with no
+    open edge runs no series.  Returns the rows at each grid time."""
+    from dynaperc.walk import _MAX_SEGMENT
+
+    g = env.graph
+    open_mask = env.open_mask_at(t0)
+    P = rebuild_step_matrix(g, open_mask)
+    spent = 0.0
+    mat = rows
+    prev = t0
+    out = []
+    for t in grid:
+        times, eids = env.flip_events(prev, t)
+        n_seg = len(times) + 1 + int((t - prev) / _MAX_SEGMENT)
+        seg_tol = max((tol - spent) / (4 * n_seg), 1e-15)
+        for tm, e in zip([*times.tolist(), t], [*eids.tolist(), None]):
+            s = tm - prev
+            while open_mask.any() and s > 0.0:
+                h = min(s, _MAX_SEGMENT)
+                mat = _series(mat, P, h, seg_tol)[0]
+                spent += seg_tol
+                s -= h
+            prev = tm
+            if e is not None:
+                open_mask[e] = not open_mask[e]
+                P = rebuild_step_matrix(g, open_mask)
+        out.append(mat)
+    return out
+
+
 def rebuild_hitting_profile(env, A, horizon, tol=1e-10):
     """Reference for `walk.exact_hitting_profile`: the N x N absorbed chain,
-    with P rebuilt by `step_matrix` after every flip (flips inside A too),
-    rows of A set to the identity, and the time off A read from the free
-    columns of each series term.  Returns (expected, censored)."""
-    from dynaperc.walk import _MAX_SEGMENT, step_matrix
+    with P rebuilt by `rebuild_step_matrix` after every flip (flips inside A
+    too), rows of A set to the identity, and the time off A read from the
+    free columns of each series term.  Returns (expected, censored)."""
+    from dynaperc.walk import _MAX_SEGMENT
 
     g = env.graph
     free = ~A
     open_mask = env.open_mask_at(0.0)
 
     def absorbed_step():
-        P = step_matrix(g, open_mask)
+        P = rebuild_step_matrix(g, open_mask)
         P[A] = 0.0
         P[A, A] = 1.0
         return P
-
-    def series(mat, P, s, tol):
-        w = math.exp(-s)
-        cum = w
-        acc = w * mat
-        term = mat
-        c = 1.0 - w
-        occ = c * term[:, free].sum(axis=1)
-        k = 0
-        while cum < 1.0 - tol:
-            k += 1
-            term = term @ P
-            w *= s / k
-            acc = acc + w * term
-            cum += w
-            c = c - w
-            occ += c * term[:, free].sum(axis=1)
-            if w == 0.0:
-                break
-        return acc, occ
 
     occupation = np.zeros(g.n_vertices)
 
     def segment(mat, s, tol):
         while s > 0.0:
             h = min(s, _MAX_SEGMENT)
-            mat, occ = series(mat, P, h, tol)
+            mat, occ = _series(mat, P, h, tol, free)
             occupation[:] += occ
             s -= h
         return mat

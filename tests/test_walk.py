@@ -12,8 +12,8 @@ from dynaperc import dist, walk
 from dynaperc.walk import (_MAX_SEGMENT, _Evolver,
                            exact_hitting_profile, exact_quenched_distribution,
                            replay_is_legal, simulate_positions, simulate_walk,
-                           step_matrix, window_kernel, quenched_tv_curve)
-from helpers import rebuild_hitting_profile
+                           window_kernel, quenched_tv_curve)
+from helpers import rebuild_forward, rebuild_hitting_profile, rebuild_step_matrix
 
 
 def _env(d=1, n=6, p=0.5, mu=0.25, horizon=100.0, seed=0, init="stationary"):
@@ -43,16 +43,17 @@ def test_simulate_walk_horizon():
 
 
 def test_step_matrix_structure():
+    # the reference operator every exact evolver is checked against
     g = TorusGraph(d=1, n=4)
-    P = step_matrix(g, np.ones(g.n_edges, dtype=bool))
+    P = rebuild_step_matrix(g, np.ones(g.n_edges, dtype=bool))
     assert np.allclose(P.sum(axis=1), 1.0)
     assert np.allclose(P, P.T)  # symmetric: uniform is reversible
     assert np.allclose(np.diag(P), 0.0)  # d=1: both attempts always succeed
-    P0 = step_matrix(g, np.zeros(g.n_edges, dtype=bool))
+    P0 = rebuild_step_matrix(g, np.zeros(g.n_edges, dtype=bool))
     assert np.array_equal(P0, np.eye(4))
     one = np.zeros(g.n_edges, dtype=bool)
     one[0] = True  # only edge 0-1 open: its endpoints keep probability 1/2
-    P1 = step_matrix(g, one)
+    P1 = rebuild_step_matrix(g, one)
     assert P1[0, 1] == 0.5 and P1[0, 0] == 0.5 and P1[2, 2] == 1.0
 
 
@@ -61,7 +62,7 @@ def test_exact_distribution_matches_generator_exponential():
     env = _env(n=5, p=1.0, mu=0.25, init="all-open", seed=0)
     t = 7.0
     law = exact_quenched_distribution(env, 2, t)
-    P = step_matrix(env.graph, np.ones(env.graph.n_edges, dtype=bool))
+    P = rebuild_step_matrix(env.graph, np.ones(env.graph.n_edges, dtype=bool))
     ref = expm(t * (P - np.eye(5)))[2]
     assert np.abs(law - ref).max() < 1e-9
 
@@ -162,7 +163,7 @@ def test_every_exact_entry_point_checks_the_size(entry, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started past the size limit")
 
-    monkeypatch.setattr(walk, "step_matrix", no_work)
+    monkeypatch.setattr(walk, "_Stencil", no_work)
     monkeypatch.setattr(walk, "_apply_uniformized", no_work)
     monkeypatch.setattr(dist, "sample_env", no_work)
     with pytest.raises(CapabilityError):
@@ -387,7 +388,7 @@ def test_hitting_skips_flips_inside_target():
 
 @pytest.mark.parametrize("d", range(1, 13))
 def test_diagonal_steps_are_reversible(d):
-    # step_matrix subtracts the rate once per open edge; adding it back
+    # a fresh operator subtracts the rate once per open edge; adding it back
     # returns each value exactly, so +-rate in place stays on those values
     rate = 1.0 / (2 * d)
     diag = [1.0]
@@ -398,83 +399,116 @@ def test_diagonal_steps_are_reversible(d):
 
 @pytest.mark.parametrize("d, n", [(1, 7), (2, 4), (3, 3)])
 def test_in_place_flips_match_fresh_step_matrix(d, n):
+    # the operands of the dense products after every flip: a forward
+    # evolver's scattered P and the free block an absorbed evolver stacks
     g = TorusGraph(d, n)
     env = _env(d=d, n=n, horizon=10.0, seed=d)
     A = _half_target(g, d)
     free = ~A
     forward = _Evolver(env, 3.0)
     absorbed = _Evolver(env, 3.0, absorbing=A)
+    rows = np.eye(int(free.sum()))
     mask = env.open_mask_at(3.0)
     rng = np.random.default_rng(d)
     for e in rng.integers(g.n_edges, size=300):
         mask[e] = not mask[e]
         forward._flip(e)
         absorbed._flip(e)
-        fresh = step_matrix(g, mask)
-        assert np.array_equal(forward.open_mask, mask)
-        assert np.array_equal(forward.P, fresh)
-        assert np.array_equal(absorbed.P, fresh[np.ix_(free, free)])
+        fresh = rebuild_step_matrix(g, mask)
+        assert np.array_equal(forward.P.matrix(), fresh)
+        absorbed._lengths, absorbed._at_flip = [], []  # restack into slot 0
+        absorbed._push(rows, 1.0, 1e-10, at_flip=False)
+        assert np.array_equal(absorbed._stack[0], fresh[np.ix_(free, free)])
 
 
 @pytest.mark.parametrize("d, n", [(1, 7), (2, 4), (3, 3)])
-def test_in_place_flips_match_fresh_stencil_table(d, n, monkeypatch):
-    monkeypatch.setattr(walk, "_STENCIL_MIN_STATES", 1)
+def test_in_place_flips_match_fresh_stencil_table(d, n):
     g = TorusGraph(d, n)
     env = _env(d=d, n=n, horizon=10.0, seed=d)
-    ev = _Evolver(env, 3.0)
-    assert isinstance(ev.P, walk._Stencil)
+    forward = _Evolver(env, 3.0)
+    absorbed = _Evolver(env, 3.0, absorbing=_half_target(g, d))
     rows = np.arange(g.n_vertices)
     mask = env.open_mask_at(3.0)
     rng = np.random.default_rng(d)
     for e in rng.integers(g.n_edges, size=300):
         mask[e] = not mask[e]
-        ev._flip(e)
-        assert np.array_equal(ev.open_mask, mask)
-        assert ev._n_open == mask.sum()
-        assert np.array_equal(ev.P.D, step_matrix(g, mask)[rows, ev.P.idx])
+        fresh = rebuild_step_matrix(g, mask)[rows, forward.P.idx]
+        for ev in (forward, absorbed):
+            ev._flip(e)
+            assert np.array_equal(ev.open_mask, mask)
+            assert ev._n_open == mask.sum()
+            assert np.array_equal(ev.P.D, fresh)
 
 
-def _forward_run(env, grid, window):
-    """Outputs of the three forward entry points, and an evolver's counters."""
-    outs = (quenched_tv_curve(env, 0, grid), window_kernel(env, window).matrix,
-            exact_quenched_distribution(env, 1, grid[-1]))
-    ev = _Evolver(env, 0.0)
-    vec = np.eye(env.graph.n_vertices)[:1]
-    for t in grid:
-        vec = ev.advance(vec, float(t))
-    return outs, (ev.segments, ev.terms, ev.dropped, ev.spent)
+@pytest.mark.parametrize("name", ["sampled-d2-n4", "many-chunks"])
+def test_stacked_blocks_match_fresh_free_block(name, monkeypatch):
+    # every block the absorbed path stacks, over a run of several chunks
+    # that reuse their slots, is the free block of P rebuilt for that
+    # piece's time, bit for bit: the scatter writes the whole pattern and
+    # entries off it stay 0
+    _, env, A, horizon = _case(name)
+    g = env.graph
+    free = ~A
+    pieces = []
+    run_chunk = _Evolver._run_chunk
+
+    def spy(self, mat, tol):
+        m = len(self._lengths)
+        pieces.extend(zip(self._lengths, self._stack[:m].copy()))
+        return run_chunk(self, mat, tol)
+
+    monkeypatch.setattr(_Evolver, "_run_chunk", spy)
+    ev = _Evolver(env, 0.0, absorbing=A)
+    ev.advance(np.eye(int(free.sum())), horizon)
+    assert len(pieces) > 4 * len(ev._stack)
+    t = 0.0
+    for h, block in pieces:
+        fresh = rebuild_step_matrix(g, env.open_mask_at(t + h / 2))
+        assert np.array_equal(block, fresh[np.ix_(free, free)])
+        t += h
+    # among the flips run, some crossed the boundary of A
+    _, eids = env.flip_events(0.0, t)
+    assert (A[g.edge_uv[eids]].sum(axis=1) == 1).sum() > 100
+
+
+def _assert_forward_matches_rebuild(env, grid, window, t_law):
+    """The three forward entry points within 1e-14 of `rebuild_forward`."""
+    N = env.graph.n_vertices
+    eye = np.eye(N)
+    ref_tvs = [0.5 * np.abs(row[0] - 1.0 / N).sum()
+               for row in rebuild_forward(env, eye[:1], 0.0, grid)]
+    a, b = window
+    pairs = [(quenched_tv_curve(env, 0, grid), np.array(ref_tvs)),
+             (window_kernel(env, window).matrix, rebuild_forward(env, eye, a, [b])[0]),
+             (exact_quenched_distribution(env, 1, t_law),
+              rebuild_forward(env, eye[1:2], 0.0, [t_law])[0][0])]
+    for out, ref in pairs:
+        assert out.shape == ref.shape
+        assert np.abs(out - ref).max() <= 1e-14
 
 
 @pytest.mark.parametrize("d, n", [(1, 16), (2, 6), (3, 4)])
-def test_stencil_matches_dense_operator(d, n, monkeypatch):
-    # window_kernel evolves N rows: on the stencil evolver they run the
-    # dense products on the scattered table
+def test_stencil_matches_dense_operator(d, n):
+    # the dense operator is the reference's, rebuilt after every flip
     env = sample_env(TorusGraph(d, n), DynParams(0.5, 0.5, 40.0), seed=d)
     grid = np.arange(2.0, 40.0, 2.0)
-    dense = _forward_run(env, grid, (1.5, 30.0))
-    monkeypatch.setattr(walk, "_STENCIL_MIN_STATES", 1)
-    stencil = _forward_run(env, grid, (1.5, 30.0))
-    for a, b in zip(dense[0], stencil[0]):
-        assert np.abs(a - b).max() <= 1e-14
-    assert stencil[1] == dense[1]  # same series: segments, terms, dropped, spent
+    _assert_forward_matches_rebuild(env, grid, (1.5, 30.0), grid[-1])
 
 
-def test_stencil_at_torus_scale(monkeypatch):
-    # the d=2, n=16 mixing cell: 256 states, past the crossover
+def test_stencil_at_torus_scale():
+    # the d=2, n=16 mixing cell: 256 states and over 10000 flip segments
     g = TorusGraph(2, 16)
     env = sample_env(g, DynParams(0.5, 0.5, 90.0), seed=5)
     grid = np.arange(2.0, 90.0, 2.0)
     ev = _Evolver(env, 0.0)
-    assert isinstance(ev.P, walk._Stencil)
     vec = np.eye(g.n_vertices)[:1]
-    tvs = []
     for t in grid:
         vec = ev.advance(vec, float(t))
-        tvs.append(0.5 * np.abs(vec[0] - 1.0 / g.n_vertices).sum())
     assert ev.segments > 10000
     assert 0.0 < ev.dropped <= ev.tol_total
-    monkeypatch.setattr(walk, "_STENCIL_MIN_STATES", g.n_vertices + 1)
-    assert np.abs(np.array(tvs) - quenched_tv_curve(env, 0, grid)).max() <= 1e-14
+    # a window kernel's 256 rows on a short window keep the rebuilt
+    # reference's dense products affordable
+    _assert_forward_matches_rebuild(env, grid, (1.5, 4.0), 20.0)
 
 
 def test_dropped_mass_reported_past_the_allowance():
@@ -489,25 +523,28 @@ def test_dropped_mass_reported_past_the_allowance():
 
 
 # (d, n, mu, seed) -> sha256 of quenched_tv_curve, window_kernel and
-# exact_quenched_distribution outputs, recorded with the evolver that rebuilt
-# P after every flip (OpenBLAS on x86-64); they pin the forward path
+# exact_quenched_distribution outputs (OpenBLAS on x86-64); they pin the
+# forward path.  The window-kernel digests were recorded with the evolver
+# that rebuilt a dense P after every flip, and the stencil's scattered P
+# keeps them.  The TV-curve and law digests were recorded with the one-row
+# stencil series, once those outputs were within 6e-16 of `rebuild_forward`.
 _FORWARD_HASHES = [
     ((1, 8, 0.25, 0),
-     ("1c61876e4155e21b96aeb9e1e6b49590c1517afd89819324ecf21dbad3da7d0f",
+     ("b26b3a5bb7daa5ad22a7e6398ed8da03e539e614803c839c46785f46a52efbc3",
       "7813c46f48d17c70ee4872eff85ae2a2195400e12ea760497cbb63158c2cd2ed",
-      "e05fcf83a6a764a01dfa0dec6e0837d57ea5a31b23324a8ce5a6d713880b8d55")),
+      "f3399f3bb59854e3e3c513f57afe80140a075864daf87029e43bcc302032309a")),
     ((1, 16, 0.125, 1),
-     ("f531ab338422dc810bf7ac7475a170205c2366cd3a28d436a1349ad0fd006888",
+     ("b632ef75210ca7e0540a18cab6308930e34b7a89c9979479252c8d1df13387b5",
       "0e60fbdd842df4dff4392e391903bf32dc1e90492f0f5d888eed92afd98ab5a8",
-      "fe3bc2196785a7e591af982ce7c968f4e6732b39b5693e34d5b56b1f6abc72b9")),
+      "4ac8ea68045534d055a50844adbfba77fc5e7f688c82745422828335ac115c60")),
     ((2, 4, 0.5, 2),
-     ("51007e29292b8a0f62faf0730be749bfe1f05fab6f5c0ddd77ed8b70d06f8bca",
+     ("a29fa7f9b63225215ccb36e237626204972915f1060f77f4eb16fdbd30b94f92",
       "dbac85e2c56e63db3518500d510c8939c9c3f71993c33a6fe604ea776ff8236d",
-      "f8b9e965578957a607e5e7178a6ba097b9ca075a37c1b18fa55f9249b8a190d3")),
+      "1f46b2c73aea5874707e9a28492828d91528e8d44fde43c72f448a67ed723e09")),
     ((3, 3, 0.25, 3),
-     ("74aec68c9105d6b9e2b502176c64c361684b4636f9df9850f0940dc4efd8b94a",
+     ("f7db739419452f4f695cbd72c234684813efc3ad27e795ac7bbc7940db574c1b",
       "2563ee8787937d68315cd0ae6b429c7247c866d30c7d21dd8af02f52c8cce2fb",
-      "5079d1dcb929c4a34fd4133919be6107c600e6ac04e57a33de0bd24ca679646a")),
+      "cc206f44a1a5af95ed4dca3606384124f963f85aff599e22eb59e999edc5e610")),
 ]
 
 
