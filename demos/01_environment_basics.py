@@ -5,8 +5,6 @@ rate (1-p)*mu, so Bernoulli(p) is stationary and 1/mu sets the refresh
 time scale.
 """
 
-import numpy as np
-
 from dynaperc.dynenv import (DynParams, edge_transition_prob,
                              isolated_vertex_exists, sample_env)
 from dynaperc.torus import TorusGraph
@@ -24,7 +22,7 @@ t = 2.0
 q = edge_transition_prob(params.p, params.mu, t, 0, 1)
 print(f"\nP(open at t={t} | closed at 0) closed form: {q:.4f}")
 
-emp = np.mean([env.state_at(e, t) for e in range(g.n_edges)])
+emp = env.open_mask_at(t).mean()
 print(f"fraction open at t={t} in this realization: {emp:.4f} (stationary p={params.p})")
 
 found, v = isolated_vertex_exists(env, 0.2)

@@ -11,7 +11,7 @@ import numpy as np
 from dynaperc.dist import tv
 from dynaperc.dynenv import DynParams, sample_env
 from dynaperc.torus import TorusGraph
-from dynaperc.walk import (exact_quenched_distribution, simulate_positions,
+from dynaperc.walk import (exact_quenched_distribution, simulate_walks,
                            window_kernel)
 
 g = TorusGraph(d=1, n=10)
@@ -23,7 +23,7 @@ law = exact_quenched_distribution(env, 0, t)
 print("exact quenched law at t=8:")
 print(np.array2string(law, precision=4))
 
-pos = simulate_positions(env, 0, t, n_replicas=20000, seed=11)
+pos = [path.position_at(t) for path in simulate_walks(env, 0, t, 20000, seed=11)]
 emp = np.bincount(pos, minlength=g.n_vertices) / len(pos)
 print(f"TV(exact, 20k replicas) = {tv(law, emp):.4f}")
 

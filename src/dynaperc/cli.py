@@ -220,7 +220,7 @@ def cmd_walk_sim(run: Runner) -> int:
     def body():
         env = sample_env(g, params, init=run.cfg["init"], seed=run.seed)
         horizon = min(params.horizon, 10.0 / params.mu)
-        path = walkmod.simulate_walk(env, run.cfg["x"], horizon, seed=run.seed + 1)
+        path = walkmod.simulate_walks(env, run.cfg["x"], horizon, 1, seed=run.seed + 1)[0]
         lines = [f"# dynaperc-walk-v1 start={path.start} horizon={horizon!r}"]
         lines += [f"{t!r} {v}" for t, v in zip(path.jump_times, path.jump_targets)]
         (run.out / "walk.txt").write_text("\n".join(lines) + "\n")

@@ -33,11 +33,18 @@ CSV_COLUMNS = ("d", "n", "p", "mu", "eps", "env_seed", "x", "statistic",
 
 def as_dist(a) -> np.ndarray:
     """Validate a nonnegative weight vector summing to 1, up to 1e-10."""
+    return _as_laws(a, (1,))
+
+
+def _as_laws(a, ndims: tuple[int, ...]) -> np.ndarray:
+    """Validate an array of one of the dimensions `ndims` whose rows along
+    the last axis are laws: finite, nonnegative and summing to 1, up to 1e-10."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or not np.isfinite(a).all() or (a < -1e-10).any():
+    if a.ndim not in ndims or not np.isfinite(a).all() or (a < -1e-10).any():
         raise InputError("distribution must be a finite nonnegative 1-d vector")
-    if abs(a.sum() - 1.0) > 1e-10:
-        raise InputError(f"distribution sums to {a.sum()}, not 1")
+    sums = a.sum(axis=-1)
+    if (np.abs(sums - 1.0) > 1e-10).any():
+        raise InputError(f"distribution sums to {sums}, not 1")
     return a
 
 
@@ -50,16 +57,22 @@ def tv(a, b) -> float:
     return float(0.5 * np.abs(a - b).sum())
 
 
-def chi(a, b) -> float:
-    """chi(a, b) = sqrt(sum_y (a(y) - b(y))^2 / b(y)); requires b > 0 where a > 0."""
-    a = as_dist(a)
+def chi(a, b):
+    """chi(a, b) = sqrt(sum_y (a(y) - b(y))^2 / b(y)); requires b > 0 where a > 0.
+
+    `a` is one law, or a stack of laws, one per row, against the one b,
+    which is then validated once: a float, or an array with one distance
+    per row.
+    """
+    a = _as_laws(a, (1, 2))
     b = as_dist(b)
-    if a.shape != b.shape:
+    if a.shape[-1:] != b.shape:
         raise InputError("distributions live on different supports")
     if ((b == 0) & (a > 0)).any():
         raise InputError("chi undefined: second argument vanishes where first is positive")
     good = b > 0
-    return math.sqrt(float(np.sum((a[good] - b[good]) ** 2 / b[good])))
+    out = np.sqrt(np.sum((a[..., good] - b[good]) ** 2 / b[good], axis=-1))
+    return float(out) if a.ndim == 1 else out
 
 
 def default_grid(params: DynParams) -> np.ndarray:
@@ -174,10 +187,11 @@ class HittingReport:
 
 
 def hitting_time_stats(g: TorusGraph, params: DynParams, A: np.ndarray,
-                       env_samples: int = 10, seed: Optional[int] = None,
+                       env_samples: int, seed: Optional[int] = None,
                        init="stationary", allow_small: bool = False) -> HittingReport:
     """Quenched and annealed E[min(tau_A, T)] estimates via exact absorbed
-    evolution up to the environment horizon T.
+    evolution up to the environment horizon T, over `env_samples`
+    environments.
 
     A is a bool vertex mask.  For theorem-scope experiments |A| >= n^d / 2
     is required; pass `allow_small=True` to probe smaller targets.

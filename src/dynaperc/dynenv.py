@@ -9,11 +9,14 @@ An environment is sampled up to its horizon in one go and is immutable
 afterwards.  It is stored flat: the initial states as int8[E], every flip
 time in one float64 array, and int64 CSR offsets, so the flips of edge e are
 `flip_times[offsets[e]:offsets[e + 1]]`.  `env.edges` holds per-edge
-`EdgeTrajectory` views into that array.  `flip_events` reads a time-sorted
-(time, edge) stream that is built lazily: it is sorted up to a watermark, and
-a query past the watermark at least doubles it.  `flip_counts` and
-`open_mask_at` count each edge's flips by a binary search on the flat arrays
-and leave the stream alone.
+`EdgeTrajectory` views into that array, which carry data only: hand-built
+environments are made from them, and the benchmark tracer counts flips
+through them.  `flip_events` reads a time-sorted (time, edge) stream that is
+built lazily: it is sorted up to a watermark, and a query past the watermark
+at least doubles it.  One bisection on the flat arrays, `_first_after`,
+answers every other question and leaves the stream alone: `flip_counts` and
+`open_mask_at` (each edge at one time), the watermark's advance, and the
+batched point query `states_at` (edge i at time i, for a batch of walkers).
 
 The sampler draws standard exponentials in blocks, edge after edge, and
 scales and sums them as one `t += rng.exponential(1 / rate)` per hold would,
@@ -77,26 +80,6 @@ class EdgeTrajectory:
             raise InputError("flip times must be a strictly increasing 1-d array")
         object.__setattr__(self, "flip_times", t)
 
-    def state_at(self, t: float) -> int:
-        # right continuous: a flip exactly at t has already happened
-        k = int(np.searchsorted(self.flip_times, t, side="right"))
-        return self.initial_state ^ (k & 1)
-
-    def open_throughout(self, a: float, b: float) -> bool:
-        """Open at every instant of [a, b]."""
-        if self.state_at(a) != 1:
-            return False
-        i = np.searchsorted(self.flip_times, a, side="right")
-        j = np.searchsorted(self.flip_times, b, side="right")
-        return bool(i == j)
-
-    def closed_throughout(self, a: float, b: float) -> bool:
-        if self.state_at(a) != 0:
-            return False
-        i = np.searchsorted(self.flip_times, a, side="right")
-        j = np.searchsorted(self.flip_times, b, side="right")
-        return bool(i == j)
-
 
 class EnvTrajectory:
     """A full environment realization eta = (eta_t) on [0, T] for one torus.
@@ -159,18 +142,21 @@ class EnvTrajectory:
         if not t <= self.horizon:
             raise HorizonError(f"time {t} past horizon {self.horizon}")
 
-    def _first_after(self, t: float, lo: np.ndarray) -> np.ndarray:
-        """Per edge, the flat index of its first flip after t, at or past lo.
+    def _first_after(self, t, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Per range i, the flat index of the first flip after t (or t[i]) in
+        flip_times[lo[i]:hi[i]], or hi[i] when there is none.
 
-        One binary search runs on all edges at once, so no pass over the
-        whole flat array is made.
+        One bisection runs on all the ranges at once, so no pass over the
+        whole flat array is made.  It serves the per-edge counts (a range per
+        edge and one time) and the point queries (a range and a time each).
         """
         flips = self.flip_times
-        lo, hi = lo.copy(), self.offsets[1:].copy()
+        t = np.broadcast_to(t, lo.shape)
+        lo, hi = lo.copy(), hi.copy()
         act = np.flatnonzero(lo < hi)
         while act.size:
             mid = (lo[act] + hi[act]) // 2
-            below = flips[mid] <= t
+            below = flips[mid] <= t[act]
             lo[act[below]] = mid[below] + 1
             hi[act[~below]] = mid[~below]
             act = act[lo[act] < hi[act]]
@@ -185,7 +171,7 @@ class EnvTrajectory:
         if t <= self._mark:
             return
         mark = min(self.horizon, max(t, 2.0 * self._mark))
-        lo = self._first_after(mark, self._next)
+        lo = self._first_after(mark, self._next, self.offsets[1:])
         counts = lo - self._next
         idx = np.repeat(self._next - (np.cumsum(counts) - counts), counts) \
             + np.arange(counts.sum())
@@ -200,15 +186,33 @@ class EnvTrajectory:
     def flip_counts(self, t: float) -> np.ndarray:
         """Flips of each edge at or before t, counted on the flat arrays."""
         start = self.offsets[:-1]
-        return self._first_after(t, start) - start
-
-    def state_at(self, edge: int, t: float) -> int:
-        self._check_time(t)
-        return self.edges[edge].state_at(t)
+        return self._first_after(t, start, self.offsets[1:]) - start
 
     def open_mask_at(self, t: float) -> np.ndarray:
         self._check_time(t)
         return ((self.initial ^ self.flip_counts(t)) & 1).astype(bool)
+
+    def states_at(self, edges, times) -> np.ndarray:
+        """State (1 open, 0 closed) of edge edges[i] at time times[i], for
+        every i at once: int8, of the arrays' common shape.
+
+        Right continuous: a flip at times[i] has already happened.  Edge ids
+        outside [0, E) raise `InputError`, and times outside [0, T]
+        `HorizonError`.
+        """
+        edges = np.asarray(edges)
+        times = np.asarray(times, dtype=float)
+        if edges.shape != times.shape:
+            raise InputError(f"{edges.shape} edge ids against {times.shape} times")
+        if edges.dtype.kind not in "iu" or edges.size and (
+                edges.min() < 0 or edges.max() >= self.graph.n_edges):
+            raise InputError(f"edge ids must be integers in [0, {self.graph.n_edges})")
+        if times.size and not (times.min() >= 0.0 and times.max() <= self.horizon):
+            raise HorizonError(f"query times must lie in [0, {self.horizon}]")
+        e = edges.ravel()
+        lo = self.offsets[e]
+        counts = self._first_after(times.ravel(), lo, self.offsets[e + 1]) - lo
+        return ((self.initial[e] ^ counts) & 1).astype(np.int8).reshape(edges.shape)
 
     def flip_events(self, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
         """All flips with time in (t0, t1], time-sorted: (times, edge ids).

@@ -314,13 +314,11 @@ def doob_z_bound_check(chain: InhomChain, x: int,
     laws, pruned = propagate_set_law(chain.kernels, pi, s0, doob=True)
     z_of = {mask: z_statistic(mask, pi) for mask in set().union(*laws)}
     z_exp = np.array([sum(p * z_of[mask] for mask, p in law.items()) for law in laws])
-    chis = np.empty(k + 1)
-    vec = np.zeros(chain.n_states)
-    vec[x] = 1.0
-    for j in range(k + 1):
-        chis[j] = chi(vec, pi)
-        if j < k:
-            vec = vec @ chain.kernel(j)
+    walk_laws = np.zeros((k + 1, chain.n_states))  # law of X_j in row j
+    walk_laws[0, x] = 1.0
+    for j in range(k):
+        walk_laws[j + 1] = walk_laws[j] @ chain.kernel(j)
+    chis = chi(walk_laws, pi)
     slack = 1e-9 + pruned * 10.0
     chi_ok = bool(np.all(chis <= z_exp + slack))
     psi_steps = None

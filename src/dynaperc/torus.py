@@ -6,8 +6,8 @@ side of the axis: edge ``v*d + axis`` joins ``v`` to ``v`` shifted by +1 along
 ``axis``.  Both layouts are frozen; serialized trajectories depend on them.
 
 Neighbours come from cached tables built by array arithmetic on the
-coordinate digits (`neighbor_vertices`, `incident_edges`, `edge_uv`); the
-scalar helpers validate their arguments and serve single lookups.  A vertex
+coordinate digits (`neighbor_vertices`, `incident_edges`, `edge_uv`), which
+serve every lookup; the tests check them against scalar references.  A vertex
 set is a bool mask of length n^d; int bitmasks appear only inside `evoset`'s
 set-law engine and as the `masks` column of `expansion.half_mass_subsets`.
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -46,52 +45,9 @@ class TorusGraph:
     def n_edges(self) -> int:
         return self.d * self.n ** self.d
 
-    # ---- vertex indexing -------------------------------------------------
-
-    def vertex_index(self, coords: Sequence[int]) -> int:
-        if len(coords) != self.d:
-            raise InputError(f"expected {self.d} coordinates, got {len(coords)}")
-        v = 0
-        for c in coords:
-            if not 0 <= c < self.n:
-                raise InputError(f"coordinate {c} out of range [0, {self.n})")
-            v = v * self.n + c
-        return v
-
-    def coords(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        out = []
-        for a in range(self.d - 1, -1, -1):
-            out.append((v // self.n ** a) % self.n)
-        return tuple(out)
-
-    def shift(self, v: int, axis: int, step: int) -> int:
-        """Vertex reached from v by moving `step` (+-1) along `axis`."""
-        self._check_vertex(v)
-        if not 0 <= axis < self.d:
-            raise InputError(f"axis {axis} out of range [0, {self.d})")
-        weight = self.n ** (self.d - 1 - axis)
-        digit = (v // weight) % self.n
-        return v + ((digit + step) % self.n - digit) * weight
-
     def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n_vertices:
-            raise InputError(f"vertex {v} out of range [0, {self.n_vertices})")
-
-    # ---- edge indexing ---------------------------------------------------
-
-    def edge_id(self, v: int, axis: int) -> int:
-        """Id of the edge from v in the +1 direction along `axis`."""
-        self._check_vertex(v)
-        if not 0 <= axis < self.d:
-            raise InputError(f"axis {axis} out of range [0, {self.d})")
-        return v * self.d + axis
-
-    def edge_endpoints(self, e: int) -> tuple[int, int]:
-        if not 0 <= e < self.n_edges:
-            raise InputError(f"edge {e} out of range [0, {self.n_edges})")
-        v, axis = divmod(e, self.d)
-        return v, self.shift(v, axis, +1)
+        if not isinstance(v, (int, np.integer)) or not 0 <= v < self.n_vertices:
+            raise InputError(f"vertex {v!r} is not an integer in [0, {self.n_vertices})")
 
     @cached_property
     def neighbor_vertices(self) -> np.ndarray:

@@ -2,10 +2,15 @@
 
 Monte Carlo paths use attempted-jump thinning: a rate-1 Poisson clock of
 attempts, a uniform direction among the 2d neighbours, and a move iff the
-chosen edge is open at the attempt instant.  Exact distribution evolution runs
+chosen edge is open at the attempt instant.  One engine, `_attempted_jumps`,
+runs every Monte Carlo walk: R walkers share one environment and advance in
+rounds, and each round asks the environment for all their (edge, time)
+states in one batched query, `EnvTrajectory.states_at`.  `simulate_walks`
+is its one sampler; a single walk is its R = 1 case, and `replay_is_legal`
+checks a path's jumps with one query too.  Exact distribution evolution runs
 uniformization over the piecewise-constant jump generator between environment
-flips, with a certified truncation budget.  All positions are reported right
-continuously.
+flips, with a certified truncation budget, `EXACT_TOL` in total variation.
+All positions are reported right continuously.
 
 One core does all exact evolution: `_Evolver.advance` walks the flip segments
 of the environment and `_apply_uniformized` runs the series.  The jump
@@ -54,6 +59,9 @@ from .torus import TorusGraph
 
 # Exact evolution refuses state spaces larger than this (`check_exact_size`).
 EXACT_STATE_BUDGET = 4096
+# Total variation budget of every exact result: the truncation mass an
+# evolver may drop over its run.
+EXACT_TOL = 1e-10
 # Uniformization segments longer than this are split to avoid exp underflow.
 _MAX_SEGMENT = 32.0
 # Absorbed evolution runs one series per chunk of at most _CHUNK pieces and
@@ -89,79 +97,77 @@ class WalkKernel:
         return self.matrix.shape[0]
 
 
-def simulate_walk(env: EnvTrajectory, x0: int, horizon: float,
-                  seed: Optional[int] = None) -> WalkPath:
-    """One walk realization through a fixed environment."""
-    g = env.graph
-    g._check_vertex(x0)
-    if horizon > env.horizon:
-        raise HorizonError(f"walk horizon {horizon} past env horizon {env.horizon}")
-    nbr, inc = g.neighbor_vertices, g.incident_edges
-    rng = np.random.default_rng(seed)
-    t = 0.0
-    v = x0
-    jt: list[float] = []
-    jv: list[int] = []
-    while True:
-        t += rng.exponential(1.0)
-        if t > horizon:
-            break
-        k = int(rng.integers(2 * g.d))
-        if env.edges[inc[v, k]].state_at(t) == 1:
-            v = int(nbr[v, k])
-            jt.append(t)
-            jv.append(v)
-    return WalkPath(x0, np.asarray(jt), np.asarray(jv, dtype=np.int64))
+def _attempted_jumps(env: EnvTrajectory, x0: int, horizon: float, n_walkers: int,
+                     rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """The jumps of n_walkers independent walks from x0 through env up to horizon.
 
-
-def simulate_positions(env: EnvTrajectory, x0: int, t: float, n_replicas: int,
-                       seed: Optional[int] = None) -> np.ndarray:
-    """Positions at time t of independent walks from x0 through one fixed env.
-
-    Each attempt round draws times and directions for all replicas at once,
-    but tests the crossed edges' states in a Python loop over the replicas.
+    Each round draws an Exp(1) increment for every active walker, drops the
+    walkers now past the horizon, draws a direction for each that remains,
+    answers all their (edge, time) questions with one `states_at` query, and
+    moves the walkers whose edge is open.  Returns (walker, time, target) of
+    every jump, round after round.
     """
     g = env.graph
-    g._check_vertex(x0)
-    if t > env.horizon:
-        raise HorizonError("past horizon")
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(t, size=n_replicas)
-    kmax = int(counts.max()) if n_replicas else 0
-    pos = np.full(n_replicas, x0, dtype=np.int64)
-    # attempt j happens at the j-th order statistic of count uniforms
-    for j in range(kmax):
-        active = np.nonzero(counts > j)[0]
-        if len(active) == 0:
+    nbr, inc = g.neighbor_vertices, g.incident_edges
+    t = np.zeros(n_walkers)
+    pos = np.full(n_walkers, x0, dtype=np.int64)
+    active = np.arange(n_walkers)
+    who, when, where = [active[:0]], [t[:0]], [pos[:0]]
+    while True:
+        t[active] += rng.standard_exponential(len(active))
+        active = active[t[active] <= horizon]
+        if not len(active):
             break
-        # conditional on the Poisson count, attempt times are sorted uniforms;
-        # generating per-attempt fresh uniform order statistics sequentially via
-        # beta increments keeps everything vectorized
-        if j == 0:
-            times = np.zeros(n_replicas)
-        times_active = times[active] + (t - times[active]) * (
-            1.0 - rng.random(len(active)) ** (1.0 / (counts[active] - j)))
-        times[active] = times_active
-        dirs = rng.integers(2 * g.d, size=len(active))
+        k = rng.integers(2 * g.d, size=len(active))
         here = pos[active]
-        for a, tm, e, u in zip(active, times_active, g.incident_edges[here, dirs],
-                               g.neighbor_vertices[here, dirs]):
-            if env.edges[e].state_at(float(tm)) == 1:
-                pos[a] = u
-    return pos
+        moved = env.states_at(inc[here, k], t[active]) == 1
+        movers = active[moved]
+        pos[movers] = nbr[here[moved], k[moved]]
+        who.append(movers)
+        when.append(t[movers])
+        where.append(pos[movers])
+    return np.concatenate(who), np.concatenate(when), np.concatenate(where)
+
+
+def simulate_walks(env: EnvTrajectory, x0: int, horizon: float, n_walkers: int,
+                   seed: Optional[int] = None) -> list[WalkPath]:
+    """n_walkers independent walks from x0 through one fixed environment, up
+    to `horizon`, all drawn from one generator seeded with `seed`.
+
+    One walker takes the draws of a loop over single attempts: an Exp(1)
+    increment, then, at or before the horizon, a direction.  A horizon
+    outside [0, T] raises `HorizonError`, and a start off the torus or fewer
+    than one walker `InputError`, before any draw.
+    """
+    env.graph._check_vertex(x0)
+    if not 0.0 <= horizon <= env.horizon:
+        raise HorizonError(f"walk horizon {horizon} outside [0, {env.horizon}]")
+    if not isinstance(n_walkers, (int, np.integer)) or n_walkers < 1:
+        raise InputError(f"need at least one walker, got {n_walkers!r}")
+    who, times, targets = _attempted_jumps(env, x0, horizon, n_walkers,
+                                           np.random.default_rng(seed))
+    order = np.argsort(who, kind="stable")  # keeps each walker's jumps in time order
+    times, targets = times[order], targets[order]
+    ends = np.cumsum(np.bincount(who, minlength=n_walkers)).tolist()
+    return [WalkPath(x0, times[a:b], targets[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def replay_is_legal(env: EnvTrajectory, path: WalkPath) -> bool:
-    """Every jump of the path crossed an edge open at its jump instant."""
+    """Every jump of the path crossed an edge open at its jump instant.
+
+    All jumps are checked with one `states_at` query, so a jump time
+    outside [0, T] raises `HorizonError`.
+    """
     g = env.graph
     g._check_vertex(path.start)
-    v = path.start
-    for t, u in zip(path.jump_times, path.jump_targets):
-        k = np.flatnonzero(g.neighbor_vertices[v] == u)
-        if len(k) == 0 or env.edges[g.incident_edges[v, k[0]]].state_at(float(t)) != 1:
-            return False
-        v = int(u)
-    return True
+    to = np.asarray(path.jump_targets)
+    if not ((0 <= to) & (to < g.n_vertices)).all():
+        return False
+    frm = np.concatenate(([path.start], to))[:-1]
+    steps = g.neighbor_vertices[frm] == to[:, None]
+    is_open = env.states_at(g.incident_edges[frm, steps.argmax(axis=1)],
+                            path.jump_times) == 1
+    return bool(steps.any(axis=1).all() and is_open.all())
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +377,7 @@ class _Evolver:
     can pass `tol_total` on ordinary runs (see `_segment_tol`).
     """
 
-    def __init__(self, env: EnvTrajectory, t0: float, tol_total: float = 1e-10,
+    def __init__(self, env: EnvTrajectory, t0: float, tol_total: float = EXACT_TOL,
                  absorbing: Optional[np.ndarray] = None):
         g = env.graph
         check_exact_size(g)
@@ -543,16 +549,17 @@ class _Evolver:
         return mat, False
 
 
-def quenched_laws(env: EnvTrajectory, x0: int, grid: Sequence[float],
-                  tol: float = 1e-10) -> Iterator[np.ndarray]:
+def quenched_laws(env: EnvTrajectory, x0: int,
+                  grid: Sequence[float]) -> Iterator[np.ndarray]:
     """The quenched law of the walk from x0 at each time of an increasing grid,
-    evolved incrementally by one evolver, exact up to `tol` total variation."""
+    evolved incrementally by one evolver, exact up to `EXACT_TOL` total
+    variation."""
     g = env.graph
     g._check_vertex(x0)
     grid = np.asarray(grid, dtype=float)
     if len(grid) and grid[-1] > env.horizon:
         raise HorizonError("grid reaches past horizon")
-    ev = _Evolver(env, 0.0, tol)
+    ev = _Evolver(env, 0.0)
     vec = np.zeros((1, g.n_vertices))
     vec[0, x0] = 1.0
     for t in grid.tolist():
@@ -560,25 +567,23 @@ def quenched_laws(env: EnvTrajectory, x0: int, grid: Sequence[float],
         yield vec[0]
 
 
-def exact_quenched_distribution(env: EnvTrajectory, x0: int, t: float,
-                                tol: float = 1e-10) -> np.ndarray:
-    """The quenched law of the walk at time t, exact up to `tol` total variation."""
-    return next(quenched_laws(env, x0, [t], tol))
+def exact_quenched_distribution(env: EnvTrajectory, x0: int, t: float) -> np.ndarray:
+    """The quenched law of the walk at time t, exact up to `EXACT_TOL` total
+    variation."""
+    return next(quenched_laws(env, x0, [t]))
 
 
-def window_kernel(env: EnvTrajectory, window: tuple[float, float],
-                  tol: float = 1e-10) -> WalkKernel:
+def window_kernel(env: EnvTrajectory, window: tuple[float, float]) -> WalkKernel:
     """Exact stochastic matrix of the walk across [a, b] of the environment."""
     a, b = window
     if not 0 <= a <= b <= env.horizon:
         raise HorizonError(f"window {window} outside [0, {env.horizon}]")
-    ev = _Evolver(env, a, tol)
+    ev = _Evolver(env, a)
     K = ev.advance(np.eye(env.graph.n_vertices), b)
     return WalkKernel(window=(a, b), matrix=K)
 
 
 def quenched_tv_curve(env: EnvTrajectory, x0: int, grid: Sequence[float],
-                      tol: float = 1e-10,
                       stop_below: Optional[float] = None) -> np.ndarray:
     """TV distance to uniform at each grid time, evolving incrementally.
 
@@ -588,7 +593,7 @@ def quenched_tv_curve(env: EnvTrajectory, x0: int, grid: Sequence[float],
     N = env.graph.n_vertices
     uniform = np.full(N, 1.0 / N)
     out = np.full(len(grid), np.nan)
-    for i, vec in enumerate(quenched_laws(env, x0, grid, tol)):
+    for i, vec in enumerate(quenched_laws(env, x0, grid)):
         out[i] = 0.5 * np.abs(vec - uniform).sum()
         if stop_below is not None and out[i] <= stop_below:
             break
@@ -596,8 +601,7 @@ def quenched_tv_curve(env: EnvTrajectory, x0: int, grid: Sequence[float],
 
 
 def exact_hitting_profile(env: EnvTrajectory, A_mask: np.ndarray,
-                          horizon: float,
-                          tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+                          horizon: float) -> tuple[np.ndarray, np.ndarray]:
     """Quenched expected hitting times of A from every start, by absorbed evolution.
 
     Returns (expected_times, censored_mass): for each start x, the accumulated
@@ -609,7 +613,7 @@ def exact_hitting_profile(env: EnvTrajectory, A_mask: np.ndarray,
         raise HorizonError("past horizon")
     A_mask = as_mask(A_mask, g.n_vertices)
     free = ~A_mask
-    ev = _Evolver(env, 0.0, tol, absorbing=A_mask)
+    ev = _Evolver(env, 0.0, absorbing=A_mask)
     mat = ev.advance(np.eye(int(free.sum())), horizon)
     expected = np.zeros(g.n_vertices)
     censored = np.zeros(g.n_vertices)

@@ -5,10 +5,15 @@ Generators: random reversible kernels and chains (`random_pi`,
 
 References, each a second way to compute what the library computes:
 - environments: the per-hold sampler `scalar_sample_env`, the per-edge loops
-  `loop_flip_events` and `loop_open_mask_at`, the single-edge trajectory
-  simulation `simulate_edge_state_at`, the closed form
+  `loop_flip_events` and `loop_open_mask_at`, the one-edge queries
+  `edge_state_at`, `edge_open_throughout` and `edge_closed_throughout` on an
+  `EdgeTrajectory`, the single-edge trajectory simulation
+  `simulate_edge_state_at`, the closed form
   `open_throughout_prob_from_closed`, and `dumps_env` and `loads_env`, the
   in-memory dump and its parser;
+- the torus: the scalar lookups `vertex_index`, `coords`, `shift`,
+  `edge_id` and `edge_endpoints`, against which the vectorized tables are
+  checked;
 - walks: `rebuild_step_matrix`, the dense jump matrix built edge by edge,
   and on it `rebuild_forward` and `rebuild_hitting_profile`, forward and
   absorbed evolution with P rebuilt per flip;
@@ -165,7 +170,74 @@ def loop_flip_events(env, t0, t1):
 
 def loop_open_mask_at(env, t):
     """Reference for `EnvTrajectory.open_mask_at`: one state per edge."""
-    return np.array([tr.state_at(t) == 1 for tr in env.edges])
+    return np.array([edge_state_at(tr, t) == 1 for tr in env.edges])
+
+
+def edge_state_at(tr, t):
+    """Reference for `EnvTrajectory.states_at`: the state of one
+    `EdgeTrajectory` at t, right continuous (a flip at t has happened)."""
+    k = int(np.searchsorted(tr.flip_times, t, side="right"))
+    return tr.initial_state ^ (k & 1)
+
+
+def edge_open_throughout(tr, a, b):
+    """The edge is open at every instant of [a, b]: open at a, no flip in (a, b]."""
+    return edge_state_at(tr, a) == 1 and _no_flip_in(tr, a, b)
+
+
+def edge_closed_throughout(tr, a, b):
+    """The edge is closed at every instant of [a, b]."""
+    return edge_state_at(tr, a) == 0 and _no_flip_in(tr, a, b)
+
+
+def _no_flip_in(tr, a, b):
+    return bool(np.searchsorted(tr.flip_times, a, side="right")
+                == np.searchsorted(tr.flip_times, b, side="right"))
+
+
+def vertex_index(g, coords):
+    """Reference for the torus tables: the index of a vertex from its
+    coordinates, coordinate 0 the most significant digit."""
+    if len(coords) != g.d:
+        raise InputError(f"expected {g.d} coordinates, got {len(coords)}")
+    v = 0
+    for c in coords:
+        if not 0 <= c < g.n:
+            raise InputError(f"coordinate {c} out of range [0, {g.n})")
+        v = v * g.n + c
+    return v
+
+
+def coords(g, v):
+    """The coordinates of vertex v."""
+    g._check_vertex(v)
+    return tuple((v // g.n ** a) % g.n for a in range(g.d - 1, -1, -1))
+
+
+def shift(g, v, axis, step):
+    """The vertex reached from v by moving `step` (+-1) along `axis`."""
+    g._check_vertex(v)
+    if not 0 <= axis < g.d:
+        raise InputError(f"axis {axis} out of range [0, {g.d})")
+    weight = g.n ** (g.d - 1 - axis)
+    digit = (v // weight) % g.n
+    return v + ((digit + step) % g.n - digit) * weight
+
+
+def edge_id(g, v, axis):
+    """The id of the edge from v in the +1 direction along `axis`."""
+    g._check_vertex(v)
+    if not 0 <= axis < g.d:
+        raise InputError(f"axis {axis} out of range [0, {g.d})")
+    return v * g.d + axis
+
+
+def edge_endpoints(g, e):
+    """The endpoints (v, v shifted by +1 along the edge's axis) of edge e."""
+    if not 0 <= e < g.n_edges:
+        raise InputError(f"edge {e} out of range [0, {g.n_edges})")
+    v, axis = divmod(e, g.d)
+    return v, shift(g, v, axis, +1)
 
 
 def rebuild_step_matrix(g, open_mask):

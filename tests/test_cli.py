@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -65,6 +66,10 @@ def test_walk_sim(tmp_path):
     assert run(["walk-sim", "--seed", "2", "--out", str(out)]) == 0
     dump = (out / "walk.txt").read_text()
     assert dump.startswith("# dynaperc-walk-v1")
+    # recorded with the loop over single attempts that one walker of the
+    # batched engine replaces
+    assert hashlib.sha256(dump.encode()).hexdigest() == (
+        "3689cb0433d7f582d04b603d8c36e26ae65c1eeee57e9b74c9b0952174fde262")
 
 
 def test_bound_with_config(tmp_path):

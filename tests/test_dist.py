@@ -36,6 +36,20 @@ def test_chi_undefined_on_support_violation():
         D.chi([0.5, 0.5], [1.0, 0.0])
 
 
+def test_chi_of_a_stack_matches_each_law():
+    rng = np.random.default_rng(2)
+    laws = rng.random((7, 5))
+    laws /= laws.sum(axis=1, keepdims=True)
+    pi = laws[0]
+    got = D.chi(laws, pi)
+    assert got.tobytes() == np.array([D.chi(law, pi) for law in laws]).tobytes()
+    laws[3, 0] += 0.1  # one row that is not a law
+    with pytest.raises(InputError):
+        D.chi(laws, pi)
+    with pytest.raises(InputError):  # total variation still takes one law
+        D.tv(laws[:2], laws[:2])
+
+
 def test_default_grid():
     params = DynParams(p=0.5, mu=0.25, horizon=20.0)
     grid = D.default_grid(params)

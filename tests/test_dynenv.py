@@ -13,7 +13,8 @@ from dynaperc.dynenv import (DynParams, EdgeTrajectory, EnvTrajectory,
 from dynaperc.errors import HorizonError, InputError
 from dynaperc.torus import TorusGraph
 
-from helpers import (dumps_env, loads_env, loop_flip_events,
+from helpers import (dumps_env, edge_closed_throughout, edge_open_throughout,
+                     edge_state_at, loads_env, loop_flip_events,
                      loop_open_mask_at, open_throughout_prob_from_closed,
                      scalar_sample_env, simulate_edge_state_at)
 
@@ -31,18 +32,18 @@ def test_params_validation():
 
 
 def test_edge_trajectory_right_continuous():
-    tr = EdgeTrajectory(0, np.array([1.0, 2.0]))
-    assert tr.state_at(0.0) == 0
-    assert tr.state_at(1.0) == 1  # the flip at t has already happened
-    assert tr.state_at(1.5) == 1
-    assert tr.state_at(2.0) == 0
+    # the flip at t has already happened, in the batched query and the reference
+    env = _hand_built(3, 3.0, {0: (0, [1.0, 2.0])})
+    times = [0.0, 1.0, 1.5, 2.0]
+    assert env.states_at([0] * 4, times).tolist() == [0, 1, 1, 0]
+    assert [edge_state_at(env.edges[0], t) for t in times] == [0, 1, 1, 0]
 
 
 def test_edge_trajectory_throughout():
     tr = EdgeTrajectory(1, np.array([3.0]))
-    assert tr.open_throughout(0.0, 2.9)
-    assert not tr.open_throughout(0.0, 3.0)
-    assert tr.closed_throughout(3.0, 10.0)
+    assert edge_open_throughout(tr, 0.0, 2.9)
+    assert not edge_open_throughout(tr, 0.0, 3.0)
+    assert edge_closed_throughout(tr, 3.0, 10.0)
 
 
 def test_sample_env_reproducible():
@@ -66,13 +67,25 @@ def test_sample_env_inits():
         sample_env(g, params, init=[2] * 6)
 
 
-def test_horizon_enforced():
+_BAD_QUERIES = {
+    "edge -1": ([-1], [1.0], InputError),
+    "edge E": ([6], [1.0], InputError),
+    "float edge": ([0.0], [1.0], InputError),
+    "shapes differ": ([0, 1], [1.0], InputError),
+    "time -0.1": ([0], [-0.1], HorizonError),
+    "time past T": ([0], [5.5], HorizonError),
+    "time nan": ([0], [math.nan], HorizonError),
+    "one bad time in a batch": ([0, 1, 2], [1.0, 5.5, 2.0], HorizonError),
+}
+
+
+@pytest.mark.parametrize("edges, times, error", _BAD_QUERIES.values(),
+                         ids=list(_BAD_QUERIES))
+def test_states_at_refuses_bad_queries(edges, times, error):
     g = TorusGraph(d=1, n=6)
     env = sample_env(g, DynParams(p=0.5, mu=0.25, horizon=5.0), seed=0)
-    with pytest.raises(HorizonError):
-        env.state_at(0, 5.5)
-    with pytest.raises(HorizonError):
-        env.state_at(0, -0.1)
+    with pytest.raises(error):
+        env.states_at(edges, times)
 
 
 def test_flip_events_sorted_halfopen():
@@ -148,7 +161,7 @@ def _hand_built(n, horizon, paths):
 def _brute_isolated(env, L):
     g = env.graph
     for v in range(g.n_vertices):
-        if all(env.edges[e].closed_throughout(0.0, L) for e in g.incident_edges[v]):
+        if all(edge_closed_throughout(env.edges[e], 0.0, L) for e in g.incident_edges[v]):
             return True, v
     return False, None
 
@@ -318,6 +331,21 @@ def test_event_index_matches_per_edge_loops(kind, seed):
             assert np.array_equal(env.open_mask_at(t), loop_open_mask_at(ref, t))
 
 
+@pytest.mark.parametrize("kind", ["sampled", "loaded", "hand-built", "all-open-p1"])
+def test_states_at_matches_per_edge_reference(kind):
+    # every edge at t = 0, at t = T, at flip instants and at random times
+    env = _index_envs()[kind]
+    T = env.horizon
+    rng = np.random.default_rng(3)
+    times = [0.0, T] + _flip_instants(env, rng, 20) + rng.uniform(0.0, T, 20).tolist()
+    edges, at = np.meshgrid(np.arange(env.graph.n_edges), times, indexing="ij")
+    got = env.states_at(edges, at)
+    assert got.dtype == np.int8 and got.shape == edges.shape
+    want = [[edge_state_at(tr, t) for t in times] for tr in env.edges]
+    assert np.array_equal(got, want)
+    assert np.array_equal(got[:, 0] == 1, env.open_mask_at(0.0))
+
+
 def test_event_index_replays_states():
     env = _index_envs()["hand-built"]
     assert np.array_equal(env.open_mask_at(0.0), [True, True, False, True])  # flip at 0
@@ -353,5 +381,5 @@ def test_count_open_throughout_matches_per_edge_loop():
             for b in points:
                 if a > b:
                     continue
-                want = sum(env.edges[e].open_throughout(a, b) for e in A)
+                want = sum(edge_open_throughout(env.edges[e], a, b) for e in A)
                 assert count_open_throughout(env, A, a, b) == want, (kind, a, b)

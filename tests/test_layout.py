@@ -1,8 +1,9 @@
 """Layout rules of the library that no unit test of one module sees.
 
-Each public function or class of `src/dynaperc` serves a command, a demo or
-the benchmark.  One that only `tests/` reaches is either an independent
-reference, which lives in `tests/helpers.py`, or it is dead and goes.
+Each public function or class of `src/dynaperc`, and each public method of
+such a class, serves a command, a demo or the benchmark.  One that only
+`tests/` reaches is either an independent reference, which lives in
+`tests/helpers.py`, or it is dead and goes.
 """
 
 import ast
@@ -26,14 +27,22 @@ def _used_names(paths) -> set:
     return names
 
 
+def _public(nodes) -> list:
+    return [node for node in nodes
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
 def _public_defs() -> list:
-    """(module, name) of each public top-level def or class of the package."""
+    """(qualified name, name) of each public top-level def or class of the
+    package, and of each public method of a public class."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(), str(path)).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                out.append((path.stem, node.name))
+        for node in _public(ast.parse(path.read_text(), str(path)).body):
+            out.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                out += [(f"{path.stem}.{node.name}.{meth.name}", meth.name)
+                        for meth in _public(node.body)]
     return out
 
 
@@ -41,7 +50,7 @@ def test_no_public_function_is_reached_only_by_tests():
     program = _used_names([*PACKAGE.glob("*.py"), *(ROOT / "demos").rglob("*.py"),
                            *(ROOT / "benchmarks").rglob("*.py")])
     tests = _used_names((ROOT / "tests").glob("*.py"))
-    only_tests = [f"{mod}.{name}" for mod, name in _public_defs()
+    only_tests = [qualified for qualified, name in _public_defs()
                   if name in tests and name not in program]
     assert not only_tests, (
         f"reached only from tests/: {only_tests}; move an independent "

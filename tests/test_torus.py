@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from dynaperc.errors import CapabilityError, InputError
 from dynaperc.torus import TorusGraph, edge_boundary, iso_profile
 
+from helpers import coords, edge_endpoints, edge_id, shift, vertex_index
+
 
 def test_counts():
     g = TorusGraph(d=2, n=4)
@@ -25,22 +27,22 @@ def test_invalid_params():
 def test_vertex_coords_roundtrip():
     g = TorusGraph(d=3, n=3)
     for v in range(g.n_vertices):
-        assert g.vertex_index(g.coords(v)) == v
+        assert vertex_index(g, coords(g, v)) == v
 
 
 def test_shift_wraps():
     g = TorusGraph(d=2, n=4)
-    v = g.vertex_index((3, 0))
-    assert g.coords(g.shift(v, 0, +1)) == (0, 0)
-    assert g.coords(g.shift(v, 1, -1)) == (3, 3)
+    v = vertex_index(g, (3, 0))
+    assert coords(g, shift(g, v, 0, +1)) == (0, 0)
+    assert coords(g, shift(g, v, 1, -1)) == (3, 3)
 
 
 def test_edge_endpoints_consistent():
     g = TorusGraph(d=2, n=4)
     for e in range(g.n_edges):
-        u, v = g.edge_endpoints(e)
-        assert g.edge_id(u, e % g.d) == e
-        assert v == g.shift(u, e % g.d, +1)
+        u, v = edge_endpoints(g, e)
+        assert edge_id(g, u, e % g.d) == e
+        assert v == shift(g, u, e % g.d, +1)
 
 
 def test_neighbors_symmetric():
@@ -60,14 +62,14 @@ def test_neighbors_symmetric():
 def test_geometry_tables_match_scalar_helpers(d, n):
     g = TorusGraph(d=d, n=n)
     for e in range(g.n_edges):
-        assert tuple(g.edge_uv[e]) == g.edge_endpoints(e)
+        assert tuple(g.edge_uv[e]) == edge_endpoints(g, e)
     for v in range(g.n_vertices):
         for axis in range(d):
-            up, down = g.shift(v, axis, +1), g.shift(v, axis, -1)
+            up, down = shift(g, v, axis, +1), shift(g, v, axis, -1)
             assert g.neighbor_vertices[v, 2 * axis] == up
             assert g.neighbor_vertices[v, 2 * axis + 1] == down
-            assert g.incident_edges[v, 2 * axis] == g.edge_id(v, axis)
-            assert g.incident_edges[v, 2 * axis + 1] == g.edge_id(down, axis)
+            assert g.incident_edges[v, 2 * axis] == edge_id(g, v, axis)
+            assert g.incident_edges[v, 2 * axis + 1] == edge_id(g, down, axis)
     for table in (g.edge_uv, g.incident_edges, g.neighbor_vertices):
         assert table.dtype == np.int64 and not table.flags.writeable
 
@@ -78,7 +80,7 @@ def test_degree_regular(d, n):
     g = TorusGraph(d=d, n=n)
     counts = np.zeros(g.n_vertices, dtype=int)
     for e in range(g.n_edges):
-        u, v = g.edge_endpoints(e)
+        u, v = edge_endpoints(g, e)
         counts[u] += 1
         counts[v] += 1
     assert (counts == 2 * d).all()
@@ -114,7 +116,7 @@ def test_iso_profile_square_torus():
     # a full row of Z_4^2 has 8 boundary edges and |S|^(1/2) = 2
     g = TorusGraph(d=2, n=4)
     r = iso_profile(g)
-    row = np.isin(np.arange(16), [g.vertex_index((0, j)) for j in range(4)])
+    row = np.isin(np.arange(16), [vertex_index(g, (0, j)) for j in range(4)])
     row_ratio = len(edge_boundary(g, row)) / row.sum() ** 0.5
     assert r.value <= row_ratio + 1e-12
     assert r.value > 0

@@ -9,9 +9,9 @@ from dynaperc.dynenv import DynParams, EdgeTrajectory, EnvTrajectory, sample_env
 from dynaperc.errors import CapabilityError, HorizonError, InputError
 from dynaperc.torus import TorusGraph
 from dynaperc import dist, walk
-from dynaperc.walk import (_MAX_SEGMENT, _Evolver,
+from dynaperc.walk import (_MAX_SEGMENT, WalkPath, _Evolver,
                            exact_hitting_profile, exact_quenched_distribution,
-                           replay_is_legal, simulate_positions, simulate_walk,
+                           replay_is_legal, simulate_walks,
                            window_kernel, quenched_tv_curve)
 from helpers import rebuild_forward, rebuild_hitting_profile, rebuild_step_matrix
 
@@ -23,11 +23,12 @@ def _env(d=1, n=6, p=0.5, mu=0.25, horizon=100.0, seed=0, init="stationary"):
 
 def test_simulate_walk_reproducible_and_legal():
     env = _env(seed=4)
-    p1 = simulate_walk(env, 0, 80.0, seed=9)
-    p2 = simulate_walk(env, 0, 80.0, seed=9)
-    assert np.array_equal(p1.jump_times, p2.jump_times)
-    assert np.array_equal(p1.jump_targets, p2.jump_targets)
-    assert replay_is_legal(env, p1)
+    paths = simulate_walks(env, 0, 80.0, 3, seed=9)
+    for p1, p2 in zip(paths, simulate_walks(env, 0, 80.0, 3, seed=9)):
+        assert np.array_equal(p1.jump_times, p2.jump_times)
+        assert np.array_equal(p1.jump_targets, p2.jump_targets)
+        assert replay_is_legal(env, p1)
+    p1 = paths[0]
     assert len(p1.jump_times) >= 2
     assert p1.position_at(0.0) == p1.start == 0
     t1 = p1.jump_times[1]  # right-continuous: at a jump instant the walk has moved
@@ -36,10 +37,72 @@ def test_simulate_walk_reproducible_and_legal():
     assert p1.position_at(80.0) == p1.jump_targets[-1]
 
 
-def test_simulate_walk_horizon():
-    env = _env(horizon=5.0)
+def test_replay_checks_every_jump():
+    # on the 6-cycle, edge 0 (vertices 0 and 1) is closed and every other
+    # edge open, with no flips
+    g = TorusGraph(1, 6)
+    env = _hand_env(g, 10.0, [0, 1, 1, 1, 1, 1], [[]] * 6)
+
+    def path(times, targets):
+        return WalkPath(0, np.array(times, dtype=float), np.array(targets, dtype=np.int64))
+
+    assert replay_is_legal(env, path([], []))
+    assert replay_is_legal(env, path([1.0, 2.0, 10.0], [5, 4, 5]))
+    assert replay_is_legal(env, path([1.0, 2.0], [5, 0]))
+    assert not replay_is_legal(env, path([1.0, 2.0, 3.0], [5, 0, 1]))  # edge 0 is closed
+    assert not replay_is_legal(env, path([1.0], [3]))  # not a neighbour
+    assert not replay_is_legal(env, path([1.0], [6]))  # off the torus
     with pytest.raises(HorizonError):
-        simulate_walk(env, 0, 6.0, seed=0)
+        replay_is_legal(env, path([1.0, 10.5], [5, 4]))
+
+
+_BAD_WALKS = {
+    "horizon -5": (0, -5.0, 1, HorizonError),
+    "horizon past T": (0, 6.0, 1, HorizonError),
+    "horizon nan": (0, math.nan, 1, HorizonError),
+    "no walkers": (0, 1.0, 0, InputError),
+    "-3 walkers": (0, 1.0, -3, InputError),
+    "2.5 walkers": (0, 1.0, 2.5, InputError),
+    "start -1": (-1, 1.0, 1, InputError),
+    "start 1.5": (1.5, 1.0, 1, InputError),
+    "start off the torus": (6, 1.0, 1, InputError),
+}
+
+
+@pytest.mark.parametrize("x0, horizon, n_walkers, error", _BAD_WALKS.values(),
+                         ids=list(_BAD_WALKS))
+def test_simulate_walks_refuses_bad_input(x0, horizon, n_walkers, error, monkeypatch):
+    env = _env(horizon=5.0)
+
+    def no_draw(*args):
+        raise AssertionError("walkers drawn for a refused input")
+
+    monkeypatch.setattr(walk, "_attempted_jumps", no_draw)
+    with pytest.raises(error):
+        simulate_walks(env, x0, horizon, n_walkers, seed=0)
+
+
+# (d, n, p, mu, T, env seed), start, walk horizon, walk seed -> sha256 of a
+# walk's jump times and targets, recorded with the loop over single attempts
+# that one walker of the batched engine replaces
+_WALK_HASHES = [
+    ((1, 6, 0.5, 0.25, 100.0, 4), 0, 80.0, 9,
+     "916208c10fead1564e25f005eb9509f3c53b61018e7cf81a8ba1c4e9284e0ed9"),
+    ((2, 4, 0.5, 0.25, 100.0, 3), 5, 100.0, 17,
+     "7fd5bdb3e50fb4145a3a6b4d58227b1e754f09b57c0bbec1dcd741a23dcd2c7d"),
+    ((1, 16, 0.4, 0.125, 300.0, 1), 3, 250.0, 0,
+     "10ab769f623c6c2c854721cc8508701f71fda7c23314ef87b01f432275069f05"),
+]
+
+
+@pytest.mark.parametrize("case, x0, horizon, seed, digest", _WALK_HASHES,
+                         ids=[str(i) for i in range(len(_WALK_HASHES))])
+def test_one_walker_pinned(case, x0, horizon, seed, digest):
+    d, n, p, mu, T, env_seed = case
+    env = sample_env(TorusGraph(d, n), DynParams(p, mu, T), seed=env_seed)
+    (path,) = simulate_walks(env, x0, horizon, 1, seed=seed)
+    got = hashlib.sha256(path.jump_times.tobytes() + path.jump_targets.tobytes())
+    assert got.hexdigest() == digest
 
 
 def test_step_matrix_structure():
@@ -75,12 +138,13 @@ def test_exact_distribution_is_distribution():
 
 
 def test_exact_vs_monte_carlo():
-    env = _env(n=6, seed=12, horizon=30.0)
     t = 12.0
-    law = exact_quenched_distribution(env, 0, t)
-    pos = simulate_positions(env, 0, t, 20000, seed=99)
-    emp = np.bincount(pos, minlength=6) / len(pos)
-    assert 0.5 * np.abs(emp - law).sum() < 0.02
+    for d, n in [(1, 6), (2, 4)]:
+        env = _env(d=d, n=n, seed=12, horizon=30.0)
+        law = exact_quenched_distribution(env, 0, t)
+        pos = [path.position_at(t) for path in simulate_walks(env, 0, t, 20000, seed=99)]
+        emp = np.bincount(pos, minlength=len(law)) / len(pos)
+        assert 0.5 * np.abs(emp - law).sum() < 0.02, (d, n)
 
 
 def test_window_kernel_doubly_stochastic():
@@ -208,19 +272,10 @@ def test_hitting_profile_matches_monte_carlo():
     A[[0, 3]] = True
     expected, censored = exact_hitting_profile(env, A, 600.0)
     assert censored.max() < 1e-8
-    rng_seeds = range(1500)
     samples = []
-    for s in rng_seeds:
-        path = simulate_walk(env, 1, 600.0, seed=3000 + s)
-        hit = 600.0
-        if path.start in (0, 3):
-            hit = 0.0
-        else:
-            for t, v in zip(path.jump_times, path.jump_targets):
-                if v in (0, 3):
-                    hit = t
-                    break
-        samples.append(hit)
+    for path in simulate_walks(env, 1, 600.0, 1500, seed=3000):
+        hits = np.flatnonzero(A[path.jump_targets])  # the start, 1, is off A
+        samples.append(path.jump_times[hits[0]] if len(hits) else 600.0)
     mc = float(np.mean(samples))
     se = float(np.std(samples) / math.sqrt(len(samples)))
     assert abs(mc - expected[1]) < 4 * se + 1e-6
