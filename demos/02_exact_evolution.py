@@ -28,6 +28,6 @@ emp = np.bincount(pos, minlength=g.n_vertices) / len(pos)
 print(f"TV(exact, 20k replicas) = {tv(law, emp):.4f}")
 
 # one-step window kernels are doubly stochastic with diagonal >= 1/e
-K = window_kernel(env, (0.0, 1.0)).matrix
+K = window_kernel(env, (0.0, 1.0))
 print(f"\nunit-window kernel: row sums max dev {abs(K.sum(axis=1) - 1).max():.2e}, "
       f"min diagonal {np.diag(K).min():.4f} (>= 1/e = {np.exp(-1.0):.4f})")

@@ -273,7 +273,7 @@ def cmd_hit(run: Runner) -> int:
         rng = np.random.default_rng(run.seed)
         A = _arc_target(g, rng)
         rep = dist.hitting_time_stats(g, params, A, env_samples=run.cfg["env_samples"],
-                                      seed=run.seed)
+                                      seed=run.seed, init=run.cfg["init"])
         worst = int(np.argmax(rep.annealed_means))
         return [_base_row(run.cfg, x=worst, statistic="hit_time_annealed_max",
                           value=float(rep.annealed_means[worst]),
@@ -334,7 +334,7 @@ def cmd_expansion(run: Runner) -> int:
                 ratios.append(rec.ratio)
         c = float(min(ratios)) if ratios else 0.0
         if g.n_vertices <= 12:
-            kernels = [walkmod.window_kernel(env, (0.0, 1.0 / params.mu)).matrix
+            kernels = [walkmod.window_kernel(env, (0.0, 1.0 / params.mu))
                        for env in dist.sample_envs(g, params, "stationary",
                                                    10 ** 4 + run.seed, min(samples, 8))]
             prof = expansion.profile_phi_kernels(

@@ -8,15 +8,16 @@ instant is the new state).
 An environment is sampled up to its horizon in one go and is immutable
 afterwards.  It is stored flat: the initial states as int8[E], every flip
 time in one float64 array, and int64 CSR offsets, so the flips of edge e are
-`flip_times[offsets[e]:offsets[e + 1]]`.  `env.edges` holds per-edge
-`EdgeTrajectory` views into that array, which carry data only: hand-built
-environments are made from them, and the benchmark tracer counts flips
-through them.  `flip_events` reads a time-sorted (time, edge) stream that is
-built lazily: it is sorted up to a watermark, and a query past the watermark
-at least doubles it.  One bisection on the flat arrays, `_first_after`,
-answers every other question and leaves the stream alone: `flip_counts` and
-`open_mask_at` (each edge at one time), the watermark's advance, and the
-batched point query `states_at` (edge i at time i, for a batch of walkers).
+`flip_times[offsets[e]:offsets[e + 1]]`.  `env.edges` gives per-edge
+`EdgeTrajectory` views into that array, built on first access and kept,
+which carry data only: hand-built environments are made from them, and the
+benchmark tracer counts flips through them.  `flip_events` reads a
+time-sorted (time, edge) stream that is built lazily: it is sorted up to a
+watermark, and a query past the watermark at least doubles it.  One
+bisection on the flat arrays, `_first_after`, answers every other question
+and leaves the stream alone: `flip_counts` and `open_mask_at` (each edge at
+one time), the watermark's advance, and the batched point query `states_at`
+(edge i at time i, for a batch of walkers).
 
 The sampler draws standard exponentials in blocks, edge after edge, and
 scales and sums them as one `t += rng.exponential(1 / rate)` per hold would,
@@ -90,7 +91,7 @@ class EnvTrajectory:
     """
 
     __slots__ = ("graph", "params", "init_tag", "seed", "initial", "flip_times",
-                 "offsets", "edges", "_mark", "_next", "_times", "_edge_ids")
+                 "offsets", "_edges", "_mark", "_next", "_times", "_edge_ids")
 
     def __init__(self, graph: TorusGraph, params: DynParams,
                  edges: Sequence[EdgeTrajectory], init_tag: str,
@@ -122,15 +123,22 @@ class EnvTrajectory:
         self.initial = initial
         self.flip_times = flip_times
         self.offsets = offsets
-        self.edges = tuple(EdgeTrajectory(s, flip_times[a:b]) for s, a, b in
-                           zip(initial.tolist(), offsets[:-1].tolist(),
-                               offsets[1:].tolist()))
+        self._edges: Optional[tuple[EdgeTrajectory, ...]] = None
         # the (time, edge) stream holds every flip at or before _mark;
         # _next[e] indexes edge e's first flip after it
         self._mark = -1.0
         self._next = offsets[:-1].copy()
         self._times = np.empty(0)
         self._edge_ids = np.empty(0, dtype=np.int64)
+
+    @property
+    def edges(self) -> tuple[EdgeTrajectory, ...]:
+        """Per-edge views into the flat arrays, built on first access."""
+        if self._edges is None:
+            self._edges = tuple(EdgeTrajectory(s, self.flip_times[a:b]) for s, a, b in
+                                zip(self.initial.tolist(), self.offsets[:-1].tolist(),
+                                    self.offsets[1:].tolist()))
+        return self._edges
 
     @property
     def horizon(self) -> float:

@@ -320,7 +320,7 @@ def torus_phi_lower_bound_check(env, S, interval: Optional[tuple[float, float]] 
     beta = open_cnt / len(boundary)
     K = window_kernel(env, (a, b))
     pi = np.full(g.n_vertices, 1.0 / g.n_vertices)
-    phi = expansion_phi(K.matrix, pi, S)
+    phi = expansion_phi(K, pi, S)
     if beta == 0.0:
         return PhiLowerBoundRecord(phi=phi, beta=0.0, pi_S=pi_S,
                                    ratio=None, vacuous=True)

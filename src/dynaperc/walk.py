@@ -9,8 +9,8 @@ states in one batched query, `EnvTrajectory.states_at`.  `simulate_walks`
 is its one sampler; a single walk is its R = 1 case, and `replay_is_legal`
 checks a path's jumps with one query too.  Exact distribution evolution runs
 uniformization over the piecewise-constant jump generator between environment
-flips, with a certified truncation budget, `EXACT_TOL` in total variation.
-All positions are reported right continuously.
+flips, exact up to `EXACT_TOL` in total variation.  All positions are reported
+right continuously.
 
 One core does all exact evolution: `_Evolver.advance` walks the flip segments
 of the environment and `_apply_uniformized` runs the series.  The jump
@@ -30,10 +30,13 @@ segment from the table onto a stack, runs one series on the whole stack to
 get every segment's propagator and occupation integral, and chains those in
 time order, so the per-product Python cost is paid once per chunk rather
 than once per segment.  It reads the flips a window at a time and stops at
-absorption.  An evolver counts the series it ran (`segments`), their matrix
-products (`terms`), and the truncation mass actually dropped (`dropped`),
-which bounds the error, beside the allowance it handed out (`spent`), which
-can pass the budget.
+absorption.
+
+One rule truncates every series, forward or absorbed: it stops at the first
+term where its Poisson tail is below `_SERIES_TAIL`.  An evolver counts the
+series it ran (`segments`), their matrix products (`terms`), and the tail
+mass they left out (`dropped`), which bounds the error and is at most
+`segments` x `_SERIES_TAIL`: 1e5 series stay within `EXACT_TOL`.
 
 One size check, `check_exact_size`, guards all exact evolution: more than
 `EXACT_STATE_BUDGET` states raise `CapabilityError`.  `_Evolver`'s
@@ -62,6 +65,9 @@ EXACT_STATE_BUDGET = 4096
 # Total variation budget of every exact result: the truncation mass an
 # evolver may drop over its run.
 EXACT_TOL = 1e-10
+# Every uniformization series stops at the first term where its Poisson tail
+# is below this; smaller would chase rounding noise near a sum of 1.
+_SERIES_TAIL = 1e-15
 # Uniformization segments longer than this are split to avoid exp underflow.
 _MAX_SEGMENT = 32.0
 # Absorbed evolution runs one series per chunk of at most _CHUNK pieces and
@@ -83,18 +89,6 @@ class WalkPath:
     def position_at(self, t: float) -> int:
         k = int(np.searchsorted(self.jump_times, t, side="right"))
         return self.start if k == 0 else int(self.jump_targets[k - 1])
-
-
-@dataclass(frozen=True)
-class WalkKernel:
-    """Stochastic matrix of the walk across one environment window."""
-
-    window: tuple[float, float]
-    matrix: np.ndarray
-
-    @property
-    def n_states(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _attempted_jumps(env: EnvTrajectory, x0: int, horizon: float, n_walkers: int,
@@ -237,9 +231,9 @@ def step_matrix(g: TorusGraph, open_mask: np.ndarray) -> np.ndarray:
     return _Stencil(g, open_mask).matrix()
 
 
-def _apply_uniformized(mat: np.ndarray, P: np.ndarray | _Stencil, s, tol: float,
+def _apply_uniformized(mat: np.ndarray, P: np.ndarray | _Stencil, s,
                        occupation: Optional[np.ndarray] = None):
-    """mat @ expm((P - I) s) as a Poisson-weighted series, tail mass < tol.
+    """mat @ expm((P - I) s) as a Poisson-weighted series, tail mass < `_SERIES_TAIL`.
 
     Returns (result, terms, dropped): the matrix products taken and the
     Poisson mass 1 - cum the series left out.  With an `occupation` vector,
@@ -267,7 +261,7 @@ def _apply_uniformized(mat: np.ndarray, P: np.ndarray | _Stencil, s, tol: float,
         cum = w
         ws = [w]
         k = 0
-        while cum < 1.0 - tol:
+        while cum < 1.0 - _SERIES_TAIL:
             k += 1
             w *= h / k
             cum += w
@@ -348,9 +342,10 @@ class _Evolver:
     and columns of `mat` are the free vertices in increasing order, and
     `occupation` accumulates, per row, the time spent off the mask.  Flips on
     edges with both ends in the mask leave that block unchanged and are
-    skipped (their `open_mask` entries go stale).  Flips are fetched a window
-    of about one chunk at a time, so the environment's sorted stream grows
-    only as far as the evolution reads.
+    skipped (their `open_mask` entries go stale).  Flips are fetched in
+    windows ending at t0 + 1/mu, t0 + 2/mu, t0 + 4/mu, ..., doubling as the
+    environment's sorted stream doubles its watermark, so the stream grows
+    only about as far as the evolution reads.
 
     The absorbed path works in chunks: the block before each flip is
     scattered from the table onto a stack, through source and destination
@@ -369,15 +364,13 @@ class _Evolver:
     so such an evolver is meant for a single `advance`.
 
     Counters: `segments` (uniformization series run and used), `terms`
-    (matrix products taken by those series), `spent` (the truncation
-    allowance handed out, which sizes later segments) and `dropped` (the
-    Poisson tail mass the series actually left out, at most `spent`).
-    Evolution is an L1 contraction, so each row's truncation error is at
-    most `dropped`: that is the bound to hold against `tol_total`.  `spent`
-    can pass `tol_total` on ordinary runs (see `_segment_tol`).
+    (matrix products taken by those series) and `dropped` (the Poisson tail
+    mass those series left out, each less than `_SERIES_TAIL`).  Evolution
+    is an L1 contraction, so each row's truncation error is at most
+    `dropped`: that is the bound to hold against `EXACT_TOL`.
     """
 
-    def __init__(self, env: EnvTrajectory, t0: float, tol_total: float = EXACT_TOL,
+    def __init__(self, env: EnvTrajectory, t0: float,
                  absorbing: Optional[np.ndarray] = None):
         g = env.graph
         check_exact_size(g)
@@ -415,8 +408,6 @@ class _Evolver:
             self._eye = np.eye(n)
             self._lengths: list[float] = []
             self._at_flip: list[bool] = []  # piece ends a flip segment
-        self.tol_total = tol_total
-        self.spent = 0.0
         self.dropped = 0.0
         self.segments = 0
         self.terms = 0
@@ -434,22 +425,10 @@ class _Evolver:
         D[ij] += r
         D[ji] += r
 
-    def _segment_tol(self, n_segments: int) -> float:
-        # A quarter of what is left of the budget, split over the segments
-        # of this `advance`.  The floor keeps each series from chasing
-        # rounding noise near cum = 1.  A run of many `advance` calls (a TV
-        # curve makes one per grid time) shrinks the remainder call by call
-        # until the floor takes over, so `spent` passes tol_total on ordinary
-        # multi-window runs; `dropped`, the mass actually cut, is the bound
-        # that holds.
-        return max((self.tol_total - self.spent) / (4 * max(n_segments, 1)),
-                   1e-15)
-
-    def _count(self, terms: int, dropped: float, tol: float) -> None:
+    def _count(self, terms: int, dropped: float) -> None:
         self.segments += 1
         self.terms += terms
         self.dropped += dropped
-        self.spent += tol
 
     def advance(self, mat: np.ndarray, t1: float) -> np.ndarray:
         """Evolve mat from the current time to t1."""
@@ -458,50 +437,45 @@ class _Evolver:
         if self.absorbing is not None:
             return self._advance_absorbed(mat, t1)
         times, eids = self.env.flip_events(self.t, t1)
-        tol = self._segment_tol(len(times) + 1 + int((t1 - self.t) / _MAX_SEGMENT))
         prev = self.t
         self.t = t1
         for tm, e in zip(times.tolist(), eids.tolist()):
-            mat = self._run_segment(mat, tm - prev, tol)
+            mat = self._run_segment(mat, tm - prev)
             prev = tm
             self._flip(e)
-        return self._run_segment(mat, t1 - prev, tol)
+        return self._run_segment(mat, t1 - prev)
 
-    def _run_segment(self, mat: np.ndarray, s: float, tol: float) -> np.ndarray:
+    def _run_segment(self, mat: np.ndarray, s: float) -> np.ndarray:
         if not self._n_open:
             return mat  # frozen walker: P = I
         while s > 0.0:
             h = min(s, _MAX_SEGMENT)
-            mat, terms, dropped = _apply_uniformized(mat, self.P, h, tol)
-            self._count(terms, dropped, tol)
+            mat, terms, dropped = _apply_uniformized(mat, self.P, h)
+            self._count(terms, dropped)
             s -= h
         return mat
 
     def _advance_absorbed(self, mat: np.ndarray, t1: float) -> np.ndarray:
         env, live, t0 = self.env, self._live_edge, self.t
-        # live flips counted on the flat arrays: the tolerance is split over
-        # the same segments as if they had all been fetched
-        n_live = int((env.flip_counts(t1) - env.flip_counts(t0))[live].sum())
-        tol = self._segment_tol(n_live + 1 + int((t1 - t0) / _MAX_SEGMENT))
         self.t = t1
-        windows = max(1, -(-n_live // len(self._stack)))
         prev = a = t0
-        for j in range(1, windows + 1):
-            b = t1 if j == windows else t0 + (t1 - t0) * j / windows
+        span = 1.0 / env.params.mu  # window ends at t0 + span, span doubling
+        while a < t1:
+            b = min(t1, t0 + span)
+            span *= 2.0
             times, eids = env.flip_events(a, b)
             keep = live[eids]
             for tm, e in zip(times[keep].tolist(), eids[keep].tolist()):
-                mat, stopped = self._push(mat, tm - prev, tol, at_flip=True)
+                mat, stopped = self._push(mat, tm - prev, at_flip=True)
                 if stopped:
                     return mat
                 prev = tm
                 self._flip(e)
             a = b
-        mat, _ = self._push(mat, t1 - prev, tol, at_flip=False)
-        return self._run_chunk(mat, tol)[0]
+        mat, _ = self._push(mat, t1 - prev, at_flip=False)
+        return self._run_chunk(mat)[0]
 
-    def _push(self, mat: np.ndarray, s: float, tol: float,
-              at_flip: bool) -> tuple[np.ndarray, bool]:
+    def _push(self, mat: np.ndarray, s: float, at_flip: bool) -> tuple[np.ndarray, bool]:
         """Stack the block for a stretch of length s, running full chunks."""
         while s > 0.0:
             h = min(s, _MAX_SEGMENT)
@@ -510,12 +484,12 @@ class _Evolver:
             self._lengths.append(h)
             self._at_flip.append(at_flip and s <= 0.0)
             if len(self._lengths) == len(self._stack):
-                mat, stopped = self._run_chunk(mat, tol)
+                mat, stopped = self._run_chunk(mat)
                 if stopped:
                     return mat, True
         return mat, False
 
-    def _run_chunk(self, mat: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
+    def _run_chunk(self, mat: np.ndarray) -> tuple[np.ndarray, bool]:
         """One series over the stacked pieces, then chain them in time order.
 
         Returns (mat, stopped); pieces after an early stop are not counted.
@@ -527,8 +501,8 @@ class _Evolver:
             return mat, False
         if m == 1:  # a lone piece runs its series on the rows themselves
             mat, terms, dropped = _apply_uniformized(mat, self._stack[0], lengths[0],
-                                                     tol, self.occupation)
-            self._count(terms, dropped, tol)
+                                                     self.occupation)
+            self._count(terms, dropped)
             return mat, at_flip[0] and mat.sum(axis=1).max(initial=0.0) < 1e-14
         order = sorted(range(m), key=lengths.__getitem__, reverse=True)
         stack = np.take(self._stack[:m], order, axis=0, out=self._sorted[:m])
@@ -536,14 +510,14 @@ class _Evolver:
         J = np.zeros((m, n))
         E, terms, dropped = _apply_uniformized(
             np.broadcast_to(self._eye, (m, n, n)), stack,
-            [lengths[i] for i in order], tol, J)
+            [lengths[i] for i in order], J)
         rank = [0] * m
         for r, i in enumerate(order):
             rank[i] = r
         for i, r in enumerate(rank):
             self.occupation += mat @ J[r]
             mat = mat @ E[r]
-            self._count(terms[r], dropped[r], tol)
+            self._count(terms[r], dropped[r])
             if at_flip[i] and mat.sum(axis=1).max(initial=0.0) < 1e-14:
                 return mat, True
         return mat, False
@@ -573,14 +547,14 @@ def exact_quenched_distribution(env: EnvTrajectory, x0: int, t: float) -> np.nda
     return next(quenched_laws(env, x0, [t]))
 
 
-def window_kernel(env: EnvTrajectory, window: tuple[float, float]) -> WalkKernel:
-    """Exact stochastic matrix of the walk across [a, b] of the environment."""
+def window_kernel(env: EnvTrajectory, window: tuple[float, float]) -> np.ndarray:
+    """The stochastic matrix of the walk across [a, b] of the environment,
+    exact up to `EXACT_TOL` total variation per row."""
     a, b = window
     if not 0 <= a <= b <= env.horizon:
         raise HorizonError(f"window {window} outside [0, {env.horizon}]")
     ev = _Evolver(env, a)
-    K = ev.advance(np.eye(env.graph.n_vertices), b)
-    return WalkKernel(window=(a, b), matrix=K)
+    return ev.advance(np.eye(env.graph.n_vertices), b)
 
 
 def quenched_tv_curve(env: EnvTrajectory, x0: int, grid: Sequence[float],

@@ -32,6 +32,7 @@ import math
 import numpy as np
 
 from dynaperc.errors import InputError
+from dynaperc.walk import _MAX_SEGMENT, _SERIES_TAIL
 
 
 def random_pi(rng, m, floor=0.2):
@@ -256,10 +257,11 @@ def rebuild_step_matrix(g, open_mask):
     return P
 
 
-def _series(mat, P, s, tol, free=None):
+def _series(mat, P, s, free=None):
     """mat @ expm((P - I) s) summed term by term, the Poisson weights cut
-    once their sum reaches 1 - tol.  With a `free` mask, also returns the
-    integral over [0, s] of each row's mass on `free`."""
+    once their tail falls below the evolvers' `walk._SERIES_TAIL`.  With a
+    `free` mask, also returns the integral over [0, s] of each row's mass on
+    `free`."""
     w = math.exp(-s)
     cum = w
     acc = w * mat
@@ -267,7 +269,7 @@ def _series(mat, P, s, tol, free=None):
     c = 1.0 - w
     occ = None if free is None else c * term[:, free].sum(axis=1)
     k = 0
-    while cum < 1.0 - tol:
+    while cum < 1.0 - _SERIES_TAIL:
         k += 1
         term = term @ P
         w *= s / k
@@ -281,33 +283,25 @@ def _series(mat, P, s, tol, free=None):
     return acc, occ
 
 
-def rebuild_forward(env, rows, t0, grid, tol=1e-10):
+def rebuild_forward(env, rows, t0, grid):
     """Reference for forward evolution (`walk.quenched_laws`, `window_kernel`,
     `quenched_tv_curve`): `rows` evolved from t0 through each time of
     `grid`, with P rebuilt by `rebuild_step_matrix` after every flip and each
-    series summed term by term.  The truncation allowance is split as the
-    evolver splits it: from one grid time to the next, a quarter of what is
-    left over the stretch's segments, floored at 1e-15; a segment with no
-    open edge runs no series.  Returns the rows at each grid time."""
-    from dynaperc.walk import _MAX_SEGMENT
-
+    series summed term by term; a segment with no open edge runs no series.
+    Returns the rows at each grid time."""
     g = env.graph
     open_mask = env.open_mask_at(t0)
     P = rebuild_step_matrix(g, open_mask)
-    spent = 0.0
     mat = rows
     prev = t0
     out = []
     for t in grid:
         times, eids = env.flip_events(prev, t)
-        n_seg = len(times) + 1 + int((t - prev) / _MAX_SEGMENT)
-        seg_tol = max((tol - spent) / (4 * n_seg), 1e-15)
         for tm, e in zip([*times.tolist(), t], [*eids.tolist(), None]):
             s = tm - prev
             while open_mask.any() and s > 0.0:
                 h = min(s, _MAX_SEGMENT)
-                mat = _series(mat, P, h, seg_tol)[0]
-                spent += seg_tol
+                mat = _series(mat, P, h)[0]
                 s -= h
             prev = tm
             if e is not None:
@@ -317,13 +311,11 @@ def rebuild_forward(env, rows, t0, grid, tol=1e-10):
     return out
 
 
-def rebuild_hitting_profile(env, A, horizon, tol=1e-10):
+def rebuild_hitting_profile(env, A, horizon):
     """Reference for `walk.exact_hitting_profile`: the N x N absorbed chain,
     with P rebuilt by `rebuild_step_matrix` after every flip (flips inside A
     too), rows of A set to the identity, and the time off A read from the
     free columns of each series term.  Returns (expected, censored)."""
-    from dynaperc.walk import _MAX_SEGMENT
-
     g = env.graph
     free = ~A
     open_mask = env.open_mask_at(0.0)
@@ -336,23 +328,21 @@ def rebuild_hitting_profile(env, A, horizon, tol=1e-10):
 
     occupation = np.zeros(g.n_vertices)
 
-    def segment(mat, s, tol):
+    def segment(mat, s):
         while s > 0.0:
             h = min(s, _MAX_SEGMENT)
-            mat, occ = _series(mat, P, h, tol, free)
+            mat, occ = _series(mat, P, h, free)
             occupation[:] += occ
             s -= h
         return mat
 
     P = absorbed_step()
     times, eids = env.flip_events(0.0, horizon)
-    n_seg = len(times) + 1 + int(horizon / _MAX_SEGMENT)
-    tol = max(tol / (4 * n_seg), 1e-15)
     mat = np.eye(g.n_vertices)
     prev = 0.0
     stopped = False
     for tm, e in zip(times, eids):
-        mat = segment(mat, tm - prev, tol)
+        mat = segment(mat, tm - prev)
         if mat[:, free].sum(axis=1).max() < 1e-14:
             stopped = True
             break
@@ -360,7 +350,7 @@ def rebuild_hitting_profile(env, A, horizon, tol=1e-10):
         open_mask[e] = not open_mask[e]
         P = absorbed_step()
     if not stopped:
-        mat = segment(mat, horizon - prev, tol)
+        mat = segment(mat, horizon - prev)
     censored = mat[:, free].sum(axis=1)
     occupation[A] = 0.0
     censored[A] = 0.0

@@ -72,6 +72,25 @@ def test_walk_sim(tmp_path):
         "3689cb0433d7f582d04b603d8c36e26ae65c1eeee57e9b74c9b0952174fde262")
 
 
+def test_hit_samples_the_configured_init(tmp_path):
+    values = {}
+    for init in ("stationary", "all-closed"):
+        cfg = tmp_path / f"{init}.ini"
+        cfg.write_text("[run]\nd = 1\nn = 8\nmu = 0.5\nenv_samples = 2\n"
+                       f"init = {init}\n")
+        out = tmp_path / init
+        assert run(["hit", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "hit.csv").read_text().splitlines()
+        row = dict(zip(lines[1].split(","), lines[2].split(",")))
+        assert row["statistic"].endswith("hit_time_annealed_max")
+        values[init] = float(row["value"])
+    # environments that start closed are sampled as such: the walk waits
+    # longer for open edges than from the stationary law (before `hit` read
+    # `init`, both gave the stationary value)
+    assert values["stationary"] == pytest.approx(14.463691758139671, abs=1e-9)
+    assert values["all-closed"] > values["stationary"] + 1.0
+
+
 def test_bound_with_config(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[run]\nd = 1\nn = 8\nmu = 0.25\neps = 0.25\n")

@@ -285,9 +285,11 @@ def test_sampler_matches_per_hold_loop(d, n, p, mu, horizon, init, seed, block, 
         env = sample_env(g, params, init=init, seed=seed)
     assert env.initial.tobytes() == states.tobytes()
     assert np.array_equal(np.diff(env.offsets), [len(f) for f in flips])
+    assert env._edges is None  # the per-edge views are built when first read
     for tr, want in zip(env.edges, flips):
         assert tr.flip_times.tobytes() == want.tobytes()
         assert not len(want) or np.shares_memory(tr.flip_times, env.flip_times)  # a view
+    assert env.edges is env.edges
 
 
 def _flip_instants(env, rng, k):

@@ -150,29 +150,29 @@ def test_exact_vs_monte_carlo():
 def test_window_kernel_doubly_stochastic():
     env = _env(d=2, n=4, seed=6)
     K = window_kernel(env, (3.0, 9.0))
-    assert np.abs(K.matrix.sum(axis=0) - 1.0).max() < 1e-10
-    assert np.abs(K.matrix.sum(axis=1) - 1.0).max() < 1e-10
+    assert np.abs(K.sum(axis=0) - 1.0).max() < 1e-10
+    assert np.abs(K.sum(axis=1) - 1.0).max() < 1e-10
 
 
 def test_window_kernel_composes():
     env = _env(seed=8)
-    K1 = window_kernel(env, (0.0, 5.0)).matrix
-    K2 = window_kernel(env, (5.0, 12.0)).matrix
-    K12 = window_kernel(env, (0.0, 12.0)).matrix
+    K1 = window_kernel(env, (0.0, 5.0))
+    K2 = window_kernel(env, (5.0, 12.0))
+    K12 = window_kernel(env, (0.0, 12.0))
     assert np.abs(K1 @ K2 - K12).max() < 1e-9
 
 
 def test_window_kernel_takes_integer_times():
     env = _env(seed=8)
-    K = window_kernel(env, (3, 9)).matrix
-    assert K.tobytes() == window_kernel(env, (3.0, 9.0)).matrix.tobytes()
+    K = window_kernel(env, (3, 9))
+    assert K.tobytes() == window_kernel(env, (3.0, 9.0)).tobytes()
 
 
 def test_unit_window_diagonal_floor():
     # within one time unit the walker attempts no jump with probability 1/e
     for seed in range(5):
         env = _env(seed=seed, horizon=10.0)
-        K = window_kernel(env, (1.0, 2.0)).matrix
+        K = window_kernel(env, (1.0, 2.0))
         assert np.diag(K).min() >= 1.0 / math.e - 1e-12
 
 
@@ -182,8 +182,8 @@ def test_block_chain_product():
     env = _env(seed=5, horizon=20.0)
     prod = np.eye(6)
     for a in (0.0, 4.0, 8.0):
-        prod = prod @ window_kernel(env, (a, a + 4.0)).matrix
-    direct = window_kernel(env, (0.0, 12.0)).matrix
+        prod = prod @ window_kernel(env, (a, a + 4.0))
+    direct = window_kernel(env, (0.0, 12.0))
     assert np.abs(prod - direct).max() < 1e-9
 
 
@@ -363,13 +363,14 @@ def test_hitting_profile_matches_rebuild_reference(name, env, A, horizon):
 
 
 # (segments, terms) of the absorbed evolver on each hitting case, recorded
-# with the evolver that ran one series per segment, flip after flip
+# with every series stopping at the one 1e-15 tail, once each profile
+# matched `rebuild_hitting_profile` on that tail
 _ABSORBED_COUNTS = {
-    "sampled-d1-n12": (205, 3634), "sampled-d1-n16": (178, 2855),
-    "sampled-d2-n4": (699, 7112), "sampled-d3-n3": (1266, 10219),
-    "all-but-one-d1": (9, 223), "all-but-one-d2": (41, 675),
-    "inside-only": (10, 745), "no-flips": (8, 614), "horizon-at-flip": (21, 325),
-    "long-gaps": (44, 2371), "many-chunks": (629, 10379),
+    "sampled-d1-n12": (205, 4013), "sampled-d1-n16": (178, 3015),
+    "sampled-d2-n4": (699, 7721), "sampled-d3-n3": (1266, 10969),
+    "all-but-one-d1": (9, 250), "all-but-one-d2": (41, 760),
+    "inside-only": (10, 823), "no-flips": (8, 678), "horizon-at-flip": (21, 377),
+    "long-gaps": (44, 2538), "many-chunks": (629, 10478),
 }
 
 
@@ -385,7 +386,7 @@ def test_absorbed_counters_pinned(name, env, A, horizon, chunk, monkeypatch):
     ev = _Evolver(env, 0.0, absorbing=A)
     ev.advance(np.eye(int((~A).sum())), horizon)
     assert (ev.segments, ev.terms) == _ABSORBED_COUNTS[name]
-    assert 0.0 <= ev.dropped <= ev.spent
+    assert 0.0 <= ev.dropped <= ev.segments * 1e-15
     assert np.all(np.abs(ev.occupation - expected[~A]) <= 1e-12 * expected[~A])
 
 
@@ -398,9 +399,9 @@ def test_chunk_splits_long_stretches(monkeypatch):
     stacks = []
     series = walk._apply_uniformized
 
-    def spy(mat, P, s, tol, occupation=None):
+    def spy(mat, P, s, occupation=None):
         stacks.append(s)
-        return series(mat, P, s, tol, occupation)
+        return series(mat, P, s, occupation)
 
     monkeypatch.setattr(walk, "_apply_uniformized", spy)
     exact_hitting_profile(env, A, horizon)
@@ -472,7 +473,7 @@ def test_in_place_flips_match_fresh_step_matrix(d, n):
         fresh = rebuild_step_matrix(g, mask)
         assert np.array_equal(forward.P.matrix(), fresh)
         absorbed._lengths, absorbed._at_flip = [], []  # restack into slot 0
-        absorbed._push(rows, 1.0, 1e-10, at_flip=False)
+        absorbed._push(rows, 1.0, at_flip=False)
         assert np.array_equal(absorbed._stack[0], fresh[np.ix_(free, free)])
 
 
@@ -507,10 +508,10 @@ def test_stacked_blocks_match_fresh_free_block(name, monkeypatch):
     pieces = []
     run_chunk = _Evolver._run_chunk
 
-    def spy(self, mat, tol):
+    def spy(self, mat):
         m = len(self._lengths)
         pieces.extend(zip(self._lengths, self._stack[:m].copy()))
-        return run_chunk(self, mat, tol)
+        return run_chunk(self, mat)
 
     monkeypatch.setattr(_Evolver, "_run_chunk", spy)
     ev = _Evolver(env, 0.0, absorbing=A)
@@ -534,7 +535,7 @@ def _assert_forward_matches_rebuild(env, grid, window, t_law):
                for row in rebuild_forward(env, eye[:1], 0.0, grid)]
     a, b = window
     pairs = [(quenched_tv_curve(env, 0, grid), np.array(ref_tvs)),
-             (window_kernel(env, window).matrix, rebuild_forward(env, eye, a, [b])[0]),
+             (window_kernel(env, window), rebuild_forward(env, eye, a, [b])[0]),
              (exact_quenched_distribution(env, 1, t_law),
               rebuild_forward(env, eye[1:2], 0.0, [t_law])[0][0])]
     for out, ref in pairs:
@@ -560,46 +561,53 @@ def test_stencil_at_torus_scale():
     for t in grid:
         vec = ev.advance(vec, float(t))
     assert ev.segments > 10000
-    assert 0.0 < ev.dropped <= ev.tol_total
+    assert 0.0 < ev.dropped <= walk.EXACT_TOL
     # a window kernel's 256 rows on a short window keep the rebuilt
     # reference's dense products affordable
     _assert_forward_matches_rebuild(env, grid, (1.5, 4.0), 20.0)
 
 
-def test_dropped_mass_reported_past_the_allowance():
-    # 1e-13 over ~1000 segments: the 1e-15 floor hands out more allowance
-    # than tol_total, and the mass actually cut is reported beside it
+def test_every_series_stops_at_one_tail():
+    # forward laws on a grid, a window kernel and an absorbed run: each
+    # series leaves out less than 1e-15, so `dropped` is at most that per
+    # series, however few series a run makes
     env = _env(n=8, mu=0.5, horizon=600.0, seed=11)
-    ev = _Evolver(env, 0.0, tol_total=1e-13)
-    ev.advance(np.eye(8), 600.0)
-    assert ev.segments > 1000
-    assert ev.spent > ev.tol_total
-    assert 0.0 < ev.dropped <= ev.spent
+    A = np.arange(8) < 4
+    laws = _Evolver(env, 0.0)
+    row = np.eye(8)[:1]
+    for t in (0.5, 3.0, 40.0, 600.0):
+        row = laws.advance(row, t)
+    kernel = _Evolver(env, 2.0)
+    kernel.advance(np.eye(8), 9.0)
+    absorbed = _Evolver(env, 0.0, absorbing=A)
+    absorbed.advance(np.eye(4), 600.0)
+    for ev in (laws, kernel, absorbed):
+        assert ev.segments > 0
+        assert 0.0 < ev.dropped <= ev.segments * 1e-15
 
 
 # (d, n, mu, seed) -> sha256 of quenched_tv_curve, window_kernel and
 # exact_quenched_distribution outputs (OpenBLAS on x86-64); they pin the
-# forward path.  The window-kernel digests were recorded with the evolver
-# that rebuilt a dense P after every flip, and the stencil's scattered P
-# keeps them.  The TV-curve and law digests were recorded with the one-row
-# stencil series, once those outputs were within 6e-16 of `rebuild_forward`.
+# forward path.  They were recorded with every series stopping at the one
+# 1e-15 tail, once each output was within 5e-16 of `rebuild_forward` on that
+# tail (the window kernels equal to it).
 _FORWARD_HASHES = [
     ((1, 8, 0.25, 0),
-     ("b26b3a5bb7daa5ad22a7e6398ed8da03e539e614803c839c46785f46a52efbc3",
-      "7813c46f48d17c70ee4872eff85ae2a2195400e12ea760497cbb63158c2cd2ed",
-      "f3399f3bb59854e3e3c513f57afe80140a075864daf87029e43bcc302032309a")),
+     ("4d6833e24b7201e1da1f849563b4f991cb8e3add6b74a5ed45e3673f4ac7489c",
+      "df8bf02a14ecf04aeebd20709266f56054a308a7d8c20bce7399a9903d59d27f",
+      "334a35c658f57f94ba68553721795c043bd7d72bc9990514a6c9eec2de42dc87")),
     ((1, 16, 0.125, 1),
-     ("b632ef75210ca7e0540a18cab6308930e34b7a89c9979479252c8d1df13387b5",
-      "0e60fbdd842df4dff4392e391903bf32dc1e90492f0f5d888eed92afd98ab5a8",
-      "4ac8ea68045534d055a50844adbfba77fc5e7f688c82745422828335ac115c60")),
+     ("2db514c3f95f0b2994900a5c618695606259b23ed37e2174646b4f945e7c1f57",
+      "2740569c6f0582e6b1068727d6c3d68c48b9f36fdb05f3d06c16794db4a4ad69",
+      "b70913209136ed234ce08acb618209b39e8d6bfccab2dfd6ee234237cdf87bd8")),
     ((2, 4, 0.5, 2),
-     ("a29fa7f9b63225215ccb36e237626204972915f1060f77f4eb16fdbd30b94f92",
-      "dbac85e2c56e63db3518500d510c8939c9c3f71993c33a6fe604ea776ff8236d",
-      "1f46b2c73aea5874707e9a28492828d91528e8d44fde43c72f448a67ed723e09")),
+     ("f316c8d06b9e526d37f615807ab6a97bb2c90778aa90b150ef7a8495b2dad8fc",
+      "cb93e9eb4f08b9e92e5545276f55911637e700d41436b5c4255bd6ea272280d8",
+      "8ef2870efb1b322d16e31aea587d32b8c0e7254148a2ecc32d279f8de9e40434")),
     ((3, 3, 0.25, 3),
-     ("f7db739419452f4f695cbd72c234684813efc3ad27e795ac7bbc7940db574c1b",
-      "2563ee8787937d68315cd0ae6b429c7247c866d30c7d21dd8af02f52c8cce2fb",
-      "cc206f44a1a5af95ed4dca3606384124f963f85aff599e22eb59e999edc5e610")),
+     ("1e734a3f0857af97d32d67a560ca5b214d6aef8ba48f38f9f8350e7a4d1962a0",
+      "e1239ba75aa80c21eef0cb9cd864519a9eb7cdd4f9a3812068ad369e5c926ae9",
+      "61f9137c87e9dfc82fbdb2a114cc6ec695c8d7c89c8cad3a02b577f90f873d81")),
 ]
 
 
@@ -609,6 +617,6 @@ def test_forward_outputs_pinned(case, digests):
     d, n, mu, seed = case
     env = sample_env(TorusGraph(d, n), DynParams(0.5, mu, 60.0), seed=seed)
     outs = (quenched_tv_curve(env, 0, np.arange(2.0, 60.0, 2.0)),
-            window_kernel(env, (1.5, 40.0)).matrix,
+            window_kernel(env, (1.5, 40.0)),
             exact_quenched_distribution(env, 1, 60.0))
     assert tuple(hashlib.sha256(o.tobytes()).hexdigest() for o in outs) == digests
