@@ -19,7 +19,7 @@ print(f"open fraction at t=20: {env.open_mask_at(20.0).mean():.3f}")
 
 # closed form for a single edge law vs. the sampled ensemble
 t = 2.0
-q = edge_transition_prob(params.p, params.mu, t, 0, 1)
+q = edge_transition_prob(params.p, params.mu, t)[0, 1]
 print(f"\nP(open at t={t} | closed at 0) closed form: {q:.4f}")
 
 emp = env.open_mask_at(t).mean()

@@ -150,6 +150,17 @@ class EnvTrajectory:
         if not t <= self.horizon:
             raise HorizonError(f"time {t} past horizon {self.horizon}")
 
+    def _check_edges(self, edges) -> np.ndarray:
+        """`edges` as an int array; InputError unless every id is an integer
+        in [0, E)."""
+        edges = np.asarray(edges)
+        if not edges.size:
+            return edges.astype(np.int64)
+        if (edges.dtype.kind not in "iu" or edges.min() < 0
+                or edges.max() >= self.graph.n_edges):
+            raise InputError(f"edge ids must be integers in [0, {self.graph.n_edges})")
+        return edges
+
     def _first_after(self, t, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Per range i, the flat index of the first flip after t (or t[i]) in
         flip_times[lo[i]:hi[i]], or hi[i] when there is none.
@@ -208,13 +219,10 @@ class EnvTrajectory:
         outside [0, E) raise `InputError`, and times outside [0, T]
         `HorizonError`.
         """
-        edges = np.asarray(edges)
+        edges = self._check_edges(edges)
         times = np.asarray(times, dtype=float)
         if edges.shape != times.shape:
             raise InputError(f"{edges.shape} edge ids against {times.shape} times")
-        if edges.dtype.kind not in "iu" or edges.size and (
-                edges.min() < 0 or edges.max() >= self.graph.n_edges):
-            raise InputError(f"edge ids must be integers in [0, {self.graph.n_edges})")
         if times.size and not (times.min() >= 0.0 and times.max() <= self.horizon):
             raise HorizonError(f"query times must lie in [0, {self.horizon}]")
         e = edges.ravel()
@@ -349,35 +357,37 @@ def sample_env(g: TorusGraph, params: DynParams,
     return EnvTrajectory._from_arrays(g, params, states, flips, offsets, tag, seed)
 
 
-def edge_transition_prob(p: float, mu: float, t: float,
-                         frm: Optional[int] = None,
-                         to: Optional[int] = None):
-    """Exact two-state law of one edge over time t.
+def edge_transition_prob(p: float, mu: float, t: float) -> np.ndarray:
+    """Exact two-state law of one edge over time t, for p in (0, 1], mu > 0
+    and a finite t >= 0.
 
-    Returns the 2x2 row-stochastic kernel K[from, to], or the single entry when
-    `frm` and `to` are given.  K[0, 1] = p(1 - e^(-mu t)), K[1, 1] = p + (1-p) e^(-mu t).
+    Returns the 2x2 row-stochastic kernel K[from, to]:
+    K[0, 1] = p(1 - e^(-mu t)), K[1, 1] = p + (1-p) e^(-mu t).
     """
-    if t < 0:
-        raise InputError("t must be >= 0")
+    if not 0.0 < p <= 1.0:
+        raise InputError(f"p must be in (0, 1], got {p}")
+    if not mu > 0.0:
+        raise InputError(f"mu must be positive, got {mu}")
+    if not 0.0 <= t < math.inf:
+        raise InputError(f"t must be finite and >= 0, got {t}")
     decay = math.exp(-mu * t)
     k01 = p * (1.0 - decay)
     k11 = p + (1.0 - p) * decay
-    K = np.array([[1.0 - k01, k01], [1.0 - k11, k11]])
-    if frm is None and to is None:
-        return K
-    return float(K[frm, to])
+    return np.array([[1.0 - k01, k01], [1.0 - k11, k11]])
 
 
 def count_open_throughout(env: EnvTrajectory, A: Iterable[int],
                           a: float, b: float) -> int:
-    """#{e in A : edge e open on all of [a, b]}."""
+    """#{e in A : edge e open on all of [a, b]}; edge ids outside [0, E)
+    raise `InputError`."""
     if not 0 <= a <= b:
         raise InputError("need 0 <= a <= b")
     env._check_time(a)
     env._check_time(b)
+    A = env._check_edges(A if isinstance(A, np.ndarray) else list(A))
     at_a = env.flip_counts(a)
     ok = ((env.initial ^ at_a) & 1).astype(bool) & (at_a == env.flip_counts(b))
-    return int(ok[np.fromiter(A, dtype=np.int64)].sum())
+    return int(ok[A].sum())
 
 
 def isolated_vertex_exists(env: EnvTrajectory, L: float) -> tuple[bool, Optional[int]]:

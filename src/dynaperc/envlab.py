@@ -5,11 +5,13 @@ stationary pi.
 Hosts the annealed product chain, quenched laws along environment paths, the
 quenched-vs-annealed counterexample (i.i.d. identity/swap kernels), the
 laziness-coupled variant, and the end-to-end check of the quenched mixing
-bound P(chi >= eps^(1/4)) <= eps^(1/4).
+bound P(chi >= eps^(1/4)) <= eps^(1/4).  Walk states and environment states
+are integer indices; one out of range is an `InputError`.
 
 The exact certificate runs the Doob set process jointly with the environment,
-as one flat transition over (subset, environment state) pairs built from the
-law table of `evoset.set_law_table`.
+as one flat transition over (subset, environment state) pairs: pair (S, z) is
+z 2^m + S, with S the bitmask that indexes the law table of
+`evoset.set_law_table`.
 """
 
 from __future__ import annotations
@@ -89,10 +91,11 @@ def quenched_law(chain: FiniteEnvChain, path: Sequence[int], x0: int) -> np.ndar
     `path` lists the environment states driving steps 1..k.  Off-R-support
     paths are allowed with a warning (quenched laws are defined for any eta).
     """
+    evoset.start_mask(x0, chain.n_states)
     vec = np.zeros(chain.n_states)
     vec[x0] = 1.0
     prev = None
-    for z in path:
+    for z in _env_states(chain, path).tolist():
         if prev is not None and chain.R[prev, z] == 0.0:
             warnings.warn("environment path leaves the support of R", stacklevel=2)
         vec = vec @ chain.kernels[z]
@@ -134,10 +137,21 @@ def variant_chain(chain: FiniteEnvChain) -> FiniteEnvChain:
     return FiniteEnvChain(R=R2, kernels=tuple(kernels), pi=chain.pi)
 
 
+def _env_states(chain: FiniteEnvChain, states) -> np.ndarray:
+    """`states` as an int array; InputError unless every entry is an integer
+    in [0, E)."""
+    states = np.asarray(states)
+    if states.size and (states.dtype.kind not in "iu" or states.min() < 0
+                        or states.max() >= chain.n_env):
+        raise InputError(f"environment states must be integers in [0, {chain.n_env})")
+    return states
+
+
 def sample_env_path(chain: FiniteEnvChain, zeta0: int, steps: int,
                     rng: np.random.Generator) -> np.ndarray:
+    """Environment states driving steps 1..`steps` from zeta0, drawn by R."""
+    z = int(_env_states(chain, [zeta0])[0])
     path = np.empty(steps, dtype=np.int64)
-    z = zeta0
     for k in range(steps):
         z = int(rng.choice(chain.n_env, p=chain.R[z]))
         path[k] = z
@@ -149,24 +163,26 @@ def _doob_z_certificates(chain: FiniteEnvChain, x: int, n: int) -> np.ndarray:
     started at {x}: one entry per start state, by exact propagation over
     (subset, env state) pairs.
 
-    The Doob laws come from one `evoset.set_law_table`: pair (masks[r], z)
-    is z * M + r, and its per-kernel arrays give the pair transition T as flat
-    (z M + r, z2 M + c, R(z, z2) v) arrays over the (z, z2) with R > 0.  The
-    expectation from every pair at once is T^n Z, by n bincount steps.
+    The Doob laws come from one `evoset.set_law_table`: pair (S, z) is
+    z 2^m + S, and the per-kernel arrays give the pair transition T as flat
+    (z 2^m + r, z2 2^m + c, R(z, z2) v) arrays over the (z, z2) with R > 0.
+    The expectation from every pair at once is T^n Z, by n bincount steps.
     """
     E, R, pi = chain.n_env, chain.R, chain.pi
     start = evoset.start_mask(x, chain.n_states)
-    masks, transitions, which = evoset.set_law_table(chain.kernels, pi, start, doob=True)
-    M = len(masks)
+    transitions, which = evoset.set_law_table(chain.kernels, pi, doob=True)
+    M = 1 << chain.n_states
     parts = []
     for z, z2 in zip(*np.nonzero(R > 0)):
         r, c, v = transitions[which[z2]]
         parts.append((z * M + r, z2 * M + c, R[z, z2] * v))
     rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
-    expect = np.tile([evoset.z_statistic(mask, pi) for mask in masks], E)
+    # the Doob process never reaches the empty set, whose Z is undefined
+    z_of = np.append(0.0, evoset.z_statistic(np.arange(1, M), pi))
+    expect = np.tile(z_of, E)
     for _ in range(n):
         expect = np.bincount(rows, weights=vals * expect[cols], minlength=len(expect))
-    return expect[M * np.arange(E)]  # start zeta0 is pair (start, zeta0)
+    return expect[M * np.arange(E) + start]  # start zeta0 is pair ({x}, zeta0)
 
 
 @dataclass(frozen=True)

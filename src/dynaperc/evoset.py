@@ -1,19 +1,28 @@
 """Evolving sets for time-inhomogeneous finite chains.
 
-Subsets are Python int bitmasks over the state space, because they are the
-dict keys and the table index of the set-law engine.  Outside this module a
-set is a bool mask (`mask_members` converts one bitmask);
-`expansion.half_mass_subsets` yields both forms.  The one-step law is exact:
-sort the distinct threshold values Q(S, y) / pi(y) and read off the
-piecewise-constant map U -> S-tilde (non-strict comparison, so U = 0 yields
-the full space).  The Doob transform reweights by pi(S') / pi(S); its
-normalization is equivalent to the martingale property of pi(S_k).
+Subsets are int64 bitmasks over the state space: bit y is set when state y
+is in S.  Outside this module a set is a bool mask (`mask_members` converts
+bitmasks); `expansion.half_mass_subsets` yields both forms.
+
+The evolving-set step is S' = {y : Q(S, y) / pi(y) >= U}, U uniform on
+[0, 1] (non-strict, so U = 0 yields the full space).  One private function,
+`_threshold`, applies it to a table of sets at once: with the states sorted
+by decreasing ratio r, S' is the top j states with probability
+r_(j) - r_(j+1), where r_(0) = 1 (j = 0 is the empty set) and r_(m+1) = 0.
+Every law reads that table:
+- the plain law (`step_law`);
+- the Doob transform (`doob_step_law`), which reweights by pi(S') / pi(S)
+  and so never reaches the empty set; its normalization is the martingale
+  property of pi(S_k);
+- psi_p(S) = 1 - E[sqrt(pi(S') / pi(S))] (`expected_sqrt_ratio`, and
+  `psi_profile_kernels` for every subset at once).
+The one-set functions are the one-row case, and equal the matching row of a
+table bit for bit.
 
 Exact set-law propagation, here and in the joint certificate of `envlab`,
-runs on one law table (`set_law_table`): each (mask, distinct kernel) law
-computed once, weights moved through it by one bincount per step.
-`psi_profile_kernels` evaluates psi for every subset at once on the bit table
-of `expansion.half_mass_subsets`.
+runs on one law table (`set_law_table`): the laws of every subset, indexed by
+bitmask, one threshold table per distinct kernel; weights move through it by
+one bincount per step.
 """
 
 from __future__ import annotations
@@ -26,7 +35,8 @@ import numpy as np
 
 from .dist import chi
 from .errors import CapabilityError, InputError
-from .expansion import ExpansionProfile, enumerated_profile, profile_integral
+from .expansion import (ExpansionProfile, check_eps, enumerated_profile,
+                        profile_integral)
 
 # Exact subset-law propagation caps the state count.
 SET_LAW_MAX_STATES = 14
@@ -84,12 +94,15 @@ _BIT = 1 << np.arange(62, dtype=np.int64)
 _BIT.setflags(write=False)
 
 
-def mask_members(mask: int, m: int) -> np.ndarray:
-    return (_BIT[:m] & mask).astype(bool)
+def mask_members(masks, m: int) -> np.ndarray:
+    """Membership over m states of one bitmask (shape (m,)) or of each of an
+    array of bitmasks (one row each), as bools."""
+    return (np.asarray(masks, dtype=np.int64)[..., None] & _BIT[:m]).astype(bool)
 
 
-def set_mass(mask: int, pi: np.ndarray) -> float:
-    return float(pi[mask_members(mask, len(pi))].sum())
+def set_mass(masks, pi: np.ndarray):
+    """pi(S) of one bitmask, or of each of an array of bitmasks."""
+    return (mask_members(masks, len(pi)) * pi).sum(axis=-1)
 
 
 def start_mask(x: int, m: int) -> int:
@@ -99,15 +112,25 @@ def start_mask(x: int, m: int) -> int:
     return 1 << int(x)
 
 
-def z_statistic(mask: int, pi: np.ndarray) -> float:
-    """Z = sqrt(pi(S#)) / pi(S) with S# = S when pi(S) <= 1/2 else S^c."""
-    m = len(pi)
-    mass = set_mass(mask, pi)
-    if mass == 0.0:
+def _check_mask(mask: int, m: int, nonempty: bool) -> int:
+    """A bitmask of a subset of the m states; InputError otherwise, and for
+    the empty set if `nonempty`."""
+    if not (isinstance(mask, (int, np.integer)) and int(nonempty) <= mask < 1 << m):
+        raise InputError(f"bitmask {mask!r} is not a {'nonempty ' * nonempty}"
+                         f"subset of {m} states")
+    return int(mask)
+
+
+def z_statistic(masks, pi: np.ndarray):
+    """Z = sqrt(pi(S#)) / pi(S) with S# = S when pi(S) <= 1/2 else S^c, for one
+    nonempty bitmask (a float) or each of an array of them."""
+    mass = set_mass(masks, pi)
+    if (mass == 0.0).any():
         raise InputError("Z is undefined at the empty set")
     # the complement mass can round to -1 ulp when pi sums to just above 1
-    sharp = mass if mass <= 0.5 else max(1.0 - mass, 0.0)
-    return math.sqrt(sharp) / mass
+    sharp = np.where(mass <= 0.5, mass, np.maximum(1.0 - mass, 0.0))
+    z = np.sqrt(sharp) / mass
+    return float(z) if z.ndim == 0 else z
 
 
 @dataclass(frozen=True)
@@ -116,73 +139,107 @@ class SetLaw:
 
     entries: tuple[tuple[int, float], ...]
 
-    def __post_init__(self):
-        total = sum(p for _, p in self.entries)
-        if abs(total - 1.0) > 1e-12:
-            raise InputError(f"set law sums to {total}")
-        if len({m for m, _ in self.entries}) != len(self.entries):
-            raise InputError("duplicate subsets in set law")
-        if any(p <= 0 for _, p in self.entries):
-            raise InputError("probabilities must be positive")
-
     def mean_mass(self, pi: np.ndarray) -> float:
-        return sum(p * set_mass(m, pi) for m, p in self.entries)
+        sets, probs = zip(*self.entries)
+        return sum(p * mass for p, mass in zip(probs, set_mass(np.array(sets), pi).tolist()))
 
 
-def _ratios(mask: int, K: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """r_y = Q(S, y) / pi(y) for every state y."""
-    members = mask_members(mask, len(pi))
-    return (pi[members] @ K[members]) / pi
+def _ratios(masks, K: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """r_y = Q(S, y) / pi(y) for every state y: one row per bitmask of `masks`
+    (an int or an array).
+
+    Each row's Q(S, .) is its own vector-matrix product over the members of
+    S, so a row does not depend on the rows computed with it (the rows of
+    one product W @ K can differ from it in the last bits).  A table makes
+    the products of its rows with k members as one stack; one row makes its
+    product directly, which is cheaper than a stack of one."""
+    members = mask_members(np.atleast_1d(masks), len(pi))
+    if len(members) == 1:
+        return (pi[members[0]] @ K[members[0]])[None] / pi
+    size = members.sum(axis=1)
+    q = np.zeros(members.shape)
+    for k in set(size.tolist()) - {0}:
+        rows = size == k
+        idx = members[rows].nonzero()[1].reshape(-1, k)  # member ids, increasing
+        q[rows] = np.matmul(pi[idx][:, None], K[idx])[:, 0]
+    return q / pi
+
+
+def _threshold(masks: np.ndarray, K: np.ndarray, pi: np.ndarray):
+    """The threshold rule S' = {y : r_y >= U} for a table of sets.
+
+    Returns (gaps, tops), one row per bitmask of `masks` and one column per
+    j in [0, m]: with the states sorted by decreasing ratio, S' is the top j
+    states, bitmask tops[:, j], with probability
+    gaps[:, j] = r_(j) - r_(j+1), where r_(0) = 1 and r_(m+1) = 0.  So j = 0
+    is the empty set, with probability 1 - r_max, and tied ratios give gap 0
+    until the last of the tie, so each level set is counted once.
+    """
+    neg = -_ratios(masks, K, pi)
+    n, m = neg.shape
+    # levels[:, j] = -r_(j) for j in [0, m + 1]; negation is exact, so the
+    # gaps are the same floats as r_(j) - r_(j+1)
+    levels = np.zeros((n, m + 2))
+    levels[:, 0] = -1.0
+    levels[:, 1:-1] = np.sort(neg, axis=1)
+    gaps = levels[:, 1:] - levels[:, :-1]
+    if gaps[:, 0].min(initial=0.0) < -1e-12:
+        raise InputError(f"ratio Q(S, y) / pi(y) = {-float(levels[:, 1].min())!r} exceeds 1")
+    tops = np.zeros((n, m + 1), dtype=np.int64)
+    tops[:, 1:] = np.cumsum(_BIT[np.argsort(neg, axis=1, kind="stable")], axis=1)
+    return gaps, tops
+
+
+def _mass_ratios(masks: np.ndarray, tops: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """pi(S') / pi(S) for each level set S' (bitmask tops[i, j]) of each set
+    S (bitmask masks[i])."""
+    mass = set_mass(np.concatenate((masks[:, None], tops), axis=1), pi)
+    return mass[:, 1:] / mass[:, :1]
+
+
+def _law_table(masks: np.ndarray, K: np.ndarray, pi: np.ndarray, doob: bool):
+    """One-step set laws of a table of sets: (sets, probs, keep), one row per
+    bitmask of `masks`, whose law is sets[keep] with probabilities
+    probs[keep], the empty set first and then by decreasing level.
+
+    The Doob law reweights by pi(S') / pi(S) and so never reaches the empty
+    set.  Each law must sum to 1."""
+    gaps, sets = _threshold(masks, K, pi)
+    probs = gaps * _mass_ratios(masks, sets, pi) if doob else gaps
+    keep = probs > 0.0
+    err = abs(np.add.reduce(probs, axis=1, where=keep) - 1.0)
+    if err.max(initial=0.0) > 1e-12:
+        raise InputError(f"set law misses 1 by {err.max():.3e}")
+    return sets, probs, keep
+
+
+def _one_law(mask: int, K: np.ndarray, pi: np.ndarray, doob: bool) -> SetLaw:
+    sets, probs, _ = _law_table(np.array([mask], dtype=np.int64), K, pi, doob)
+    return SetLaw(tuple((s, p) for s, p in zip(sets[0].tolist(), probs[0].tolist())
+                        if p > 0.0))
 
 
 def step_law(mask: int, K: np.ndarray, pi: np.ndarray) -> SetLaw:
-    """Exact one-step law of the evolving set."""
-    if mask == 0:
-        return SetLaw(((0, 1.0),))
-    r = _ratios(mask, K, pi)
-    # level sets {y : r_y >= v} are prefixes of the states in descending r;
-    # each distinct positive v ends one run of ties
-    order = np.argsort(-r, kind="stable")
-    desc = r[order]
-    ends = np.append(desc[1:] != desc[:-1], True) & (desc > 0.0)
-    levels = list(zip(np.cumsum(_BIT[order])[ends].tolist(), desc[ends].tolist()))
-    # P(S-tilde = set at level v_i) = v_i - v_{i+1}; P(empty) = 1 - v_1
-    out = []
-    if levels:
-        if 1.0 - levels[0][1] > 0.0:
-            out.append((0, 1.0 - levels[0][1]))
-        for i, (s, v) in enumerate(levels):
-            nxt = levels[i + 1][1] if i + 1 < len(levels) else 0.0
-            p = v - nxt
-            if p > 0.0:
-                out.append((s, p))
-    else:
-        out.append((0, 1.0))
-    return SetLaw(tuple(out))
+    """Exact one-step law of the evolving set from `mask`, a bitmask in
+    [0, 2^m): the empty set first, if reached, then the level sets."""
+    return _one_law(_check_mask(mask, len(pi), nonempty=False), K, pi, doob=False)
 
 
 def doob_step_law(mask: int, K: np.ndarray, pi: np.ndarray) -> SetLaw:
-    """Doob transform: reweight by pi(S') / pi(S); the empty set gets mass 0."""
-    if mask == 0:
-        raise InputError("Doob transform undefined from the empty set")
-    base = step_law(mask, K, pi)
-    mass0 = set_mass(mask, pi)
-    out = []
-    for s, p in base.entries:
-        w = set_mass(s, pi) / mass0
-        if w > 0.0:
-            out.append((s, p * w))
-    return SetLaw(tuple(out))
+    """Doob transform from a nonempty `mask`: reweight by pi(S') / pi(S), so
+    the empty set gets mass 0."""
+    return _one_law(_check_mask(mask, len(pi), nonempty=True), K, pi, doob=True)
+
+
+def _psi(masks: np.ndarray, K: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """psi_p(S) = 1 - E[sqrt(pi(S') / pi(S))] for a table of nonempty sets."""
+    gaps, tops = _threshold(masks, K, pi)
+    return 1.0 - (gaps * np.sqrt(_mass_ratios(masks, tops, pi))).sum(axis=1)
 
 
 def expected_sqrt_ratio(mask: int, K: np.ndarray, pi: np.ndarray) -> float:
-    """psi_p(S) = 1 - E[sqrt(pi(S-tilde) / pi(S))]."""
-    if mask == 0:
-        raise InputError("S must be nonempty")
-    law = step_law(mask, K, pi)
-    mass0 = set_mass(mask, pi)
-    e = sum(p * math.sqrt(set_mass(s, pi) / mass0) for s, p in law.entries)
-    return 1.0 - e
+    """psi_p(S) = 1 - E[sqrt(pi(S-tilde) / pi(S))] for a nonempty `mask`."""
+    return float(_psi(np.array([_check_mask(mask, len(pi), nonempty=True)]), K, pi)[0])
 
 
 def _distinct_kernels(kernels: Sequence[np.ndarray]) -> tuple[list[np.ndarray], list[int]]:
@@ -199,34 +256,31 @@ def _distinct_kernels(kernels: Sequence[np.ndarray]) -> tuple[list[np.ndarray], 
     return uniq, which
 
 
-def set_law_table(kernels: Sequence[np.ndarray], pi: np.ndarray, s0: int,
-                  doob: bool = False) -> tuple[list[int], list[tuple], list[int]]:
-    """One-step set laws (Doob laws if `doob`) over the masks reachable from s0.
-
-    Returns (masks, transitions, which): `masks` lists s0 first, then every
-    mask reachable from it under any kernel, breadth first; `transitions[j]`
-    is the one-step transition of the j-th distinct kernel as flat (rows,
-    cols, vals) arrays, P(next = masks[c] | now = masks[r]) = v; the i-th
-    given kernel is distinct kernel `which[i]`.  Each (mask, distinct kernel)
-    law is computed once.
-    """
-    m = len(pi)
+def _check_cap(m: int) -> None:
     if m > SET_LAW_MAX_STATES:
         raise CapabilityError(f"{m} states exceeds the subset-law cap {SET_LAW_MAX_STATES}")
+
+
+def set_law_table(kernels: Sequence[np.ndarray], pi: np.ndarray,
+                  doob: bool = False) -> tuple[list[tuple], list[int]]:
+    """One-step set laws (Doob laws if `doob`) of every subset, by bitmask.
+
+    Returns (transitions, which): `transitions[j]` is the one-step transition
+    of the j-th distinct kernel as flat (rows, cols, vals) arrays,
+    P(next = c | now = r) = v for bitmasks r, c; the rows are every r in
+    [0, 2^m), or [1, 2^m) for Doob laws, in increasing order, each with its
+    law's entries in `step_law` order.  The i-th given kernel is distinct
+    kernel `which[i]`.
+    """
+    _check_cap(len(pi))
     uniq, which = _distinct_kernels(kernels)
-    law = doob_step_law if doob else step_law
-    masks = [s0]
-    index = {s0: 0}
-    entries: list[list[tuple[int, int, float]]] = [[] for _ in uniq]
-    for r, mask in enumerate(masks):  # grows while it is walked
-        for j, K in enumerate(uniq):
-            for s, p in law(mask, K, pi).entries:
-                if s not in index:
-                    index[s] = len(masks)
-                    masks.append(s)
-                entries[j].append((r, index[s], p))
-    transitions = [tuple(np.array(col) for col in zip(*e)) for e in entries]
-    return masks, transitions, which
+    masks = np.arange(int(doob), 1 << len(pi), dtype=np.int64)
+    transitions = []
+    for K in uniq:
+        sets, probs, keep = _law_table(masks, K, pi, doob)
+        rows = np.broadcast_to(masks[:, None], keep.shape)[keep]
+        transitions.append((rows, sets[keep], probs[keep]))
+    return transitions, which
 
 
 def propagate_set_law(kernels: Sequence[np.ndarray], pi: np.ndarray, s0: int,
@@ -235,57 +289,42 @@ def propagate_set_law(kernels: Sequence[np.ndarray], pi: np.ndarray, s0: int,
     """Exact subset-law propagation: list of {mask: prob} per step, plus the
     total pruned mass (entries below `prune` after a step; added to the
     caller's error budget)."""
-    masks, transitions, which = set_law_table(kernels, pi, s0, doob)
-    masks = np.array(masks)
-    weights = np.zeros(len(masks))
-    weights[0] = 1.0
+    s0 = _check_mask(s0, len(pi), nonempty=doob)
+    transitions, which = set_law_table(kernels, pi, doob)
+    weights = np.zeros(1 << len(pi))
+    weights[s0] = 1.0
     laws = [{s0: 1.0}]
     pruned = 0.0
     for j in which:
         rows, cols, vals = transitions[j]
-        weights = np.bincount(cols, weights=weights[rows] * vals, minlength=len(masks))
+        weights = np.bincount(cols, weights=weights[rows] * vals, minlength=len(weights))
         small = weights < prune
         pruned += float(weights[small].sum())
         weights[small] = 0.0
         live = np.flatnonzero(weights)
-        laws.append(dict(zip(masks[live].tolist(), weights[live].tolist())))
+        laws.append(dict(zip(live.tolist(), weights[live].tolist())))
     return laws, pruned
 
 
 def psi_profile_kernels(kernels: Sequence[np.ndarray], pi: np.ndarray) -> ExpansionProfile:
     """Step profile psi(r) = min over kernels and pi(S) <= r of psi_p(S)."""
-    m = len(pi)
-    if m > SET_LAW_MAX_STATES:
-        raise CapabilityError(f"{m} states exceeds the subset-law cap {SET_LAW_MAX_STATES}")
+    _check_cap(len(pi))
     pi = np.asarray(pi, dtype=float)
-    # one scan per distinct kernel keeps cycled sequences cheap
+    # one table per distinct kernel keeps cycled sequences cheap
     uniq, _ = _distinct_kernels(kernels)
 
     def psi(bits, masses):
-        weighted = bits * pi
-        return np.min([1.0 - _mean_sqrt_ratio(weighted @ K / pi, pi, masses)
-                       for K in uniq], axis=0)
+        masks = bits @ _BIT[:len(pi)]
+        return np.min([_psi(masks, K, pi) for K in uniq], axis=0)
 
     return enumerated_profile(pi, psi)
 
 
-def _mean_sqrt_ratio(r: np.ndarray, pi: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """E[sqrt(pi(S-tilde) / pi(S))] for each row of ratios r_y = Q(S, y) / pi(y).
-
-    With a row sorted descending, S-tilde is the top j states with probability
-    r_(j) - r_(j+1) >= 0, r_(m+1) = 0; tied ratios get probability 0 until
-    the last of the tie, so each level set is counted once."""
-    if r.max(initial=0.0) > 1.0 + 1e-12:
-        raise InputError(f"ratio Q(S, y) / pi(y) = {r.max()!r} exceeds 1")
-    order = np.argsort(-r, axis=1, kind="stable")
-    gaps = -np.diff(np.take_along_axis(r, order, axis=1), axis=1, append=0.0)
-    return (gaps * np.sqrt(np.cumsum(pi[order], axis=1) / masses[:, None])).sum(axis=1)
-
-
 def psi_step_count(chain: InhomChain, x: int, eps: float) -> int:
     """Step count from the psi-profile integral: the smallest integer
-    n >= integral_{4 pi(x)}^{4/eps} du / (u psi(u))."""
+    n >= integral_{4 pi(x)}^{4/eps} du / (u psi(u)), for eps in (0, 1)."""
     start_mask(x, chain.n_states)
+    check_eps(eps)
     profile = psi_profile_kernels(chain.kernels, chain.pi)
     integral = profile_integral(profile, 4.0 * float(chain.pi[x]), 4.0 / eps,
                                 power=1)
@@ -307,12 +346,15 @@ def doob_z_bound_check(chain: InhomChain, x: int,
                        eps: Optional[float] = None) -> ZBoundReport:
     """Exact Doob propagation from {x} over the whole kernel sequence: checks
     chi(law of X_j, pi) <= E-hat[Z_j] per step, and E-hat[Z_n] <= sqrt(eps)
-    at the psi-integral step count."""
+    at the psi-integral step count, for eps in (0, 1)."""
     pi = chain.pi
     s0 = start_mask(x, chain.n_states)
+    if eps is not None:
+        check_eps(eps)
     k = len(chain.kernels)
     laws, pruned = propagate_set_law(chain.kernels, pi, s0, doob=True)
-    z_of = {mask: z_statistic(mask, pi) for mask in set().union(*laws)}
+    masks = sorted(set().union(*laws))
+    z_of = dict(zip(masks, z_statistic(np.array(masks), pi).tolist()))
     z_exp = np.array([sum(p * z_of[mask] for mask, p in law.items()) for law in laws])
     walk_laws = np.zeros((k + 1, chain.n_states))  # law of X_j in row j
     walk_laws[0, x] = 1.0

@@ -266,6 +266,13 @@ def profile_integral(profile: ExpansionProfile, lo: float, hi: float,
     return total
 
 
+def check_eps(eps: float) -> None:
+    """InputError unless eps lies in (0, 1), the domain of t_mix(eps) and of
+    the integral bounds; NaN is refused too."""
+    if not 0.0 < eps < 1.0:
+        raise InputError(f"eps must be in (0, 1), got {eps!r}")
+
+
 def integral_mixing_bound(profile: ExpansionProfile, gamma: float,
                           pi_x: float, eps: float) -> int:
     """Smallest step count n >= 1 + (2(1-gamma)^2/gamma^2) *
@@ -274,8 +281,7 @@ def integral_mixing_bound(profile: ExpansionProfile, gamma: float,
         raise InputError(f"gamma must be in (0, 1/2], got {gamma}")
     if not pi_x > 0.0:
         raise InputError("pi(x) must be positive")
-    if not 0.0 < eps < 1.0:
-        raise InputError("eps must be in (0, 1)")
+    check_eps(eps)
     if not profile.certified:
         raise UncertifiedProfileError(
             "family-restricted profiles give upper envelopes only; "

@@ -17,8 +17,10 @@ References, each a second way to compute what the library computes:
 - walks: `rebuild_step_matrix`, the dense jump matrix built edge by edge,
   and on it `rebuild_forward` and `rebuild_hitting_profile`, forward and
   absorbed evolution with P rebuilt per flip;
-- evolving sets: the threshold rule `evolve_step`, the dict set-law loop
-  `dict_propagate_set_law`, the set-law marginal identity
+- evolving sets: the threshold rule one mask at a time (`scalar_ratios`,
+  `evolve_step` for one draw of U, `scalar_step_law` for the exact law and
+  `scalar_psi`), the dict set-law loop `dict_propagate_set_law` on it, the
+  set-law marginal identity
   `marginal_identity_check`, and the joint Doob loop `dict_doob_z_expectation`;
 - finite environments: `phi_env`, one environment step of expansion, and the
   quenched chi tail by path enumeration (`enumerate_tail`) or by Monte Carlo
@@ -63,20 +65,52 @@ def lazy(K):
     return 0.5 * (K + np.eye(K.shape[0]))
 
 
+def scalar_ratios(mask, K, pi):
+    """r_y = Q(S, y) / pi(y), Q(S, .) as one vector-matrix product over the
+    members of S."""
+    members = np.array([mask >> y & 1 for y in range(len(pi))], dtype=bool)
+    return (pi[members] @ K[members]) / pi
+
+
+def _scalar_mass(mask, pi):
+    return sum(float(pi[y]) for y in range(len(pi)) if mask >> y & 1)
+
+
+def scalar_step_law(mask, K, pi, doob=False):
+    """Reference for `evoset.step_law` (`doob_step_law` if `doob`): the
+    threshold rule for one mask, its level sets found by a scalar loop over
+    the distinct ratios; a list of (mask, probability)."""
+    r = scalar_ratios(mask, K, pi)
+    levels = sorted({v for v in r.tolist() if v > 0.0}, reverse=True)
+    # P(S-tilde = {y : r_y >= v_i}) = v_i - v_{i+1}; P(empty) = 1 - v_1
+    out = [(0, 1.0 - (levels[0] if levels else 0.0))]
+    for v, nxt in zip(levels, levels[1:] + [0.0]):
+        out.append((sum(1 << y for y in range(len(pi)) if r[y] >= v), v - nxt))
+    out = [(s, p) for s, p in out if p > 0.0]
+    if doob:
+        mass0 = _scalar_mass(mask, pi)
+        out = [(s, p * (_scalar_mass(s, pi) / mass0)) for s, p in out if s]
+    return out
+
+
+def scalar_psi(mask, K, pi):
+    """Reference for `evoset.expected_sqrt_ratio`, on `scalar_step_law`."""
+    mass0 = _scalar_mass(mask, pi)
+    return 1.0 - sum(p * math.sqrt(_scalar_mass(s, pi) / mass0)
+                     for s, p in scalar_step_law(mask, K, pi))
+
+
 def dict_propagate_set_law(kernels, pi, s0, doob=False, prune=1e-15):
     """Reference for `evoset.propagate_set_law`: the subset law as a dict,
-    with one step-law call per (mask, step) and entries below `prune` moved
-    into the pruned total after each step."""
-    from dynaperc import evoset
-
+    with one `scalar_step_law` per (mask, step) and entries below `prune`
+    moved into the pruned total after each step."""
     laws = [{s0: 1.0}]
     pruned = 0.0
     current = {s0: 1.0}
     for K in kernels:
         nxt = {}
         for mask, prob in current.items():
-            law = evoset.doob_step_law(mask, K, pi) if doob else evoset.step_law(mask, K, pi)
-            for s, p in law.entries:
+            for s, p in scalar_step_law(mask, K, pi, doob):
                 nxt[s] = nxt.get(s, 0.0) + prob * p
         if prune > 0.0:
             for s in [s for s, p in nxt.items() if p < prune]:
@@ -452,13 +486,12 @@ def loads_env(data):
 
 def evolve_step(mask, K, pi, U):
     """Threshold rule: next set = {y : Q(S, y)/pi(y) >= U} (non-strict)."""
-    from dynaperc.evoset import _BIT, _ratios
-
     if not 0.0 <= U <= 1.0:
         raise InputError("U must lie in [0, 1]")
     if mask == 0:
         return 0
-    return int(_BIT[:len(pi)][_ratios(mask, K, pi) >= U].sum())
+    r = scalar_ratios(mask, K, pi)
+    return sum(1 << y for y in range(len(pi)) if r[y] >= U)
 
 
 def marginal_identity_check(chain, x, k):

@@ -39,7 +39,7 @@ def test_criterion_01_edge_law_exactness():
         for mu in (0.5, 0.125):
             for t in (0.5, 1.0, 2.0, 4.0):
                 q = p * (1.0 - math.exp(-mu * t))
-                assert q == pytest.approx(edge_transition_prob(p, mu, t, 0, 1))
+                assert q == pytest.approx(edge_transition_prob(p, mu, t)[0, 1])
                 states = simulate_edge_state_at(p, mu, t, n_samples,
                                                 init_state=0,
                                                 seed=hash((p, mu, t)) % 2 ** 31)

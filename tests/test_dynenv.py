@@ -119,11 +119,21 @@ def test_transition_kernel_limits(p, mu, t):
     assert Kinf[0, 1] == pytest.approx(p, abs=1e-9)
 
 
+@pytest.mark.parametrize("p, mu, t", [(0.0, 0.5, 1.0), (2.0, 0.5, 1.0), (math.nan, 0.5, 1.0),
+                                      (0.5, 0.0, 1.0), (0.5, -1.0, 1.0), (0.5, math.nan, 1.0),
+                                      (0.5, 0.5, -1.0), (0.5, 0.5, math.inf),
+                                      (0.5, 0.5, math.nan)])
+def test_transition_kernel_refuses_bad_parameters(p, mu, t):
+    # p = 2 gave negative probabilities and t = NaN a NaN kernel
+    with pytest.raises(InputError):
+        edge_transition_prob(p, mu, t)
+
+
 def test_edge_law_against_trajectory_simulation():
     p, mu, t = 0.6, 0.5, 2.0
     states = simulate_edge_state_at(p, mu, t, 40000, init_state=0, seed=11)
     emp = states.mean()
-    q = edge_transition_prob(p, mu, t, 0, 1)
+    q = edge_transition_prob(p, mu, t)[0, 1]
     assert abs(emp - q) < 4 * math.sqrt(q * (1 - q) / 40000)
 
 
@@ -371,6 +381,15 @@ def test_event_index_rejects_times_outside_horizon(kind):
     env.flip_events(T / 2, T)  # the watermark has moved; still refused
     with pytest.raises(HorizonError):
         env.open_mask_at(T * 2)
+
+
+@pytest.mark.parametrize("A", [[-1], [0.5], [6], np.array([0, 6])])
+def test_count_open_throughout_refuses_bad_edge_ids(A):
+    # -1 counted the last edge, 0.5 edge 0, and E raised IndexError
+    env = sample_env(TorusGraph(d=1, n=6), DynParams(p=0.5, mu=0.25, horizon=5.0), seed=0)
+    with pytest.raises(InputError):
+        count_open_throughout(env, A, 1.0, 2.0)
+    assert count_open_throughout(env, [], 1.0, 2.0) == 0
 
 
 def test_count_open_throughout_matches_per_edge_loop():

@@ -90,6 +90,20 @@ def test_quenched_law_off_support_warns():
         L.quenched_law(off, [0, 1], 0)
 
 
+@pytest.mark.parametrize("path, x0", [([0, 1], -1), ([0, 1], 4), ([0, 1], 0.5),
+                                      ([0, -1], 0), ([0, 2], 0), ([0.5], 0)])
+def test_quenched_law_refuses_indices_outside_the_chain(path, x0):
+    # -1 wrapped to the last state, silently
+    with pytest.raises(InputError):
+        L.quenched_law(_ring_chain(), path, x0)
+
+
+@pytest.mark.parametrize("zeta0", [-1, 2, 0.5])
+def test_sample_env_path_refuses_a_start_outside_the_chain(zeta0):
+    with pytest.raises(InputError):
+        L.sample_env_path(_ring_chain(), zeta0, 3, np.random.default_rng(0))
+
+
 def test_counterexample_values():
     chain = L.counterexample_chain()
     # annealed: average of identity and swap sends any start to uniform

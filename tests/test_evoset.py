@@ -11,7 +11,7 @@ from dynaperc.expansion import expansion_phi, profile_from_values
 
 from helpers import (assert_profiles_close, dict_propagate_set_law, evolve_step,
                      lazy, marginal_identity_check, random_pi, random_kernels,
-                     random_reversible_kernel)
+                     random_reversible_kernel, scalar_psi, scalar_step_law)
 
 
 def _chain(seed, m=4, k=3, activity=0.4):
@@ -150,16 +150,17 @@ def test_propagate_set_law_matches_dict_reference(repeat, doob, prune):
 
 
 def test_doob_z_bound_check_computes_each_law_once(monkeypatch):
+    # one threshold table for the one distinct kernel, one row per nonempty set
     rng = np.random.default_rng(21)
     m = 4
     pi = random_pi(rng, m)
     K = lazy(random_reversible_kernel(rng, pi))
     calls = []
-    law = E.doob_step_law
-    monkeypatch.setattr(E, "doob_step_law",
-                        lambda mask, K, pi: calls.append(mask) or law(mask, K, pi))
+    threshold = E._threshold
+    monkeypatch.setattr(E, "_threshold",
+                        lambda masks, K, pi: calls.append(list(masks)) or threshold(masks, K, pi))
     E.doob_z_bound_check(E.InhomChain(pi=pi, kernels=(K,) * 30), x=0)
-    assert 0 < len(calls) <= 2 ** m - 1
+    assert calls == [list(range(1, 2 ** m))]
 
 
 def test_marginal_identity_exact():
@@ -207,7 +208,7 @@ def _psi_profile_by_mask(kernels, pi):
         mass = E.set_mass(mask, pi)
         if mass <= 0.5 + 1e-12:
             masses.append(mass)
-            psis.append(min(E.expected_sqrt_ratio(mask, K, pi) for K in kernels))
+            psis.append(min(scalar_psi(mask, K, pi) for K in kernels))
     return profile_from_values(masses, psis, "exact-enumerated", float(pi.min()))
 
 
@@ -234,3 +235,76 @@ def test_psi_profile_rejects_ratio_above_one():
     K[:, 0] = 1.0
     with pytest.raises(InputError):
         E.psi_profile_kernels((K,), pi)
+
+
+def _kernels_with_ties(rng, pi):
+    """A random kernel, and identity and uniform kernels, whose ratios
+    Q(S, y) / pi(y) tie."""
+    m = len(pi)
+    return {"random": random_reversible_kernel(rng, pi, activity=0.9),
+            "identity": np.eye(m), "uniform": np.tile(pi, (m, 1))}
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+@pytest.mark.parametrize("doob", [False, True])
+def test_law_table_rows_equal_one_set_laws(m, doob):
+    # every row of the table, for every mask, is the one-set law bit for bit
+    rng = np.random.default_rng(100 + m)
+    pi = random_pi(rng, m)
+    kernels = list(_kernels_with_ties(rng, pi).values())
+    transitions, which = E.set_law_table(kernels, pi, doob)
+    assert which == [0, 1, 2]
+    law = E.doob_step_law if doob else E.step_law
+    for K, (rows, cols, vals) in zip(kernels, transitions):
+        starts = np.searchsorted(rows, np.arange((1 << m) + 1))
+        for mask in range(int(doob), 1 << m):
+            lo, hi = starts[mask], starts[mask + 1]
+            row = tuple(zip(cols[lo:hi].tolist(), vals[lo:hi].tolist()))
+            assert row == law(mask, K, pi).entries, mask
+
+
+@pytest.mark.parametrize("doob", [False, True])
+def test_one_set_laws_match_scalar_reference(doob):
+    rng = np.random.default_rng(7)
+    for m in (3, 5, 8):
+        pi = random_pi(rng, m)
+        for K in _kernels_with_ties(rng, pi).values():
+            for mask in range(int(doob), 1 << m):
+                law = E.doob_step_law(mask, K, pi) if doob else E.step_law(mask, K, pi)
+                want = scalar_step_law(mask, K, pi, doob)
+                assert [s for s, _ in law.entries] == [s for s, _ in want]
+                assert np.allclose([p for _, p in law.entries], [p for _, p in want],
+                                   rtol=0.0, atol=1e-15)
+                if mask:
+                    assert abs(E.expected_sqrt_ratio(mask, K, pi)
+                               - scalar_psi(mask, K, pi)) <= 1e-15
+
+
+@pytest.mark.parametrize("mask", [1 << 4, 1 << 5, -1, 1.0, 0])
+@pytest.mark.parametrize("fn", ["step_law", "doob_step_law", "expected_sqrt_ratio"])
+def test_one_set_functions_reject_masks_outside_the_states(fn, mask):
+    pi = np.full(4, 0.25)
+    K = lazy(np.full((4, 4), 0.25))
+    if fn == "step_law" and mask == 0:
+        assert E.step_law(0, K, pi).entries == ((0, 1.0),)
+        return
+    with pytest.raises(InputError):
+        getattr(E, fn)(mask, K, pi)
+
+
+@pytest.mark.parametrize("s0, doob", [(1 << 4, False), (-1, False), (0, True)])
+def test_propagate_set_law_rejects_a_bad_start(s0, doob):
+    with pytest.raises(InputError):
+        E.propagate_set_law((np.eye(4),), np.full(4, 0.25), s0, doob=doob)
+
+
+@pytest.mark.parametrize("eps", [-0.1, 0.0, 1.0, 1.5, float("nan"), float("inf")])
+def test_z_bound_functions_reject_eps_outside_unit_interval(eps, monkeypatch):
+    chain = _chain(3, m=3, k=2)
+    # refused before any propagation
+    monkeypatch.setattr(E, "propagate_set_law", None)
+    monkeypatch.setattr(E, "psi_profile_kernels", None)
+    with pytest.raises(InputError):
+        E.psi_step_count(chain, 0, eps)
+    with pytest.raises(InputError):
+        E.doob_z_bound_check(chain, 0, eps=eps)
