@@ -348,13 +348,15 @@ def cmd_expansion(run: Runner) -> int:
 
 def cmd_bound(run: Runner) -> int:
     g, params = _params(run.cfg)
+    if run.cfg["profile"]:  # read before the cell: a bad file is bad input
+        try:
+            prof = expansion.ExpansionProfile.deserialize(Path(run.cfg["profile"]).read_text())
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"profile file {run.cfg['profile']}: {exc}") from None
+    else:
+        prof = expansion.torus_analytic_profile(g.d, g.n, params.mu, c=0.1)
 
     def body():
-        if run.cfg["profile"]:
-            prof = expansion.ExpansionProfile.deserialize(
-                Path(run.cfg["profile"]).read_text())
-        else:
-            prof = expansion.torus_analytic_profile(g.d, g.n, params.mu, c=0.1)
         n_steps = expansion.integral_mixing_bound(prof, gamma=0.5,
                                                   pi_x=1.0 / g.n_vertices, eps=run.cfg["eps"])
         return [_base_row(run.cfg, statistic="integral_bound_steps",

@@ -8,12 +8,13 @@ instant is the new state).
 An environment is sampled up to its horizon in one go and is immutable
 afterwards.  It is stored flat: the initial states as int8[E], every flip
 time in one float64 array, and int64 CSR offsets, so the flips of edge e are
-`flip_times[offsets[e]:offsets[e + 1]]`.  `env.edges` gives per-edge
-`EdgeTrajectory` views into that array, built on first access and kept,
-which carry data only: hand-built environments are made from them, and the
-benchmark tracer counts flips through them.  `flip_events` reads a
-time-sorted (time, edge) stream that is built lazily: it is sorted up to a
-watermark, and a query past the watermark at least doubles it.  One
+`flip_times[offsets[e]:offsets[e + 1]]`.  The one constructor takes these
+arrays and validates them once; the sampler and hand-built environments both
+call it.  `env.edges` gives read-only per-edge `EdgeTrajectory` views, built
+on first access, through which the benchmark tracer counts flips.
+`flip_events` reads a time-sorted (time, edge) stream that is built lazily:
+it is sorted up to a watermark, and a query past the watermark at least
+doubles it.  One
 bisection on the flat arrays, `_first_after`, answers every other question
 and leaves the stream alone: `flip_counts` and `open_mask_at` (each edge at
 one time), the watermark's advance, and the batched point query `states_at`
@@ -68,54 +69,42 @@ class DynParams:
 
 @dataclass(frozen=True)
 class EdgeTrajectory:
-    """One edge path: initial state plus strictly increasing flip times in [0, T]."""
+    """One edge path, a read-only view: initial state plus its flip times."""
 
     initial_state: int
-    flip_times: np.ndarray  # float64, strictly increasing
-
-    def __post_init__(self):
-        if self.initial_state not in (0, 1):
-            raise InputError("initial state must be 0 or 1")
-        t = np.asarray(self.flip_times, dtype=np.float64)
-        if t.ndim != 1 or (len(t) > 1 and not np.all(np.diff(t) > 0)):
-            raise InputError("flip times must be a strictly increasing 1-d array")
-        object.__setattr__(self, "flip_times", t)
+    flip_times: np.ndarray
 
 
 class EnvTrajectory:
     """A full environment realization eta = (eta_t) on [0, T] for one torus.
 
     Immutable after sampling; reproducible bit for bit from (params, init, seed).
-    Built by hand from per-edge `EdgeTrajectory`s; `sample_env` fills the
-    flat arrays directly (`_from_arrays`).
+    Built from `initial` (int8[E] of 0/1), `flip_times` (float64, each in
+    [0, T], strictly increasing per edge; ties across edges are fine) and
+    `offsets` (int64[E + 1], nondecreasing from 0 to `len(flip_times)`);
+    anything else raises `InputError`.
     """
 
     __slots__ = ("graph", "params", "init_tag", "seed", "initial", "flip_times",
                  "offsets", "_edges", "_mark", "_next", "_times", "_edge_ids")
 
-    def __init__(self, graph: TorusGraph, params: DynParams,
-                 edges: Sequence[EdgeTrajectory], init_tag: str,
+    def __init__(self, graph: TorusGraph, params: DynParams, initial: np.ndarray,
+                 flip_times: np.ndarray, offsets: np.ndarray, init_tag: str,
                  seed: Optional[int]):
-        if len(edges) != graph.n_edges:
-            raise InputError("edge trajectory count does not match the graph")
-        initial = np.array([tr.initial_state for tr in edges], dtype=np.int8)
-        offsets = np.zeros(len(edges) + 1, dtype=np.int64)
-        np.cumsum([len(tr.flip_times) for tr in edges], out=offsets[1:])
-        flips = np.concatenate([tr.flip_times for tr in edges])
-        self._store(graph, params, initial, flips, offsets, init_tag, seed)
-
-    @classmethod
-    def _from_arrays(cls, graph: TorusGraph, params: DynParams,
-                     initial: np.ndarray, flip_times: np.ndarray,
-                     offsets: np.ndarray, init_tag: str,
-                     seed: Optional[int]) -> "EnvTrajectory":
-        env = cls.__new__(cls)
-        env._store(graph, params, initial, flip_times, offsets, init_tag, seed)
-        return env
-
-    def _store(self, graph, params, initial, flip_times, offsets, init_tag, seed):
         if init_tag not in INIT_TAGS:
             raise InputError(f"unknown init tag {init_tag!r}")
+        initial, flip_times, offsets = map(np.asarray, (initial, flip_times, offsets))
+        E = graph.n_edges
+        if (initial.dtype != np.int8 or initial.shape != (E,)
+                or initial.min() < 0 or initial.max() > 1):
+            raise InputError(f"initial states must be an int8 vector of {E} zeros and ones")
+        if flip_times.dtype != np.float64 or flip_times.ndim != 1:
+            raise InputError("flip times must be a 1-d float64 array")
+        if (offsets.dtype != np.int64 or offsets.shape != (E + 1,) or offsets[0] != 0
+                or offsets[-1] != len(flip_times) or (np.diff(offsets) < 0).any()):
+            raise InputError(f"offsets must be {E + 1} nondecreasing int64s "
+                             f"from 0 to the flip count {len(flip_times)}")
+        _check_flips(flip_times, offsets, params.horizon)
         self.graph = graph
         self.params = params
         self.init_tag = init_tag
@@ -133,7 +122,7 @@ class EnvTrajectory:
 
     @property
     def edges(self) -> tuple[EdgeTrajectory, ...]:
-        """Per-edge views into the flat arrays, built on first access."""
+        """Read-only per-edge views, built on first access, for the tracer."""
         if self._edges is None:
             self._edges = tuple(EdgeTrajectory(s, self.flip_times[a:b]) for s, a, b in
                                 zip(self.initial.tolist(), self.offsets[:-1].tolist(),
@@ -242,8 +231,28 @@ class EnvTrajectory:
         return self._times[i:j].copy(), self._edge_ids[i:j].copy()
 
 
-# standard exponentials drawn per rng call, at most
+# standard exponentials drawn per rng call, and flips checked per pass, at most
 _BLOCK = 1 << 16
+
+
+def _check_flips(flips: np.ndarray, offsets: np.ndarray, T: float) -> None:
+    """InputError unless every flip lies in [0, T] and the flips of each edge
+    strictly increase (pair i, i + 1 unless i + 1 starts an edge); NaN fails.
+    Passes of at most `_BLOCK` flips share one bool buffer, so millions of
+    flips make no full-length temporary."""
+    n = len(flips)
+    rising = np.empty(min(n, _BLOCK), dtype=bool)
+    for lo in range(0, n, _BLOCK):
+        block = flips[lo:lo + _BLOCK]
+        if not (block.min() >= 0.0 and block.max() <= T):
+            raise InputError(f"flip times must lie in [0, {T}]")
+        k = min(_BLOCK, n - 1 - lo)  # pairs (i, i + 1) with i in [lo, lo + k)
+        np.greater(flips[lo + 1:lo + 1 + k], flips[lo:lo + k], out=rising[:k])
+        starts = offsets[np.searchsorted(offsets, lo + 1, side="left"):
+                         np.searchsorted(offsets, lo + k, side="right")]
+        rising[starts - (lo + 1)] = True
+        if not rising[:k].all():
+            raise InputError("the flip times of each edge must strictly increase")
 
 
 def _mean_flips(params: DynParams) -> float:
@@ -336,25 +345,20 @@ def sample_env(g: TorusGraph, params: DynParams,
     """
     rng = np.random.default_rng(seed)
     E = g.n_edges
-    if isinstance(init, str):
-        if init == "stationary":
-            states = (rng.random(E) < params.p).astype(np.int8)
-            tag = "stationary"
-        elif init == "all-closed":
-            states = np.zeros(E, dtype=np.int8)
-            tag = "all-closed"
-        elif init == "all-open":
-            states = np.ones(E, dtype=np.int8)
-            tag = "all-open"
-        else:
-            raise InputError(f"unknown init {init!r}")
-    else:
-        states = np.array(init, dtype=np.int8)
-        if states.shape != (E,) or not np.isin(states, (0, 1)).all():
+    tag = init if isinstance(init, str) else "explicit"
+    if tag == "stationary":
+        states = (rng.random(E) < params.p).astype(np.int8)
+    elif tag in ("all-closed", "all-open"):
+        states = np.full(E, tag == "all-open", dtype=np.int8)
+    elif not isinstance(init, str):
+        # checked here, as the sampler reads the states before the constructor
+        if np.shape(init) != (E,) or not np.isin(init, (0, 1)).all():
             raise InputError("explicit init must be a 0/1 vector over edges")
-        tag = "explicit"
+        states = np.array(init, dtype=np.int8)
+    else:
+        raise InputError(f"unknown init {init!r}")
     flips, offsets = _sample_flips(rng, params, states)
-    return EnvTrajectory._from_arrays(g, params, states, flips, offsets, tag, seed)
+    return EnvTrajectory(g, params, states, flips, offsets, tag, seed)
 
 
 def edge_transition_prob(p: float, mu: float, t: float) -> np.ndarray:
@@ -394,11 +398,7 @@ def isolated_vertex_exists(env: EnvTrajectory, L: float) -> tuple[bool, Optional
     """Is some vertex surrounded by edges closed on all of [0, L]?  Returns the
     lowest such vertex as a witness."""
     env._check_time(L)
-    starts = env.offsets[:-1]
-    flips = starts < env.offsets[1:]
-    # closed throughout: starts closed and its first flip, if any, is after L
-    closed = env.initial == 0
-    closed[flips] &= env.flip_times[starts[flips]] > L
+    closed = (env.initial == 0) & (env.flip_counts(L) == 0)  # on all of [0, L]
     isolated = closed[env.graph.incident_edges].all(axis=1)
     v = int(np.argmax(isolated))
     return (True, v) if isolated[v] else (False, None)

@@ -35,8 +35,8 @@ import numpy as np
 
 from .dist import chi
 from .errors import CapabilityError, InputError
-from .expansion import (ExpansionProfile, check_eps, enumerated_profile,
-                        profile_integral)
+from .expansion import (_BIT, ExpansionProfile, check_eps, enumerated_profile,
+                        mask_members, profile_integral)
 
 # Exact subset-law propagation caps the state count.
 SET_LAW_MAX_STATES = 14
@@ -87,17 +87,6 @@ class InhomChain:
     def kernel(self, k: int) -> np.ndarray:
         """Kernel used for the step from time k to k+1 (0-based)."""
         return self.kernels[k]
-
-
-# _BIT[y] = 1 << y: a bitmask's members are the y with _BIT[y] & mask nonzero.
-_BIT = 1 << np.arange(62, dtype=np.int64)
-_BIT.setflags(write=False)
-
-
-def mask_members(masks, m: int) -> np.ndarray:
-    """Membership over m states of one bitmask (shape (m,)) or of each of an
-    array of bitmasks (one row each), as bools."""
-    return (np.asarray(masks, dtype=np.int64)[..., None] & _BIT[:m]).astype(bool)
 
 
 def set_mass(masks, pi: np.ndarray):
@@ -192,9 +181,9 @@ def _threshold(masks: np.ndarray, K: np.ndarray, pi: np.ndarray):
 
 def _mass_ratios(masks: np.ndarray, tops: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """pi(S') / pi(S) for each level set S' (bitmask tops[i, j]) of each set
-    S (bitmask masks[i])."""
-    mass = set_mass(np.concatenate((masks[:, None], tops), axis=1), pi)
-    return mass[:, 1:] / mass[:, :1]
+    S (bitmask masks[i]), read from the mass of every subset."""
+    mass = set_mass(np.arange(1 << len(pi)), pi)
+    return mass[tops] / mass[masks][:, None]
 
 
 def _law_table(masks: np.ndarray, K: np.ndarray, pi: np.ndarray, doob: bool):
@@ -313,8 +302,7 @@ def psi_profile_kernels(kernels: Sequence[np.ndarray], pi: np.ndarray) -> Expans
     # one table per distinct kernel keeps cycled sequences cheap
     uniq, _ = _distinct_kernels(kernels)
 
-    def psi(bits, masses):
-        masks = bits @ _BIT[:len(pi)]
+    def psi(masks, bits, masses):
         return np.min([_psi(masks, K, pi) for K in uniq], axis=0)
 
     return enumerated_profile(pi, psi)

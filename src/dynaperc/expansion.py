@@ -55,20 +55,30 @@ def q_flow(K: np.ndarray, pi: np.ndarray, A, B) -> float:
     return float(pi[A] @ K[np.ix_(A, B)].sum(axis=1))
 
 
+# _BIT[y] = 1 << y: a bitmask's members are the y with _BIT[y] & mask nonzero.
+_BIT = 1 << np.arange(62, dtype=np.int64)
+_BIT.setflags(write=False)
+
+
+def mask_members(masks, m: int) -> np.ndarray:
+    """Membership over m states of one bitmask (shape (m,)) or of each of an
+    array of bitmasks (one row each), as bools."""
+    return (np.asarray(masks, dtype=np.int64)[..., None] & _BIT[:m]).astype(bool)
+
+
 def half_mass_subsets(pi: np.ndarray):
     """Bit table of the nonempty subsets S with pi(S) <= 1/2.
 
     Yields (masks, bits, masses) per chunk of at most 2^SUBSET_CHUNK_BITS
-    masks, in increasing mask order: `masks` (uint64) has bit y set when y is
+    masks, in increasing mask order: `masks` (int64) has bit y set when y is
     in S, `bits[i, y]` is that membership as a bool matrix, `masses = bits @ pi`.
     """
     pi = np.asarray(pi, dtype=float)
-    shifts = np.arange(len(pi), dtype=np.uint64)
     end = 1 << len(pi)
     step = 1 << SUBSET_CHUNK_BITS
     for lo in range(1, end, step):
-        masks = np.arange(lo, min(lo + step, end), dtype=np.uint64)
-        bits = ((masks[:, None] >> shifts) & np.uint64(1)).astype(bool)
+        masks = np.arange(lo, min(lo + step, end), dtype=np.int64)
+        bits = mask_members(masks, len(pi))
         masses = bits @ pi
         keep = masses <= 0.5 + 1e-12
         if keep.any():
@@ -76,18 +86,17 @@ def half_mass_subsets(pi: np.ndarray):
 
 
 def enumerated_profile(pi: np.ndarray,
-                       set_values: Callable[[np.ndarray, np.ndarray], np.ndarray]
-                       ) -> ExpansionProfile:
+                       set_values: Callable[..., np.ndarray]) -> ExpansionProfile:
     """Exact-enumerated profile of a set function over every nonempty S with
-    pi(S) <= 1/2; `set_values(bits, masses)` evaluates it on one chunk of
-    `half_mass_subsets`."""
+    pi(S) <= 1/2; `set_values(masks, bits, masses)` evaluates it on one chunk
+    of `half_mass_subsets`."""
     if len(pi) > SUBSET_ENUM_MAX_STATES:
         raise InputError(f"{len(pi)} states exceeds the enumeration cap "
                          f"{SUBSET_ENUM_MAX_STATES}")
     masses, values = [np.empty(0)], [np.empty(0)]
-    for _, bits, mass in half_mass_subsets(pi):
+    for masks, bits, mass in half_mass_subsets(pi):
         masses.append(mass)
-        values.append(set_values(bits, mass))
+        values.append(set_values(masks, bits, mass))
     return profile_from_values(np.concatenate(masses), np.concatenate(values),
                                "exact-enumerated", float(np.min(pi)))
 
@@ -219,7 +228,7 @@ def profile_phi_env(R: np.ndarray, kernels: Sequence[np.ndarray],
     # phi(zeta, S) = sum over zeta' with R(zeta, zeta') > 0 of R(zeta, zeta') phi_zeta'(S)
     weights = np.maximum(np.asarray(R, dtype=float), 0.0).T
     return enumerated_profile(
-        pi, lambda bits, mass: (_phi_table(bits, mass, kernels, pi) @ weights).min(axis=1))
+        pi, lambda _, bits, mass: (_phi_table(bits, mass, kernels, pi) @ weights).min(axis=1))
 
 
 def profile_phi_kernels(kernels: Sequence[np.ndarray], pi: np.ndarray) -> ExpansionProfile:
@@ -227,7 +236,7 @@ def profile_phi_kernels(kernels: Sequence[np.ndarray], pi: np.ndarray) -> Expans
     phi(r) = min over kernels and pi(S) <= r of phi_p(S)."""
     pi = np.asarray(pi, dtype=float)
     return enumerated_profile(
-        pi, lambda bits, mass: _phi_table(bits, mass, kernels, pi).min(axis=1))
+        pi, lambda _, bits, mass: _phi_table(bits, mass, kernels, pi).min(axis=1))
 
 
 def torus_analytic_profile(d: int, n: int, mu: float, c: float) -> ExpansionProfile:

@@ -580,11 +580,11 @@ def exact_hitting_profile(env: EnvTrajectory, A_mask: np.ndarray,
 
     Returns (expected_times, censored_mass): for each start x, the accumulated
     E[min(tau_A, horizon)] and the unabsorbed mass left at the horizon.  For
-    x in A both are (0, 0).
+    x in A both are (0, 0).  A horizon outside [0, T] raises `HorizonError`.
     """
     g = env.graph
-    if horizon > env.horizon:
-        raise HorizonError("past horizon")
+    if not 0.0 <= horizon <= env.horizon:
+        raise HorizonError(f"hitting horizon {horizon} outside [0, {env.horizon}]")
     A_mask = as_mask(A_mask, g.n_vertices)
     free = ~A_mask
     ev = _Evolver(env, 0.0, absorbing=A_mask)

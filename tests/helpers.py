@@ -1,7 +1,8 @@
 """Shared generators and independent references for the test suite.
 
 Generators: random reversible kernels and chains (`random_pi`,
-`random_reversible_kernel`, `random_kernels`, `lazy`).
+`random_reversible_kernel`, `random_kernels`, `lazy`), and hand-built
+environments from per-edge flip lists (`make_env`).
 
 References, each a second way to compute what the library computes:
 - environments: the per-hold sampler `scalar_sample_env`, the per-edge loops
@@ -477,11 +478,20 @@ def loads_env(data):
                             for c, a in zip(counts, starts)]).astype(np.float64, copy=False)
     offsets = np.zeros(g.n_edges + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    if len(flips) and not (flips.min() >= 0.0 and flips.max() <= T):
-        raise InputError("flip times outside [0, horizon]")
-    return EnvTrajectory._from_arrays(g, params, np.array(states, dtype=np.int8),
-                                      flips, offsets, INIT_TAGS[tag_idx],
-                                      seed if has_seed else None)
+    return EnvTrajectory(g, params, np.array(states, dtype=np.int8), flips, offsets,
+                         INIT_TAGS[tag_idx], seed if has_seed else None)
+
+
+def make_env(g, params, initial, flips_per_edge):
+    """A hand-built environment on g: edge e starts in state initial[e] and
+    flips at the times flips_per_edge[e]."""
+    from dynaperc.dynenv import EnvTrajectory
+
+    flips = [np.asarray(f, dtype=np.float64) for f in flips_per_edge]
+    offsets = np.zeros(len(flips) + 1, dtype=np.int64)
+    np.cumsum([len(f) for f in flips], out=offsets[1:])
+    return EnvTrajectory(g, params, np.asarray(initial, dtype=np.int8),
+                         np.concatenate([np.empty(0), *flips]), offsets, "explicit", None)
 
 
 def evolve_step(mask, K, pi, U):

@@ -110,6 +110,22 @@ def test_bound_from_profile_file(tmp_path):
     assert run(["bound", "--config", str(cfg), "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("content", [None, "garbage\n", b"\xff\xfe"],
+                         ids=["missing", "garbage", "not text"])
+def test_bound_refuses_bad_profile_file(tmp_path, content):
+    # a failed cell gave exit 1 and still wrote bound.csv and a manifest
+    pfile = tmp_path / "profile.txt"
+    if isinstance(content, str):
+        pfile.write_text(content)
+    elif content is not None:
+        pfile.write_bytes(content)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[run]\nprofile = {pfile}\n")
+    out = tmp_path / "o"
+    assert run(["bound", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not any(out.glob("*"))
+
+
 def test_missing_config_errors(tmp_path):
     assert run(["mix", "--config", str(tmp_path / "absent.ini"),
                 "--out", str(tmp_path / "o")]) == 2

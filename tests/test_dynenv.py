@@ -15,7 +15,7 @@ from dynaperc.torus import TorusGraph
 
 from helpers import (dumps_env, edge_closed_throughout, edge_open_throughout,
                      edge_state_at, loads_env, loop_flip_events,
-                     loop_open_mask_at, open_throughout_prob_from_closed,
+                     loop_open_mask_at, make_env, open_throughout_prob_from_closed,
                      scalar_sample_env, simulate_edge_state_at)
 
 
@@ -31,9 +31,13 @@ def test_params_validation():
     assert params.rate_close == pytest.approx(0.175)
 
 
+def _params(horizon):
+    return DynParams(p=0.5, mu=0.25, horizon=horizon)
+
+
 def test_edge_trajectory_right_continuous():
     # the flip at t has already happened, in the batched query and the reference
-    env = _hand_built(3, 3.0, {0: (0, [1.0, 2.0])})
+    env = make_env(TorusGraph(1, 3), _params(3.0), [0, 1, 1], [[1.0, 2.0], [], []])
     times = [0.0, 1.0, 1.5, 2.0]
     assert env.states_at([0] * 4, times).tolist() == [0, 1, 1, 0]
     assert [edge_state_at(env.edges[0], t) for t in times] == [0, 1, 1, 0]
@@ -44,6 +48,69 @@ def test_edge_trajectory_throughout():
     assert edge_open_throughout(tr, 0.0, 2.9)
     assert not edge_open_throughout(tr, 0.0, 3.0)
     assert edge_closed_throughout(tr, 3.0, 10.0)
+
+
+# the flat arrays on the 4-cycle with horizon 10, each with one fault
+_GOOD = ([0, 1, 0, 1], [1.0, 2.0, 2.0, 0.0, 10.0], [0, 2, 3, 5, 5])
+_BAD_ARRAYS = {
+    "state 2": ([2, 1, 0, 1], _GOOD[1], _GOOD[2]),
+    "state -1": ([-1, 1, 0, 1], _GOOD[1], _GOOD[2]),
+    "three edges": ([0, 1, 0], _GOOD[1], [0, 2, 3, 5]),
+    "five edges": ([0, 1, 0, 1, 0], _GOOD[1], [0, 2, 3, 5, 5, 5]),
+    "offsets decrease": (_GOOD[0], _GOOD[1], [0, 3, 2, 5, 5]),
+    "offsets start past 0": (_GOOD[0], _GOOD[1], [1, 2, 3, 5, 5]),
+    "offsets end short": (_GOOD[0], _GOOD[1], [0, 2, 3, 4, 4]),
+    "offsets end long": (_GOOD[0], _GOOD[1], [0, 2, 3, 5, 6]),
+    "flip at -1": (_GOOD[0], [-1.0, 2.0, 2.0, 0.0, 10.0], _GOOD[2]),
+    "flip at 20": (_GOOD[0], [1.0, 2.0, 2.0, 0.0, 20.0], _GOOD[2]),
+    "flip nan": (_GOOD[0], [1.0, math.nan, 2.0, 0.0, 10.0], _GOOD[2]),
+    "flip nan first": (_GOOD[0], [math.nan, 2.0, 2.0, 0.0, 10.0], _GOOD[2]),
+    "equal flips in an edge": (_GOOD[0], [2.0, 2.0, 2.0, 0.0, 10.0], _GOOD[2]),
+    "decreasing flips in an edge": (_GOOD[0], [2.0, 1.0, 2.0, 0.0, 10.0], _GOOD[2]),
+    "decreasing flips in the last edge": (_GOOD[0], [1.0, 2.0, 2.0, 10.0, 0.0], _GOOD[2]),
+}
+
+
+def _flat(initial, flips, offsets):
+    return (np.array(initial, dtype=np.int8), np.array(flips, dtype=np.float64),
+            np.array(offsets, dtype=np.int64))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, dynenv._BLOCK])
+@pytest.mark.parametrize("arrays", _BAD_ARRAYS.values(), ids=list(_BAD_ARRAYS))
+def test_constructor_refuses_bad_arrays(arrays, block, monkeypatch):
+    # every check holds across the bounded passes over the flips
+    monkeypatch.setattr(dynenv, "_BLOCK", block)
+    with pytest.raises(InputError):
+        EnvTrajectory(TorusGraph(1, 4), _params(10.0), *_flat(*arrays), "explicit", None)
+
+
+@pytest.mark.parametrize("initial, flips, offsets", [
+    (np.zeros(4, dtype=np.int64), np.empty(0), np.zeros(5, dtype=np.int64)),
+    (np.zeros(4, dtype=np.int8), np.empty(0, dtype=np.float32), np.zeros(5, dtype=np.int64)),
+    (np.zeros(4, dtype=np.int8), np.empty((0, 1)), np.zeros(5, dtype=np.int64)),
+    (np.zeros(4, dtype=np.int8), np.empty(0), np.zeros(5, dtype=np.int32)),
+], ids=["int64 states", "float32 flips", "2-d flips", "int32 offsets"])
+def test_constructor_refuses_wrong_dtypes(initial, flips, offsets):
+    with pytest.raises(InputError):
+        EnvTrajectory(TorusGraph(1, 4), _params(10.0), initial, flips, offsets,
+                      "explicit", None)
+
+
+def test_constructor_refuses_unknown_init_tag():
+    with pytest.raises(InputError):
+        EnvTrajectory(TorusGraph(1, 4), _params(10.0), *_flat(*_GOOD), "bogus", None)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, dynenv._BLOCK])
+def test_constructor_accepts_ties_across_edges_and_flips_at_0_and_T(block, monkeypatch):
+    monkeypatch.setattr(dynenv, "_BLOCK", block)
+    env = EnvTrajectory(TorusGraph(1, 4), _params(10.0), *_flat(*_GOOD), "explicit", None)
+    assert env.open_mask_at(0.0).tolist() == [False, True, True, True]  # a flip at 0
+    assert env.open_mask_at(10.0).tolist() == [False, False, False, True]
+    empty = EnvTrajectory(TorusGraph(1, 4), _params(0.0), np.ones(4, dtype=np.int8),
+                          np.empty(0), np.zeros(5, dtype=np.int64), "all-open", None)
+    assert empty.open_mask_at(0.0).all()
 
 
 def test_sample_env_reproducible():
@@ -63,8 +130,10 @@ def test_sample_env_inits():
     assert sample_env(g, params, init="all-open", seed=0).open_mask_at(0.0).all()
     explicit = sample_env(g, params, init=[1, 0, 1, 0, 1, 0], seed=0)
     assert list(explicit.open_mask_at(0.0)) == [True, False, True, False, True, False]
-    with pytest.raises(InputError):
-        sample_env(g, params, init=[2] * 6)
+    # 0.5 and "1" were cast to 0 and 1, and 300 raised OverflowError
+    for bad in ([2] * 6, [0] * 5, [0.5] * 6, ["1"] * 6, [300] * 6):
+        with pytest.raises(InputError):
+            sample_env(g, params, init=bad)
 
 
 _BAD_QUERIES = {
@@ -159,15 +228,6 @@ def test_open_throughout_prob_monte_carlo():
     assert abs(emp - q) < 4 * math.sqrt(q * (1 - q) / (trials * g.n_edges))
 
 
-def _hand_built(n, horizon, paths):
-    """Env on the n-cycle from {edge: (initial state, flip times)}; every other
-    edge is open with no flips."""
-    g = TorusGraph(d=1, n=n)
-    edges = [EdgeTrajectory(*paths.get(e, (1, []))) for e in range(g.n_edges)]
-    return EnvTrajectory(g, DynParams(p=0.5, mu=0.25, horizon=horizon), edges,
-                         "explicit", None)
-
-
 def _brute_isolated(env, L):
     g = env.graph
     for v in range(g.n_vertices):
@@ -177,18 +237,18 @@ def _brute_isolated(env, L):
 
 
 def test_isolated_vertex_detection():
+    # on the 6-cycle, vertex v lies between edges v - 1 and v
     g = TorusGraph(d=1, n=6)
-    around = {v: [int(e) for e in g.incident_edges[v]] for v in range(6)}
+    assert g.incident_edges.tolist() == [[v, (v - 1) % 6] for v in range(6)]
     # vertex 4: both edges closed, first flips after L = 1
-    env = _hand_built(6, 5.0, {around[4][0]: (0, [1.5, 2.0]), around[4][1]: (0, [])})
+    env = make_env(g, _params(5.0), [1, 1, 1, 0, 0, 1], [[], [], [], [], [1.5, 2.0], []])
     assert isolated_vertex_exists(env, 1.0) == (True, 4)
     assert isolated_vertex_exists(env, 1.5) == (False, None)  # the flip at L has happened
     # vertices 2, 3 and 4 all isolated: the lowest is the witness
-    closed = {e: (0, [4.0]) for v in (2, 4) for e in around[v]}
-    env = _hand_built(6, 5.0, closed)
+    env = make_env(g, _params(5.0), [1, 0, 0, 0, 0, 1], [[], [4.0], [4.0], [4.0], [4.0], []])
     assert isolated_vertex_exists(env, 3.0) == (True, 2)
     # an edge that starts open and closes before L does not isolate
-    env = _hand_built(6, 5.0, {around[1][0]: (1, [0.5]), around[1][1]: (0, [])})
+    env = make_env(g, _params(5.0), [0, 1, 1, 1, 1, 1], [[], [0.5], [], [], [], []])
     assert isolated_vertex_exists(env, 1.0) == (False, None)
     # the edge arrays agree with the per-edge definition on sampled envs
     params = DynParams(p=0.3, mu=0.5, horizon=3.0)
@@ -312,8 +372,8 @@ def _index_envs():
     g = TorusGraph(d=2, n=4)
     sampled = sample_env(g, DynParams(p=0.4, mu=0.5, horizon=30.0), seed=5)
     # ties across edges, a flip at 0 and one at the horizon
-    built = _hand_built(4, 3.0, {0: (0, [0.0, 1.0, 2.5]), 1: (1, [1.0, 2.5]),
-                                 2: (0, []), 3: (1, [1.0, 3.0])})
+    built = make_env(TorusGraph(1, 4), _params(3.0), [0, 1, 0, 1],
+                     [[0.0, 1.0, 2.5], [1.0, 2.5], [], [1.0, 3.0]])
     return {"sampled": sampled, "loaded": loads_env(dumps_env(sampled)),
             "hand-built": built,
             "all-open-p1": sample_env(TorusGraph(d=1, n=5),

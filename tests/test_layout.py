@@ -3,7 +3,8 @@
 Each public function or class of `src/dynaperc`, and each public method of
 such a class, serves a command, a demo or the benchmark.  One that only
 `tests/` reaches is either an independent reference, which lives in
-`tests/helpers.py`, or it is dead and goes.
+`tests/helpers.py`, or it is dead and goes.  And the package holds no
+`assert` statement, which `python -O` removes.
 """
 
 import ast
@@ -44,6 +45,14 @@ def _public_defs() -> list:
                 out += [(f"{path.stem}.{node.name}.{meth.name}", meth.name)
                         for meth in _public(node.body)]
     return out
+
+
+def test_no_bare_assert_in_the_package():
+    # python -O strips assert statements; an invariant must be an explicit check
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in src/dynaperc: {found}"
 
 
 def test_no_public_function_is_reached_only_by_tests():

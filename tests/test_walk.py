@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dynaperc.dynenv import DynParams, EdgeTrajectory, EnvTrajectory, sample_env
+from dynaperc.dynenv import DynParams, sample_env
 from dynaperc.errors import CapabilityError, HorizonError, InputError
 from dynaperc.torus import TorusGraph
 from dynaperc import dist, walk
@@ -13,7 +13,7 @@ from dynaperc.walk import (_MAX_SEGMENT, WalkPath, _Evolver,
                            exact_hitting_profile, exact_quenched_distribution,
                            replay_is_legal, simulate_walks,
                            window_kernel, quenched_tv_curve)
-from helpers import rebuild_forward, rebuild_hitting_profile, rebuild_step_matrix
+from helpers import make_env, rebuild_forward, rebuild_hitting_profile, rebuild_step_matrix
 
 
 def _env(d=1, n=6, p=0.5, mu=0.25, horizon=100.0, seed=0, init="stationary"):
@@ -41,7 +41,7 @@ def test_replay_checks_every_jump():
     # on the 6-cycle, edge 0 (vertices 0 and 1) is closed and every other
     # edge open, with no flips
     g = TorusGraph(1, 6)
-    env = _hand_env(g, 10.0, [0, 1, 1, 1, 1, 1], [[]] * 6)
+    env = make_env(g, DynParams(p=0.5, mu=0.25, horizon=10.0), [0, 1, 1, 1, 1, 1], [[]] * 6)
 
     def path(times, targets):
         return WalkPath(0, np.array(times, dtype=float), np.array(targets, dtype=np.int64))
@@ -250,14 +250,20 @@ def test_hitting_profile_static_triangle():
 def test_hitting_profile_frozen_walker_accrues_time():
     # every edge closed and never flipping: no start off A is ever absorbed
     g = TorusGraph(d=1, n=6)
-    edges = [EdgeTrajectory(0, np.empty(0)) for _ in range(g.n_edges)]
-    env = EnvTrajectory(g, DynParams(p=0.5, mu=0.25, horizon=70.0), edges,
-                        "all-closed", None)
+    env = make_env(g, DynParams(p=0.5, mu=0.25, horizon=70.0), [0] * 6, [[]] * 6)
     A = np.arange(6) < 3
     expected, censored = exact_hitting_profile(env, A, 70.0)
     assert np.abs(expected[~A] - 70.0).max() < 1e-8
     assert np.abs(censored[~A] - 1.0).max() < 1e-10
     assert not expected[A].any() and not censored[A].any()
+
+
+@pytest.mark.parametrize("horizon", [math.nan, -1.0, 5.5], ids=["nan", "-1", "past T"])
+def test_hitting_profile_refuses_horizon_outside_0_T(horizon):
+    # NaN gave all-zero expected times with censored mass 1
+    env = _env(n=8, horizon=5.0)
+    with pytest.raises(HorizonError):
+        exact_hitting_profile(env, np.arange(8) < 4, horizon)
 
 
 def test_hitting_profile_rejects_mask_of_wrong_length():
@@ -288,21 +294,13 @@ def _half_target(g, seed):
     return A
 
 
-def _hand_env(g, horizon, initial, flips):
-    """Environment with the given per-edge initial states and flip times."""
-    edges = [EdgeTrajectory(int(s), np.asarray(f, dtype=float))
-             for s, f in zip(initial, flips)]
-    return EnvTrajectory(g, DynParams(p=0.5, mu=0.25, horizon=horizon), edges,
-                         "stationary", None)
-
-
 def _inside_only_env(g, A, horizon, seed):
     """Edges inside A flip at random times; every other edge stays open."""
     rng = np.random.default_rng(seed)
     inside = A[g.edge_uv].all(axis=1)
     flips = [np.sort(rng.uniform(0.0, horizon, 40)) if inside[e] else []
              for e in range(g.n_edges)]
-    return _hand_env(g, horizon, np.ones(g.n_edges), flips)
+    return make_env(g, DynParams(p=0.5, mu=0.25, horizon=horizon), np.ones(g.n_edges), flips)
 
 
 def _hitting_cases():
@@ -322,7 +320,8 @@ def _hitting_cases():
     cases.append(("inside-only", _inside_only_env(g, A, 300.0, 5), A, 300.0))
     g = TorusGraph(2, 4)
     initial = np.arange(g.n_edges) % 3 != 0
-    cases.append(("no-flips", _hand_env(g, 250.0, initial, [[]] * g.n_edges),
+    cases.append(("no-flips", make_env(g, DynParams(p=0.5, mu=0.25, horizon=250.0), initial,
+                                       [[]] * g.n_edges),
                   _half_target(g, 6), 250.0))
     g = TorusGraph(1, 12)
     env = _env(n=12, mu=0.125, horizon=500.0, seed=7)
