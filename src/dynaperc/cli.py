@@ -353,6 +353,9 @@ def cmd_bound(run: Runner) -> int:
             prof = expansion.ExpansionProfile.deserialize(Path(run.cfg["profile"]).read_text())
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"profile file {run.cfg['profile']}: {exc}") from None
+        if not prof.certified:
+            raise InputError(f"profile file {run.cfg['profile']}: provenance "
+                             f"{prof.provenance!r} is not certified")
     else:
         prof = expansion.torus_analytic_profile(g.d, g.n, params.mu, c=0.1)
 

@@ -50,22 +50,27 @@ def check_chain(pi, kernels) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     pi must be a finite distribution with full support, and each kernel a
     finite N x N matrix (N = len(pi)) whose rows sum to 1 and which leaves pi
     stationary.  NaN fails every comparison, so finiteness is tested first.
+    A kernel object given more than once is validated once.
     """
     pi = np.asarray(pi, dtype=float)
     if (pi.ndim != 1 or not np.isfinite(pi).all() or (pi <= 0).any()
             or abs(pi.sum() - 1.0) > 1e-10):
         raise InputError("pi must be a finite, strictly positive distribution")
     ks = tuple(np.asarray(K, dtype=float) for K in kernels)
-    for K in ks:
-        if K.shape != (len(pi), len(pi)):
-            raise InputError("kernel shape mismatch")
-        if not np.isfinite(K).all():
-            raise InputError("kernels must be finite")
-        if np.abs(K.sum(axis=1) - 1.0).max() > 1e-12:
-            raise InputError("kernel rows must sum to 1")
-        if np.abs(pi @ K - pi).max() > 1e-12:
-            raise InputError("pi is not stationary for some kernel")
+    for K in {id(K): K for K in ks}.values():
+        _check_kernel(K, pi)
     return pi, ks
+
+
+def _check_kernel(K: np.ndarray, pi: np.ndarray) -> None:
+    if K.shape != (len(pi), len(pi)):
+        raise InputError("kernel shape mismatch")
+    if not np.isfinite(K).all():
+        raise InputError("kernels must be finite")
+    if np.abs(K.sum(axis=1) - 1.0).max() > 1e-12:
+        raise InputError("kernel rows must sum to 1")
+    if np.abs(pi @ K - pi).max() > 1e-12:
+        raise InputError("pi is not stationary for some kernel")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ function is evaluated for a whole chunk by a few matrix products.
 A set is a bool mask over the states (`as_mask` rejects anything else, so an
 index list or an int 0/1 vector is an error, not a different set).  Int
 bitmasks are kept only inside `evoset`'s set-law engine, where they are dict
-keys and table indices, and as the `masks` column of `half_mass_subsets`.
+keys and table indices, and as the `masks` column of `half_mass_subsets`
+(which `torus.iso_profile` reads by popcount).
 """
 
 from __future__ import annotations
@@ -62,8 +63,14 @@ _BIT.setflags(write=False)
 
 def mask_members(masks, m: int) -> np.ndarray:
     """Membership over m states of one bitmask (shape (m,)) or of each of an
-    array of bitmasks (one row each), as bools."""
-    return (np.asarray(masks, dtype=np.int64)[..., None] & _BIT[:m]).astype(bool)
+    array of bitmasks (one row each), as bools.
+
+    Each mask's little-endian bytes are unpacked to its low m bits, least
+    significant first, so column y is bit y."""
+    masks = np.asarray(masks, dtype="<i8")
+    raw = np.ascontiguousarray(masks).reshape(-1, 1).view(np.uint8)
+    bits = np.unpackbits(raw, axis=1, count=m, bitorder="little")
+    return bits.view(bool).reshape(masks.shape + (m,))
 
 
 def half_mass_subsets(pi: np.ndarray):

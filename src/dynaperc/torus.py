@@ -9,7 +9,8 @@ Neighbours come from cached tables built by array arithmetic on the
 coordinate digits (`neighbor_vertices`, `incident_edges`, `edge_uv`), which
 serve every lookup; the tests check them against scalar references.  A vertex
 set is a bool mask of length n^d; int bitmasks appear only inside `evoset`'s
-set-law engine and as the `masks` column of `expansion.half_mass_subsets`.
+set-law engine, as the `masks` column of `expansion.half_mass_subsets`, and
+inside `iso_profile`, which counts boundaries on them by popcount.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapabilityError, InputError
-from .expansion import SUBSET_ENUM_MAX_STATES, as_mask, half_mass_subsets
+from .expansion import (_BIT, SUBSET_ENUM_MAX_STATES, as_mask, half_mass_subsets,
+                        mask_members)
 
 
 @dataclass(frozen=True)
@@ -100,24 +102,45 @@ class IsoProfileResult:
 def iso_profile(g: TorusGraph) -> IsoProfileResult:
     """Exact min over nonempty S with pi(S) <= 1/2 of |dE(S)| / |S|^((d-1)/d).
 
-    Enumerates all 2^(n^d) subsets; a witness lower bound for the universal
-    isoperimetric constant on this torus.
+    Enumerates all 2^(n^d) subsets as the int64 `masks` of
+    `half_mass_subsets`; a witness lower bound for the universal
+    isoperimetric constant on this torus.  The edges along one axis are the
+    pairs (v, neighbour(v)), so S has popcount(mask ^ pulled) boundary edges
+    along it, where `pulled` carries bit neighbour(v) to bit v: one shift and
+    select per class of vertices with equal neighbour offset.
     """
     N = g.n_vertices
     if N > SUBSET_ENUM_MAX_STATES:
         raise CapabilityError(
             f"{N} vertices exceeds the enumeration cap of {SUBSET_ENUM_MAX_STATES}"
         )
-    uv = g.edge_uv
+    # per axis: (offset, bitmask of the vertices with that offset); a set, as
+    # np.unique would import numpy.ma (0.5 MB of peak memory) on first use
+    pulls = []
+    for axis in range(g.d):
+        offset = g.neighbor_vertices[:, 2 * axis] - np.arange(N)
+        pulls.append([(o, int(_BIT[:N][offset == o].sum()))
+                      for o in set(offset.tolist())])
     expo = (g.d - 1) / g.d
     best = math.inf
     best_set = None
-    for _, bits, _ in half_mass_subsets(np.full(N, 1.0 / N)):
-        sizes = bits.sum(axis=1)
-        bnd = (bits[:, uv[:, 0]] != bits[:, uv[:, 1]]).sum(axis=1)
-        ratio = bnd / sizes.astype(float) ** expo
+    for masks, _, _ in half_mass_subsets(np.full(N, 1.0 / N)):
+        bnd = np.zeros(len(masks), dtype=np.int64)
+        pulled, part = np.empty_like(masks), np.empty_like(masks)
+        for classes in pulls:
+            pulled.fill(0)
+            for o, select in classes:
+                if o > 0:
+                    np.right_shift(masks, o, out=part)
+                else:
+                    np.left_shift(masks, -o, out=part)
+                part &= select
+                pulled |= part
+            pulled ^= masks
+            bnd += np.bitwise_count(pulled)
+        ratio = bnd / np.bitwise_count(masks).astype(float) ** expo
         i = int(np.argmin(ratio))
         if ratio[i] < best:
             best = float(ratio[i])
-            best_set = bits[i].copy()
+            best_set = mask_members(masks[i], N)
     return IsoProfileResult(value=best, minimizer=best_set)

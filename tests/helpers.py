@@ -14,7 +14,8 @@ References, each a second way to compute what the library computes:
   in-memory dump and its parser;
 - the torus: the scalar lookups `vertex_index`, `coords`, `shift`,
   `edge_id` and `edge_endpoints`, against which the vectorized tables are
-  checked;
+  checked, and `rebuild_iso_profile`, the isoperimetric profile from bool
+  membership tables;
 - walks: `rebuild_step_matrix`, the dense jump matrix built edge by edge,
   and on it `rebuild_forward` and `rebuild_hitting_profile`, forward and
   absorbed evolution with P rebuilt per flip;
@@ -35,6 +36,7 @@ import math
 import numpy as np
 
 from dynaperc.errors import InputError
+from dynaperc.expansion import half_mass_subsets
 from dynaperc.walk import _MAX_SEGMENT, _SERIES_TAIL
 
 
@@ -274,6 +276,25 @@ def edge_endpoints(g, e):
         raise InputError(f"edge {e} out of range [0, {g.n_edges})")
     v, axis = divmod(e, g.d)
     return v, shift(g, v, axis, +1)
+
+
+def rebuild_iso_profile(g):
+    """Reference for `torus.iso_profile`: (value, minimizer) from each chunk's
+    bool membership table, counting the edges of `edge_uv` whose endpoint
+    bits differ."""
+    N = g.n_vertices
+    uv = g.edge_uv
+    expo = (g.d - 1) / g.d
+    best, best_set = math.inf, None
+    for _, bits, _ in half_mass_subsets(np.full(N, 1.0 / N)):
+        sizes = bits.sum(axis=1)
+        bnd = (bits[:, uv[:, 0]] != bits[:, uv[:, 1]]).sum(axis=1)
+        ratio = bnd / sizes.astype(float) ** expo
+        i = int(np.argmin(ratio))
+        if ratio[i] < best:
+            best = float(ratio[i])
+            best_set = bits[i].copy()
+    return best, best_set
 
 
 def rebuild_step_matrix(g, open_mask):

@@ -110,8 +110,10 @@ def test_bound_from_profile_file(tmp_path):
     assert run(["bound", "--config", str(cfg), "--out", str(out)]) == 0
 
 
-@pytest.mark.parametrize("content", [None, "garbage\n", b"\xff\xfe"],
-                         ids=["missing", "garbage", "not text"])
+@pytest.mark.parametrize("content", [
+    None, "garbage\n", b"\xff\xfe",
+    "# dynaperc-profile-v1 provenance=family-restricted pi_star=0.125\n0.125 0.5\n0.5 0.25\n"],
+    ids=["missing", "garbage", "not text", "uncertified"])
 def test_bound_refuses_bad_profile_file(tmp_path, content):
     # a failed cell gave exit 1 and still wrote bound.csv and a manifest
     pfile = tmp_path / "profile.txt"

@@ -217,6 +217,27 @@ def test_certificate_matches_dict_reference(seed):
                 assert abs(got[z] - dict_doob_z_expectation(ch, 0, z, n)) <= 4e-15
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_certificate_branches_agree(seed, monkeypatch):
+    # the chains of test_certificate_matches_dict_reference, each branch forced
+    rng = np.random.default_rng(seed)
+    chain = _random_chain(rng, 3 + seed % 3, 2 + seed % 2, zero_entry=seed % 2 == 0)
+    for ch in (chain, L.variant_chain(chain)):
+        for n in (0, 1, 6, 150, 700):
+            got = {}
+            for square in (False, True):
+                monkeypatch.setattr(L, "_square_pays", lambda *_, s=square: s)
+                got[square] = L._doob_z_certificates(ch, 0, n)
+            assert np.all(np.abs(got[True] - got[False]) <= 1e-13 * np.abs(got[False]))
+
+
+def test_branch_rule_prefers_powering_at_small_pair_counts():
+    assert L._square_pays(16, 80, 100) and L._square_pays(32, 308, 700)
+    assert not L._square_pays(1024, 32548, 100)
+    assert not L._square_pays(L._DENSE_MAX_PAIRS + 1, 10, 10 ** 9)
+    assert not L._square_pays(16, 80, 0)
+
+
 def _three_state_chains():
     rng = np.random.default_rng(4)
     chain = _random_chain(rng, 3, 2, zero_entry=False)

@@ -29,6 +29,22 @@ def test_chain_validation():
         E.InhomChain(pi=pi, kernels=(bad,))
 
 
+def test_chain_validates_each_kernel_object_once(monkeypatch):
+    checked = []
+    check = E._check_kernel
+    monkeypatch.setattr(E, "_check_kernel", lambda K, pi: checked.append(K) or check(K, pi))
+    pi = np.array([0.3, 0.7])
+    good = np.array([[0.65, 0.35], [0.15, 0.85]])
+    bad = np.array([[0.5, 0.5], [0.9, 0.1]])  # rows ok, pi not stationary
+    with pytest.raises(InputError):
+        E.InhomChain(pi=pi, kernels=(good,) * 50 + (bad,))
+    assert len(checked) == 2 and checked[0] is good
+    checked.clear()
+    copies = (good, good.copy(), good.copy(), good)
+    E.InhomChain(pi=pi, kernels=copies)
+    assert [id(K) for K in checked] == [id(K) for K in copies[:3]]
+
+
 def test_mask_helpers():
     pi = np.array([0.1, 0.2, 0.3, 0.4])
     assert E.set_mass(0b1010, pi) == pytest.approx(0.6)

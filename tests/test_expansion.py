@@ -65,6 +65,18 @@ def test_torus_phi_check_rejects_malformed_sets(S):
         X.torus_phi_lower_bound_check(env, S)
 
 
+@pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 24, 62])
+def test_mask_members_reads_bit_y_into_column_y(m):
+    rng = np.random.default_rng(m)
+    masks = rng.integers(0, 1 << 62, size=(3, 5), dtype=np.int64)
+    masks[0, :3] = [0, 1, (1 << 62) - 1]
+    want = (masks[..., None] >> np.arange(m)) & 1 == 1
+    got = X.mask_members(masks, m)
+    assert got.dtype == bool and np.array_equal(got, want)
+    assert np.array_equal(X.mask_members(masks[:, 1], m), want[:, 1])
+    assert np.array_equal(X.mask_members(int(masks[2, 3]), m), want[2, 3])
+
+
 def test_q_flow_symmetric_for_reversible():
     rng = np.random.default_rng(0)
     for _ in range(20):

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynaperc import expansion as X
 from dynaperc.errors import CapabilityError, InputError
 from dynaperc.torus import TorusGraph, edge_boundary, iso_profile
 
-from helpers import coords, edge_endpoints, edge_id, shift, vertex_index
+from helpers import (coords, edge_endpoints, edge_id, rebuild_iso_profile, shift,
+                     vertex_index)
 
 
 def test_counts():
@@ -120,6 +122,21 @@ def test_iso_profile_square_torus():
     row_ratio = len(edge_boundary(g, row)) / row.sum() ** 0.5
     assert r.value <= row_ratio + 1e-12
     assert r.value > 0
+
+
+ISO_CASES = [(1, n) for n in range(3, 17)] + [(2, 3), (2, 4)]
+
+
+@pytest.mark.parametrize("chunk_bits", [None, 2])
+@pytest.mark.parametrize("d, n", ISO_CASES)
+def test_iso_profile_matches_bool_table_reference(d, n, chunk_bits, monkeypatch):
+    if chunk_bits is not None:
+        monkeypatch.setattr(X, "SUBSET_CHUNK_BITS", chunk_bits)
+    g = TorusGraph(d=d, n=n)
+    r = iso_profile(g)
+    value, minimizer = rebuild_iso_profile(g)
+    assert r.value == value
+    assert r.minimizer.dtype == bool and np.array_equal(r.minimizer, minimizer)
 
 
 def test_iso_profile_cap():
