@@ -167,7 +167,8 @@ def _doob_z_certificates(chain: FiniteEnvChain, x: int, n: int) -> np.ndarray:
     z 2^m + S, and the per-kernel arrays give the pair transition T as flat
     (z 2^m + r, z2 2^m + c, R(z, z2) v) arrays over the (z, z2) with R > 0.
     The expectation from every pair at once is T^n Z: by binary powering of
-    T as a dense matrix where `_square_pays`, else by n bincount steps.
+    T as a dense matrix up to `_DENSE_MAX_PAIRS` pairs, else by n bincount
+    steps.
     """
     E, R, pi = chain.n_env, chain.R, chain.pi
     start = evoset.start_mask(x, chain.n_states)
@@ -181,7 +182,7 @@ def _doob_z_certificates(chain: FiniteEnvChain, x: int, n: int) -> np.ndarray:
     # the Doob process never reaches the empty set, whose Z is undefined
     z_of = np.tile(np.append(0.0, evoset.z_statistic(np.arange(1, M), pi)), E)
     starts = M * np.arange(E) + start  # start zeta0 is pair ({x}, zeta0)
-    if _square_pays(E * M, len(rows), n):
+    if E * M <= _DENSE_MAX_PAIRS:
         T = np.zeros((E * M, E * M))
         T[rows, cols] = vals  # each (row, col) occurs once
         return np.linalg.matrix_power(T, n)[starts] @ z_of
@@ -191,24 +192,12 @@ def _doob_z_certificates(chain: FiniteEnvChain, x: int, n: int) -> np.ndarray:
     return expect[starts]
 
 
-# Cost model of the two ways to T^n Z, in microseconds, measured with one BLAS
-# thread (numpy 2.4, OpenBLAS 0.3.31, 2-CPU x86-64 host) at P = 8..2048 pairs
-# and 20..130k entries: a bincount step costs _STEP_US + _ENTRY_US per entry,
-# a dense (P, P) product _STEP_US + _CUBE_US P^3.  Over P = 16..1024 and
-# n = 6..1000 the rule picked the slower branch only where the two were within
-# 9%.  Above _DENSE_MAX_PAIRS one dense matrix would pass 32 MB: the loop runs.
-_STEP_US, _ENTRY_US, _CUBE_US = 2.0, 4e-3, 4e-5
-_DENSE_MAX_PAIRS = 2048
-
-
-def _square_pays(pairs: int, entries: int, n: int) -> bool:
-    """Whether binary powering of the dense (pairs, pairs) transition is
-    estimated cheaper than n bincount steps over its `entries` entries."""
-    if pairs > _DENSE_MAX_PAIRS:
-        return False
-    # powering takes bit_length + popcount - 2 products; two more for the fill and T^n Z
-    products = n.bit_length() + n.bit_count()
-    return products * (_STEP_US + _CUBE_US * pairs ** 3) < n * (_STEP_US + _ENTRY_US * entries)
+# Largest pair count P = E 2^m whose pair transition is powered as a dense
+# (P, P) matrix; above it the n bincount steps run.  Measured with one BLAS
+# thread (numpy 2.4, 2-CPU x86-64 host): at P = 128 powering took 1.0-1.5x the
+# loop's time at n = 6 and 0.2-0.3x at n = 700, with a transient peak under
+# 1 MB; at P = 256 it took 1.5-6.3x at n <= 100.
+_DENSE_MAX_PAIRS = 128
 
 
 @dataclass(frozen=True)

@@ -50,14 +50,14 @@ def check_chain(pi, kernels) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     pi must be a finite distribution with full support, and each kernel a
     finite N x N matrix (N = len(pi)) whose rows sum to 1 and which leaves pi
     stationary.  NaN fails every comparison, so finiteness is tested first.
-    A kernel object given more than once is validated once.
+    Kernels with equal entries are validated once.
     """
     pi = np.asarray(pi, dtype=float)
     if (pi.ndim != 1 or not np.isfinite(pi).all() or (pi <= 0).any()
             or abs(pi.sum() - 1.0) > 1e-10):
         raise InputError("pi must be a finite, strictly positive distribution")
     ks = tuple(np.asarray(K, dtype=float) for K in kernels)
-    for K in {id(K): K for K in ks}.values():
+    for K in _distinct_kernels(ks)[0]:
         _check_kernel(K, pi)
     return pi, ks
 

@@ -225,17 +225,21 @@ def test_certificate_branches_agree(seed, monkeypatch):
     for ch in (chain, L.variant_chain(chain)):
         for n in (0, 1, 6, 150, 700):
             got = {}
-            for square in (False, True):
-                monkeypatch.setattr(L, "_square_pays", lambda *_, s=square: s)
-                got[square] = L._doob_z_certificates(ch, 0, n)
-            assert np.all(np.abs(got[True] - got[False]) <= 1e-13 * np.abs(got[False]))
+            for cap in (0, 1 << 20):  # the bincount loop, then dense powering
+                monkeypatch.setattr(L, "_DENSE_MAX_PAIRS", cap)
+                got[cap] = L._doob_z_certificates(ch, 0, n)
+            assert np.all(np.abs(got[1 << 20] - got[0]) <= 1e-13 * np.abs(got[0]))
 
 
-def test_branch_rule_prefers_powering_at_small_pair_counts():
-    assert L._square_pays(16, 80, 100) and L._square_pays(32, 308, 700)
-    assert not L._square_pays(1024, 32548, 100)
-    assert not L._square_pays(L._DENSE_MAX_PAIRS + 1, 10, 10 ** 9)
-    assert not L._square_pays(16, 80, 0)
+def test_dense_powering_only_up_to_the_pair_cap(monkeypatch):
+    powered = []
+    power = np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power",
+                        lambda T, n: powered.append(len(T)) or power(T, n))
+    rng = np.random.default_rng(7)
+    for m, n_env in ((5, 4), (6, 4)):  # P = 128 and 256 pairs
+        L._doob_z_certificates(_random_chain(rng, m, n_env, zero_entry=False), 0, 6)
+    assert L._DENSE_MAX_PAIRS == 128 and powered == [128]
 
 
 def _three_state_chains():
