@@ -14,23 +14,27 @@ right continuously.
 
 One core does all exact evolution: `_Evolver.advance` walks the flip segments
 of the environment and `_apply_uniformized` runs the series.  The jump
-operator is held one way only, as the stencil table `_Stencil`: P's 2d + 1
-nonzeros per row.  It is built once per evolver and each flip rewrites the
-four entries of its edge in place.  Forward laws, window kernels and TV
-curves evolve rows through it, one series per segment.  A single row (a law,
-a TV curve) needs no N x N matrix: a segment writes its Krylov rows v, vP,
-..., vP^K into one reused buffer and adds them up with one product by the
-Poisson weights.  Many rows (a window kernel) run dense products on P
-scattered from the table, where they are faster.  Hitting profiles run it on
-the chain absorbed in the target set: only the block of free (off-target)
+operator is held one way only, as the int neighbour-or-self table
+`_Stencil.nbr`, (2d, N): entry k of v is v's neighbour k when that edge is
+open and v itself when it is closed.  An attempt across a closed edge
+stays home, so P = I + Q is the mean of 2d gathers, row @ P =
+(1/2d) sum_k row[nbr[k]].  The table is built once per evolver and each
+flip rewrites the two entries of its edge in place.  Forward laws, window
+kernels and TV curves evolve rows through it, one series per segment.  A
+single row (a law, a TV curve) needs no N x N matrix: a segment writes its
+Krylov rows into one reused buffer, one gather and one dot a term (about
+2 us at N = 256), and adds them up with one product by the Poisson
+weights.  Many rows (a window kernel) run dense products on P scattered
+from the table, where they are faster.  Hitting profiles run it on the
+chain absorbed in the target set: only the block of free (off-target)
 states is evolved, flips on edges inside the target are skipped, and the
 series also adds up the time each row spends off the target.  The absorbed
-path works in chunks of up to 128 segments: it scatters the block of each
-segment from the table onto a stack, runs one series on the whole stack to
-get every segment's propagator and occupation integral, and chains those in
-time order, so the per-product Python cost is paid once per chunk rather
-than once per segment.  It reads the flips a window at a time and stops at
-absorption.
+path works in chunks of up to 128 segments: it copies the free rows of the
+table for each segment onto an int stack, scatters the whole chunk's
+blocks at once, runs one series on them to get every segment's propagator
+and occupation integral, and chains those in time order, so the
+per-product Python cost is paid once per chunk rather than once per
+segment.  It reads the flips a window at a time and stops at absorption.
 
 One rule truncates every series, forward or absorbed: it stops at the first
 term where its Poisson tail is below `_SERIES_TAIL`.  An evolver counts the
@@ -169,63 +173,83 @@ def replay_is_legal(env: EnvTrajectory, path: WalkPath) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Stencil:
-    """P held by its nonzeros: tables D and idx, both (2d + 1, N), with
-    D[k, v] = P[v, idx[k, v]].
+    """P held as one neighbour-or-self table `nbr`, int64 of shape (2d, N):
+    nbr[k, v] is neighbour k of v (`neighbor_vertices[v, k]`) when that edge
+    is open and v itself when it is closed.
 
-    idx[0] is each vertex and idx[1 + k] its neighbour k
-    (`neighbor_vertices[:, k]`), so D[0] is the diagonal and D[1 + k] the
-    rate, 0 or 1/(2d), to neighbour k.  Each diagonal entry is 1 - k/(2d)
-    rounded one subtraction at a time.  P is symmetric, so row @ P sums
-    D * row[idx] over the 2d + 1 stencil entries.  `series` writes the
-    Krylov rows v, vP, ..., vP^K of a segment into one buffer, reused from
-    segment to segment, and adds them up with one product by the Poisson
-    weights.  `matrix` scatters the table into a dense P, kept for reuse,
-    through flat positions computed with it.
+    An attempt across a closed edge leaves the walker at v, so P = I + Q is
+    the mean of 2d gathers: row @ P = (1/2d) sum_k row[nbr[k]] (P is
+    symmetric).  `series` writes the Krylov rows of a segment into one
+    buffer, reused from segment to segment, each with one gather and one
+    dot (about 2 us a term at N = 256, against 3.6 us for a float table of
+    P's 2d + 1 nonzeros per row, multiplied and summed), and adds them up
+    with one product by the Poisson weights.  It keeps the sums unscaled,
+    T_k = (2d)^k row P^k, and divides the weights instead: at d = 1, 2 that
+    is the mean bit for bit, and at d = 3, where 6 x fl(1/6) = 1 - 2^-54,
+    the operator stays exactly stochastic.  `blocks` scatters tables into
+    dense blocks of P, and `matrix` the whole table into a dense P, kept
+    for reuse.
     """
 
     def __init__(self, g: TorusGraph, open_mask: np.ndarray):
         N = g.n_vertices
-        rate = 1.0 / (2 * g.d)
+        self._two_d = 2 * g.d
         # C order, so a row's gather comes out contiguous
-        self.idx = np.empty((2 * g.d + 1, N), dtype=np.int64)
-        self.idx[0] = np.arange(N)
-        self.idx[1:] = g.neighbor_vertices.T
-        self.D = np.empty((2 * g.d + 1, N))
-        self.D[0] = 1.0
-        uv = g.edge_uv[open_mask]
-        np.subtract.at(self.D[0], uv[:, 0], rate)
-        np.subtract.at(self.D[0], uv[:, 1], rate)
-        self.D[1:] = np.where(open_mask[g.incident_edges.T], rate, 0.0)
-        self._ones = np.ones(len(self.D))  # sums the stencil entries
-        self._prods = np.empty(self.D.shape)
+        self.nbr = np.tile(np.arange(N), (self._two_d, 1))
+        is_open = open_mask[g.incident_edges.T]
+        self.nbr[is_open] = g.neighbor_vertices.T[is_open]
+        self._ones = np.ones(self._two_d)
+        # P's diagonal by number of closed edges: 1 - k/(2d) for k open
+        # ones, rounded one subtraction at a time
+        rate = 1.0 / self._two_d
+        self._diag = np.array(list(accumulate([rate] * self._two_d, sub, initial=1.0)))[::-1]
         self._krylov = np.empty((0, N))
+        self._scale = np.empty(0)  # (2d)^k
         self._dense: Optional[np.ndarray] = None
 
+    def blocks(self, cols: np.ndarray, out: np.ndarray) -> None:
+        """Dense blocks of P into out (m, n, n) from m tables cols (m, 2d, n):
+        the block columns of n rows' table entries, with n standing for a
+        column outside the block, which is dropped.
+
+        One bincount counts every (block, row, column) entry.  Off the
+        diagonal a count is 0 or 1, times 1/(2d); the diagonal counts a
+        row's closed edges and is read from `_diag`, which rounds as
+        `step_matrix` always has (a plain count x 1/(2d) differs at d = 3).
+        """
+        m, _, n = cols.shape
+        starts = (np.arange(m)[:, None, None] * n + np.arange(n)) * (n + 1)
+        counts = np.bincount((starts + cols).reshape(-1), minlength=m * n * (n + 1))
+        counts = counts.reshape(m, n, n + 1)[:, :, :n]
+        np.multiply(counts, 1.0 / self._two_d, out=out)
+        i = np.arange(n)
+        out[:, i, i] = self._diag[counts[:, i, i]]
+
     def matrix(self) -> np.ndarray:
-        """P as a dense matrix: the table scattered onto its fixed nonzero pattern."""
+        """P as a dense matrix, scattered from the table."""
         if self._dense is None:
-            N = self.D.shape[1]
-            self._dense = np.zeros((N, N))
-            self._at = (np.arange(N) * N + self.idx).reshape(-1)
-        self._dense.reshape(-1)[self._at] = self.D.reshape(-1)
+            N = self.nbr.shape[1]
+            self._dense = np.empty((N, N))
+        self.blocks(self.nbr[None], self._dense[None])
         return self._dense
 
     def series(self, row: np.ndarray, ws: list) -> np.ndarray:
         """sum_k ws[k] row P^k for a (1, N) row."""
-        if len(self._krylov) < len(ws):
-            self._krylov = np.empty((len(ws), self.D.shape[1]))
-        T = self._krylov[:len(ws)]
+        K = len(ws)
+        if len(self._krylov) < K:
+            self._krylov = np.empty((K, self.nbr.shape[1]))
+            self._scale = float(self._two_d) ** np.arange(K)
+        T = self._krylov[:K]
         T[0] = row[0]
-        for k in range(1, len(ws)):
-            np.multiply(self.D, T[k - 1][self.idx], out=self._prods)
-            np.dot(self._ones, self._prods, out=T[k])
-        return np.dot(ws, T)[None, :]
+        for k in range(1, K):
+            np.dot(self._ones, T[k - 1][self.nbr], out=T[k])
+        return np.dot(np.divide(ws, self._scale[:K]), T)[None, :]
 
 
 def step_matrix(g: TorusGraph, open_mask: np.ndarray) -> np.ndarray:
     """P = I + Q for the frozen configuration; Q jumps across open edges at rate 1/(2d).
 
-    Exact evolution never builds it: evolvers hold the stencil table.  The
+    Exact evolution never builds it: evolvers hold the neighbour table.  The
     benchmark tracer hooks this name.
     """
     return _Stencil(g, open_mask).matrix()
@@ -249,10 +273,11 @@ def _apply_uniformized(mat: np.ndarray, P: np.ndarray | _Stencil, s,
 
     Forward evolution passes the evolver's `_Stencil` (one segment, no
     `occupation`); absorbed evolution passes dense free blocks scattered
-    from it.  On a stencil one row runs on the Krylov rows; more rows run
-    the products on its dense matrix, which was measured faster for a
-    window kernel's N rows (at N = 256 a kernel took 7.1 s dense against
-    11.0 s on the stencil).
+    from its table.  On the table one row runs on the Krylov rows, one
+    gather and one dot a term; more rows run the products on its dense
+    matrix.  For a window kernel's N rows, gemm took 38 ms a term at N =
+    1024 against 87 ms for 2d column gathers added up, and at N = 256 the
+    two were about even (1.0 and 0.84 ms).
     """
     stacked = not np.isscalar(s)
     weights, terms, dropped = [], [], []
@@ -274,7 +299,7 @@ def _apply_uniformized(mat: np.ndarray, P: np.ndarray | _Stencil, s,
     if isinstance(P, _Stencil):
         if len(mat) == 1:
             return P.series(mat, weights[0]), terms[0], dropped[0]
-        P = P.matrix()  # many rows: matrix products beat the stencil
+        P = P.matrix()  # many rows: matrix products beat the gathers
     if occupation is not None:
         # int_0^h e^{-t} t^k/k! dt: 1 - w_0 for k = 0, then the previous one
         # less the Poisson weight
@@ -326,13 +351,11 @@ def check_exact_size(g: TorusGraph) -> None:
 class _Evolver:
     """Walks a distribution (or matrix of rows) through env flip segments.
 
-    P is built once, as the stencil table `_Stencil.D`; a flip then adds
-    +-1/(2d) to the four entries of its edge in place, through flat
-    positions in the table computed once per edge.  Each diagonal entry is
-    1 - k/(2d) rounded one subtraction at a time, as a fresh table computes
-    it, and adding the rate back lands on the previous value exactly
-    (checked for d <= 12), so the operator always equals a fresh build bit
-    for bit.  Forward evolution runs one series per segment on the rows
+    P is built once, as the neighbour-or-self table `_Stencil.nbr`; a flip
+    then writes the two entries of its edge, through flat positions in the
+    table computed once per edge: across the edge when it opens, back home
+    when it closes.  The table holds ints only, so it always equals a fresh
+    build.  Forward evolution runs one series per segment on the rows
     themselves, and skips segments with no open edge, by a count of open
     edges that each flip keeps.
 
@@ -347,10 +370,10 @@ class _Evolver:
     environment's sorted stream doubles its watermark, so the stream grows
     only about as far as the evolution reads.
 
-    The absorbed path works in chunks: the block before each flip is
-    scattered from the table onto a stack, through source and destination
-    positions computed once; the stack starts zeroed and each slot only
-    ever receives the block's pattern, so entries off it stay 0.  A
+    The absorbed path works in chunks: before each flip the free rows of
+    the table are copied onto an int stack, with one gather through flat
+    positions computed once, and reading `_stack` scatters all the stacked
+    pieces' dense blocks at once (`_Stencil.blocks`, one bincount).  A
     stretch longer than `_MAX_SEGMENT` is stacked as several pieces, split
     as the forward path splits it.  When the stack is full one series runs
     on all of it, longest piece first.  Each piece k then has
@@ -379,32 +402,31 @@ class _Evolver:
         self.absorbing = absorbing
         self.open_mask = env.open_mask_at(t0)
         self._n_open = int(np.count_nonzero(self.open_mask))
-        self._rate = 1.0 / (2 * g.d)
         self.P = _Stencil(g, self.open_mask)
-        self._D = self.P.D.reshape(-1)  # a flat view, for `_flip` and the block scatter
+        self._nbr = self.P.nbr.reshape(-1)  # a flat view, for `_flip` and the free rows
         N = g.n_vertices
-        col = 1 + 2 * (np.arange(g.n_edges) % g.d)
+        axis = np.arange(g.n_edges) % g.d
         u, v = g.edge_uv.T
-        # flat positions in D of the edge's two diagonal entries and of its
-        # rates u -> v and v -> u: v is neighbour 2 * axis of u, and u
-        # neighbour 2 * axis + 1 of v
-        self._pos = np.stack([u, v, col * N + u, (col + 1) * N + v], axis=1).tolist()
+        # per edge: the flat positions in nbr of its entries at u and at v
+        # (v is neighbour 2 * axis of u, and u neighbour 2 * axis + 1 of v),
+        # then u and v
+        self._pos = np.stack([2 * axis * N + u, (2 * axis + 1) * N + v, u, v],
+                             axis=1).tolist()
         self.occupation = None
         if absorbing is not None:
             free = ~absorbing
             n = int(free.sum())
-            row = np.cumsum(free) - 1  # row of each free vertex in the block
             self._live_edge = free[g.edge_uv].any(axis=1)
-            # the free block: D[k, v] goes to (row[v], row[idx[k, v]]) for
-            # every entry with both ends free
-            idx = self.P.idx.reshape(-1)
-            self._src = np.flatnonzero(free & free[self.P.idx])
-            self._dst = row[self._src % N] * n + row[idx[self._src]]
+            # flat positions in nbr of the free rows, and the block column
+            # of each vertex: n for the absorbing ones, which `blocks` drops
+            self._free_rows = np.arange(2 * g.d)[:, None] * N + np.flatnonzero(free)
+            self._col = np.full(N, n)
+            self._col[free] = np.arange(n)
             self.occupation = np.zeros(n)
             size = max(1, min(_CHUNK, _CHUNK_BYTES // (8 * max(n, 1) ** 2)))
-            self._stack = np.zeros((size, n, n))  # blocks in time order
-            self._blocks = self._stack.reshape(size, n * n)
-            self._sorted = np.empty_like(self._stack)  # longest piece first
+            self._rows = np.empty((size, 2 * g.d, n), dtype=np.int64)  # in time order
+            self._blocks = np.empty((size, n, n))
+            self._sorted = np.empty_like(self._blocks)  # longest piece first
             self._eye = np.eye(n)
             self._lengths: list[float] = []
             self._at_flip: list[bool] = []  # piece ends a flip segment
@@ -413,17 +435,21 @@ class _Evolver:
         self.terms = 0
 
     def _flip(self, e: int) -> None:
-        """Toggle edge e and add or remove its rate in the operator entries it touches."""
+        """Toggle edge e: its two table entries point across it when open, home when closed."""
         is_open = not self.open_mask[e]
         self.open_mask[e] = is_open
         self._n_open += 1 if is_open else -1
-        r = self._rate if is_open else -self._rate
-        ii, jj, ij, ji = self._pos[e]
-        D = self._D
-        D[ii] -= r
-        D[jj] -= r
-        D[ij] += r
-        D[ji] += r
+        at_u, at_v, u, v = self._pos[e]
+        self._nbr[at_u], self._nbr[at_v] = (v, u) if is_open else (u, v)
+
+    @property
+    def _stack(self) -> np.ndarray:
+        """The free blocks of the pieces stacked so far, in time order: each
+        read scatters them from their rows of the table, all with one
+        `_Stencil.blocks` call."""
+        m = len(self._lengths)
+        self.P.blocks(self._col[self._rows[:m]], self._blocks[:m])
+        return self._blocks
 
     def _count(self, terms: int, dropped: float) -> None:
         self.segments += 1
@@ -480,10 +506,10 @@ class _Evolver:
         while s > 0.0:
             h = min(s, _MAX_SEGMENT)
             s -= h
-            self._blocks[len(self._lengths)][self._dst] = self._D[self._src]
+            self._rows[len(self._lengths)] = self._nbr[self._free_rows]
             self._lengths.append(h)
             self._at_flip.append(at_flip and s <= 0.0)
-            if len(self._lengths) == len(self._stack):
+            if len(self._lengths) == len(self._rows):
                 mat, stopped = self._run_chunk(mat)
                 if stopped:
                     return mat, True
@@ -494,18 +520,19 @@ class _Evolver:
 
         Returns (mat, stopped); pieces after an early stop are not counted.
         """
+        blocks = self._stack
         lengths, at_flip = self._lengths, self._at_flip
         self._lengths, self._at_flip = [], []
         m = len(lengths)
         if m == 0:
             return mat, False
         if m == 1:  # a lone piece runs its series on the rows themselves
-            mat, terms, dropped = _apply_uniformized(mat, self._stack[0], lengths[0],
+            mat, terms, dropped = _apply_uniformized(mat, blocks[0], lengths[0],
                                                      self.occupation)
             self._count(terms, dropped)
             return mat, at_flip[0] and mat.sum(axis=1).max(initial=0.0) < 1e-14
         order = sorted(range(m), key=lengths.__getitem__, reverse=True)
-        stack = np.take(self._stack[:m], order, axis=0, out=self._sorted[:m])
+        stack = np.take(blocks[:m], order, axis=0, out=self._sorted[:m])
         n = len(self._eye)
         J = np.zeros((m, n))
         E, terms, dropped = _apply_uniformized(
@@ -527,12 +554,19 @@ def quenched_laws(env: EnvTrajectory, x0: int,
                   grid: Sequence[float]) -> Iterator[np.ndarray]:
     """The quenched law of the walk from x0 at each time of an increasing grid,
     evolved incrementally by one evolver, exact up to `EXACT_TOL` total
-    variation."""
+    variation.
+
+    The grid is checked before the first step: one that is not 1-d raises
+    `InputError`, and a time outside [0, T] `HorizonError`.
+    """
     g = env.graph
     g._check_vertex(x0)
     grid = np.asarray(grid, dtype=float)
-    if len(grid) and grid[-1] > env.horizon:
-        raise HorizonError("grid reaches past horizon")
+    if grid.ndim != 1:
+        raise InputError(f"time grid must be 1-d, got shape {grid.shape}")
+    if len(grid):
+        env._check_time(grid.min())
+        env._check_time(grid.max())
     ev = _Evolver(env, 0.0)
     vec = np.zeros((1, g.n_vertices))
     vec[0, x0] = 1.0

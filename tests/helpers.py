@@ -18,7 +18,8 @@ References, each a second way to compute what the library computes:
   membership tables;
 - walks: `rebuild_step_matrix`, the dense jump matrix built edge by edge,
   and on it `rebuild_forward` and `rebuild_hitting_profile`, forward and
-  absorbed evolution with P rebuilt per flip;
+  absorbed evolution with P rebuilt per flip; `rebuild_neighbour_table`,
+  the evolvers' neighbour-or-self table built edge by edge;
 - evolving sets: the threshold rule one mask at a time (`scalar_ratios`,
   `evolve_step` for one draw of U, `scalar_step_law` for the exact law and
   `scalar_psi`), the dict set-law loop `dict_propagate_set_law` on it, the
@@ -311,6 +312,19 @@ def rebuild_step_matrix(g, open_mask):
     P[u, v] = rate
     P[v, u] = rate
     return P
+
+
+def rebuild_neighbour_table(g, open_mask):
+    """Reference for the evolvers' neighbour-or-self table, (2d, N): every
+    entry starts at its own vertex; each open edge (u, v) along `axis`
+    points u's entry 2 * axis at v and v's entry 2 * axis + 1 at u."""
+    nbr = np.tile(np.arange(g.n_vertices), (2 * g.d, 1))
+    for e, (u, v) in enumerate(g.edge_uv.tolist()):
+        if open_mask[e]:
+            axis = e % g.d
+            nbr[2 * axis, u] = v
+            nbr[2 * axis + 1, v] = u
+    return nbr
 
 
 def _series(mat, P, s, free=None):

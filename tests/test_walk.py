@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from dynaperc.dynenv import DynParams, sample_env
@@ -13,7 +15,8 @@ from dynaperc.walk import (_MAX_SEGMENT, WalkPath, _Evolver,
                            exact_hitting_profile, exact_quenched_distribution,
                            replay_is_legal, simulate_walks,
                            window_kernel, quenched_tv_curve)
-from helpers import make_env, rebuild_forward, rebuild_hitting_profile, rebuild_step_matrix
+from helpers import (make_env, rebuild_forward, rebuild_hitting_profile,
+                     rebuild_neighbour_table, rebuild_step_matrix)
 
 
 def _env(d=1, n=6, p=0.5, mu=0.25, horizon=100.0, seed=0, init="stationary"):
@@ -196,6 +199,23 @@ def test_quenched_tv_curve_monotone_and_stop():
     k = np.nonzero(stopped <= 0.25)[0][0]
     assert np.isnan(stopped[k + 1:]).all()
     assert np.allclose(stopped[:k + 1], tvs[:k + 1])
+
+
+def test_quenched_laws_check_the_grid_first(monkeypatch):
+    # a 2-d grid gave numpy's bare ValueError, a negative time "cannot
+    # evolve backwards"; both are refused before an evolver is built
+    env = _env(horizon=10.0)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("evolution started on a refused grid")
+
+    monkeypatch.setattr(walk, "_Evolver", no_work)
+    with pytest.raises(InputError):
+        quenched_tv_curve(env, 0, [[1.0, 2.0]])
+    with pytest.raises(HorizonError):
+        quenched_tv_curve(env, 0, [-1.0, 2.0])
+    with pytest.raises(HorizonError):
+        exact_quenched_distribution(env, 0, -0.5)
 
 
 def test_exact_budget():
@@ -482,17 +502,28 @@ def test_in_place_flips_match_fresh_stencil_table(d, n):
     env = _env(d=d, n=n, horizon=10.0, seed=d)
     forward = _Evolver(env, 3.0)
     absorbed = _Evolver(env, 3.0, absorbing=_half_target(g, d))
-    rows = np.arange(g.n_vertices)
     mask = env.open_mask_at(3.0)
     rng = np.random.default_rng(d)
     for e in rng.integers(g.n_edges, size=300):
         mask[e] = not mask[e]
-        fresh = rebuild_step_matrix(g, mask)[rows, forward.P.idx]
+        fresh = rebuild_neighbour_table(g, mask)
         for ev in (forward, absorbed):
             ev._flip(e)
             assert np.array_equal(ev.open_mask, mask)
             assert ev._n_open == mask.sum()
-            assert np.array_equal(ev.P.D, fresh)
+            assert np.array_equal(ev.P.nbr, fresh)
+
+
+@given(st.sampled_from([(1, 7), (2, 4), (3, 3)]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_table_term_matches_step_matrix(shape, seed):
+    # one Krylov term, the mean of 2d gathers, against the dense product
+    g = TorusGraph(*shape)
+    rng = np.random.default_rng(seed)
+    mask = rng.random(g.n_edges) < rng.random()
+    row = rng.random((1, g.n_vertices))
+    term = walk._Stencil(g, mask).series(row, [0.0, 1.0])
+    assert np.abs(term - row @ rebuild_step_matrix(g, mask)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("name", ["sampled-d2-n4", "many-chunks"])
@@ -589,7 +620,13 @@ def test_every_series_stops_at_one_tail():
 # exact_quenched_distribution outputs (OpenBLAS on x86-64); they pin the
 # forward path.  They were recorded with every series stopping at the one
 # 1e-15 tail, once each output was within 5e-16 of `rebuild_forward` on that
-# tail (the window kernels equal to it).
+# tail (the window kernels equal to it).  The d = 2 and d = 3 TV curves and
+# laws were re-recorded when one row started evolving on the neighbour
+# table: the laws moved by at most 4.2e-17 (d = 2) and 2.2e-16 (d = 3), the
+# TV curves by 1.1e-16 and 4.1e-16, and the d = 3 TV curve now sits 5.3e-16
+# from `rebuild_forward` (3.0e-16 before), whose dense rows
+# sum to 1 + k x 2.8e-17 at d = 3 (k <= 4 open edges); against an
+# extended-precision rebuild it is within 3.7e-16 and the law 5.1e-17.
 _FORWARD_HASHES = [
     ((1, 8, 0.25, 0),
      ("4d6833e24b7201e1da1f849563b4f991cb8e3add6b74a5ed45e3673f4ac7489c",
@@ -600,13 +637,13 @@ _FORWARD_HASHES = [
       "2740569c6f0582e6b1068727d6c3d68c48b9f36fdb05f3d06c16794db4a4ad69",
       "b70913209136ed234ce08acb618209b39e8d6bfccab2dfd6ee234237cdf87bd8")),
     ((2, 4, 0.5, 2),
-     ("f316c8d06b9e526d37f615807ab6a97bb2c90778aa90b150ef7a8495b2dad8fc",
+     ("2cd7d1be803c4decd7f24824619da7a7fd6ea4c60fd31bd2197ebfeb3005cc39",
       "cb93e9eb4f08b9e92e5545276f55911637e700d41436b5c4255bd6ea272280d8",
-      "8ef2870efb1b322d16e31aea587d32b8c0e7254148a2ecc32d279f8de9e40434")),
+      "fe0fc9ab94c01624942e498eb4db91060dc679f113b053789a36d538e4456bc4")),
     ((3, 3, 0.25, 3),
-     ("1e734a3f0857af97d32d67a560ca5b214d6aef8ba48f38f9f8350e7a4d1962a0",
+     ("2578f6616563db251c47f34cd0516d363f284e5ddcaa974a2242a74f36999532",
       "e1239ba75aa80c21eef0cb9cd864519a9eb7cdd4f9a3812068ad369e5c926ae9",
-      "61f9137c87e9dfc82fbdb2a114cc6ec695c8d7c89c8cad3a02b577f90f873d81")),
+      "4ababfb3072770cce83ebde94ffb2ba2148f51d92d8ccd8c1453eb2baafc8452")),
 ]
 
 
@@ -619,3 +656,43 @@ def test_forward_outputs_pinned(case, digests):
             window_kernel(env, (1.5, 40.0)),
             exact_quenched_distribution(env, 1, 60.0))
     assert tuple(hashlib.sha256(o.tobytes()).hexdigest() for o in outs) == digests
+
+
+# (segments, terms, dropped) of the forward evolvers, recorded with the
+# float stencil table: per _FORWARD_HASHES case, the TV-curve evolver (grid
+# 2, 4, ..., 58) and the window-kernel evolver on [1.5, 40]; and the mix2d
+# cell of `test_stencil_at_torus_scale`.  The truncation depends only on
+# the segment lengths, so the operator's form leaves them bit for bit.
+_FORWARD_COUNTS = {
+    (1, 8, 0.25, 0): ((82, 1139, 2.7755575615628914e-14), (36, 578, 1.2323475573339238e-14)),
+    (1, 16, 0.125, 1): ((89, 1195, 2.631228568361621e-14), (46, 662, 1.5987211554602254e-14)),
+    (2, 4, 0.5, 2): ((531, 4411, 1.1379786002407855e-13), (322, 2716, 7.205347429817266e-14)),
+    (3, 3, 0.25, 3): ((608, 4831, 1.4277468096679513e-13), (391, 3135, 9.57012247226885e-14)),
+    "mix2d": ((11444, 57070, 1.832423102143821e-12),),
+}
+
+
+def _counters(ev):
+    return ev.segments, ev.terms, ev.dropped
+
+
+@pytest.mark.parametrize("case", list(_FORWARD_COUNTS), ids=str)
+def test_forward_counters_pinned(case):
+    if case == "mix2d":
+        env = sample_env(TorusGraph(2, 16), DynParams(0.5, 0.5, 90.0), seed=5)
+        grid = np.arange(2.0, 90.0, 2.0)
+    else:
+        d, n, mu, seed = case
+        env = sample_env(TorusGraph(d, n), DynParams(0.5, mu, 60.0), seed=seed)
+        grid = np.arange(2.0, 60.0, 2.0)
+    N = env.graph.n_vertices
+    tv = _Evolver(env, 0.0)
+    row = np.eye(N)[:1]
+    for t in grid.tolist():
+        row = tv.advance(row, t)
+    got = [_counters(tv)]
+    if case != "mix2d":
+        kernel = _Evolver(env, 1.5)
+        kernel.advance(np.eye(N), 40.0)
+        got.append(_counters(kernel))
+    assert tuple(got) == _FORWARD_COUNTS[case]
