@@ -203,7 +203,8 @@ def test_quenched_tv_curve_monotone_and_stop():
 
 def test_quenched_laws_check_the_grid_first(monkeypatch):
     # a 2-d grid gave numpy's bare ValueError, a negative time "cannot
-    # evolve backwards"; both are refused before an evolver is built
+    # evolve backwards", and a decreasing grid that error after its first
+    # law; all are refused before an evolver is built
     env = _env(horizon=10.0)
 
     def no_work(*args, **kwargs):
@@ -214,6 +215,8 @@ def test_quenched_laws_check_the_grid_first(monkeypatch):
         quenched_tv_curve(env, 0, [[1.0, 2.0]])
     with pytest.raises(HorizonError):
         quenched_tv_curve(env, 0, [-1.0, 2.0])
+    with pytest.raises(InputError):
+        quenched_tv_curve(env, 0, [2.0, 1.0])
     with pytest.raises(HorizonError):
         exact_quenched_distribution(env, 0, -0.5)
 
@@ -624,7 +627,7 @@ def test_every_series_stops_at_one_tail():
 # laws were re-recorded when one row started evolving on the neighbour
 # table: the laws moved by at most 4.2e-17 (d = 2) and 2.2e-16 (d = 3), the
 # TV curves by 1.1e-16 and 4.1e-16, and the d = 3 TV curve now sits 5.3e-16
-# from `rebuild_forward` (3.0e-16 before), whose dense rows
+# from `rebuild_forward` (2.8e-16 before), whose dense rows
 # sum to 1 + k x 2.8e-17 at d = 3 (k <= 4 open edges); against an
 # extended-precision rebuild it is within 3.7e-16 and the law 5.1e-17.
 _FORWARD_HASHES = [
