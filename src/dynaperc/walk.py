@@ -23,9 +23,11 @@ flip rewrites the two entries of its edge in place.  Forward laws, window
 kernels and TV curves evolve rows through it, one series per segment.  A
 single row (a law, a TV curve) needs no N x N matrix: a segment writes its
 Krylov rows into one reused buffer, one gather and one dot a term (about
-2 us at N = 256), and adds them up with one product by the Poisson
-weights.  Many rows (a window kernel) run dense products on P scattered
-from the table, where they are faster.  Hitting profiles run it on the
+2.5 us at N = 256), and adds them up with one product by the Poisson
+weights.  Many rows (a window kernel) run gemm on a dense P written from
+the table.  Every form has the entries of `step_matrix`; where 2d is not
+a power of two (d = 3) the one-row series adds the few ulps by which the
+closed edges' gathers miss its diagonal.  Hitting profiles run it on the
 chain absorbed in the target set: only the block of free (off-target)
 states is evolved, flips on edges inside the target are skipped, and the
 series also adds up the time each row spends off the target.  The absorbed
@@ -181,30 +183,43 @@ class _Stencil:
     the mean of 2d gathers: row @ P = (1/2d) sum_k row[nbr[k]] (P is
     symmetric).  `series` writes the Krylov rows of a segment into one
     buffer, reused from segment to segment, each with one gather and one
-    dot (about 2 us a term at N = 256, against 3.1 us for a float table of
-    P's 2d + 1 nonzeros per row, multiplied and summed), and adds them up
-    with one product by the Poisson weights.  It keeps the sums unscaled,
-    T_k = (2d)^k row P^k, and divides the weights instead: at d = 1, 2 that
-    is the mean bit for bit, and at d = 3, where 6 x fl(1/6) = 1 - 2^-54,
-    the operator stays exactly stochastic.  `blocks` scatters tables into
-    dense blocks of P, and `matrix` the whole table into a dense P, kept
-    for reuse.
+    dot by 1/(2d) (about 2.5 us a term at N = 256, against 4.3 us for a float
+    table of P's 2d + 1 nonzeros per row, multiplied and summed), and adds
+    them up with one product by the Poisson weights.
+
+    Every form of P has the same entries: 1/(2d) across an open edge and,
+    on the diagonal, 1 - k/(2d) for k open edges, rounded one subtraction
+    at a time as `step_matrix` always has, read from `_diag` by the count
+    of closed edges.  When 2d is a power of two the closed edges' gathers,
+    c x 1/(2d), are that diagonal exactly.  Otherwise (d = 3, where
+    6 x fl(1/6) = 1 - 2^-54) they miss it by a few ulps, and `series` adds
+    the difference times the previous row to each term, read once a
+    segment from the closed counts, so one row evolves by the same P as the
+    window kernels; without it a d = 3 law drifts about 1e-16 of mass a
+    unit of time away from them.  `blocks` scatters tables into dense
+    blocks of P, and `matrix` writes the table onto a dense P's fixed
+    pattern, kept for reuse.
     """
 
     def __init__(self, g: TorusGraph, open_mask: np.ndarray):
         N = g.n_vertices
-        self._two_d = 2 * g.d
+        two_d = 2 * g.d
+        self._rate = 1.0 / two_d
+        self._home = np.arange(N)
+        self._far = g.neighbor_vertices.T  # neighbour k of v at [k, v]
         # C order, so a row's gather comes out contiguous
-        self.nbr = np.tile(np.arange(N), (self._two_d, 1))
+        self.nbr = np.tile(self._home, (two_d, 1))
         is_open = open_mask[g.incident_edges.T]
-        self.nbr[is_open] = g.neighbor_vertices.T[is_open]
-        self._ones = np.ones(self._two_d)
+        self.nbr[is_open] = self._far[is_open]
         # P's diagonal by number of closed edges: 1 - k/(2d) for k open
         # ones, rounded one subtraction at a time
-        rate = 1.0 / self._two_d
-        self._diag = np.array(list(accumulate([rate] * self._two_d, sub, initial=1.0)))[::-1]
+        self._diag = np.array(list(accumulate([self._rate] * two_d, sub, initial=1.0)))[::-1]
+        # and what the closed edges' gathers miss of it: nothing when 2d is
+        # a power of two
+        fixes = self._diag - np.arange(two_d + 1) * self._rate
+        self._fixes = fixes if fixes.any() else None
+        self._q = np.full(two_d, self._rate)
         self._krylov = np.empty((0, N))
-        self._scale = np.empty(0)  # (2d)^k
         self._dense: Optional[np.ndarray] = None
 
     def blocks(self, cols: np.ndarray, out: np.ndarray) -> None:
@@ -214,36 +229,46 @@ class _Stencil:
 
         One bincount counts every (block, row, column) entry.  Off the
         diagonal a count is 0 or 1, times 1/(2d); the diagonal counts a
-        row's closed edges and is read from `_diag`, which rounds as
-        `step_matrix` always has (a plain count x 1/(2d) differs at d = 3).
+        row's closed edges and is read from `_diag`.
         """
         m, _, n = cols.shape
         starts = (np.arange(m * n) * (n + 1)).reshape(m, 1, n)  # of each row
         counts = np.bincount((starts + cols).reshape(-1), minlength=m * n * (n + 1))
         counts = counts.reshape(m, n, n + 1)[:, :, :n]
-        np.multiply(counts, 1.0 / self._two_d, out=out)
+        np.multiply(counts, self._rate, out=out)
         i = np.arange(n)
         out[:, i, i] = self._diag[counts[:, i, i]]
 
     def matrix(self) -> np.ndarray:
-        """P as a dense matrix, scattered from the table."""
+        """P as a dense matrix: the table written onto P's fixed pattern, 2d
+        neighbour entries (1/(2d) when open, 0 when closed) and the diagonal
+        per row."""
+        N = len(self._home)
         if self._dense is None:
-            N = self.nbr.shape[1]
-            self._dense = np.empty((N, N))
-        self.blocks(self.nbr[None], self._dense[None])
+            self._dense = np.zeros((N, N))
+            self._at = self._home * N + self._far  # flat positions of the pattern
+            self._at_diag = self._home * (N + 1)
+        flat = self._dense.reshape(-1)
+        home = self.nbr == self._home
+        flat[self._at] = np.where(home, 0.0, self._rate)
+        flat[self._at_diag] = self._diag[home.sum(axis=0)]
         return self._dense
 
     def series(self, row: np.ndarray, ws: list) -> np.ndarray:
         """sum_k ws[k] row P^k for a (1, N) row."""
         K = len(ws)
         if len(self._krylov) < K:
-            self._krylov = np.empty((K, self.nbr.shape[1]))
-            self._scale = float(self._two_d) ** np.arange(K)
+            self._krylov = np.empty((K, len(self._home)))
         T = self._krylov[:K]
         T[0] = row[0]
+        fix = None
+        if self._fixes is not None:
+            fix = self._fixes[(self.nbr == self._home).sum(axis=0)]
         for k in range(1, K):
-            np.dot(self._ones, T[k - 1][self.nbr], out=T[k])
-        return np.dot(np.divide(ws, self._scale[:K]), T)[None, :]
+            np.dot(self._q, T[k - 1][self.nbr], out=T[k])
+            if fix is not None:
+                T[k] += fix * T[k - 1]
+        return np.dot(ws, T)[None, :]
 
 
 def step_matrix(g: TorusGraph, open_mask: np.ndarray) -> np.ndarray:
@@ -274,10 +299,13 @@ def _apply_uniformized(mat: np.ndarray, P: np.ndarray | _Stencil, s,
     Forward evolution passes the evolver's `_Stencil` (one segment, no
     `occupation`); absorbed evolution passes dense free blocks scattered
     from its table.  On the table one row runs on the Krylov rows, one
-    gather and one dot a term; more rows run the products on its dense
-    matrix.  For a window kernel's N rows, gemm took 38 ms a term at N =
-    1024 against 87 ms for 2d column gathers added up, and at N = 256 the
-    two were about even (1.0 and 0.84 ms).
+    gather and one dot a term; more rows run gemm on its dense matrix.  For
+    a window kernel's N rows a term (gemm plus a fifth of one `matrix`
+    write, about the terms a segment takes) was measured against the 2d
+    column gathers contracted with 1/(2d): 2.3 against 4.9 us at N = 16
+    (d = 1), 11 against 21 us at N = 64 (d = 2) and 38 against 87 ms at
+    N = 1024, but 0.64 against 0.48 ms at N = 256.  No benchmark workload
+    runs window kernels, so one rule, gemm, serves every N.
     """
     stacked = not np.isscalar(s)
     weights, terms, dropped = [], [], []
@@ -299,7 +327,7 @@ def _apply_uniformized(mat: np.ndarray, P: np.ndarray | _Stencil, s,
     if isinstance(P, _Stencil):
         if len(mat) == 1:
             return P.series(mat, weights[0]), terms[0], dropped[0]
-        P = P.matrix()  # many rows: matrix products beat the gathers
+        P = P.matrix()  # many rows: gemm, faster except near N = 256
     if occupation is not None:
         # int_0^h e^{-t} t^k/k! dt: 1 - w_0 for k = 0, then the previous one
         # less the Poisson weight
@@ -444,9 +472,13 @@ class _Evolver:
 
     @property
     def _stack(self) -> np.ndarray:
-        """The free blocks of the pieces stacked so far, in time order: each
-        read scatters them from their rows of the table, all with one
-        `_Stencil.blocks` call."""
+        """The free blocks of the pieces stacked so far, in time order.
+
+        Not a stored value: every read scatters all of them anew from their
+        rows of the table (one `_Stencil.blocks` call, a bincount over the
+        whole stack) and overwrites the block buffer.  `_run_chunk` reads it
+        once, on entry.
+        """
         m = len(self._lengths)
         self.P.blocks(self._col[self._rows[:m]], self._blocks[:m])
         return self._blocks
@@ -520,7 +552,7 @@ class _Evolver:
 
         Returns (mat, stopped); pieces after an early stop are not counted.
         """
-        blocks = self._stack
+        blocks = self._stack  # scatters the chunk's blocks
         lengths, at_flip = self._lengths, self._at_flip
         self._lengths, self._at_flip = [], []
         m = len(lengths)

@@ -625,11 +625,9 @@ def test_every_series_stops_at_one_tail():
 # 1e-15 tail, once each output was within 5e-16 of `rebuild_forward` on that
 # tail (the window kernels equal to it).  The d = 2 and d = 3 TV curves and
 # laws were re-recorded when one row started evolving on the neighbour
-# table: the laws moved by at most 4.2e-17 (d = 2) and 2.2e-16 (d = 3), the
-# TV curves by 1.1e-16 and 4.1e-16, and the d = 3 TV curve now sits 5.3e-16
-# from `rebuild_forward` (2.8e-16 before), whose dense rows
-# sum to 1 + k x 2.8e-17 at d = 3 (k <= 4 open edges); against an
-# extended-precision rebuild it is within 3.7e-16 and the law 5.1e-17.
+# table, each within 5e-16 of `rebuild_forward` again: d = 2 at 2.8e-16
+# (TV) and 1.4e-16 (law), moved from before by 1.1e-16 and 4.2e-17; d = 3
+# at 3.0e-16 and 1.8e-16, moved by 2.4e-16 and 1.4e-16.
 _FORWARD_HASHES = [
     ((1, 8, 0.25, 0),
      ("4d6833e24b7201e1da1f849563b4f991cb8e3add6b74a5ed45e3673f4ac7489c",
@@ -644,9 +642,9 @@ _FORWARD_HASHES = [
       "cb93e9eb4f08b9e92e5545276f55911637e700d41436b5c4255bd6ea272280d8",
       "fe0fc9ab94c01624942e498eb4db91060dc679f113b053789a36d538e4456bc4")),
     ((3, 3, 0.25, 3),
-     ("2578f6616563db251c47f34cd0516d363f284e5ddcaa974a2242a74f36999532",
+     ("ca5e1efcc11e3a9079956d954c2988584965318b98a44cbc99375293d04412a3",
       "e1239ba75aa80c21eef0cb9cd864519a9eb7cdd4f9a3812068ad369e5c926ae9",
-      "4ababfb3072770cce83ebde94ffb2ba2148f51d92d8ccd8c1453eb2baafc8452")),
+      "402f63a35c4824a254df4716cbeb2caa79503916559417c7e7c3667b8d8343fe")),
 ]
 
 
