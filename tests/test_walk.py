@@ -529,6 +529,20 @@ def test_table_term_matches_step_matrix(shape, seed):
     assert np.abs(term - row @ rebuild_step_matrix(g, mask)).max() <= 1e-15
 
 
+@pytest.mark.parametrize("d, n", [(1, 7), (2, 4), (3, 3)])
+def test_table_term_of_a_unit_row_is_a_row_of_step_matrix(d, n):
+    # with k of its edges closed, a vertex's term carries P's diagonal bit
+    # for bit: at d = 3 the closed edges' gathers, k x fl(1/6), miss it by
+    # a few ulps (by 1.7e-16 with all six open) and the series adds that
+    g = TorusGraph(d, n)
+    unit = np.eye(g.n_vertices)[:1]
+    for k in range(2 * d + 1):
+        mask = np.ones(g.n_edges, dtype=bool)
+        mask[g.incident_edges[0, :k]] = False
+        term = walk._Stencil(g, mask).series(unit, [0.0, 1.0])
+        assert np.array_equal(term[0], rebuild_step_matrix(g, mask)[0])
+
+
 @pytest.mark.parametrize("name", ["sampled-d2-n4", "many-chunks"])
 def test_stacked_blocks_match_fresh_free_block(name, monkeypatch):
     # every block the absorbed path stacks, over a run of several chunks
