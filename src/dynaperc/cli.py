@@ -136,9 +136,7 @@ class Runner:
     """Shared plumbing: artifact directory, manifest, budget accounting."""
 
     def __init__(self, args):
-        # environment dumps store the seed as an int64
-        if not 0 <= args.seed < 2 ** 63:
-            raise InputError(f"seed {args.seed} is outside [0, 2^63)")
+        dynenv.check_seed(args.seed)
         texts, self.cfg = _load_config(args.config, {"scenario": args.scenario})
         self.hash = _config_hash(texts, args.subcommand, args.seed)
         self.seed = args.seed

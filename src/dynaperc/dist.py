@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from . import walk as walkmod
-from .dynenv import DynParams, EnvTrajectory, sample_env
+from .dynenv import DynParams, EnvTrajectory, check_seed, sample_env
 from .errors import InputError
 from .expansion import as_mask
 from .torus import TorusGraph
@@ -87,12 +87,16 @@ def sample_envs(g: TorusGraph, params: DynParams, init: Union[str, Sequence[int]
     """`count` environments, the i-th drawn by `sample_env` with seed
     `seed + i` (unseeded when `seed` is None), one at a time.
 
-    A count below 1 raises `InputError`, and a torus past the exact-size
-    limit `CapabilityError`, at the call, before any draw.
+    A count that is not an integer >= 1, or a first or last seed that
+    `dynenv.check_seed` refuses, raises `InputError`, and a torus past the
+    exact-size limit `CapabilityError`, at the call, before any draw.
     """
     walkmod.check_exact_size(g)
-    if count < 1:
-        raise InputError(f"need at least one environment sample, got {count}")
+    if not isinstance(count, (int, np.integer)) or count < 1:
+        raise InputError(f"need at least one environment sample, got {count!r}")
+    check_seed(seed)
+    if seed is not None:
+        check_seed(int(seed) + int(count) - 1)
     return (sample_env(g, params, init=init, seed=None if seed is None else seed + i)
             for i in range(count))
 

@@ -334,6 +334,14 @@ def _sample_flips(rng: np.random.Generator, params: DynParams,
     return flips[:n], offsets
 
 
+def check_seed(seed: Optional[int]) -> None:
+    """Raise `InputError` unless seed is None or an integer in [0, 2^63),
+    which an environment dump stores as an int64."""
+    if seed is not None and not (isinstance(seed, (int, np.integer))
+                                 and 0 <= seed < 2 ** 63):
+        raise InputError(f"seed {seed!r} is not an integer in [0, 2^63)")
+
+
 def sample_env(g: TorusGraph, params: DynParams,
                init: Union[str, Sequence[int]] = "stationary",
                seed: Optional[int] = None) -> EnvTrajectory:
@@ -341,8 +349,10 @@ def sample_env(g: TorusGraph, params: DynParams,
 
     `init` is one of "stationary", "all-closed", "all-open", or an explicit 0/1
     sequence over edges.  The same (params, init, seed) always reproduces the
-    identical trajectory.
+    identical trajectory.  A seed that `check_seed` refuses raises
+    `InputError` before any draw.
     """
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     E = g.n_edges
     tag = init if isinstance(init, str) else "explicit"

@@ -149,8 +149,12 @@ def _env_states(chain: FiniteEnvChain, states) -> np.ndarray:
 
 def sample_env_path(chain: FiniteEnvChain, zeta0: int, steps: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """Environment states driving steps 1..`steps` from zeta0, drawn by R."""
+    """Environment states driving steps 1..`steps` from zeta0, drawn by R; a
+    start outside the chain, or a step count that is not an integer >= 0,
+    raises `InputError` before any draw."""
     z = int(_env_states(chain, [zeta0])[0])
+    if not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise InputError(f"steps must be an integer >= 0, got {steps!r}")
     path = np.empty(steps, dtype=np.int64)
     for k in range(steps):
         z = int(rng.choice(chain.n_env, p=chain.R[z]))

@@ -28,12 +28,15 @@ from .expansion import (_BIT, SUBSET_ENUM_MAX_STATES, as_mask, half_mass_subsets
 
 @dataclass(frozen=True)
 class TorusGraph:
-    """The torus Z_n^d with n >= 3 (n = 2 would create parallel edges)."""
+    """The torus Z_n^d with integers d >= 1 and n >= 3 (n = 2 would create
+    parallel edges)."""
 
     d: int
     n: int
 
     def __post_init__(self):
+        if not all(isinstance(k, (int, np.integer)) for k in (self.d, self.n)):
+            raise InputError(f"d and n must be integers, got {self.d!r} and {self.n!r}")
         if self.d < 1:
             raise InputError(f"dimension must be >= 1, got {self.d}")
         if self.n < 3:

@@ -25,18 +25,18 @@ single row (a law, a TV curve) needs no N x N matrix: a segment writes its
 Krylov rows into one reused buffer, one gather and one dot a term (about
 2.5 us at N = 256), and adds them up with one product by the Poisson
 weights.  Many rows (a window kernel) run gemm on a dense P written from
-the table.  Every form has the entries of `step_matrix`; where 2d is not
-a power of two (d = 3) the one-row series adds the few ulps by which the
-closed edges' gathers miss its diagonal.  Hitting profiles run it on the
-chain absorbed in the target set: only the block of free (off-target)
-states is evolved, flips on edges inside the target are skipped, and the
-series also adds up the time each row spends off the target.  The absorbed
-path works in chunks of up to 128 segments: it copies the free rows of the
-table for each segment onto an int stack, scatters the whole chunk's
-blocks at once, runs one series on them to get every segment's propagator
-and occupation integral, and chains those in time order, so the
-per-product Python cost is paid once per chunk rather than once per
-segment.  It reads the flips a window at a time and stops at absorption.
+the table.  Every form has the entries of `step_matrix`, whose diagonal
+is a vertex's closed edges times 1/(2d), the sum of their gathers.
+Hitting profiles run it on the chain absorbed in the target set: only the
+block of free (off-target) states is evolved, flips on edges inside the
+target are skipped, and the series also adds up the time each row spends
+off the target.  The absorbed path works in chunks of up to 128
+segments: it copies the free rows of the table for each segment onto an
+int stack, scatters the whole chunk's blocks at once, runs one series on
+them to get every segment's propagator and occupation integral, and chains
+those in time order, so the per-product Python cost is paid once per chunk
+rather than once per segment.  It reads the flips a window at a time and
+stops at absorption.
 
 One rule truncates every series, forward or absorbed: it stops at the first
 term where its Poisson tail is below `_SERIES_TAIL`.  An evolver counts the
@@ -188,16 +188,9 @@ class _Stencil:
     them up with one product by the Poisson weights.
 
     Every form of P has the same entries: 1/(2d) across an open edge and,
-    on the diagonal, 1 - k/(2d) for k open edges, rounded one subtraction
-    at a time as `step_matrix` always has, read from `_diag` by the count
-    of closed edges.  When 2d is a power of two the closed edges' gathers,
-    c x 1/(2d), are that diagonal exactly.  Otherwise (d = 3, where
-    6 x fl(1/6) = 1 - 2^-54) they miss it by a few ulps, and `series` adds
-    the difference times the previous row to each term, read once a
-    segment from the closed counts, so one row evolves by the same P as the
-    window kernels; without it a d = 3 law drifts about 1e-16 of mass a
-    unit of time away from them.  `blocks` scatters tables into dense
-    blocks of P, and `matrix` writes the table onto a dense P's fixed
+    on the diagonal, the count of closed edges times 1/(2d), which is what
+    the closed edges' gathers add up to.  `blocks` scatters tables into
+    dense blocks of P, and `matrix` writes the table onto a dense P's fixed
     pattern, kept for reuse.
     """
 
@@ -211,13 +204,6 @@ class _Stencil:
         self.nbr = np.tile(self._home, (two_d, 1))
         is_open = open_mask[g.incident_edges.T]
         self.nbr[is_open] = self._far[is_open]
-        # P's diagonal by number of closed edges: 1 - k/(2d) for k open
-        # ones, rounded one subtraction at a time
-        self._diag = np.array(list(accumulate([self._rate] * two_d, sub, initial=1.0)))[::-1]
-        # and what the closed edges' gathers miss of it: nothing when 2d is
-        # a power of two
-        fixes = self._diag - np.arange(two_d + 1) * self._rate
-        self._fixes = fixes if fixes.any() else None
         self._q = np.full(two_d, self._rate)
         self._krylov = np.empty((0, N))
         self._dense: Optional[np.ndarray] = None
@@ -227,31 +213,27 @@ class _Stencil:
         the block columns of n rows' table entries, with n standing for a
         column outside the block, which is dropped.
 
-        One bincount counts every (block, row, column) entry.  Off the
-        diagonal a count is 0 or 1, times 1/(2d); the diagonal counts a
-        row's closed edges and is read from `_diag`.
+        One bincount counts every (block, row, column) entry, times 1/(2d):
+        off the diagonal a count is 0 or 1, and on it a row's closed edges.
         """
         m, _, n = cols.shape
         starts = (np.arange(m * n) * (n + 1)).reshape(m, 1, n)  # of each row
         counts = np.bincount((starts + cols).reshape(-1), minlength=m * n * (n + 1))
-        counts = counts.reshape(m, n, n + 1)[:, :, :n]
-        np.multiply(counts, self._rate, out=out)
-        i = np.arange(n)
-        out[:, i, i] = self._diag[counts[:, i, i]]
+        np.multiply(counts.reshape(m, n, n + 1)[:, :, :n], self._rate, out=out)
 
     def matrix(self) -> np.ndarray:
         """P as a dense matrix: the table written onto P's fixed pattern, 2d
-        neighbour entries (1/(2d) when open, 0 when closed) and the diagonal
-        per row."""
+        neighbour entries (1/(2d) when open, 0 when closed) and, per row,
+        the diagonal, its closed edges times 1/(2d)."""
         N = len(self._home)
         if self._dense is None:
             self._dense = np.zeros((N, N))
             self._at = self._home * N + self._far  # flat positions of the pattern
-            self._at_diag = self._home * (N + 1)
+            self._at_home = self._home * (N + 1)
         flat = self._dense.reshape(-1)
         home = self.nbr == self._home
         flat[self._at] = np.where(home, 0.0, self._rate)
-        flat[self._at_diag] = self._diag[home.sum(axis=0)]
+        flat[self._at_home] = home.sum(axis=0) * self._rate
         return self._dense
 
     def series(self, row: np.ndarray, ws: list) -> np.ndarray:
@@ -261,21 +243,17 @@ class _Stencil:
             self._krylov = np.empty((K, len(self._home)))
         T = self._krylov[:K]
         T[0] = row[0]
-        fix = None
-        if self._fixes is not None:
-            fix = self._fixes[(self.nbr == self._home).sum(axis=0)]
         for k in range(1, K):
             np.dot(self._q, T[k - 1][self.nbr], out=T[k])
-            if fix is not None:
-                T[k] += fix * T[k - 1]
         return np.dot(ws, T)[None, :]
 
 
 def step_matrix(g: TorusGraph, open_mask: np.ndarray) -> np.ndarray:
     """P = I + Q for the frozen configuration; Q jumps across open edges at rate 1/(2d).
 
-    Exact evolution never builds it: evolvers hold the neighbour table.  The
-    benchmark tracer hooks this name.
+    A diagonal entry is the vertex's count of closed edges times 1/(2d), at
+    every d.  Exact evolution never builds it: evolvers hold the neighbour
+    table.  The benchmark tracer hooks this name.
     """
     return _Stencil(g, open_mask).matrix()
 

@@ -300,17 +300,16 @@ def rebuild_iso_profile(g):
 
 def rebuild_step_matrix(g, open_mask):
     """Reference for the evolvers' jump operator: P = I + Q for a frozen
-    configuration, dense.  P starts as the identity; each open edge takes
-    the rate 1/(2d) off both its diagonal entries and sets both its
-    off-diagonal ones.  Every subtraction takes off the same rate, so a
-    diagonal entry depends only on its number of open edges."""
+    configuration, dense.  Each open edge sets both its off-diagonal
+    entries to the rate 1/(2d); each vertex's closed edges are counted from
+    `edge_uv`, and its diagonal entry is that count times the rate."""
     rate = 1.0 / (2 * g.d)
-    P = np.eye(g.n_vertices)
+    P = np.zeros((g.n_vertices, g.n_vertices))
     u, v = g.edge_uv[open_mask].T
-    np.subtract.at(P, (u, u), rate)
-    np.subtract.at(P, (v, v), rate)
     P[u, v] = rate
     P[v, u] = rate
+    closed = np.bincount(g.edge_uv[~open_mask].reshape(-1), minlength=g.n_vertices)
+    P[np.diag_indices_from(P)] = closed * rate
     return P
 
 

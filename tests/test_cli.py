@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from dynaperc import cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args):
@@ -214,8 +217,9 @@ def test_walk_replay_check_survives_optimize(tmp_path):
     code = ("import sys; from dynaperc import cli, walk; "
             "walk.replay_is_legal = lambda env, path: False; "
             f"sys.exit(cli.main(['walk-sim', '--out', {str(out)!r}]))")
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                          timeout=120)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, timeout=120)
     assert proc.returncode == 1
     rec = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
     assert rec["status"].startswith("error")

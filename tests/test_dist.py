@@ -131,7 +131,7 @@ _ENSEMBLE_CALLS = {
 }
 
 
-@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("count", [0, -1, 1.5])
 @pytest.mark.parametrize("call", sorted(_ENSEMBLE_CALLS))
 def test_empty_ensembles_are_refused(call, count):
     # NaN means or an infinite mixing time otherwise
@@ -139,6 +139,21 @@ def test_empty_ensembles_are_refused(call, count):
     params = DynParams(p=0.5, mu=0.25, horizon=80.0)
     with pytest.raises(InputError):
         _ENSEMBLE_CALLS[call](g, params, count)
+
+
+def test_ensemble_seeds_are_checked_at_the_call(monkeypatch):
+    # environment i is seeded seed + i; the last must stay below 2^63, which
+    # a dump stores as an int64
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew an environment at the call")
+
+    monkeypatch.setattr(D, "sample_env", no_draw)
+    g = TorusGraph(d=1, n=6)
+    params = DynParams(p=0.5, mu=0.25, horizon=80.0)
+    D.sample_envs(g, params, "stationary", 2 ** 63 - 2, 2)
+    for seed, count in [(2 ** 63 - 2, 3), (-1, 1), (1.5, 1)]:
+        with pytest.raises(InputError):
+            D.sample_envs(g, params, "stationary", seed, count)
 
 
 def test_hitting_stats_shapes_and_gate():

@@ -443,6 +443,18 @@ def test_event_index_rejects_times_outside_horizon(kind):
         env.open_mask_at(T * 2)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, 2 ** 63], ids=["-1", "1.5", "2**63"])
+def test_sampler_refuses_seeds_a_dump_cannot_store(seed, monkeypatch):
+    # 2**63 sampled a whole environment and then failed in `dump_env`; -1 and
+    # 1.5 failed inside numpy
+    def no_draw(*args):
+        raise AssertionError("drew flips before the seed was checked")
+
+    monkeypatch.setattr(dynenv, "_sample_flips", no_draw)
+    with pytest.raises(InputError):
+        sample_env(TorusGraph(d=1, n=6), DynParams(p=0.5, mu=0.25, horizon=5.0), seed=seed)
+
+
 @pytest.mark.parametrize("A", [[-1], [0.5], [6], np.array([0, 6])])
 def test_count_open_throughout_refuses_bad_edge_ids(A):
     # -1 counted the last edge, 0.5 edge 0, and E raised IndexError

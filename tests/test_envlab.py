@@ -1,7 +1,9 @@
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +104,13 @@ def test_quenched_law_refuses_indices_outside_the_chain(path, x0):
 def test_sample_env_path_refuses_a_start_outside_the_chain(zeta0):
     with pytest.raises(InputError):
         L.sample_env_path(_ring_chain(), zeta0, 3, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("steps", [-1, 2.5])
+def test_sample_env_path_refuses_a_bad_step_count(steps):
+    # numpy raised ValueError for -1 and range TypeError for 2.5
+    with pytest.raises(InputError):
+        L.sample_env_path(_ring_chain(), 0, steps, np.random.default_rng(0))
 
 
 def test_counterexample_values():
@@ -276,7 +285,8 @@ def test_certificate_path_does_not_load_scipy():
             "evoset.doob_z_bound_check(inhom, 0)\n"
             "evoset.propagate_set_law(inhom.kernels, inhom.pi, 1, prune=0.0)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

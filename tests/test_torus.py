@@ -24,6 +24,10 @@ def test_invalid_params():
         TorusGraph(d=0, n=4)
     with pytest.raises(InputError):
         TorusGraph(d=1, n=2)
+    with pytest.raises(InputError):  # built a graph of 4.5 vertices
+        TorusGraph(d=1, n=4.5)
+    with pytest.raises(InputError):  # a TypeError at the first neighbour lookup
+        TorusGraph(d=2.0, n=4)
 
 
 def test_vertex_coords_roundtrip():
