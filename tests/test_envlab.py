@@ -108,7 +108,7 @@ def test_sample_env_path_refuses_a_start_outside_the_chain(zeta0):
 
 @pytest.mark.parametrize("steps", [-1, 2.5])
 def test_sample_env_path_refuses_a_bad_step_count(steps):
-    # numpy raised ValueError for -1 and range TypeError for 2.5
+    # numpy raised ValueError for -1 and TypeError for 2.5
     with pytest.raises(InputError):
         L.sample_env_path(_ring_chain(), 0, steps, np.random.default_rng(0))
 
