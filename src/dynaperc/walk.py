@@ -13,36 +13,40 @@ flips, exact up to `EXACT_TOL` in total variation.  All positions are reported
 right continuously.
 
 One core does all exact evolution: `_Evolver.advance` walks the flip segments
-of the environment and `_apply_uniformized` runs the series.  The jump
-operator is held one way only, as the int neighbour-or-self table
-`_Stencil.nbr`, (2d, N): entry k of v is v's neighbour k when that edge is
-open and v itself when it is closed.  An attempt across a closed edge
-stays home, so P = I + Q is the mean of 2d gathers, row @ P =
-(1/2d) sum_k row[nbr[k]].  The table is built once per evolver and each
-flip rewrites the two entries of its edge in place.  Forward laws, window
-kernels and TV curves evolve rows through it, one series per segment.  A
-single row (a law, a TV curve) needs no N x N matrix: a segment writes its
-Krylov rows into one reused buffer, one gather and one dot a term (about
-2.5 us at N = 256), and adds them up with one product by the Poisson
-weights.  Many rows (a window kernel) run gemm on a dense P written from
-the table.  Every form has the entries of `step_matrix`, whose diagonal
-is a vertex's closed edges times 1/(2d), the sum of their gathers.
-Hitting profiles run it on the chain absorbed in the target set: only the
-block of free (off-target) states is evolved, flips on edges inside the
-target are skipped, and the series also adds up the time each row spends
-off the target.  The absorbed path works in chunks of up to 128
-segments: it copies the free rows of the table for each segment onto an
-int stack, scatters the whole chunk's blocks at once, runs one series on
-them to get every segment's propagator and occupation integral, and chains
-those in time order, so the per-product Python cost is paid once per chunk
-rather than once per segment.  It reads the flips a window at a time and
-stops at absorption.
+of the environment, `_poisson_table` gives every series its Poisson weights,
+one table per block of up to 1024 segments, and `_apply_uniformized` runs
+the series.  The jump operator is held one way only, as the int
+neighbour-or-self table `_Stencil.nbr`, (2d, N): entry k of v is v's
+neighbour k when that edge is open and v itself when it is closed.  An
+attempt across a closed edge stays home, so P = I + Q is the mean of 2d
+gathers, row @ P = (1/2d) sum_k row[nbr[k]].  The table is built once per
+evolver and each flip rewrites the two entries of its edge in place.
+Forward laws, window kernels and TV curves evolve rows through it, one
+series per segment, with the flips applied between them.  A single row (a
+law, a TV curve) needs no N x N matrix: a segment writes its Krylov rows
+into one reused buffer, one gather and one dot a term (about 2.5 us at
+N = 256), and adds them up with one dot by its row of weights.  Many rows
+(a window kernel) run gemm on a dense P written from the table.  Every form
+has the entries of `step_matrix`, whose diagonal is a vertex's closed edges
+times 1/(2d), the sum of their gathers.  Hitting profiles run it on the
+chain absorbed in the target set: only the block of free (off-target)
+states is evolved, flips on edges inside the target are skipped, and each
+segment's time off the target is added up too.  The absorbed path works in
+chunks of up to 128 segments: it copies the free rows of the table for each
+segment onto an int stack, scatters the whole chunk's blocks at once, runs
+one Horner pass over them all for every segment's propagator E and
+occupation integral J, and multiplies the chunk's [[E, J], [0, 1]] by a
+pairwise product tree, so the Python cost of a product is paid once per
+chunk rather than once per segment.  It reads the flips a window at a time
+and stops at absorption.
 
 One rule truncates every series, forward or absorbed: it stops at the first
-term where its Poisson tail is below `_SERIES_TAIL`.  An evolver counts the
-series it ran (`segments`), their matrix products (`terms`), and the tail
-mass they left out (`dropped`), which bounds the error and is at most
-`segments` x `_SERIES_TAIL`: 1e5 series stay within `EXACT_TOL`.
+term where its Poisson tail is below `_SERIES_TAIL` or, past the peak of the
+weights, at the first term that leaves their sum unchanged.  An evolver
+counts the series it ran (`segments`), their matrix products (`terms`), and
+the tail mass they left out (`dropped`), which bounds the error.  A series
+leaves out less than `_SERIES_TAIL`, or about 1.1e-15 where the sum sticks
+just under 1 - `_SERIES_TAIL`, so 8e4 series stay within `EXACT_TOL`.
 
 One size check, `check_exact_size`, guards all exact evolution: more than
 `EXACT_STATE_BUDGET` states raise `CapabilityError`.  `_Evolver`'s
@@ -55,8 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import sub
+from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -76,12 +79,17 @@ EXACT_TOL = 1e-10
 _SERIES_TAIL = 1e-15
 # Uniformization segments longer than this are split to avoid exp underflow.
 _MAX_SEGMENT = 32.0
-# Absorbed evolution runs one series per chunk of at most _CHUNK pieces and
-# _CHUNK_BYTES of stacked blocks: 128 pieces up to 11 free states, 64 at 16,
-# 16 at 32, and from 128 free states one piece at a time, where a stacked
-# series was measured slower than a series per piece.
+# Absorbed evolution runs one Horner pass and one product tree per chunk of
+# at most _CHUNK pieces and _CHUNK_BYTES of stacked blocks: 128 pieces up to
+# 11 free states, 64 at 16, 16 at 32, and from 128 free states one piece at
+# a time, on the rows themselves, where a stacked series was measured slower
+# than a series per piece.  Chunks of 64 and 256 were no faster than 128 on
+# the hitting profiles of the 16- and 20-cycle (8 and 10 free states).
 _CHUNK = 128
 _CHUNK_BYTES = 1 << 17
+# A Poisson weight table holds at most this many series, so a long advance
+# never allocates a flips x terms table.
+_TABLE_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -206,6 +214,7 @@ class _Stencil:
         self.nbr[is_open] = self._far[is_open]
         self._q = np.full(two_d, self._rate)
         self._krylov = np.empty((0, N))
+        self._terms: list[np.ndarray] = []
         self._dense: Optional[np.ndarray] = None
 
     def blocks(self, cols: np.ndarray, out: np.ndarray) -> None:
@@ -236,16 +245,19 @@ class _Stencil:
         flat[self._at_home] = home.sum(axis=0) * self._rate
         return self._dense
 
-    def series(self, row: np.ndarray, ws: list) -> np.ndarray:
+    def series(self, row: np.ndarray, ws: np.ndarray) -> np.ndarray:
         """sum_k ws[k] row P^k for a (1, N) row."""
         K = len(ws)
         if len(self._krylov) < K:
             self._krylov = np.empty((K, len(self._home)))
-        T = self._krylov[:K]
-        T[0] = row[0]
-        for k in range(1, K):
-            np.dot(self._q, T[k - 1][self.nbr], out=T[k])
-        return np.dot(ws, T)[None, :]
+            self._terms = list(self._krylov)  # views of its rows
+        prev = self._terms[0]
+        prev[:] = row[0]
+        q, nbr = self._q, self.nbr
+        for term in self._terms[1:K]:
+            np.dot(q, prev[nbr], out=term)
+            prev = term
+        return np.dot(ws, self._krylov[:K])[None, :]
 
 
 def step_matrix(g: TorusGraph, open_mask: np.ndarray) -> np.ndarray:
@@ -258,92 +270,96 @@ def step_matrix(g: TorusGraph, open_mask: np.ndarray) -> np.ndarray:
     return _Stencil(g, open_mask).matrix()
 
 
-def _apply_uniformized(mat: np.ndarray, P: np.ndarray | _Stencil, s,
-                       occupation: Optional[np.ndarray] = None):
-    """mat @ expm((P - I) s) as a Poisson-weighted series, tail mass < `_SERIES_TAIL`.
+def _poisson_table(lengths: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W, K, dropped) for the series of each length h <= `_MAX_SEGMENT`:
+    series i takes K[i] products with weights W[i, :K[i] + 1] (e^-h h^k/k!;
+    later entries are unused) and leaves out the Poisson mass dropped[i].
 
-    Returns (result, terms, dropped): the matrix products taken and the
-    Poisson mass 1 - cum the series left out.  With an `occupation` vector,
-    also adds int_0^s (row sums of the evolving rows) dt into it.
-
-    With a sequence of lengths `s`, runs a stack of series at once: `mat`
-    is (B, r, n), `P` is (B, n, n), `occupation` is (B, r), and terms and
-    dropped are per-segment lists.  Each segment's weights follow its own
-    scalar recurrence, so its series stops at the term where it would stop
-    alone; past that term its weights are 0 and it adds nothing.  Stopped
-    segments are sliced off the end of the stack, so stacking the longest
-    first keeps the products to the segments still running.
-
-    Forward evolution passes the evolver's `_Stencil` (one segment, no
-    `occupation`); absorbed evolution passes dense free blocks scattered
-    from its table.  On the table one row runs on the Krylov rows, one
-    gather and one dot a term; more rows run gemm on its dense matrix.  For
-    a window kernel's N rows a term (gemm plus a fifth of one `matrix`
-    write, about the terms a segment takes) was measured against the 2d
-    column gathers contracted with 1/(2d): 2.3 against 4.9 us at N = 16
-    (d = 1), 11 against 21 us at N = 64 (d = 2) and 38 against 87 ms at
-    N = 1024, but 0.64 against 0.48 ms at N = 256.  No benchmark workload
-    runs window kernels, so one rule, gemm, serves every N.
+    The weights are the scalar recurrence w *= h/k, cum += w bit for bit, as
+    a cumprod and a cumsum.  W is C-contiguous, since a dot by a strided
+    column gives other bits.  A series stops at the first k where
+    cum >= 1 - `_SERIES_TAIL` or, once k > h, where a term leaves cum
+    unchanged, as every later one would: at some lengths cum sticks just
+    under 1 - `_SERIES_TAIL` (h = 23.0206 stops at 74 terms, not the 392 its
+    weights take to underflow), so dropped can reach about 1.1e-15.
     """
-    stacked = not np.isscalar(s)
-    weights, terms, dropped = [], [], []
-    for h in (s if stacked else [s]):
-        w = math.exp(-h)
-        cum = w
-        ws = [w]
-        k = 0
-        while cum < 1.0 - _SERIES_TAIL:
-            k += 1
-            w *= h / k
-            cum += w
-            ws.append(w)
-            if w == 0.0:  # weights underflowed; the series is numerically complete
-                break
-        weights.append(ws)
-        terms.append(k)
-        dropped.append(max(1.0 - cum, 0.0))
+    h = np.asarray(lengths, dtype=float)
+    top = h.max(initial=0.0)
+    width = math.ceil(top + 8.0 * math.sqrt(top)) + 16  # K(h) <= h + 8 sqrt(h) + 13
+    while True:
+        k = np.arange(width + 1.0)[:, None]
+        T = np.empty((width + 1, len(h)))  # term k of every series in row k
+        T[0] = [math.exp(-x) for x in h.tolist()]
+        np.divide(h, k[1:], out=T[1:])
+        np.multiply.accumulate(T, out=T)
+        cum = np.cumsum(T, axis=0)
+        stop = cum >= 1.0 - _SERIES_TAIL
+        stop[1:] |= (cum[1:] == cum[:-1]) & (k[1:] > h)
+        if stop.any(axis=0).all():
+            break
+        width *= 2
+    K = stop.argmax(axis=0)
+    return T.T.copy(), K, np.maximum(1.0 - cum[K, np.arange(len(h))], 0.0)
+
+
+def _pieces(cuts: list[float], flips: list[int]) -> Iterator[tuple[float, Optional[int]]]:
+    """The series pieces of the segments between consecutive cuts, as (h, e):
+    e is the flip that ends the segment, on its last piece, else None.  A
+    segment longer than `_MAX_SEGMENT` is split into pieces of that length
+    and a rest; an empty one is one piece of length 0, for its flip."""
+    for a, b, e in zip(cuts, cuts[1:], [*flips, None]):
+        s = b - a
+        while s > _MAX_SEGMENT:
+            yield _MAX_SEGMENT, None
+            s -= _MAX_SEGMENT
+        yield s, e
+
+
+def _apply_uniformized(mat: np.ndarray, P: np.ndarray | _Stencil, w: np.ndarray,
+                       occupation: Optional[np.ndarray] = None) -> np.ndarray:
+    """mat @ expm((P - I) h) as the series sum_k w[k] mat P^k, for the weight
+    row w of length h from `_poisson_table`.
+
+    With an `occupation` vector, also adds int_0^h (row sums of the evolving
+    rows) dt into it: term k's integral of e^-t t^k / k! is 1 - cum_k.
+
+    Forward evolution passes the evolver's `_Stencil` (no `occupation`); the
+    absorbed path passes a dense free block from 128 free states, and runs
+    smaller ones as chunks (`_Evolver._chunk_series`, `_chain`).  On the
+    table one row runs on the Krylov rows, one gather and one dot a term;
+    more rows run gemm on its dense matrix.  For a window kernel's N rows a
+    term (gemm plus a fifth of one `matrix` write, about the terms a segment
+    takes) was measured against the 2d column gathers contracted with
+    1/(2d): 2.3 against 4.9 us at N = 16 (d = 1), 11 against 21 us at N = 64
+    (d = 2) and 38 against 87 ms at N = 1024, but 0.64 against 0.48 ms at
+    N = 256.  No benchmark workload runs window kernels, so one rule, gemm,
+    serves every N.
+    """
     if isinstance(P, _Stencil):
         if len(mat) == 1:
-            return P.series(mat, weights[0]), terms[0], dropped[0]
+            return P.series(mat, w)
         P = P.matrix()  # many rows: gemm, faster except near N = 256
+    acc = w[0] * mat
     if occupation is not None:
-        # int_0^h e^{-t} t^k/k! dt: 1 - w_0 for k = 0, then the previous one
-        # less the Poisson weight
-        integrals = [list(accumulate(ws[1:], sub, initial=1.0 - ws[0]))
-                     for ws in weights]
-    if stacked:  # tables (terms + 1, B, 1, 1), zero past each segment's last term
-        K = max(terms)
-
-        def table(rows):
-            return np.array([r + [0.0] * (K - k) for r, k in zip(rows, terms)]).T
-
-        W = table(weights)[:, :, None, None]
-        if occupation is not None:
-            C = table(integrals)[:, :, None]
-    else:
-        W = weights[0]
-        if occupation is not None:
-            C = integrals[0]
-    acc = W[0] * mat
-    if occupation is not None:
-        ones = np.ones(P.shape[-1])  # row sums as products, cheaper than sums on a stack
-        occupation += C[0] * (mat @ ones)
-    term, head, occ = mat, acc, occupation
-    m = len(terms)
-    for k in range(1, len(W)):
-        if terms[m - 1] < k:  # slice the segments that have stopped off the end
-            while terms[m - 1] < k:
-                m -= 1
-            term, P, W, head = term[:m], P[:m], W[:, :m], head[:m]
-            if occupation is not None:
-                C, occ = C[:, :m], occ[:m]
+        c = 1.0 - np.cumsum(w)
+        ones = np.ones(P.shape[-1])  # row sums as products
+        occupation += c[0] * (mat @ ones)
+    term = mat
+    for k in range(1, len(w)):
         term = term @ P
-        head += W[k] * term
+        acc += w[k] * term
         if occupation is not None:
-            occ += C[k] * (term @ ones)
-    if stacked:
-        return acc, terms, dropped
-    return acc, terms[0], dropped[0]
+            occupation += c[k] * (term @ ones)
+    return acc
+
+
+def _chain(A: np.ndarray) -> np.ndarray:
+    """The product A[0] @ A[1] @ ... @ A[-1], by a pairwise tree: one
+    batched matmul per level, log2(len(A)) of them."""
+    while len(A) > 1:
+        half = A[0:len(A) - 1:2] @ A[1::2]
+        A = np.concatenate((half, A[-1:])) if len(A) % 2 else half
+    return A[0]
 
 
 def check_exact_size(g: TorusGraph) -> None:
@@ -362,8 +378,10 @@ class _Evolver:
     table computed once per edge: across the edge when it opens, back home
     when it closes.  The table holds ints only, so it always equals a fresh
     build.  Forward evolution runs one series per segment on the rows
-    themselves, and skips segments with no open edge, by a count of open
-    edges that each flip keeps.
+    themselves, K gathers (or gemms) and one dot by the segment's row of one
+    weight table per block of up to `_TABLE_ROWS` pieces (`_pieces`), with
+    the flips applied between them; it skips segments with no open edge, by
+    a count of open edges that each flip keeps.
 
     With an `absorbing` vertex mask the walk is absorbed there, and only the
     sub-stochastic block of P on the free vertices (those off the mask) is
@@ -381,22 +399,28 @@ class _Evolver:
     positions computed once, and reading `_stack` scatters all the stacked
     pieces' dense blocks at once (`_Stencil.blocks`, one bincount).  A
     stretch longer than `_MAX_SEGMENT` is stacked as several pieces, split
-    as the forward path splits it.  When the stack is full one series runs
-    on all of it, longest piece first.  Each piece k then has
-    its propagator E_k (the series applied to the identity) and its
-    occupation J_k = int E_k(t) 1 dt, and the chunk is chained in time
-    order: occupation += mat @ J_k, then mat = mat @ E_k.  `advance` stops
-    at the first flip after which every row has less than 1e-14 mass left,
-    since later segments add nothing; pieces stacked past that flip are not
-    counted.  A chunk holds at most `_CHUNK` pieces and `_CHUNK_BYTES` of
-    stacked blocks.  The block and flip state run ahead of an early stop,
-    so such an evolver is meant for a single `advance`.
+    by `_pieces` as on the forward path.  When the stack is full, one weight table
+    serves all its pieces and one Horner pass runs on them, longest series
+    first (`_chunk_series`): each piece r gets its propagator E_r (the
+    series applied to the identity) and its occupation J_r = int E_r(t) 1 dt,
+    as A_r = [[E_r, J_r], [0, 1]].  A pairwise product tree multiplies the
+    chunk's A_r in time order, log2 of its size batched matmuls, and
+    [mat | occupation] times that product is the state after the chunk.
+    `advance` stops at the first flip after which every row has less than
+    1e-14 mass left, since later segments add nothing.  Row mass never
+    grows, so only a chunk that ends below that mass holds the stop: its
+    pieces are chained one by one from the chunk's start to find the flip,
+    and pieces stacked past it are not counted.  A chunk holds at most
+    `_CHUNK` pieces and `_CHUNK_BYTES` of stacked blocks.  The block and
+    flip state run ahead of an early stop, so such an evolver is meant for
+    a single `advance`.
 
     Counters: `segments` (uniformization series run and used), `terms`
     (matrix products taken by those series) and `dropped` (the Poisson tail
-    mass those series left out, each less than `_SERIES_TAIL`).  Evolution
-    is an L1 contraction, so each row's truncation error is at most
-    `dropped`: that is the bound to hold against `EXACT_TOL`.
+    mass those series left out, each below `_SERIES_TAIL` or, for a sum
+    stuck just under 1 - `_SERIES_TAIL`, about 1.1e-15).  Evolution is an
+    L1 contraction, so each row's truncation error is at most `dropped`:
+    that is the bound to hold against `EXACT_TOL`.
     """
 
     def __init__(self, env: EnvTrajectory, t0: float,
@@ -432,7 +456,6 @@ class _Evolver:
             size = max(1, min(_CHUNK, _CHUNK_BYTES // (8 * max(n, 1) ** 2)))
             self._rows = np.empty((size, 2 * g.d, n), dtype=np.int64)  # in time order
             self._blocks = np.empty((size, n, n))
-            self._sorted = np.empty_like(self._blocks)  # longest piece first
             self._eye = np.eye(n)
             self._lengths: list[float] = []
             self._at_flip: list[bool] = []  # piece ends a flip segment
@@ -473,22 +496,16 @@ class _Evolver:
         if self.absorbing is not None:
             return self._advance_absorbed(mat, t1)
         times, eids = self.env.flip_events(self.t, t1)
-        prev = self.t
+        pieces = _pieces([self.t, *times.tolist(), t1], eids.tolist())
         self.t = t1
-        for tm, e in zip(times.tolist(), eids.tolist()):
-            mat = self._run_segment(mat, tm - prev)
-            prev = tm
-            self._flip(e)
-        return self._run_segment(mat, t1 - prev)
-
-    def _run_segment(self, mat: np.ndarray, s: float) -> np.ndarray:
-        if not self._n_open:
-            return mat  # frozen walker: P = I
-        while s > 0.0:
-            h = min(s, _MAX_SEGMENT)
-            mat, terms, dropped = _apply_uniformized(mat, self.P, h)
-            self._count(terms, dropped)
-            s -= h
+        while block := list(islice(pieces, _TABLE_ROWS)):
+            W, K, dropped = _poisson_table([h for h, _ in block])
+            for (h, e), w, k, d in zip(block, W, K.tolist(), dropped.tolist()):
+                if h > 0.0 and self._n_open:  # no open edge: P = I
+                    mat = _apply_uniformized(mat, self.P, w[:k + 1])
+                    self._count(k, d)
+                if e is not None:
+                    self._flip(e)
         return mat
 
     def _advance_absorbed(self, mat: np.ndarray, t1: float) -> np.ndarray:
@@ -501,32 +518,33 @@ class _Evolver:
             span *= 2.0
             times, eids = env.flip_events(a, b)
             keep = live[eids]
-            for tm, e in zip(times[keep].tolist(), eids[keep].tolist()):
-                mat, stopped = self._push(mat, tm - prev, at_flip=True)
-                if stopped:
-                    return mat
-                prev = tm
-                self._flip(e)
-            a = b
-        mat, _ = self._push(mat, t1 - prev, at_flip=False)
+            cuts = [prev, *times[keep].tolist()]
+            for h, e in _pieces(cuts, eids[keep].tolist()):  # each ends at a flip
+                if h > 0.0:
+                    mat, stopped = self._push(mat, h, at_flip=e is not None)
+                    if stopped:
+                        return mat
+                if e is not None:
+                    self._flip(e)
+            prev, a = cuts[-1], b
+        for h, _ in _pieces([prev, t1], []):
+            if h > 0.0:
+                mat, _ = self._push(mat, h, at_flip=False)
         return self._run_chunk(mat)[0]
 
-    def _push(self, mat: np.ndarray, s: float, at_flip: bool) -> tuple[np.ndarray, bool]:
-        """Stack the block for a stretch of length s, running full chunks."""
-        while s > 0.0:
-            h = min(s, _MAX_SEGMENT)
-            s -= h
-            self._rows[len(self._lengths)] = self._nbr[self._free_rows]
-            self._lengths.append(h)
-            self._at_flip.append(at_flip and s <= 0.0)
-            if len(self._lengths) == len(self._rows):
-                mat, stopped = self._run_chunk(mat)
-                if stopped:
-                    return mat, True
-        return mat, False
+    def _push(self, mat: np.ndarray, h: float, at_flip: bool) -> tuple[np.ndarray, bool]:
+        """Stack the block for a piece of length h, running the chunk once it
+        is full."""
+        i = len(self._lengths)
+        self._nbr.take(self._free_rows, out=self._rows[i])
+        self._lengths.append(h)
+        self._at_flip.append(at_flip)
+        if i + 1 < len(self._rows):
+            return mat, False
+        return self._run_chunk(mat)
 
     def _run_chunk(self, mat: np.ndarray) -> tuple[np.ndarray, bool]:
-        """One series over the stacked pieces, then chain them in time order.
+        """Run the stacked pieces' series, then chain them in time order.
 
         Returns (mat, stopped); pieces after an early stop are not counted.
         """
@@ -537,27 +555,69 @@ class _Evolver:
         if m == 0:
             return mat, False
         if m == 1:  # a lone piece runs its series on the rows themselves
-            mat, terms, dropped = _apply_uniformized(mat, blocks[0], lengths[0],
-                                                     self.occupation)
-            self._count(terms, dropped)
+            W, K, dropped = _poisson_table(lengths)
+            mat = _apply_uniformized(mat, blocks[0], W[0, :K[0] + 1], self.occupation)
+            self._count(int(K[0]), float(dropped[0]))
             return mat, at_flip[0] and mat.sum(axis=1).max(initial=0.0) < 1e-14
-        order = sorted(range(m), key=lengths.__getitem__, reverse=True)
-        stack = np.take(blocks[:m], order, axis=0, out=self._sorted[:m])
+        A, K, dropped = self._chunk_series(blocks[:m], lengths)
         n = len(self._eye)
-        J = np.zeros((m, n))
-        E, terms, dropped = _apply_uniformized(
-            np.broadcast_to(self._eye, (m, n, n)), stack,
-            [lengths[i] for i in order], J)
-        rank = [0] * m
-        for r, i in enumerate(order):
-            rank[i] = r
-        for i, r in enumerate(rank):
-            self.occupation += mat @ J[r]
-            mat = mat @ E[r]
-            self._count(terms[r], dropped[r])
-            if at_flip[i] and mat.sum(axis=1).max(initial=0.0) < 1e-14:
-                return mat, True
-        return mat, False
+        state = np.column_stack((mat, self.occupation))  # [mat | occupation]
+        end = state @ _chain(A)
+        stopped = False
+        if any(at_flip) and end[:, :n].sum(axis=1).max(initial=0.0) < 1e-14:
+            # the stop is in this chunk: row mass never grows, so only here
+            # are the pieces chained one by one, to find its flip
+            for i in range(m):
+                state = state @ A[i]
+                self._count(K[i], dropped[i])
+                stopped = at_flip[i] and state[:, :n].sum(axis=1).max(initial=0.0) < 1e-14
+                if stopped:
+                    break
+            end = state
+        else:
+            for k, d in zip(K, dropped):
+                self._count(k, d)
+        self.occupation = end[:, n]
+        return end[:, :n], stopped
+
+    def _chunk_series(self, blocks: np.ndarray,
+                      lengths: list[float]) -> tuple[np.ndarray, list[int], list[float]]:
+        """A_r = [[E_r, J_r], [0, 1]] of each piece r, in time order, from its
+        block B_r and the weights w_r of its length: its propagator
+        E_r = sum_k w_r[k] B_r^k and its occupation J_r = sum_k (1 - cum_r[k])
+        B_r^k 1.  Returns (A, K, dropped), the last two per piece as in
+        `_poisson_table`.
+
+        One Horner pass serves every piece: H = [E | J] on a stack, longest
+        series first, H <- B H, then w[k] onto the diagonal of the E part and
+        1 - cum[k] onto the last column, a piece joining the pass at its own
+        k = K.  The augmented generator [[B, 1], [0, 1]] is not used: its
+        powers would give the occupation 1 - cum truncated to cum[K] - cum[k].
+        """
+        W, K, dropped = _poisson_table(lengths)
+        K = K.tolist()
+        m, n = len(K), len(self._eye)
+        order = sorted(range(m), key=K.__getitem__, reverse=True)
+        joins = [K[r] for r in order]  # the step at which each piece joins
+        B = blocks[order]
+        w = W[order].T.copy()  # w[k] holds every piece's k-th weight
+        c = 1.0 - np.cumsum(w, axis=0)
+        buffers = np.zeros((2, m, n, n + 1))  # H and the next H, swapped
+        H, G = buffers
+        dH, dG = buffers.reshape(2, m, -1)[:, :, ::n + 2]  # diagonals of the E parts
+        running = 0
+        for k in range(joins[0], -1, -1):
+            if running:
+                np.matmul(B[:running], H[:running], out=G[:running])
+                H, G, dH, dG = G, H, dG, dH
+            while running < m and joins[running] == k:
+                running += 1
+            dH[:running] += w[k, :running, None]
+            H[:running, :, n] += c[k, :running, None]
+        A = np.zeros((m, n + 1, n + 1))
+        A[order, :n] = H
+        A[:, n, n] = 1.0
+        return A, K, dropped.tolist()
 
 
 def quenched_laws(env: EnvTrajectory, x0: int,
@@ -628,6 +688,10 @@ def exact_hitting_profile(env: EnvTrajectory, A_mask: np.ndarray,
     Returns (expected_times, censored_mass): for each start x, the accumulated
     E[min(tau_A, horizon)] and the unabsorbed mass left at the horizon.  For
     x in A both are (0, 0).  A horizon outside [0, T] raises `HorizonError`.
+
+    Evolution stops early, at the first flip after which every start has
+    less than 1e-14 mass left; the censored mass is then that mass, and a
+    mean misses at most censored mass x (horizon - stop time).
     """
     g = env.graph
     if not 0.0 <= horizon <= env.horizon:

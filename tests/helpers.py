@@ -326,29 +326,40 @@ def rebuild_neighbour_table(g, open_mask):
     return nbr
 
 
-def _series(mat, P, s, free=None):
-    """mat @ expm((P - I) s) summed term by term, the Poisson weights cut
-    once their tail falls below the evolvers' `walk._SERIES_TAIL`.  With a
-    `free` mask, also returns the integral over [0, s] of each row's mass on
-    `free`."""
-    w = math.exp(-s)
+def scalar_poisson_weights(h):
+    """Reference for `walk._poisson_table`, one length at a time: the scalar
+    recurrence w *= h/k, cum += w, stopped at the first term where
+    cum >= 1 - `walk._SERIES_TAIL` or, once k > h, where a term leaves cum
+    unchanged.  Returns (weights, K, dropped)."""
+    w = math.exp(-h)
     cum = w
-    acc = w * mat
-    term = mat
-    c = 1.0 - w
-    occ = None if free is None else c * term[:, free].sum(axis=1)
+    ws = [w]
     k = 0
     while cum < 1.0 - _SERIES_TAIL:
         k += 1
+        w *= h / k
+        last, cum = cum, cum + w
+        ws.append(w)
+        if k > h and cum == last:  # the sum is stuck: every later term leaves it
+            break
+    return ws, k, max(1.0 - cum, 0.0)
+
+
+def _series(mat, P, s, free=None):
+    """mat @ expm((P - I) s) summed term by term, with the Poisson weights
+    of `scalar_poisson_weights`.  With a `free` mask, also returns the
+    integral over [0, s] of each row's mass on `free`."""
+    ws, _, _ = scalar_poisson_weights(s)
+    acc = ws[0] * mat
+    term = mat
+    c = 1.0 - ws[0]
+    occ = None if free is None else c * term[:, free].sum(axis=1)
+    for w in ws[1:]:
         term = term @ P
-        w *= s / k
         acc = acc + w * term
-        cum += w
         if free is not None:
             c = c - w
             occ += c * term[:, free].sum(axis=1)
-        if w == 0.0:
-            break
     return acc, occ
 
 

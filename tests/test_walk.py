@@ -16,7 +16,8 @@ from dynaperc.walk import (_MAX_SEGMENT, WalkPath, _Evolver,
                            replay_is_legal, simulate_walks,
                            window_kernel, quenched_tv_curve)
 from helpers import (make_env, rebuild_forward, rebuild_hitting_profile,
-                     rebuild_neighbour_table, rebuild_step_matrix)
+                     rebuild_neighbour_table, rebuild_step_matrix,
+                     scalar_poisson_weights)
 
 
 def _env(d=1, n=6, p=0.5, mu=0.25, horizon=100.0, seed=0, init="stationary"):
@@ -419,17 +420,104 @@ def _case(name):
 def test_chunk_splits_long_stretches(monkeypatch):
     _, env, A, horizon = _case("long-gaps")
     stacks = []
-    series = walk._apply_uniformized
+    series = _Evolver._chunk_series
 
-    def spy(mat, P, s, occupation=None):
-        stacks.append(s)
-        return series(mat, P, s, occupation)
+    def spy(self, blocks, lengths):
+        stacks.append(lengths)
+        return series(self, blocks, lengths)
 
-    monkeypatch.setattr(walk, "_apply_uniformized", spy)
+    monkeypatch.setattr(_Evolver, "_chunk_series", spy)
     exact_hitting_profile(env, A, horizon)
     # one chunk, stacked past the early stop, holding whole _MAX_SEGMENT pieces
     assert len(stacks) == 1 and len(stacks[0]) > _ABSORBED_COUNTS["long-gaps"][0]
     assert stacks[0].count(_MAX_SEGMENT) >= 2  # whole pieces of longer stretches
+
+
+@given(st.lists(st.floats(0.0, _MAX_SEGMENT), min_size=1, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_poisson_table_is_the_scalar_recurrence(lengths):
+    # every row bit for bit: its weights, its term count and its dropped mass
+    lengths += [0.0, _MAX_SEGMENT, 19.69, 23.020593414678842]
+    W, K, dropped = walk._poisson_table(lengths)
+    assert W.flags.c_contiguous
+    for i, h in enumerate(lengths):
+        ws, k, d = scalar_poisson_weights(h)
+        assert (K[i], dropped[i]) == (k, d)
+        assert np.array_equal(W[i, :k + 1], ws)
+
+
+def test_stuck_sums_stop_at_the_first_idle_term():
+    # both sums stick just under 1 - 1e-15; their weights underflow only at
+    # 373 and 392 terms
+    _, K, dropped = walk._poisson_table([19.69, 23.020593414678842])
+    assert K.tolist() == [67, 74]
+    assert np.all((1e-15 < dropped) & (dropped < 1.2e-15))
+
+
+@pytest.mark.parametrize("d, n", [(1, 10), (2, 4)])
+def test_chunk_series_matches_lone_series(d, n):
+    # one Horner pass over a stack against each piece's series on the
+    # identity, its occupation summed alongside; lengths from a near-empty
+    # piece to a whole _MAX_SEGMENT one and a stuck sum
+    g = TorusGraph(d, n)
+    env = _env(d=d, n=n, horizon=10.0, seed=d)
+    ev = _Evolver(env, 3.0, absorbing=_half_target(g, d))
+    k = int((~ev.absorbing).sum())
+    rng = np.random.default_rng(d)
+    lengths = [1e-9, 0.3, 2.5, 9.0, 23.020593414678842, _MAX_SEGMENT, 0.05]
+    for h in lengths:
+        ev._push(np.eye(k), h, at_flip=False)
+        for e in rng.integers(g.n_edges, size=3):
+            ev._flip(e)
+    blocks = ev._stack[:len(lengths)]
+    A, K, dropped = ev._chunk_series(blocks, lengths)
+    W, K_table, dropped_table = walk._poisson_table(lengths)
+    assert (K, dropped) == (K_table.tolist(), dropped_table.tolist())
+    for r, block in enumerate(blocks):
+        J = np.zeros(k)
+        E = walk._apply_uniformized(np.eye(k), block, W[r, :K[r] + 1], J)
+        assert np.abs(A[r, :k, :k] - E).max() <= 1e-14
+        assert np.abs(A[r, :k, k] - J).max() <= 1e-14 * J.max()
+        assert np.array_equal(A[r, k], np.eye(k + 1)[k])
+
+
+@pytest.mark.parametrize("name", ["sampled-d2-n4", "sampled-d3-n3", "long-gaps", "many-chunks"])
+def test_tree_chaining_stops_at_the_sequential_flip(name, monkeypatch):
+    # each chunk's product tree against chaining its pieces one by one from
+    # the same state: the same end and, where the mass fell below 1e-14 at a
+    # flip inside the chunk, the same stopping flip and count
+    _, env, A, horizon = _case(name)
+    chunks = []
+    run_chunk = _Evolver._run_chunk
+
+    def spy(self, mat):
+        m = len(self._lengths)
+        before = (mat.copy(), self.occupation.copy(), list(self._lengths),
+                  list(self._at_flip), self._stack[:m].copy(), self.segments)
+        out, stopped = run_chunk(self, mat)
+        chunks.append((before, out.copy(), self.occupation.copy(), stopped, self.segments))
+        return out, stopped
+
+    monkeypatch.setattr(_Evolver, "_run_chunk", spy)
+    ev = _Evolver(env, 0.0, absorbing=A)
+    ev.advance(np.eye(int((~A).sum())), horizon)
+    inside = 0
+    for (mat, occ, lengths, at_flip, blocks, counted), out, occ_out, stopped, now in chunks:
+        if len(lengths) < 2:
+            continue
+        pieces, _, _ = ev._chunk_series(blocks, lengths)
+        state = np.column_stack((mat, occ))
+        ran, hit = len(lengths), False
+        for i, piece in enumerate(pieces):
+            state = state @ piece
+            if at_flip[i] and state[:, :-1].sum(axis=1).max() < 1e-14:
+                ran, hit = i + 1, True
+                break
+        assert (stopped, now - counted) == (hit, ran)
+        assert np.abs(out - state[:, :-1]).max() <= 1e-14
+        assert np.abs(occ_out - state[:, -1]).max() <= 1e-14 * state[:, -1].max()
+        inside += hit and ran < len(lengths)
+    assert inside == 1
 
 
 def test_hitting_reads_flips_a_window_at_a_time(monkeypatch):
