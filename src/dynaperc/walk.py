@@ -456,7 +456,6 @@ class _Evolver:
             size = max(1, min(_CHUNK, _CHUNK_BYTES // (8 * max(n, 1) ** 2)))
             self._rows = np.empty((size, 2 * g.d, n), dtype=np.int64)  # in time order
             self._blocks = np.empty((size, n, n))
-            self._eye = np.eye(n)
             self._lengths: list[float] = []
             self._at_flip: list[bool] = []  # piece ends a flip segment
         self.dropped = 0.0
@@ -560,7 +559,7 @@ class _Evolver:
             self._count(int(K[0]), float(dropped[0]))
             return mat, at_flip[0] and mat.sum(axis=1).max(initial=0.0) < 1e-14
         A, K, dropped = self._chunk_series(blocks[:m], lengths)
-        n = len(self._eye)
+        n = len(self.occupation)
         state = np.column_stack((mat, self.occupation))  # [mat | occupation]
         end = state @ _chain(A)
         stopped = False
@@ -596,7 +595,7 @@ class _Evolver:
         """
         W, K, dropped = _poisson_table(lengths)
         K = K.tolist()
-        m, n = len(K), len(self._eye)
+        m, n = blocks.shape[:2]
         order = sorted(range(m), key=K.__getitem__, reverse=True)
         joins = [K[r] for r in order]  # the step at which each piece joins
         B = blocks[order]

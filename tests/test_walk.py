@@ -437,7 +437,7 @@ def test_chunk_splits_long_stretches(monkeypatch):
 @settings(max_examples=150, deadline=None)
 def test_poisson_table_is_the_scalar_recurrence(lengths):
     # every row bit for bit: its weights, its term count and its dropped mass
-    lengths += [0.0, _MAX_SEGMENT, 19.69, 23.020593414678842]
+    lengths = lengths + [0.0, _MAX_SEGMENT, 19.69, 23.020593414678842]
     W, K, dropped = walk._poisson_table(lengths)
     assert W.flags.c_contiguous
     for i, h in enumerate(lengths):
