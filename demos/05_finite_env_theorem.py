@@ -3,7 +3,9 @@
 A FiniteEnvChain pairs an environment Markov chain R with one walk kernel per
 environment state.  The certificate route propagates the Doob evolving-set
 process jointly with the environment and bounds the quenched chi-square tail:
-E-hat[Z_n] <= sqrt(eps) implies P(chi >= eps^(1/4)) <= eps^(1/4).
+E-hat[Z_n] <= sqrt(eps) implies P(chi >= eps^(1/4)) <= eps^(1/4).  The step
+count n comes from the chain's exact environment expansion profile, printed
+first.
 
 Also shown: the two-state counterexample where the annealed chain mixes in
 one step but no quenched law ever leaves a point mass, so the quenched
@@ -24,6 +26,10 @@ ring = np.array([[0.5, 0.25, 0.0, 0.25],
 slow = 0.5 * ring + 0.5 * np.eye(4)
 chain = L.FiniteEnvChain(R=np.full((2, 2), 0.5), kernels=(ring, slow), pi=pi)
 
+# the exact environment profile phi(r) behind the step count n
+prof = L.profile_phi_env(chain.R, chain.kernels, chain.pi)
+print("ring chain profile:", ", ".join(f"phi({k:.2f}) = {v:.4f}"
+                                       for k, v in zip(prof.knots, prof.values)))
 rep = L.theorem_2_1_check(chain, x=0, eps=0.1)
 print(f"ring chain: gamma = {rep.gamma}, steps n = {rep.steps}")
 print(f"certificates per start env state: {rep.per_zeta_certificate}")

@@ -4,8 +4,9 @@ stationary pi.
 
 Hosts the annealed product chain, quenched laws along environment paths, the
 quenched-vs-annealed counterexample (i.i.d. identity/swap kernels), the
-laziness-coupled variant, and the end-to-end check of the quenched mixing
-bound P(chi >= eps^(1/4)) <= eps^(1/4).  Walk states and environment states
+laziness-coupled variant, the exact environment expansion profile
+(`profile_phi_env`), and the end-to-end check of the quenched mixing bound
+P(chi >= eps^(1/4)) <= eps^(1/4).  Walk states and environment states
 are integer indices; one out of range is an `InputError`.
 
 The exact certificate runs the Doob set process jointly with the environment,
@@ -25,7 +26,8 @@ import numpy as np
 
 from . import evoset
 from .errors import InputError
-from .expansion import integral_mixing_bound, profile_phi_env
+from .expansion import (ExpansionProfile, _phi_table, enumerated_profile,
+                        integral_mixing_bound)
 
 
 @dataclass(frozen=True)
@@ -162,6 +164,23 @@ def sample_env_path(chain: FiniteEnvChain, zeta0: int, steps: int,
     return path
 
 
+def profile_phi_env(R: np.ndarray, kernels: Sequence[np.ndarray],
+                    pi: np.ndarray) -> ExpansionProfile:
+    """Exact profile phi(r) = inf over env states and pi(S) <= r of
+    phi(zeta, S) for the chain (R, kernels, pi); InputError unless it is a
+    `FiniteEnvChain`."""
+    return _phi_env_profile(FiniteEnvChain(R=R, kernels=kernels, pi=pi))
+
+
+def _phi_env_profile(chain: FiniteEnvChain) -> ExpansionProfile:
+    """`profile_phi_env` of a chain already checked."""
+    pi, kernels = chain.pi, chain.kernels
+    # phi(zeta, S) = sum over zeta' with R(zeta, zeta') > 0 of R(zeta, zeta') phi_zeta'(S)
+    weights = np.maximum(chain.R, 0.0).T
+    return enumerated_profile(
+        pi, lambda masks, mass: (_phi_table(masks, mass, kernels, pi) @ weights).min(axis=1))
+
+
 def _doob_z_certificates(chain: FiniteEnvChain, x: int, n: int) -> np.ndarray:
     """E over env paths from each zeta0 of E-hat[Z_n] for the Doob set process
     started at {x}: one entry per start state, by exact propagation over
@@ -231,7 +250,7 @@ def theorem_2_1_check(chain: FiniteEnvChain, x: int, eps: float,
     if gamma <= 0.0:
         raise InputError("theorem inapplicable: some kernel has a zero diagonal")
     g_used = min(gamma, 0.5)
-    profile = profile_phi_env(chain.R, chain.kernels, chain.pi)
+    profile = _phi_env_profile(chain)
     n = integral_mixing_bound(profile, g_used, float(chain.pi[x]), eps)
     certs = _doob_z_certificates(chain, x, n)
     passed = bool((certs <= math.sqrt(eps) + 1e-9).all())

@@ -2,7 +2,10 @@
 
 Subsets are int64 bitmasks over the state space: bit y is set when state y
 is in S.  Outside this module a set is a bool mask (`mask_members` converts
-bitmasks); `expansion.half_mass_subsets` yields both forms.
+bitmasks); `expansion.half_mass_subsets` yields bitmasks with their masses.
+A subset's mass has one rule, `expansion._subset_masses`, which `set_mass`
+(and through it `z_statistic` and `SetLaw.mean_mass`) and the Doob and psi
+mass ratios read, so a set has the same mass everywhere.
 
 The evolving-set step is S' = {y : Q(S, y) / pi(y) >= U}, U uniform on
 [0, 1] (non-strict, so U = 0 yields the full space).  One private function,
@@ -35,8 +38,8 @@ import numpy as np
 
 from .dist import chi
 from .errors import CapabilityError, InputError
-from .expansion import (_BIT, ExpansionProfile, check_eps, enumerated_profile,
-                        mask_members, profile_integral)
+from .expansion import (_BIT, ExpansionProfile, _subset_masses, check_eps,
+                        enumerated_profile, mask_members, profile_integral)
 
 # Exact subset-law propagation caps the state count.
 SET_LAW_MAX_STATES = 14
@@ -47,16 +50,19 @@ PRUNE_EPS = 1e-15
 def check_chain(pi, kernels) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Validate walk kernels sharing a stationary pi; return them as float arrays.
 
-    pi must be a finite distribution with full support, and each kernel a
-    finite N x N matrix (N = len(pi)) whose rows sum to 1 and which leaves pi
-    stationary.  NaN fails every comparison, so finiteness is tested first.
-    Kernels with equal entries are validated once.
+    pi must be a finite distribution with full support, and there must be at
+    least one kernel, each a finite N x N matrix (N = len(pi)) whose rows sum
+    to 1 and which leaves pi stationary.  NaN fails every comparison, so
+    finiteness is tested first.  Kernels with equal entries are validated
+    once.
     """
     pi = np.asarray(pi, dtype=float)
     if (pi.ndim != 1 or not np.isfinite(pi).all() or (pi <= 0).any()
             or abs(pi.sum() - 1.0) > 1e-10):
         raise InputError("pi must be a finite, strictly positive distribution")
     ks = tuple(np.asarray(K, dtype=float) for K in kernels)
+    if not ks:
+        raise InputError("a chain needs at least one kernel")
     for K in _distinct_kernels(ks)[0]:
         _check_kernel(K, pi)
     return pi, ks
@@ -95,8 +101,19 @@ class InhomChain:
 
 
 def set_mass(masks, pi: np.ndarray):
-    """pi(S) of one bitmask, or of each of an array of bitmasks."""
-    return (mask_members(masks, len(pi)) * pi).sum(axis=-1)
+    """pi(S) of one bitmask, or of each of an array of bitmasks, by the one
+    subset-mass rule (`expansion._subset_masses`); InputError for a bitmask
+    outside [0, 2^m)."""
+    pi = np.asarray(pi, dtype=float)
+    m = len(pi)
+    if isinstance(masks, (int, np.integer)):
+        _check_mask(masks, m, nonempty=False)
+    else:
+        masks = np.asarray(masks)
+        if masks.dtype.kind not in "iu" or (
+                masks.size and not (masks.min() >= 0 and masks.max() < 1 << m)):
+            raise InputError(f"bitmasks must be integers in [0, 2^{m})")
+    return _subset_masses(masks, pi)
 
 
 def start_mask(x: int, m: int) -> int:
@@ -187,7 +204,7 @@ def _threshold(masks: np.ndarray, K: np.ndarray, pi: np.ndarray):
 def _mass_ratios(masks: np.ndarray, tops: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """pi(S') / pi(S) for each level set S' (bitmask tops[i, j]) of each set
     S (bitmask masks[i]), read from the mass of every subset."""
-    mass = set_mass(np.arange(1 << len(pi)), pi)
+    mass = _subset_masses(np.arange(1 << len(pi)), pi)
     return mass[tops] / mass[masks][:, None]
 
 
@@ -301,16 +318,19 @@ def propagate_set_law(kernels: Sequence[np.ndarray], pi: np.ndarray, s0: int,
 
 
 def psi_profile_kernels(kernels: Sequence[np.ndarray], pi: np.ndarray) -> ExpansionProfile:
-    """Step profile psi(r) = min over kernels and pi(S) <= r of psi_p(S)."""
+    """Step profile psi(r) = min over kernels and pi(S) <= r of psi_p(S);
+    InputError unless the kernels share the stationary pi (`check_chain`)."""
+    pi, kernels = check_chain(pi, kernels)
+    return _psi_profile(kernels, pi)
+
+
+def _psi_profile(kernels: Sequence[np.ndarray], pi: np.ndarray) -> ExpansionProfile:
+    """`psi_profile_kernels` of a chain already checked."""
     _check_cap(len(pi))
-    pi = np.asarray(pi, dtype=float)
     # one table per distinct kernel keeps cycled sequences cheap
     uniq, _ = _distinct_kernels(kernels)
-
-    def psi(masks, bits, masses):
-        return np.min([_psi(masks, K, pi) for K in uniq], axis=0)
-
-    return enumerated_profile(pi, psi)
+    return enumerated_profile(
+        pi, lambda masks, _: np.min([_psi(masks, K, pi) for K in uniq], axis=0))
 
 
 def psi_step_count(chain: InhomChain, x: int, eps: float) -> int:
@@ -318,7 +338,7 @@ def psi_step_count(chain: InhomChain, x: int, eps: float) -> int:
     n >= integral_{4 pi(x)}^{4/eps} du / (u psi(u)), for eps in (0, 1)."""
     start_mask(x, chain.n_states)
     check_eps(eps)
-    profile = psi_profile_kernels(chain.kernels, chain.pi)
+    profile = _psi_profile(chain.kernels, chain.pi)
     integral = profile_integral(profile, 4.0 * float(chain.pi[x]), 4.0 / eps,
                                 power=1)
     return max(0, int(math.ceil(integral - 1e-9)))

@@ -7,15 +7,21 @@ certified bound.  Certified provenance ("exact-enumerated" or
 "analytic-torus-bound") is required by the bound; family-restricted profiles
 are diagnostics only.
 
-Exact profiles enumerate subsets through one bit table, `half_mass_subsets`:
-chunks of masks as a boolean membership matrix with their masses, so a set
-function is evaluated for a whole chunk by a few matrix products.
+Exact profiles enumerate subsets through one enumerator, `half_mass_subsets`:
+chunks of int64 bitmasks with their masses, so a set function is evaluated
+for a whole chunk at once.  A subset's mass has one rule, `_subset_masses`:
+its members' pi summed in increasing state order, the low bits read from one
+doubling table of at most 2^SUBSET_CHUNK_BITS masses (`_mass_table`).  The
+enumerator, `evoset.set_mass` and the evolving-set laws all read it, so a
+set has one mass, the same float in every chunk and call.  The enumerator
+builds no membership matrix; a set function that needs one, for the Q-flows
+of the phi and psi profiles, unpacks it from the chunk's masks.
 
 A set is a bool mask over the states (`as_mask` rejects anything else, so an
 index list or an int 0/1 vector is an error, not a different set).  Int
 bitmasks are kept only inside `evoset`'s set-law engine, where they are dict
-keys and table indices, and as the `masks` column of `half_mass_subsets`
-(which `torus.iso_profile` reads by popcount).
+keys and table indices, and as the `masks` of `half_mass_subsets` (which
+`torus.iso_profile` reads by popcount).
 """
 
 from __future__ import annotations
@@ -32,9 +38,9 @@ CERTIFIED_PROVENANCES = ("exact-enumerated", "analytic-torus-bound")
 PROVENANCES = CERTIFIED_PROVENANCES + ("family-restricted",)
 # Exhaustive subset enumeration is capped at this many states.
 SUBSET_ENUM_MAX_STATES = 24
-# Subset enumeration takes masks in chunks of 2^SUBSET_CHUNK_BITS: at 24
-# states one chunk's float table is about 50 MB, where all 2^24 sets at once
-# would need gigabytes.
+# Subset masses are read from a table over the low SUBSET_CHUNK_BITS states,
+# and enumeration takes masks in aligned chunks of that size: at 24 states a
+# table of every mass would take 128 MB, one chunk's 2 MB.
 SUBSET_CHUNK_BITS = 18
 
 
@@ -73,48 +79,83 @@ def mask_members(masks, m: int) -> np.ndarray:
     return bits.view(bool).reshape(masks.shape + (m,))
 
 
-def half_mass_subsets(pi: np.ndarray):
-    """Bit table of the nonempty subsets S with pi(S) <= 1/2.
+def _mass_table(pi: np.ndarray, bits: int) -> np.ndarray:
+    """pi(S) of every subset S of the first `bits` states, indexed by bitmask:
+    t[2^j + x] = t[x] + pi[j] for x < 2^j, so each mass is its members' pi
+    summed in increasing state order."""
+    t = np.zeros(1 << bits)
+    for j in range(bits):
+        np.add(t[:1 << j], pi[j], out=t[1 << j:2 << j])
+    return t
 
-    Yields (masks, bits, masses) per chunk of at most 2^SUBSET_CHUNK_BITS
-    masks, in increasing mask order: `masks` (int64) has bit y set when y is
-    in S, `bits[i, y]` is that membership as a bool matrix, `masses = bits @ pi`.
+
+def _subset_masses(masks, pi: np.ndarray):
+    """pi(S) of one bitmask, or of each of an array of bitmasks, in [0, 2^m).
+
+    The one subset-mass rule: the members' pi summed in increasing state
+    order.  The low min(m, SUBSET_CHUNK_BITS) bits are read from
+    `_mass_table` and each higher member is added after them, in order
+    (adding 0.0 for a non-member leaves a mass unchanged), so a mask's mass
+    is the same float whichever chunk or call computes it."""
+    low = min(len(pi), SUBSET_CHUNK_BITS)
+    masks = np.asarray(masks, dtype=np.int64)
+    masses = _mass_table(pi, low)[masks & ((1 << low) - 1)]
+    for j in range(low, len(pi)):
+        masses = masses + np.where(masks >> j & 1, pi[j], 0.0)
+    return masses
+
+
+def half_mass_subsets(pi: np.ndarray):
+    """The nonempty subsets S with pi(S) <= 1/2, with their masses.
+
+    Yields (masks, masses) per aligned chunk of 2^SUBSET_CHUNK_BITS masks
+    (all 2^m at once for fewer states), in increasing mask order: `masks`
+    (int64) has bit y set when y is in S, and `masses` are the
+    `_subset_masses` of the masks.  A chunk's masses are the table of its low
+    bits plus the chunk's higher members, added in increasing order; no
+    membership table is built.
     """
     pi = np.asarray(pi, dtype=float)
-    end = 1 << len(pi)
-    step = 1 << SUBSET_CHUNK_BITS
-    for lo in range(1, end, step):
-        masks = np.arange(lo, min(lo + step, end), dtype=np.int64)
-        bits = mask_members(masks, len(pi))
-        masses = bits @ pi
+    low = min(len(pi), SUBSET_CHUNK_BITS)
+    table = _mass_table(pi, low)
+    for base in range(0, 1 << len(pi), 1 << low):
+        masses = table
+        for j in range(low, len(pi)):
+            if base >> j & 1:
+                masses = masses + pi[j]
         keep = masses <= 0.5 + 1e-12
-        if keep.any():
-            yield masks[keep], bits[keep], masses[keep]
+        if base == 0:
+            keep[0] = False  # the empty set
+        offsets = np.flatnonzero(keep)
+        if len(offsets):
+            yield offsets + base, masses[offsets]
 
 
 def enumerated_profile(pi: np.ndarray,
                        set_values: Callable[..., np.ndarray]) -> ExpansionProfile:
     """Exact-enumerated profile of a set function over every nonempty S with
-    pi(S) <= 1/2; `set_values(masks, bits, masses)` evaluates it on one chunk
-    of `half_mass_subsets`."""
+    pi(S) <= 1/2; `set_values(masks, masses)` evaluates it on one chunk of
+    `half_mass_subsets`."""
     if len(pi) > SUBSET_ENUM_MAX_STATES:
         raise InputError(f"{len(pi)} states exceeds the enumeration cap "
                          f"{SUBSET_ENUM_MAX_STATES}")
     masses, values = [np.empty(0)], [np.empty(0)]
-    for masks, bits, mass in half_mass_subsets(pi):
+    for masks, mass in half_mass_subsets(pi):
         masses.append(mass)
-        values.append(set_values(masks, bits, mass))
+        values.append(set_values(masks, mass))
     return profile_from_values(np.concatenate(masses), np.concatenate(values),
                                "exact-enumerated", float(np.min(pi)))
 
 
-def _phi_table(bits: np.ndarray, masses: np.ndarray,
+def _phi_table(masks: np.ndarray, masses: np.ndarray,
                kernels: Sequence[np.ndarray], pi: np.ndarray) -> np.ndarray:
-    """phi_K(S) for every row S of a bit table and every kernel K: (sets, kernels)."""
+    """phi_K(S) for every bitmask S of `masks` (of mass `masses`) and every
+    kernel K: (sets, kernels), from the sets' membership matrix."""
+    bits = mask_members(masks, len(pi))
     weighted = bits * pi
     out = np.empty((len(masses), len(kernels)))
     for j, K in enumerate(kernels):
-        flow = weighted @ np.asarray(K, dtype=float)  # Q(S, y) per state y
+        flow = weighted @ K  # Q(S, y) per state y
         flow[bits] = 0.0
         out[:, j] = flow.sum(axis=1) / masses
     return out
@@ -228,22 +269,15 @@ def profile_from_values(masses: Sequence[float], phis: Sequence[float],
     return ExpansionProfile(np.array(ks), np.array(vs), provenance, pi_star)
 
 
-def profile_phi_env(R: np.ndarray, kernels: Sequence[np.ndarray],
-                    pi: np.ndarray) -> ExpansionProfile:
-    """Exact profile phi(r) = inf over env states and pi(S) <= r of phi(zeta, S)."""
-    pi = np.asarray(pi, dtype=float)
-    # phi(zeta, S) = sum over zeta' with R(zeta, zeta') > 0 of R(zeta, zeta') phi_zeta'(S)
-    weights = np.maximum(np.asarray(R, dtype=float), 0.0).T
-    return enumerated_profile(
-        pi, lambda _, bits, mass: (_phi_table(bits, mass, kernels, pi) @ weights).min(axis=1))
-
-
 def profile_phi_kernels(kernels: Sequence[np.ndarray], pi: np.ndarray) -> ExpansionProfile:
     """Exact profile over a fixed kernel collection (quenched sequences):
-    phi(r) = min over kernels and pi(S) <= r of phi_p(S)."""
-    pi = np.asarray(pi, dtype=float)
+    phi(r) = min over kernels and pi(S) <= r of phi_p(S); InputError unless
+    the kernels share the stationary pi (`evoset.check_chain`)."""
+    from .evoset import check_chain
+
+    pi, kernels = check_chain(pi, kernels)
     return enumerated_profile(
-        pi, lambda _, bits, mass: _phi_table(bits, mass, kernels, pi).min(axis=1))
+        pi, lambda masks, mass: _phi_table(masks, mass, kernels, pi).min(axis=1))
 
 
 def torus_analytic_profile(d: int, n: int, mu: float, c: float) -> ExpansionProfile:

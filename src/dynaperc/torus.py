@@ -9,8 +9,9 @@ Neighbours come from cached tables built by array arithmetic on the
 coordinate digits (`neighbor_vertices`, `incident_edges`, `edge_uv`), which
 serve every lookup; the tests check them against scalar references.  A vertex
 set is a bool mask of length n^d; int bitmasks appear only inside `evoset`'s
-set-law engine, as the `masks` column of `expansion.half_mass_subsets`, and
-inside `iso_profile`, which counts boundaries on them by popcount.
+set-law engine, as the `masks` of `expansion.half_mass_subsets`, and inside
+`iso_profile`, which reads those masks alone and counts boundaries on them by
+popcount, with no membership table.
 """
 
 from __future__ import annotations
@@ -105,12 +106,14 @@ class IsoProfileResult:
 def iso_profile(g: TorusGraph) -> IsoProfileResult:
     """Exact min over nonempty S with pi(S) <= 1/2 of |dE(S)| / |S|^((d-1)/d).
 
-    Enumerates all 2^(n^d) subsets as the int64 `masks` of
-    `half_mass_subsets`; a witness lower bound for the universal
-    isoperimetric constant on this torus.  The edges along one axis are the
-    pairs (v, neighbour(v)), so S has popcount(mask ^ pulled) boundary edges
-    along it, where `pulled` carries bit neighbour(v) to bit v: one shift and
-    select per class of vertices with equal neighbour offset.
+    Enumerates the 2^(n^d) subsets as the int64 `masks` of
+    `half_mass_subsets`, chunk by chunk, and builds no membership table; a
+    witness lower bound for the universal isoperimetric constant on this
+    torus.  The edges along one axis are the pairs (v, neighbour(v)), so S
+    has popcount(mask ^ pulled) boundary edges along it, where `pulled`
+    carries bit neighbour(v) to bit v: one shift and select per class of
+    vertices with equal neighbour offset.  Only the minimizer's mask is
+    unpacked to a vertex mask.
     """
     N = g.n_vertices
     if N > SUBSET_ENUM_MAX_STATES:
@@ -127,7 +130,7 @@ def iso_profile(g: TorusGraph) -> IsoProfileResult:
     expo = (g.d - 1) / g.d
     best = math.inf
     best_set = None
-    for masks, _, _ in half_mass_subsets(np.full(N, 1.0 / N)):
+    for masks, _ in half_mass_subsets(np.full(N, 1.0 / N)):
         bnd = np.zeros(len(masks), dtype=np.int64)
         pulled, part = np.empty_like(masks), np.empty_like(masks)
         for classes in pulls:

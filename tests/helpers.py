@@ -20,6 +20,7 @@ References, each a second way to compute what the library computes:
   and on it `rebuild_forward` and `rebuild_hitting_profile`, forward and
   absorbed evolution with P rebuilt per flip; `rebuild_neighbour_table`,
   the evolvers' neighbour-or-self table built edge by edge;
+- subset masses: `scalar_mass`, the members' pi summed in increasing order;
 - evolving sets: the threshold rule one mask at a time (`scalar_ratios`,
   `evolve_step` for one draw of U, `scalar_step_law` for the exact law and
   `scalar_psi`), the dict set-law loop `dict_propagate_set_law` on it, the
@@ -76,7 +77,9 @@ def scalar_ratios(mask, K, pi):
     return (pi[members] @ K[members]) / pi
 
 
-def _scalar_mass(mask, pi):
+def scalar_mass(mask, pi):
+    """Reference for the one subset-mass rule: pi(S) of one bitmask, its
+    members' pi summed by a Python loop in increasing state order."""
     return sum(float(pi[y]) for y in range(len(pi)) if mask >> y & 1)
 
 
@@ -92,15 +95,15 @@ def scalar_step_law(mask, K, pi, doob=False):
         out.append((sum(1 << y for y in range(len(pi)) if r[y] >= v), v - nxt))
     out = [(s, p) for s, p in out if p > 0.0]
     if doob:
-        mass0 = _scalar_mass(mask, pi)
-        out = [(s, p * (_scalar_mass(s, pi) / mass0)) for s, p in out if s]
+        mass0 = scalar_mass(mask, pi)
+        out = [(s, p * (scalar_mass(s, pi) / mass0)) for s, p in out if s]
     return out
 
 
 def scalar_psi(mask, K, pi):
     """Reference for `evoset.expected_sqrt_ratio`, on `scalar_step_law`."""
-    mass0 = _scalar_mass(mask, pi)
-    return 1.0 - sum(p * math.sqrt(_scalar_mass(s, pi) / mass0)
+    mass0 = scalar_mass(mask, pi)
+    return 1.0 - sum(p * math.sqrt(scalar_mass(s, pi) / mass0)
                      for s, p in scalar_step_law(mask, K, pi))
 
 
@@ -280,14 +283,15 @@ def edge_endpoints(g, e):
 
 
 def rebuild_iso_profile(g):
-    """Reference for `torus.iso_profile`: (value, minimizer) from each chunk's
-    bool membership table, counting the edges of `edge_uv` whose endpoint
-    bits differ."""
+    """Reference for `torus.iso_profile`: (value, minimizer) from a bool
+    membership table of each chunk's masks, counting the edges of `edge_uv`
+    whose endpoint bits differ."""
     N = g.n_vertices
     uv = g.edge_uv
     expo = (g.d - 1) / g.d
     best, best_set = math.inf, None
-    for _, bits, _ in half_mass_subsets(np.full(N, 1.0 / N)):
+    for masks, _ in half_mass_subsets(np.full(N, 1.0 / N)):
+        bits = (masks[:, None] >> np.arange(N) & 1).astype(bool)
         sizes = bits.sum(axis=1)
         bnd = (bits[:, uv[:, 0]] != bits[:, uv[:, 1]]).sum(axis=1)
         ratio = bnd / sizes.astype(float) ** expo

@@ -271,6 +271,18 @@ def test_start_state_outside_the_chain_is_rejected(check, x):
         _START_CHECKS[check](x)
 
 
+def test_checked_chains_are_not_checked_again(monkeypatch):
+    # a chain is checked when it is built; its profiles are not checked per call
+    chain, inhom = _three_state_chains()
+
+    def check_chain(*args):
+        raise AssertionError("a checked chain was checked again")
+
+    monkeypatch.setattr(evoset, "check_chain", check_chain)
+    L.theorem_2_1_check(chain, 0, 0.1)
+    evoset.psi_step_count(inhom, 0, 0.1)
+
+
 def test_certificate_path_does_not_load_scipy():
     code = ("import sys, numpy as np\n"
             "import dynaperc\n"

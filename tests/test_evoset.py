@@ -324,3 +324,14 @@ def test_z_bound_functions_reject_eps_outside_unit_interval(eps, monkeypatch):
         E.psi_step_count(chain, 0, eps)
     with pytest.raises(InputError):
         E.doob_z_bound_check(chain, 0, eps=eps)
+
+
+@pytest.mark.parametrize("masks", [-1, 1 << 3, 1 << 5, 1.0, np.array([1, -1]),
+                                   np.array([1, 1 << 3]), np.array([1.0])],
+                         ids=["-1", "8", "32", "float", "array-with-minus-1",
+                              "array-with-8", "float-array"])
+@pytest.mark.parametrize("fn", ["set_mass", "z_statistic"])
+def test_mass_functions_reject_masks_outside_the_states(fn, masks):
+    # -1 read as the full set and 32 as the empty set, which z_statistic blamed
+    with pytest.raises(InputError, match="bitmask"):
+        getattr(E, fn)(masks, np.full(3, 1.0 / 3))

@@ -1,4 +1,7 @@
+import collections
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from dynaperc import envlab as L
+from dynaperc import evoset as E
 from dynaperc import expansion as X
 from dynaperc.dynenv import DynParams, sample_env
 from dynaperc.errors import InputError, UncertifiedProfileError
 from dynaperc.torus import TorusGraph
 
 from helpers import (assert_profiles_close, lazy, phi_env, random_pi,
-                     random_reversible_kernel)
+                     random_reversible_kernel, scalar_mass)
 
 
 def test_q_flow_and_phi_basic():
@@ -135,7 +140,7 @@ def test_profile_phi_env_monotone():
     pi = random_pi(rng, 5)
     Ks = [random_reversible_kernel(rng, pi) for _ in range(2)]
     R = np.array([[0.5, 0.5], [0.3, 0.7]])
-    prof = X.profile_phi_env(R, Ks, pi)
+    prof = L.profile_phi_env(R, Ks, pi)
     assert prof.certified
     assert np.all(np.diff(prof.values) <= 1e-12)
     # the profile value at a set's mass lower-bounds that set's phi_env
@@ -229,7 +234,7 @@ def test_phi_profiles_match_per_mask_loops(m):
     ref = X.profile_from_values(masses, phis, "exact-enumerated", float(pi.min()))
     assert_profiles_close(X.profile_phi_kernels(kernels[:2], pi), ref, 1e-13)
     ref = X.profile_from_values(masses, envs, "exact-enumerated", float(pi.min()))
-    assert_profiles_close(X.profile_phi_env(R, kernels, pi), ref, 1e-13)
+    assert_profiles_close(L.profile_phi_env(R, kernels, pi), ref, 1e-13)
 
 
 _PROFILE_TEXT = X.profile_from_values(
@@ -271,3 +276,90 @@ def test_subset_chunks_do_not_change_profiles(monkeypatch):
     assert np.array_equal(chunked[0].minimizer, default[0].minimizer)
     for a, b in zip(chunked[1:], default[1:]):
         assert np.array_equal(a.knots, b.knots) and np.array_equal(a.values, b.values)
+
+
+@given(m=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_one_mass_per_set(m, seed):
+    # at every chunk size, the enumerator, set_mass on an array and on one
+    # mask, and the table of the Doob and psi mass ratios give a mask one
+    # float: its members' pi summed in increasing state order
+    rng = np.random.default_rng(seed)
+    pi = random_pi(rng, m)
+    every = np.arange(1 << m)
+    want = np.array([scalar_mass(mask, pi) for mask in range(1 << m)])
+    half = np.flatnonzero(want <= 0.5 + 1e-12)[1:]  # nonempty, mass <= 1/2
+    singles = rng.integers(0, 1 << m, 8).tolist() + [0, (1 << m) - 1]
+    for bits in range(1, m + 1):
+        with mock.patch.object(X, "SUBSET_CHUNK_BITS", bits):
+            chunks = list(X.half_mass_subsets(pi))
+            masks = np.concatenate([np.empty(0, np.int64)] + [c[0] for c in chunks])
+            masses = np.concatenate([np.empty(0)] + [c[1] for c in chunks])
+            assert np.array_equal(masks, half)
+            assert np.array_equal(masses, want[half])
+            assert np.array_equal(E.set_mass(every, pi), want)
+            assert [E.set_mass(mask, pi) for mask in singles] == want[singles].tolist()
+            ratios = E._mass_ratios(np.array([1]), every[None], pi)[0]
+            assert np.array_equal(ratios, want / want[1])
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc, which numpy reports its buffers to,
+    while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_subset_enumeration_builds_no_membership_table():
+    # a float membership table of the 2^16 subsets of 16 states alone takes
+    # 8 MB; masks, masses and one table of 2^16 masses stay well under 5 MB
+    from dynaperc.torus import iso_profile
+
+    cycle = TorusGraph(d=1, n=16)
+    cycle.neighbor_vertices  # the torus's cached tables are built outside the count
+    pi = np.full(16, 1.0 / 16)
+    assert _traced_peak(lambda: iso_profile(cycle)) <= 5 * 2 ** 20
+    assert _traced_peak(
+        lambda: collections.deque(X.half_mass_subsets(pi), maxlen=0)) <= 5 * 2 ** 20
+
+
+_BAD_CHAINS = {  # (pi, kernels)
+    "zero-state": ([0.5, 0.5, 0.0], [np.eye(3)]),
+    "pi-sums-to-2": ([2 / 3] * 3, [np.eye(3)]),
+    "kernel-of-2-states": ([1 / 3] * 3, [np.eye(2)]),
+    "no-kernels": ([1 / 3] * 3, []),
+}
+
+
+_PROFILES = {
+    "psi_profile_kernels": lambda R, kernels, pi: E.psi_profile_kernels(kernels, pi),
+    "profile_phi_kernels": lambda R, kernels, pi: X.profile_phi_kernels(kernels, pi),
+    "profile_phi_env": L.profile_phi_env,
+}
+
+
+@pytest.mark.parametrize("chain", sorted(_BAD_CHAINS))
+@pytest.mark.parametrize("profile", sorted(_PROFILES))
+def test_exact_profiles_refuse_bad_chains(profile, chain, monkeypatch):
+    # refused at entry, before any subset is enumerated (a zero state gave a
+    # NaN profile, a kernel of the wrong size a numpy error)
+    monkeypatch.setattr(X, "half_mass_subsets", None)
+    pi, kernels = _BAD_CHAINS[chain]
+    with pytest.raises(InputError):
+        _PROFILES[profile](np.eye(max(len(kernels), 1)), kernels, np.array(pi))
+
+
+@pytest.mark.parametrize("R", [[[2.0]], [[0.5, 0.4], [0.5, 0.5]], [[1.0, 0.0]],
+                               [[np.nan]], [[1.5, -0.5], [0.5, 0.5]]],
+                         ids=["row-sum-2", "row-sum-0.9", "not-square", "nan",
+                              "negative"])
+def test_profile_phi_env_refuses_a_bad_environment_matrix(R, monkeypatch):
+    # R = [[2.0]] gave phi = 1.33
+    monkeypatch.setattr(X, "half_mass_subsets", None)
+    pi = np.full(3, 1.0 / 3)
+    with pytest.raises(InputError):
+        L.profile_phi_env(np.array(R), [np.eye(3)] * len(R), pi)
