@@ -147,6 +147,13 @@ class Runner:
         self.cells: list[dict] = []
         self.rows: list[dict] = []
 
+    def check_seeds(self, offset: int) -> None:
+        """InputError unless seed + offset, the largest seed the command
+        derives from the base seed, is a seed too (below 2^63)."""
+        if self.seed + offset >= 2 ** 63:
+            raise InputError(f"base seed {self.seed} is too large: this command "
+                             f"derives seeds up to {offset} past it, below 2^63")
+
     def over_budget(self) -> bool:
         return self.budget is not None and time.monotonic() - self.t0 > self.budget
 
@@ -214,6 +221,7 @@ def cmd_env_sim(run: Runner) -> int:
 
 def cmd_walk_sim(run: Runner) -> int:
     g, params = _params(run.cfg)
+    run.check_seeds(1)
 
     def body():
         env = sample_env(g, params, init=run.cfg["init"], seed=run.seed)
@@ -234,6 +242,7 @@ def cmd_walk_sim(run: Runner) -> int:
 def cmd_mix(run: Runner) -> int:
     g, params = _params(run.cfg)
     eps, x, samples = run.cfg["eps"], run.cfg["x"], run.cfg["env_samples"]
+    run.check_seeds(samples - 1)
 
     def quenched():
         rows, times = [], []
@@ -266,6 +275,7 @@ def _arc_target(g: TorusGraph, rng: np.random.Generator) -> np.ndarray:
 
 def cmd_hit(run: Runner) -> int:
     g, params = _params(run.cfg)
+    run.check_seeds(run.cfg["env_samples"] - 1)
 
     def body():
         rng = np.random.default_rng(run.seed)
@@ -322,6 +332,8 @@ def _random_chain(rng: np.random.Generator, n_states: int, n_kernels: int):
 def cmd_expansion(run: Runner) -> int:
     g, params = _params(run.cfg)
     samples = run.cfg["env_samples"]
+    run.check_seeds(max(samples - 1, 10 ** 4 + min(samples, 8) - 1
+                        if g.n_vertices <= 12 else 0))
 
     def body():
         half = np.arange(g.n_vertices) < g.n_vertices // 2
@@ -446,6 +458,8 @@ def cmd_sweep(run: Runner) -> int:
     grid = [dict(run.cfg, n=n, mu=mu, horizon=factor * n * n / mu)
             for n in run.cfg["n_grid"] for mu in run.cfg["mu_grid"]]
     cells = [(cfg, *_params(cfg)) for cfg in grid]  # all checked before any cell runs
+    if cells:
+        run.check_seeds(1000 * max(run.cfg["n_grid"]) + run.cfg["env_samples"] - 1)
     for cfg, g, params in cells:
         run.cell(f"n={g.n},mu={params.mu}", functools.partial(body, cfg, g, params))
     return run.finish("sweep.csv")

@@ -5,20 +5,26 @@ p*mu, open -> closed at rate (1-p)*mu.  The stationary law is i.i.d.
 Bernoulli(p) per edge.  All paths are right continuous (the state at a flip
 instant is the new state).
 
-An environment is sampled up to its horizon in one go and is immutable
-afterwards.  It is stored flat: the initial states as int8[E], every flip
-time in one float64 array, and int64 CSR offsets, so the flips of edge e are
-`flip_times[offsets[e]:offsets[e + 1]]`.  The one constructor takes these
-arrays and validates them once; the sampler and hand-built environments both
-call it.  `env.edges` gives read-only per-edge `EdgeTrajectory` views, built
-on first access, through which the benchmark tracer counts flips.
+An environment is immutable.  It is stored flat: the initial states as
+int8[E], flip times in one float64 array, and int64 CSR offsets, so the
+flips of edge e are `flip_times[offsets[e]:offsets[e + 1]]`.  The one
+constructor takes these arrays and validates them once; the sampler and
+hand-built environments both call it.  A sampled environment draws its whole
+horizon but keeps only the flips of a window [0, T/16] (`_KEPT`); it saves
+its generator state, and the first read past the window re-runs the sampler
+from that state over the whole horizon, which gives the same flips bit for
+bit.  A run reads to about its exit time, of order n^2/mu, and a horizon is
+tens of times that, so most environments are never re-run.  Every read goes
+through `_know`, which does this; `flip_times`, `offsets`, `env.edges` (the
+read-only per-edge `EdgeTrajectory` views, built on first access, through
+which the benchmark tracer counts flips) and the dump give the whole horizon.
 `flip_events` reads a time-sorted (time, edge) stream that is built lazily:
 it is sorted up to a watermark, and a query past the watermark at least
-doubles it.  One
-bisection on the flat arrays, `_first_after`, answers every other question
-and leaves the stream alone: `flip_counts` and `open_mask_at` (each edge at
-one time), the watermark's advance, and the batched point query `states_at`
-(edge i at time i, for a batch of walkers).
+doubles it, up to the end of the kept flips.  One bisection on the flat
+arrays, `_first_after`, answers every other question and leaves the stream
+alone: `flip_counts` and `open_mask_at` (each edge at one time), the
+watermark's advance, and the batched point query `states_at` (edge i at
+time i, for a batch of walkers).
 
 The sampler draws standard exponentials in blocks, edge after edge, and
 scales and sums them as one `t += rng.exponential(1 / rate)` per hold would,
@@ -82,11 +88,14 @@ class EnvTrajectory:
     Built from `initial` (int8[E] of 0/1), `flip_times` (float64, each in
     [0, T], strictly increasing per edge; ties across edges are fine) and
     `offsets` (int64[E + 1], nondecreasing from 0 to `len(flip_times)`);
-    anything else raises `InputError`.
+    anything else raises `InputError`.  A built environment knows all of
+    [0, T]; `sample_env` keeps the flips of [0, T/16] only, and `_know`
+    re-derives the rest on the first read past them.
     """
 
-    __slots__ = ("graph", "params", "init_tag", "seed", "initial", "flip_times",
-                 "offsets", "_edges", "_mark", "_next", "_times", "_edge_ids")
+    __slots__ = ("graph", "params", "init_tag", "seed", "initial", "_flips",
+                 "_offsets", "_known", "_rng_state", "_edges", "_mark", "_next",
+                 "_times", "_edge_ids")
 
     def __init__(self, graph: TorusGraph, params: DynParams, initial: np.ndarray,
                  flip_times: np.ndarray, offsets: np.ndarray, init_tag: str,
@@ -110,8 +119,12 @@ class EnvTrajectory:
         self.init_tag = init_tag
         self.seed = seed
         self.initial = initial
-        self.flip_times = flip_times
-        self.offsets = offsets
+        # every flip at or before _known, and the generator state (after the
+        # initial states) that re-derives the rest; None once all are known
+        self._flips = flip_times
+        self._offsets = offsets
+        self._known = params.horizon
+        self._rng_state: Optional[dict] = None
         self._edges: Optional[tuple[EdgeTrajectory, ...]] = None
         # the (time, edge) stream holds every flip at or before _mark;
         # _next[e] indexes edge e's first flip after it
@@ -119,6 +132,18 @@ class EnvTrajectory:
         self._next = offsets[:-1].copy()
         self._times = np.empty(0)
         self._edge_ids = np.empty(0, dtype=np.int64)
+
+    @property
+    def flip_times(self) -> np.ndarray:
+        """Every flip time on [0, T], edge after edge."""
+        self._know(self.horizon)
+        return self._flips
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """The CSR offsets of `flip_times`, int64[E + 1]."""
+        self._know(self.horizon)
+        return self._offsets
 
     @property
     def edges(self) -> tuple[EdgeTrajectory, ...]:
@@ -150,15 +175,30 @@ class EnvTrajectory:
             raise InputError(f"edge ids must be integers in [0, {self.graph.n_edges})")
         return edges
 
+    def _know(self, t: float) -> None:
+        """Make the kept flips cover [0, t].  Past the kept window, re-run the
+        sampler from its saved state over the whole horizon: the same draws,
+        so the same flips bit for bit; the stream's cursors move onto the new
+        offsets."""
+        if not t > self._known:
+            return
+        rng = np.random.default_rng()
+        rng.bit_generator.state = self._rng_state
+        flips, offsets = _sample_flips(rng, self.params, self.initial, self.horizon)
+        self._next = offsets[:-1] + (self._next - self._offsets[:-1])
+        self._flips, self._offsets = flips, offsets
+        self._known, self._rng_state = self.horizon, None
+
     def _first_after(self, t, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Per range i, the flat index of the first flip after t (or t[i]) in
-        flip_times[lo[i]:hi[i]], or hi[i] when there is none.
+        `_flips[lo[i]:hi[i]]`, or hi[i] when there is none; the caller has
+        made the kept flips cover t.
 
         One bisection runs on all the ranges at once, so no pass over the
         whole flat array is made.  It serves the per-edge counts (a range per
         edge and one time) and the point queries (a range and a time each).
         """
-        flips = self.flip_times
+        flips = self._flips
         t = np.broadcast_to(t, lo.shape)
         lo, hi = lo.copy(), hi.copy()
         act = np.flatnonzero(lo < hi)
@@ -173,17 +213,18 @@ class EnvTrajectory:
     def _extend(self, t: float) -> None:
         """Sort every flip up to at least t into the stream.
 
-        The watermark at least doubles.  A stable sort of the edge-major new
-        slice keeps equal times in edge order.
+        The watermark at least doubles, up to the end of the kept flips.  A
+        stable sort of the edge-major new slice keeps equal times in edge order.
         """
         if t <= self._mark:
             return
-        mark = min(self.horizon, max(t, 2.0 * self._mark))
-        lo = self._first_after(mark, self._next, self.offsets[1:])
+        self._know(t)
+        mark = min(self._known, max(t, 2.0 * self._mark))
+        lo = self._first_after(mark, self._next, self._offsets[1:])
         counts = lo - self._next
         idx = np.repeat(self._next - (np.cumsum(counts) - counts), counts) \
             + np.arange(counts.sum())
-        flips = self.flip_times
+        flips = self._flips
         order = np.argsort(flips[idx], kind="stable")
         self._times = np.concatenate((self._times, flips[idx[order]]))
         self._edge_ids = np.concatenate(
@@ -193,8 +234,9 @@ class EnvTrajectory:
 
     def flip_counts(self, t: float) -> np.ndarray:
         """Flips of each edge at or before t, counted on the flat arrays."""
-        start = self.offsets[:-1]
-        return self._first_after(t, start, self.offsets[1:]) - start
+        self._know(t)
+        start = self._offsets[:-1]
+        return self._first_after(t, start, self._offsets[1:]) - start
 
     def open_mask_at(self, t: float) -> np.ndarray:
         self._check_time(t)
@@ -214,9 +256,11 @@ class EnvTrajectory:
             raise InputError(f"{edges.shape} edge ids against {times.shape} times")
         if times.size and not (times.min() >= 0.0 and times.max() <= self.horizon):
             raise HorizonError(f"query times must lie in [0, {self.horizon}]")
+        if times.size:
+            self._know(times.max())
         e = edges.ravel()
-        lo = self.offsets[e]
-        counts = self._first_after(times.ravel(), lo, self.offsets[e + 1]) - lo
+        lo = self._offsets[e]
+        counts = self._first_after(times.ravel(), lo, self._offsets[e + 1]) - lo
         return ((self.initial[e] ^ counts) & 1).astype(np.int8).reshape(edges.shape)
 
     def flip_events(self, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
@@ -233,6 +277,8 @@ class EnvTrajectory:
 
 # standard exponentials drawn per rng call, and flips checked per pass, at most
 _BLOCK = 1 << 16
+# the share of the horizon whose flips `sample_env` keeps
+_KEPT = 1.0 / 16
 
 
 def _check_flips(flips: np.ndarray, offsets: np.ndarray, T: float) -> None:
@@ -272,22 +318,25 @@ def _mapped_array(n: int) -> np.ndarray:
     """float64[n] on its own anonymous mapping, unmapped when the last view
     goes.  Pages past what is written are never touched and take no memory.
 
-    A flip array is megabytes.  From malloc, freeing one raises glibc's
-    dynamic mmap threshold to its size, and the next environments and walk
-    matrices then fill a heap that does not shrink: +7 MB of peak RSS over
-    the `sweep` benchmark's repeated sweeps.
+    A re-derived horizon is megabytes of flips.  From malloc, freeing one
+    raises glibc's dynamic mmap threshold to its size, and the next
+    environments and walk matrices then fill a heap that does not shrink:
+    +7 MB of peak RSS over the `sweep` benchmark's repeated sweeps when every
+    environment was kept whole.  Its kept windows are under 1 MB, and malloc
+    there costs 0.15-0.36 MB of its 43 MB peak (2 CPUs, numpy 2.4).
     """
     return np.frombuffer(mmap.mmap(-1, 8 * max(n, 1)), dtype=np.float64, count=n)
 
 
-def _sample_flips(rng: np.random.Generator, params: DynParams,
-                  states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flip times of every edge up to the horizon: (flat times, CSR offsets).
+def _sample_flips(rng: np.random.Generator, params: DynParams, states: np.ndarray,
+                  keep: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flip times of every edge up to `keep` <= T: (flat times, CSR offsets).
 
     Edge after edge, as one `t += rng.exponential(1 / rate)` per hold would:
     hold k is a standard exponential times 1/rate of the state held, its flip
     time is the running sum, and the edge stops after the first draw past the
-    horizon or on entering a rate-0 state.
+    horizon or on entering a rate-0 state.  The draws are those of the whole
+    horizon whatever `keep` is; only the flips past `keep` are not written.
     """
     T = params.horizon
     rates = (params.rate_open, params.rate_close)
@@ -300,8 +349,9 @@ def _sample_flips(rng: np.random.Generator, params: DynParams,
     alt = np.empty((2, window))  # hold scales from start state 0 and 1
     alt[0, 0::2] = alt[1, 1::2] = scale[0]
     alt[0, 1::2] = alt[1, 0::2] = scale[1]
+    cuts = np.array([T, keep])
     E = len(states)
-    flips = _mapped_array(_flip_capacity(params, E))
+    flips = _mapped_array(_flip_capacity(DynParams(params.p, params.mu, keep), E))
     offsets = np.zeros(E + 1, dtype=np.int64)
     draws = np.empty(0)
     pos = n = 0
@@ -312,17 +362,20 @@ def _sample_flips(rng: np.random.Generator, params: DynParams,
             if pos == len(draws):
                 draws = rng.standard_exponential(min(_BLOCK, (E - e) * window))
                 pos = 0
-            k = int(min(window, len(draws) - pos, left))
+            k = min(window, len(draws) - pos)
+            if left < k:
+                k = int(left)
             h = draws[pos:pos + k] * alt[s, :k]
             h[0] += t
-            np.cumsum(h, out=h)
-            j = int(np.searchsorted(h, T, side="right"))
-            if n + j > len(flips):
-                grown = _mapped_array(2 * (n + j))
-                grown[:n] = flips[:n]
-                flips = grown
-            flips[n:n + j] = h[:j]
-            n += j
+            np.add.accumulate(h, out=h)
+            j, w = h.searchsorted(cuts, side="right").tolist()  # flips to T, kept
+            if w:
+                if n + w > len(flips):
+                    grown = _mapped_array(2 * (n + w))
+                    grown[:n] = flips[:n]
+                    flips = grown
+                flips[n:n + w] = h[:w]
+                n += w
             if j < k:
                 pos += j + 1
                 break
@@ -349,8 +402,9 @@ def sample_env(g: TorusGraph, params: DynParams,
 
     `init` is one of "stationary", "all-closed", "all-open", or an explicit 0/1
     sequence over edges.  The same (params, init, seed) always reproduces the
-    identical trajectory.  A seed that `check_seed` refuses raises
-    `InputError` before any draw.
+    identical trajectory.  Its flips are kept through `_KEPT` of the horizon
+    and re-derived past it on the first read there (`EnvTrajectory._know`).
+    A seed that `check_seed` refuses raises `InputError` before any draw.
     """
     check_seed(seed)
     rng = np.random.default_rng(seed)
@@ -367,8 +421,12 @@ def sample_env(g: TorusGraph, params: DynParams,
         states = np.array(init, dtype=np.int8)
     else:
         raise InputError(f"unknown init {init!r}")
-    flips, offsets = _sample_flips(rng, params, states)
-    return EnvTrajectory(g, params, states, flips, offsets, tag, seed)
+    state = rng.bit_generator.state
+    keep = _KEPT * params.horizon
+    env = EnvTrajectory(g, params, states, *_sample_flips(rng, params, states, keep),
+                        tag, seed)
+    env._known, env._rng_state = keep, state
+    return env
 
 
 def edge_transition_prob(p: float, mu: float, t: float) -> np.ndarray:

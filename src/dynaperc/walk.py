@@ -64,7 +64,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .dynenv import EnvTrajectory
+from .dynenv import EnvTrajectory, check_seed
 from .errors import CapabilityError, HorizonError, InputError
 from .expansion import as_mask
 from .torus import TorusGraph
@@ -144,9 +144,11 @@ def simulate_walks(env: EnvTrajectory, x0: int, horizon: float, n_walkers: int,
 
     One walker takes the draws of a loop over single attempts: an Exp(1)
     increment, then, at or before the horizon, a direction.  A horizon
-    outside [0, T] raises `HorizonError`, and a start off the torus or fewer
-    than one walker `InputError`, before any draw.
+    outside [0, T] raises `HorizonError`, and a start off the torus, fewer
+    than one walker or a seed that `dynenv.check_seed` refuses `InputError`,
+    before any draw.
     """
+    check_seed(seed)
     env.graph._check_vertex(x0)
     if not 0.0 <= horizon <= env.horizon:
         raise HorizonError(f"walk horizon {horizon} outside [0, {env.horizon}]")

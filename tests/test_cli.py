@@ -211,6 +211,31 @@ def test_bad_seed_exits_2(tmp_path, seed):
         assert not out.exists()
 
 
+_ROOM_CONFIGS = {  # each command's config, and the most its seeds pass the base
+    "sweep": ("[run]\nn_grid = 4,6\nmu_grid = 0.5\nenv_samples = 2\n", 6001),
+    "mix": ("[run]\nn = 6\nenv_samples = 3\n", 2),
+    "hit": ("[run]\nn = 6\nenv_samples = 3\n", 2),
+    "expansion": ("[run]\nn = 6\nenv_samples = 3\n", 10 ** 4 + 2),
+    "walk-sim": ("[run]\nn = 6\n", 1),
+}
+
+
+@pytest.mark.parametrize("subcommand", list(_ROOM_CONFIGS))
+def test_seed_without_room_for_derived_seeds_exits_2(tmp_path, subcommand):
+    # sweep at the largest base seed derived 2^63 + 5999 and failed its cell
+    text, room = _ROOM_CONFIGS[subcommand]
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    for seed in (2 ** 63 - 1, 2 ** 63 - 1 - room + 1):
+        assert run([subcommand, "--config", str(cfg), "--seed", str(seed),
+                    "--out", str(out)]) == 2
+        assert not any(out.glob("*"))
+    if subcommand in ("sweep", "walk-sim"):  # the largest base seed that fits runs
+        assert run([subcommand, "--config", str(cfg), "--seed", str(2 ** 63 - 1 - room),
+                    "--out", str(out)]) == 0
+
+
 def test_walk_replay_check_survives_optimize(tmp_path):
     # python -O strips asserts; an illegal replay must still fail the cell
     out = tmp_path / "o"

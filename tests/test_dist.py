@@ -202,3 +202,20 @@ def test_hitting_stats_rejects_malformed_sets(A):
     with pytest.raises(InputError):
         D.hitting_time_stats(g, DynParams(p=0.5, mu=0.25, horizon=100.0), A,
                              env_samples=1, seed=5, allow_small=True)
+
+
+def test_cli_sized_runs_read_only_the_kept_flips():
+    # the CLI's horizons are 20 n^2/mu (mixing) and 50 n^2/mu (hitting), and
+    # a run stops near its exit time: it stays inside the flips kept at
+    # sampling, and holds at most an eighth of the horizon's flips
+    from dynaperc import dynenv, walk
+
+    mix = sample_env(TorusGraph(2, 16), DynParams(0.5, 0.5, 20 * 16 ** 2 / 0.5), seed=0)
+    assert math.isfinite(D.quenched_mixing_time(mix, 0, 0.25))
+    hit = sample_env(TorusGraph(1, 20), DynParams(0.5, 0.125, 50 * 20 ** 2 / 0.125), seed=0)
+    means, censored = walk.exact_hitting_profile(hit, np.arange(20) < 10, hit.horizon)
+    assert censored.max() < 1e-12
+    for env in (mix, hit):
+        assert env._known == dynenv._KEPT * env.horizon  # nothing was re-derived
+        kept = len(env._flips)
+        assert kept <= len(env.flip_times) / 8

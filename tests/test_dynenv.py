@@ -476,3 +476,86 @@ def test_count_open_throughout_matches_per_edge_loop():
                     continue
                 want = sum(edge_open_throughout(env.edges[e], a, b) for e in A)
                 assert count_open_throughout(env, A, a, b) == want, (kind, a, b)
+
+
+def _same(a, b) -> bool:
+    """Equal answers: arrays by dtype, shape and bytes, the rest by value."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and a.shape == b.shape and a.tobytes() == b.tobytes())
+    if isinstance(a, (tuple, list)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(_same(x, y) for x, y in zip(a, b)))
+    return type(a) is type(b) and a == b
+
+
+def _read(env, kind, a, b):
+    """One read of env, at the horizon fractions a and b."""
+    T = env.horizon
+    t0, t1 = sorted(min(f * T, T) for f in (a, b))
+    E = env.graph.n_edges
+    if kind == "events":
+        return env.flip_events(t0, t1)
+    if kind == "mask":
+        return env.open_mask_at(t1)
+    if kind == "counts":
+        return env.flip_counts(t1)
+    if kind == "states":  # edge i at the i-th time from t0 to t1
+        return env.states_at(np.arange(E), np.linspace(t0, t1, E))
+    if kind == "open":
+        return count_open_throughout(env, range(E), t0, t1)
+    if kind == "isolated":
+        return isolated_vertex_exists(env, t1)
+    if kind == "dump":
+        return dumps_env(env)
+    return (env.flip_times, env.offsets,
+            [(tr.initial_state, tr.flip_times) for tr in env.edges])
+
+
+# the kept window's end, the horizon, and anywhere before either
+_FRACTIONS = (st.sampled_from([0.0, dynenv._KEPT, 1.0]) | st.floats(0.0, dynenv._KEPT)
+              | st.floats(0.0, 1.0))
+
+
+@given(d=st.integers(1, 3), n=st.integers(3, 4),
+       p=st.sampled_from([0.5, 1.0]) | st.floats(0.01, 1.0),
+       mu=st.floats(0.01, 0.5), horizon=st.just(0.0) | st.floats(0.0, 300.0),
+       init=st.sampled_from(["stationary", "all-closed", "all-open", "explicit"]),
+       seed=st.none() | st.integers(0, 2 ** 32),
+       reads=st.lists(st.tuples(st.sampled_from(["events", "mask", "counts", "states",
+                                                 "open", "isolated", "dump", "arrays"]),
+                                _FRACTIONS, _FRACTIONS), min_size=1, max_size=10))
+@settings(max_examples=150, deadline=None)
+def test_kept_window_is_invisible(d, n, p, mu, horizon, init, seed, reads):
+    # reads inside and past the flips kept at sampling, in random order, give
+    # what the environment built from its whole arrays gives
+    g = TorusGraph(d, n)
+    params = DynParams(p, mu, horizon)
+    if init == "explicit":
+        init = np.random.default_rng(seed).integers(0, 2, g.n_edges).tolist()
+    env = sample_env(g, params, init=init, seed=seed)
+    assert env._known == dynenv._KEPT * horizon
+    got = [_read(env, *r) for r in reads]
+    full = EnvTrajectory(g, params, env.initial, env.flip_times, env.offsets,
+                         env.init_tag, env.seed)
+    assert env._known == horizon
+    for r, answer in zip(reads, got):
+        assert _same(answer, _read(full, *r)), r
+    if seed is not None:  # one more draw of the same stream, read whole at once
+        again = sample_env(g, params, init=init, seed=seed)
+        assert dumps_env(again) == dumps_env(env)
+
+
+def test_kept_window_survives_a_stream_past_it():
+    # the sorted stream's watermark doubles up to the end of the window; a
+    # read past the window re-derives the horizon and rebases the stream
+    g = TorusGraph(1, 6)
+    env = sample_env(g, DynParams(0.5, 0.25, 160.0), seed=3)
+    full = loads_env(dumps_env(sample_env(g, env.params, seed=3)))
+    w = env._known
+    for t0, t1 in ((0.0, 0.6 * w), (0.6 * w, 0.7 * w), (0.7 * w, w), (w, 3.0 * w),
+                   (3.0 * w, 160.0)):
+        assert _same(env.flip_events(t0, t1), full.flip_events(t0, t1))
+        if t1 == 0.7 * w:  # the doubled watermark, 1.2 w, stopped at the window
+            assert env._mark == env._known == w
+    assert env._known == env._mark == 160.0

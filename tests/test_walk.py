@@ -86,6 +86,14 @@ def test_simulate_walks_refuses_bad_input(x0, horizon, n_walkers, error, monkeyp
         simulate_walks(env, x0, horizon, n_walkers, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, 2 ** 63], ids=["-1", "1.5", "2**63"])
+def test_simulate_walks_refuses_bad_seeds(seed, monkeypatch):
+    # -1 raised numpy's ValueError and 1.5 its TypeError
+    monkeypatch.setattr(walk, "_attempted_jumps", None)
+    with pytest.raises(InputError):
+        simulate_walks(_env(horizon=5.0), 0, 1.0, 1, seed=seed)
+
+
 # (d, n, p, mu, T, env seed), start, walk horizon, walk seed -> sha256 of a
 # walk's jump times and targets, recorded with the loop over single attempts
 # that one walker of the batched engine replaces
