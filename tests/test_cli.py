@@ -211,7 +211,7 @@ def test_bad_seed_exits_2(tmp_path, seed):
         assert not out.exists()
 
 
-_ROOM_CONFIGS = {  # each command's config, and the most its seeds pass the base
+_ROOM_CONFIGS = {  # each command's config, and how far past the base it derives seeds
     "sweep": ("[run]\nn_grid = 4,6\nmu_grid = 0.5\nenv_samples = 2\n", 6001),
     "mix": ("[run]\nn = 6\nenv_samples = 3\n", 2),
     "hit": ("[run]\nn = 6\nenv_samples = 3\n", 2),

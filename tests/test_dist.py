@@ -213,7 +213,7 @@ def test_cli_sized_runs_read_only_the_kept_flips():
     mix = sample_env(TorusGraph(2, 16), DynParams(0.5, 0.5, 20 * 16 ** 2 / 0.5), seed=0)
     assert math.isfinite(D.quenched_mixing_time(mix, 0, 0.25))
     hit = sample_env(TorusGraph(1, 20), DynParams(0.5, 0.125, 50 * 20 ** 2 / 0.125), seed=0)
-    means, censored = walk.exact_hitting_profile(hit, np.arange(20) < 10, hit.horizon)
+    _, censored = walk.exact_hitting_profile(hit, np.arange(20) < 10, hit.horizon)
     assert censored.max() < 1e-12
     for env in (mix, hit):
         assert env._known == dynenv._KEPT * env.horizon  # nothing was re-derived
