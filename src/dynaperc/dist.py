@@ -104,14 +104,47 @@ def sample_envs(g: TorusGraph, params: DynParams, init: Union[str, Sequence[int]
 def quenched_mixing_time(env: EnvTrajectory, x: int, eps: float) -> float:
     """First grid time with TV(quenched law, uniform) <= eps, or NOT_MIXED.
 
-    TV along the grid is checked to be nonincreasing (uniform is stationary
-    for every environment realization).  `eps` <= 0 raises `InputError`.
+    The time is a certified decision, equal to the one the exact TV curve
+    (`walk.quenched_tv_curve`, exact to `walk.EXACT_TOL`) gives.  A coarse
+    pass (`walk._laws` at `walk._DECISION_TAIL`) evolves a law v~ that is
+    entrywise at most the true law v and short of mass 1 by at most its
+    `dropped` d, so the true TV lies in [S, S + d] for
+    S = sum_y (v~(y) - 1/N)+.  The exact curve's own truncation is at most
+    d too (its series extend the coarse ones), so with the allowance
+    sigma = `walk.EXACT_TOL` + d for it and for rounding, a grid time with
+    S - sigma > eps is not mixed, and one with S + d + sigma <= eps is the
+    answer.  Only a time between the two decides nothing; then the exact
+    curve runs from the start, stopping at eps, and gives the answer.
+
+    S is checked to be nonincreasing along the grid, to 1e-8, and so is
+    the exact curve where it runs (uniform is stationary for every
+    environment realization).  `eps` <= 0 raises `InputError`.
     """
     if not eps > 0.0:
         raise InputError(f"eps must be positive, got {eps}")
     if eps >= 1.0:
         return 0.0
     grid = default_grid(env.params)
+    uniform = 1.0 / env.graph.n_vertices
+    last = math.inf
+    laws = walkmod._laws(env, x, grid, walkmod._DECISION_TAIL)
+    for i, (law, dropped) in enumerate(laws):
+        s = float(np.maximum(law - uniform, 0.0).sum())
+        if s > last + 1e-8:
+            raise AssertionError("quenched TV to uniform increased along the grid")
+        last = s
+        sigma = walkmod.EXACT_TOL + dropped
+        if s - sigma > eps:
+            continue
+        if s + dropped + sigma <= eps:
+            return float(grid[i])
+        return _exact_mixing_time(env, x, eps, grid)
+    return NOT_MIXED
+
+
+def _exact_mixing_time(env: EnvTrajectory, x: int, eps: float,
+                       grid: np.ndarray) -> float:
+    """`quenched_mixing_time` from the exact TV curve, stopped at eps."""
     tvs = walkmod.quenched_tv_curve(env, x, grid, stop_below=eps)
     seen = tvs[~np.isnan(tvs)]
     if len(seen) > 1 and np.any(np.diff(seen) > 1e-8):

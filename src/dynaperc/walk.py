@@ -48,6 +48,14 @@ the tail mass they left out (`dropped`), which bounds the error.  A series
 leaves out less than `_SERIES_TAIL`, or about 1.1e-15 where the sum sticks
 just under 1 - `_SERIES_TAIL`, so 8e4 series stay within `EXACT_TOL`.
 
+Laws, TV curves, window kernels and hitting profiles are exact to
+`EXACT_TOL`.  A quenched mixing time is a certified decision instead
+(`dist.quenched_mixing_time`): one coarse pass, `_laws` at
+`_DECISION_TAIL`, cuts every series to a prefix of its exact terms, so its
+law bounds the true law from below and its `dropped` bounds the missing
+mass; each grid time is decided from these bounds, and only a time whose
+bounds straddle eps runs the exact curve.
+
 One size check, `check_exact_size`, guards all exact evolution: more than
 `EXACT_STATE_BUDGET` states raise `CapabilityError`.  `_Evolver`'s
 constructor calls it before any matrix is allocated, and `dist.sample_envs`
@@ -77,6 +85,10 @@ EXACT_TOL = 1e-10
 # Every uniformization series stops at the first term where its Poisson tail
 # is below this; smaller would chase rounding noise near a sum of 1.
 _SERIES_TAIL = 1e-15
+# The tail of the coarse pass that decides a mixing time
+# (`dist.quenched_mixing_time`): about 3 terms a segment instead of 5 on the
+# d = 2, n = 16 cell, whose segments are about 0.008 long.
+_DECISION_TAIL = 1e-9
 # Uniformization segments longer than this are split to avoid exp underflow.
 _MAX_SEGMENT = 32.0
 # Absorbed evolution runs one Horner pass and one product tree per chunk of
@@ -272,7 +284,8 @@ def step_matrix(g: TorusGraph, open_mask: np.ndarray) -> np.ndarray:
     return _Stencil(g, open_mask).matrix()
 
 
-def _poisson_table(lengths: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _poisson_table(lengths: Sequence[float],
+                   tail: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(W, K, dropped) for the series of each length h <= `_MAX_SEGMENT`:
     series i takes K[i] products with weights W[i, :K[i] + 1] (e^-h h^k/k!;
     later entries are unused) and leaves out the Poisson mass dropped[i].
@@ -280,10 +293,12 @@ def _poisson_table(lengths: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np
     The weights are the scalar recurrence w *= h/k, cum += w bit for bit, as
     a cumprod and a cumsum.  W is C-contiguous, since a dot by a strided
     column gives other bits.  A series stops at the first k where
-    cum >= 1 - `_SERIES_TAIL` or, once k > h, where a term leaves cum
-    unchanged, as every later one would: at some lengths cum sticks just
-    under 1 - `_SERIES_TAIL` (h = 23.0206 stops at 74 terms, not the 392 its
-    weights take to underflow), so dropped can reach about 1.1e-15.
+    cum >= 1 - `tail` or, once k > h, where a term leaves cum unchanged, as
+    every later one would: at some lengths cum sticks just under
+    1 - `_SERIES_TAIL` (h = 23.0206 stops at 74 terms, not the 392 its
+    weights take to underflow), so dropped can reach about 1.1e-15.  The
+    weights do not depend on `tail`: a coarser tail cuts every series to a
+    prefix of its terms, and leaves out at least its mass.
     """
     h = np.asarray(lengths, dtype=float)
     top = h.max(initial=0.0)
@@ -295,7 +310,7 @@ def _poisson_table(lengths: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np
         np.divide(h, k[1:], out=T[1:])
         np.multiply.accumulate(T, out=T)
         cum = np.cumsum(T, axis=0)
-        stop = cum >= 1.0 - _SERIES_TAIL
+        stop = cum >= 1.0 - tail
         stop[1:] |= (cum[1:] == cum[:-1]) & (k[1:] > h)
         if stop.any(axis=0).all():
             break
@@ -417,12 +432,15 @@ class _Evolver:
     flip state run ahead of an early stop, so such an evolver is meant for
     a single `advance`.
 
-    Counters: `segments` (uniformization series run and used), `terms`
-    (matrix products taken by those series) and `dropped` (the Poisson tail
-    mass those series left out, each below `_SERIES_TAIL` or, for a sum
-    stuck just under 1 - `_SERIES_TAIL`, about 1.1e-15).  Evolution is an
-    L1 contraction, so each row's truncation error is at most `dropped`:
-    that is the bound to hold against `EXACT_TOL`.
+    Every series stops at the Poisson tail `tail`: `_SERIES_TAIL`, unless
+    a caller sets it before the first `advance`, as `_laws` does for the
+    coarse pass.  Counters: `segments` (uniformization series run and
+    used), `terms` (matrix products taken by those series) and `dropped`
+    (the Poisson tail mass those series left out, the sum of their
+    `_poisson_table` entries: each below `tail` or, for a sum stuck just
+    under 1 - `_SERIES_TAIL`, about 1.1e-15).  Evolution is an L1
+    contraction, so each row's truncation error is at most `dropped`: at
+    `_SERIES_TAIL`, the bound to hold against `EXACT_TOL`.
     """
 
     def __init__(self, env: EnvTrajectory, t0: float,
@@ -460,6 +478,7 @@ class _Evolver:
             self._blocks = np.empty((size, n, n))
             self._lengths: list[float] = []
             self._at_flip: list[bool] = []  # piece ends a flip segment
+        self.tail = _SERIES_TAIL  # every series' Poisson tail, set before a run
         self.dropped = 0.0
         self.segments = 0
         self.terms = 0
@@ -500,7 +519,7 @@ class _Evolver:
         pieces = _pieces([self.t, *times.tolist(), t1], eids.tolist())
         self.t = t1
         while block := list(islice(pieces, _TABLE_ROWS)):
-            W, K, dropped = _poisson_table([h for h, _ in block])
+            W, K, dropped = _poisson_table([h for h, _ in block], self.tail)
             for (h, e), w, k, d in zip(block, W, K.tolist(), dropped.tolist()):
                 if h > 0.0 and self._n_open:  # no open edge: P = I
                     mat = _apply_uniformized(mat, self.P, w[:k + 1])
@@ -556,7 +575,7 @@ class _Evolver:
         if m == 0:
             return mat, False
         if m == 1:  # a lone piece runs its series on the rows themselves
-            W, K, dropped = _poisson_table(lengths)
+            W, K, dropped = _poisson_table(lengths, self.tail)
             mat = _apply_uniformized(mat, blocks[0], W[0, :K[0] + 1], self.occupation)
             self._count(int(K[0]), float(dropped[0]))
             return mat, at_flip[0] and mat.sum(axis=1).max(initial=0.0) < 1e-14
@@ -595,7 +614,7 @@ class _Evolver:
         k = K.  The augmented generator [[B, 1], [0, 1]] is not used: its
         powers would give the occupation 1 - cum truncated to cum[K] - cum[k].
         """
-        W, K, dropped = _poisson_table(lengths)
+        W, K, dropped = _poisson_table(lengths, self.tail)
         K = K.tolist()
         m, n = blocks.shape[:2]
         order = sorted(range(m), key=K.__getitem__, reverse=True)
@@ -631,6 +650,23 @@ def quenched_laws(env: EnvTrajectory, x0: int,
     nondecreasing raises `InputError`, and a time outside [0, T]
     `HorizonError`.
     """
+    for law, _ in _laws(env, x0, grid, _SERIES_TAIL):
+        yield law
+
+
+def _laws(env: EnvTrajectory, x0: int, grid: Sequence[float],
+          tail: float) -> Iterator[tuple[np.ndarray, float]]:
+    """(law, dropped) at each time of the grid, evolved by one evolver whose
+    series stop at the Poisson tail `tail`; dropped is the tail mass they
+    left out so far.
+
+    `quenched_laws` runs it at `_SERIES_TAIL`, and the coarse pass of
+    `dist.quenched_mixing_time` at `_DECISION_TAIL`.  Both tails run the
+    same segments with the same weights, so each coarse series is a prefix
+    of the exact one: up to rounding, the coarse law is entrywise at most
+    the exact law and the true one, and short of mass 1 by at most its
+    dropped, which also bounds the exact run's.
+    """
     g = env.graph
     g._check_vertex(x0)
     grid = np.asarray(grid, dtype=float)
@@ -642,11 +678,12 @@ def quenched_laws(env: EnvTrajectory, x0: int,
         env._check_time(grid.min())
         env._check_time(grid.max())
     ev = _Evolver(env, 0.0)
+    ev.tail = tail
     vec = np.zeros((1, g.n_vertices))
     vec[0, x0] = 1.0
-    for t in grid.tolist():
+    for t in map(float, grid):  # lazily: a run may stop long before the horizon
         vec = ev.advance(vec, t)
-        yield vec[0]
+        yield vec[0], ev.dropped
 
 
 def exact_quenched_distribution(env: EnvTrajectory, x0: int, t: float) -> np.ndarray:

@@ -330,16 +330,16 @@ def rebuild_neighbour_table(g, open_mask):
     return nbr
 
 
-def scalar_poisson_weights(h):
+def scalar_poisson_weights(h, tail=_SERIES_TAIL):
     """Reference for `walk._poisson_table`, one length at a time: the scalar
     recurrence w *= h/k, cum += w, stopped at the first term where
-    cum >= 1 - `walk._SERIES_TAIL` or, once k > h, where a term leaves cum
-    unchanged.  Returns (weights, K, dropped)."""
+    cum >= 1 - tail or, once k > h, where a term leaves cum unchanged.
+    Returns (weights, K, dropped)."""
     w = math.exp(-h)
     cum = w
     ws = [w]
     k = 0
-    while cum < 1.0 - _SERIES_TAIL:
+    while cum < 1.0 - tail:
         k += 1
         w *= h / k
         last, cum = cum, cum + w

@@ -278,3 +278,28 @@ def test_lab_theorem_scenario(tmp_path):
     out = tmp_path / "o"
     assert run(["lab", "--scenario", "theorem", "--out", str(out)]) == 0
     assert "theorem_tail_certificate_ok,1.0" in (out / "lab.csv").read_text()
+
+
+# sha256 digests recorded before mixing times were decided by the certified
+# coarse pass (`dist.quenched_mixing_time`): every decision it takes must
+# equal the exact TV curve's, so neither output may move
+def test_mix_quenched_rows_pinned(tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[run]\nd = 1\nn = 8\nmu = 0.25\nenv_samples = 10\n")
+    out = tmp_path / "o"
+    assert run(["mix", "--config", str(cfg), "--seed", "5", "--out", str(out)]) == 0
+    rows = [ln for ln in (out / "mix.csv").read_text().splitlines(keepends=True)
+            if ":t_mix_quenched" in ln]
+    assert len(rows) == 11
+    assert hashlib.sha256("".join(rows).encode()).hexdigest() == (
+        "feb30464e092fe4457f70c38131d8d9923bfcb42e2d83910596eff9efc74fa1b")
+
+
+def test_mixing_sweep_csv_pinned(tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[run]\nd = 2\nn_grid = 6\nmu_grid = 0.5,0.25\nenv_samples = 10\n")
+    out = tmp_path / "o"
+    assert run(["sweep", "--scenario", "subcritical-mixing", "--config", str(cfg),
+                "--seed", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == (
+        "9b5ba65c3d26e198f0846f22bf397bdec4ddec4827342142f7483d116017ff0e")

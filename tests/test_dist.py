@@ -68,11 +68,100 @@ def test_quenched_mixing_time_basic():
     assert D.quenched_mixing_time(env, 0, 1.0) == 0.0
 
 
+def _exact_times(env, eps_list):
+    """First grid time of the exact TV curve at or below each eps, from one
+    curve run down to the smallest."""
+    grid = D.default_grid(env.params)
+    tvs = D.walkmod.quenched_tv_curve(env, 0, grid, stop_below=min(eps_list))
+    hits = [np.nonzero(tvs <= eps)[0] for eps in eps_list]
+    return [float(grid[hit[0]]) if len(hit) else D.NOT_MIXED for hit in hits]
+
+
+def _spy_exact(monkeypatch) -> list:
+    """The grids of every exact TV curve `dist` runs from now on."""
+    calls = []
+    curve = D.walkmod.quenched_tv_curve
+
+    def spy(env, x0, grid, stop_below=None):
+        calls.append(grid)
+        return curve(env, x0, grid, stop_below=stop_below)
+
+    monkeypatch.setattr(D.walkmod, "quenched_tv_curve", spy)
+    return calls
+
+
+@pytest.mark.parametrize("d, n, mu", [(1, 8, 0.5), (2, 4, 0.5), (3, 3, 0.25)])
+@pytest.mark.parametrize("init", ["stationary", "all-closed", "all-open"])
+def test_certified_times_equal_exact_curve(d, n, mu, init, monkeypatch):
+    # every decision of the coarse pass is the exact TV curve's, at every
+    # eps, whether the walk mixes by the horizon or not
+    g = TorusGraph(d=d, n=n)
+    exact = _spy_exact(monkeypatch)
+    seen = set()
+    for seed in range(4):
+        for horizon in (12 * n * n / mu, 3.0 / mu):
+            env = sample_env(g, DynParams(p=0.5, mu=mu, horizon=horizon), init=init,
+                             seed=seed)
+            times = [D.quenched_mixing_time(env, 0, eps) for eps in (0.05, 0.25, 0.5)]
+            assert times == _exact_times(env, (0.05, 0.25, 0.5))
+            seen.update(t if t == D.NOT_MIXED else "mixed" for t in times)
+            assert D.quenched_mixing_time(env, 0, 1.0) == 0.0
+            assert D.quenched_mixing_time(env, 0, 2.0) == 0.0
+    assert seen == {"mixed", D.NOT_MIXED}
+    assert len(exact) == 4 * 2  # one curve per `_exact_times`, no fallback
+
+
+@pytest.mark.parametrize("d, n", [(1, 8), (2, 4)])
+def test_certified_time_falls_back_at_an_exact_grid_tv(d, n, monkeypatch):
+    # eps equal to a grid time's exact TV lies inside that time's coarse
+    # bounds, so the exact curve must run, once, and decide
+    env = sample_env(TorusGraph(d=d, n=n), DynParams(p=0.5, mu=0.5, horizon=20 * n * n),
+                     seed=3)
+    grid = D.default_grid(env.params)
+    tvs = D.walkmod.quenched_tv_curve(env, 0, grid)
+    i = int(np.argmax(tvs < 0.3))
+    assert 0 < i and tvs[i - 1] > tvs[i] + 1e-3
+    exact = _spy_exact(monkeypatch)
+    assert D.quenched_mixing_time(env, 0, float(tvs[i])) == grid[i]
+    assert len(exact) == 1 and np.array_equal(exact[0], grid)
+    assert D.quenched_mixing_time(env, 0, float(tvs[i]) + 1e-3) == grid[i]
+    assert D.quenched_mixing_time(env, 0, float(tvs[i]) - 1e-3) == grid[i + 1]
+    assert len(exact) == 1  # both decided by the coarse pass
+
+
+def test_certified_time_checks_coarse_tv_never_rises(monkeypatch):
+    # a coarse pass whose S = sum (law - 1/N)+ rises by more than 1e-8
+    # between grid times is refused, as the exact curve is
+    env = sample_env(TorusGraph(d=1, n=8), DynParams(p=0.5, mu=0.25, horizon=400.0), seed=2)
+    laws = D.walkmod._laws
+
+    def corrupted(env, x0, grid, tail, rise):
+        # grid time 3 gets the law of time 2 with `rise` moved from its
+        # smallest entry to its largest, so S rises by `rise`
+        for i, (law, dropped) in enumerate(laws(env, x0, grid, tail)):
+            if i == 2:
+                kept = law.copy()
+            elif i == 3:
+                law = kept
+                law[np.argmax(law)] += rise
+                law[np.argmin(law)] -= rise
+            yield law, dropped
+
+    monkeypatch.setattr(D.walkmod, "_laws", lambda *a: corrupted(*a, rise=2e-8))
+    with pytest.raises(AssertionError, match="increased"):
+        D.quenched_mixing_time(env, 0, 0.01)
+    monkeypatch.setattr(D.walkmod, "_laws", lambda *a: corrupted(*a, rise=5e-9))
+    assert [D.quenched_mixing_time(env, 0, 0.01)] == _exact_times(env, [0.01])
+
+
 def test_quenched_mixing_not_mixed():
     g = TorusGraph(d=1, n=6)
-    params = DynParams(p=0.5, mu=0.25, horizon=4.0)
-    env = sample_env(g, params, init="all-closed", seed=2)
-    assert D.quenched_mixing_time(env, 0, 0.01) == D.NOT_MIXED
+    # one grid time, and none: a horizon shorter than one block 1/mu
+    for horizon, times in ((4.0, 1), (3.5, 0)):
+        params = DynParams(p=0.5, mu=0.25, horizon=horizon)
+        env = sample_env(g, params, init="all-closed", seed=2)
+        assert len(D.default_grid(params)) == times
+        assert D.quenched_mixing_time(env, 0, 0.01) == D.NOT_MIXED
 
 
 def test_annealed_mixing_and_convexity():
@@ -118,6 +207,7 @@ def test_mixing_times_refuse_nonpositive_eps(monkeypatch, call, eps):
 
     monkeypatch.setattr(D, "sample_env", no_work)
     monkeypatch.setattr(D.walkmod, "quenched_tv_curve", no_work)
+    monkeypatch.setattr(D.walkmod, "_laws", no_work)  # the coarse pass's entry
     with pytest.raises(InputError):
         _EPS_CALLS[call](env, eps)
 

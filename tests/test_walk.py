@@ -393,6 +393,40 @@ def test_hitting_profile_matches_rebuild_reference(name, env, A, horizon):
     assert np.all(np.abs(censored - ref_censored) <= bound)
 
 
+def _spy_tables(monkeypatch) -> list:
+    """Every `_poisson_table` built from now on, as (lengths, K, dropped,
+    tail)."""
+    tables = []
+    table = walk._poisson_table
+
+    def spy(lengths, tail):
+        W, K, dropped = table(lengths, tail)
+        tables.append((list(lengths), K.tolist(), dropped.tolist(), tail))
+        return W, K, dropped
+
+    monkeypatch.setattr(walk, "_poisson_table", spy)
+    return tables
+
+
+def _assert_counts_sum_tables(ev, tables, t0: float) -> None:
+    # an evolver started at t0 runs its tables' series in time order, one
+    # per piece of positive length (a piece of length 0 takes no term and
+    # drops nothing), but none where a forward walk has no open edge (P = I)
+    # and none stacked past an absorbed run's early stop: its counters are
+    # the sums of those rows, added in the same order; every table is cut
+    # at the evolver's tail
+    assert {tail for *_, tail in tables} == {ev.tail}
+    pieces = [piece for table in tables for piece in zip(*table[:3])]  # (h, K, dropped)
+    h = np.array([h for h, _, _ in pieces])
+    mids = (t0 + np.cumsum(h) - 0.5 * h).tolist()
+    rows = [(k, d) for (h, k, d), mid in zip(pieces, mids)
+            if h > 0.0 and (ev.absorbing is not None or ev.env.open_mask_at(mid).any())]
+    rows = rows[:ev.segments]
+    assert len(rows) == ev.segments > 0
+    assert ev.terms == sum(k for k, _ in rows)
+    assert ev.dropped == sum(d for _, d in rows)
+
+
 # (segments, terms) of the absorbed evolver on each hitting case, recorded
 # with every series stopping at the one 1e-15 tail, once each profile
 # matched `rebuild_hitting_profile` on that tail
@@ -414,10 +448,11 @@ def test_absorbed_counters_pinned(name, env, A, horizon, chunk, monkeypatch):
     # stopped alone, and pieces stacked past the stop are not counted.
     expected, _ = exact_hitting_profile(env, A, horizon)
     monkeypatch.setattr(walk, "_CHUNK", chunk)
+    tables = _spy_tables(monkeypatch)
     ev = _Evolver(env, 0.0, absorbing=A)
     ev.advance(np.eye(int((~A).sum())), horizon)
     assert (ev.segments, ev.terms) == _ABSORBED_COUNTS[name]
-    assert 0.0 <= ev.dropped <= ev.segments * 1e-15
+    _assert_counts_sum_tables(ev, tables, 0.0)
     assert np.all(np.abs(ev.occupation - expected[~A]) <= 1e-12 * expected[~A])
 
 
@@ -444,20 +479,26 @@ def test_chunk_splits_long_stretches(monkeypatch):
 @given(st.lists(st.floats(0.0, _MAX_SEGMENT), min_size=1, max_size=40))
 @settings(max_examples=150, deadline=None)
 def test_poisson_table_is_the_scalar_recurrence(lengths):
-    # every row bit for bit: its weights, its term count and its dropped mass
+    # every row bit for bit at either tail: its weights, its term count and
+    # its dropped mass; the coarse series is a prefix of the exact one
     lengths = lengths + [0.0, _MAX_SEGMENT, 19.69, 23.020593414678842]
-    W, K, dropped = walk._poisson_table(lengths)
-    assert W.flags.c_contiguous
-    for i, h in enumerate(lengths):
-        ws, k, d = scalar_poisson_weights(h)
-        assert (K[i], dropped[i]) == (k, d)
-        assert np.array_equal(W[i, :k + 1], ws)
+    tails = (walk._SERIES_TAIL, walk._DECISION_TAIL)
+    tables = [walk._poisson_table(lengths, tail) for tail in tails]
+    for tail, (W, K, dropped) in zip(tails, tables):
+        assert W.flags.c_contiguous
+        for i, h in enumerate(lengths):
+            ws, k, d = scalar_poisson_weights(h, tail)
+            assert (K[i], dropped[i]) == (k, d)
+            assert np.array_equal(W[i, :k + 1], ws)
+    (W, K, dropped), (W_c, K_c, dropped_c) = tables
+    assert np.array_equal(W, W_c)
+    assert np.all(K_c <= K) and np.all(dropped_c >= dropped)
 
 
 def test_stuck_sums_stop_at_the_first_idle_term():
     # both sums stick just under 1 - 1e-15; their weights underflow only at
     # 373 and 392 terms
-    _, K, dropped = walk._poisson_table([19.69, 23.020593414678842])
+    _, K, dropped = walk._poisson_table([19.69, 23.020593414678842], walk._SERIES_TAIL)
     assert K.tolist() == [67, 74]
     assert np.all((1e-15 < dropped) & (dropped < 1.2e-15))
 
@@ -479,7 +520,7 @@ def test_chunk_series_matches_lone_series(d, n):
             ev._flip(e)
     blocks = ev._stack[:len(lengths)]
     A, K, dropped = ev._chunk_series(blocks, lengths)
-    W, K_table, dropped_table = walk._poisson_table(lengths)
+    W, K_table, dropped_table = walk._poisson_table(lengths, walk._SERIES_TAIL)
     assert (K, dropped) == (K_table.tolist(), dropped_table.tolist())
     for r, block in enumerate(blocks):
         J = np.zeros(k)
@@ -702,23 +743,44 @@ def test_stencil_at_torus_scale():
     _assert_forward_matches_rebuild(env, grid, (1.5, 4.0), 20.0)
 
 
-def test_every_series_stops_at_one_tail():
-    # forward laws on a grid, a window kernel and an absorbed run: each
-    # series leaves out less than 1e-15, so `dropped` is at most that per
-    # series, however few series a run makes
+def test_every_series_stops_at_one_tail(monkeypatch):
+    # forward laws on a grid, a window kernel and an absorbed run, at the
+    # exact tail and at the coarse one: every series stops at the evolver's
+    # tail, and `dropped` is the sum of the dropped masses of the tables the
+    # run built, exactly, however few series a run makes
     env = _env(n=8, mu=0.5, horizon=600.0, seed=11)
     A = np.arange(8) < 4
-    laws = _Evolver(env, 0.0)
-    row = np.eye(8)[:1]
-    for t in (0.5, 3.0, 40.0, 600.0):
-        row = laws.advance(row, t)
-    kernel = _Evolver(env, 2.0)
-    kernel.advance(np.eye(8), 9.0)
-    absorbed = _Evolver(env, 0.0, absorbing=A)
-    absorbed.advance(np.eye(4), 600.0)
-    for ev in (laws, kernel, absorbed):
-        assert ev.segments > 0
-        assert 0.0 < ev.dropped <= ev.segments * 1e-15
+    tables = _spy_tables(monkeypatch)
+
+    def laws(ev):
+        row = np.eye(8)[:1]
+        for t in (0.5, 3.0, 40.0, 600.0):
+            row = ev.advance(row, t)
+
+    runs = [(0.0, None, laws), (2.0, None, lambda ev: ev.advance(np.eye(8), 9.0)),
+            (0.0, A, lambda ev: ev.advance(np.eye(4), 600.0))]
+    for tail in (walk._SERIES_TAIL, walk._DECISION_TAIL):
+        for t0, absorbing, run in runs:
+            ev = _Evolver(env, t0, absorbing=absorbing)
+            ev.tail = tail
+            tables.clear()
+            run(ev)
+            _assert_counts_sum_tables(ev, tables, t0)
+            assert ev.dropped > 0.0
+
+
+@pytest.mark.parametrize("d, n, init", [(1, 8, "all-closed"), (2, 4, "stationary"),
+                                         (3, 3, "all-open"), (2, 16, "stationary")])
+def test_coarse_laws_bound_the_exact_ones(d, n, init):
+    # the coarse pass's series are prefixes of the exact ones: its law is
+    # entrywise at most the exact law, and short of mass 1 by at most its
+    # dropped
+    env = _env(d=d, n=n, mu=0.5, horizon=min(4.0 * n * n, 100.0), seed=d, init=init)
+    grid = dist.default_grid(env.params)
+    coarse = walk._laws(env, 0, grid, walk._DECISION_TAIL)
+    for law, (low, dropped) in zip(walk.quenched_laws(env, 0, grid), coarse):
+        assert np.all(low <= law + 1e-15)
+        assert 0.0 < 1.0 - low.sum() <= dropped + 1e-13
 
 
 # (d, n, mu, seed) -> sha256 of quenched_tv_curve, window_kernel and
