@@ -436,15 +436,15 @@ def cmd_sweep(run: Runner) -> int:
     scenario = run.cfg["scenario"] or "subcritical-mixing"
 
     def mixing_cell(cfg: dict, g: TorusGraph, params: DynParams) -> list[dict]:
-        times = [dist.quenched_mixing_time(env, 0, cfg["eps"]) for env in
-                 dist.sample_envs(g, params, "stationary", run.seed + 1000 * g.n,
+        times = [dist.quenched_mixing_time(env, cfg["x"], cfg["eps"]) for env in
+                 dist.sample_envs(g, params, cfg["init"], run.seed + 1000 * g.n,
                                   cfg["env_samples"])]
         return [_median_row(cfg, times, cell_id=f"n{g.n}mu{params.mu}")]
 
     def hitting_cell(cfg: dict, g: TorusGraph, params: DynParams) -> list[dict]:
         A = _arc_target(g, np.random.default_rng(run.seed + g.n))
         rep = dist.hitting_time_stats(g, params, A, env_samples=cfg["env_samples"],
-                                      seed=run.seed + 1000 * g.n)
+                                      seed=run.seed + 1000 * g.n, init=cfg["init"])
         return [_base_row(cfg, statistic="hit_time_annealed_max",
                           value=float(rep.annealed_means.max()),
                           cell_id=f"n{g.n}mu{params.mu}",
@@ -474,6 +474,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dynaperc",
                                      description="dynamical-percolation walk experiments")

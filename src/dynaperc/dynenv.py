@@ -229,6 +229,7 @@ class EnvTrajectory:
         self._times = np.concatenate((self._times, flips[idx[order]]))
         self._edge_ids = np.concatenate(
             (self._edge_ids, np.repeat(np.arange(len(counts)), counts)[order]))
+        self._times.flags.writeable = self._edge_ids.flags.writeable = False
         self._next = lo
         self._mark = mark
 
@@ -266,13 +267,15 @@ class EnvTrajectory:
     def flip_events(self, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
         """All flips with time in (t0, t1], time-sorted: (times, edge ids).
 
-        Equal times come in edge order.
+        Equal times come in edge order.  Both are read-only views of the
+        stream, which only ever grows by a new array, so a window costs no
+        copy and stays valid.
         """
         self._check_time(t0)
         self._check_time(t1)
         self._extend(t1)
         i, j = np.searchsorted(self._times, (t0, t1), side="right")
-        return self._times[i:j].copy(), self._edge_ids[i:j].copy()
+        return self._times[i:j], self._edge_ids[i:j]
 
 
 # standard exponentials drawn per rng call, and flips checked per pass, at most

@@ -12,33 +12,30 @@ uniformization over the piecewise-constant jump generator between environment
 flips, exact up to `EXACT_TOL` in total variation.  All positions are reported
 right continuously.
 
-One core does all exact evolution: `_Evolver.advance` walks the flip segments
-of the environment, `_poisson_table` gives every series its Poisson weights,
-one table per block of up to 1024 segments, and `_apply_uniformized` runs
-the series.  The jump operator is held one way only, as the int
-neighbour-or-self table `_Stencil.nbr`, (2d, N): entry k of v is v's
-neighbour k when that edge is open and v itself when it is closed.  An
-attempt across a closed edge stays home, so P = I + Q is the mean of 2d
-gathers, row @ P = (1/2d) sum_k row[nbr[k]].  The table is built once per
-evolver and each flip rewrites the two entries of its edge in place.
-Forward laws, window kernels and TV curves evolve rows through it, one
-series per segment, with the flips applied between them.  A single row (a
-law, a TV curve) needs no N x N matrix: a segment writes its Krylov rows
-into one reused buffer, one gather and one dot a term (about 2.5 us at
-N = 256), and adds them up with one dot by its row of weights.  Many rows
-(a window kernel) run gemm on a dense P written from the table.  Every form
-has the entries of `step_matrix`, whose diagonal is a vertex's closed edges
-times 1/(2d), the sum of their gathers.  Hitting profiles run it on the
-chain absorbed in the target set: only the block of free (off-target)
-states is evolved, flips on edges inside the target are skipped, and each
-segment's time off the target is added up too.  The absorbed path works in
-chunks of up to 128 segments: it copies the free rows of the table for each
-segment onto an int stack, scatters the whole chunk's blocks at once, runs
-one Horner pass over them all for every segment's propagator E and
-occupation integral J, and multiplies the chunk's [[E, J], [0, 1]] by a
-pairwise product tree, so the Python cost of a product is paid once per
-chunk rather than once per segment.  It reads the flips a window at a time
-and stops at absorption.
+One core does all exact evolution, `_Evolver`, and it takes the flips of
+the environment a window at a time, as arrays.  The jump operator is held
+one way only, as the int neighbour-or-self table `_Stencil.nbr`, (2d, N):
+entry k of v is v's neighbour k when that edge is open and v itself when it
+is closed.  An attempt across a closed edge stays home, so P = I + Q is the
+mean of 2d gathers, row @ P = (1/2d) sum_k row[nbr[k]].  The table is built
+once per evolver and each flip rewrites the two entries of its edge in
+place.  Every form has the entries of `step_matrix`, whose diagonal is a
+vertex's closed edges times 1/(2d), the sum of their gathers.
+
+Forward laws, window kernels and TV curves run one loop, `_Evolver._forward`
+(`advance` is its one-stop case): it merges a window of flips, read as
+arrays, with the grid times into blocks that may span several grid times,
+weighs each block with one `_poisson_table`, and runs a series per piece,
+applying flips to the table inline.  A single row (a law, a TV curve) needs
+no N x N matrix: one gather and one dot a term (about 2 us at N = 256).
+Many rows (a window kernel) run gemm on a dense P written from the table.
+Hitting profiles run on the chain absorbed in the target set: only the block
+of free (off-target) states is evolved, and each segment's time off the
+target is added up too.  The absorbed path stacks the free rows of up to 128
+pieces at once from the parities of the window's flips, and runs one Horner
+pass and one pairwise product tree per chunk, so the Python cost of a product
+is paid once per chunk rather than once per segment.  It reads the flips a
+window at a time and stops at absorption.
 
 One rule truncates every series, forward or absorbed: it stops at the first
 term where its Poisson tail is below `_SERIES_TAIL` or, past the peak of the
@@ -99,9 +96,12 @@ _MAX_SEGMENT = 32.0
 # the hitting profiles of the 16- and 20-cycle (8 and 10 free states).
 _CHUNK = 128
 _CHUNK_BYTES = 1 << 17
-# A Poisson weight table holds at most this many series, so a long advance
-# never allocates a flips x terms table.
-_TABLE_ROWS = 1024
+# A forward block merges at most this many flips and grid times, and a
+# Poisson weight table holds at most this many series, so no run allocates a
+# flips x terms table.  256 was faster than 1024 on the 16- and 32-cycle
+# mixing cells (5.2 against 6.0 ms an environment; a table is as wide as its
+# longest piece needs) and as fast on the 16 x 16 torus.
+_TABLE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -203,11 +203,10 @@ class _Stencil:
 
     An attempt across a closed edge leaves the walker at v, so P = I + Q is
     the mean of 2d gathers: row @ P = (1/2d) sum_k row[nbr[k]] (P is
-    symmetric).  `series` writes the Krylov rows of a segment into one
-    buffer, reused from segment to segment, each with one gather and one
-    dot by 1/(2d) (about 2.5 us a term at N = 256, against 4.3 us for a float
-    table of P's 2d + 1 nonzeros per row, multiplied and summed), and adds
-    them up with one product by the Poisson weights.
+    symmetric).  `krylov` fills the Krylov rows of a one-row series, each
+    with one gather and one dot by 1/(2d) (about 2 us a term at N = 256,
+    against 4.3 us for a float table of P's 2d + 1 nonzeros per row,
+    multiplied and summed).
 
     Every form of P has the same entries: 1/(2d) across an open edge and,
     on the diagonal, the count of closed edges times 1/(2d), which is what
@@ -227,8 +226,6 @@ class _Stencil:
         is_open = open_mask[g.incident_edges.T]
         self.nbr[is_open] = self._far[is_open]
         self._q = np.full(two_d, self._rate)
-        self._krylov = np.empty((0, N))
-        self._terms: list[np.ndarray] = []
         self._dense: Optional[np.ndarray] = None
 
     def blocks(self, cols: np.ndarray, out: np.ndarray) -> None:
@@ -259,19 +256,14 @@ class _Stencil:
         flat[self._at_home] = home.sum(axis=0) * self._rate
         return self._dense
 
-    def series(self, row: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        """sum_k ws[k] row P^k for a (1, N) row."""
-        K = len(ws)
-        if len(self._krylov) < K:
-            self._krylov = np.empty((K, len(self._home)))
-            self._terms = list(self._krylov)  # views of its rows
-        prev = self._terms[0]
-        prev[:] = row[0]
+    def krylov(self, rows: list[np.ndarray], k: int) -> None:
+        """rows[j] = rows[j - 1] @ P for j = 1, ..., k, in place: rows are
+        (N,) views, the rows of one buffer."""
         q, nbr = self._q, self.nbr
-        for term in self._terms[1:K]:
+        prev = rows[0]
+        for term in rows[1:k + 1]:
             np.dot(q, prev[nbr], out=term)
             prev = term
-        return np.dot(ws, self._krylov[:K])[None, :]
 
 
 def step_matrix(g: TorusGraph, open_mask: np.ndarray) -> np.ndarray:
@@ -319,43 +311,44 @@ def _poisson_table(lengths: Sequence[float],
     return T.T.copy(), K, np.maximum(1.0 - cum[K, np.arange(len(h))], 0.0)
 
 
-def _pieces(cuts: list[float], flips: list[int]) -> Iterator[tuple[float, Optional[int]]]:
-    """The series pieces of the segments between consecutive cuts, as (h, e):
-    e is the flip that ends the segment, on its last piece, else None.  A
-    segment longer than `_MAX_SEGMENT` is split into pieces of that length
-    and a rest; an empty one is one piece of length 0, for its flip."""
-    for a, b, e in zip(cuts, cuts[1:], [*flips, None]):
-        s = b - a
-        while s > _MAX_SEGMENT:
-            yield _MAX_SEGMENT, None
-            s -= _MAX_SEGMENT
-        yield s, e
+def _pieces(prev: float, cuts: np.ndarray,
+            ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The series pieces of the segments from prev to cuts[0], from cuts[0]
+    to cuts[1], and so on, as arrays (h, e): e is ends[j] on the last piece
+    of segment j and -1 on the others.  A segment longer than `_MAX_SEGMENT`
+    is split into pieces of that length and a rest (the rest of repeated
+    subtraction, which is exact); an empty one is one piece of length 0."""
+    s = np.diff(cuts, prepend=prev)
+    if not (s > _MAX_SEGMENT).any():
+        return s, ends
+    count = np.maximum(np.ceil(s / _MAX_SEGMENT), 1.0).astype(np.int64)
+    last = np.cumsum(count) - 1
+    h = np.full(last[-1] + 1, _MAX_SEGMENT)
+    h[last] = s - _MAX_SEGMENT * (count - 1)
+    e = np.full(len(h), -1, dtype=np.int64)
+    e[last] = ends
+    return h, e
 
 
-def _apply_uniformized(mat: np.ndarray, P: np.ndarray | _Stencil, w: np.ndarray,
+def _apply_uniformized(mat: np.ndarray, P: np.ndarray, w: np.ndarray,
                        occupation: Optional[np.ndarray] = None) -> np.ndarray:
-    """mat @ expm((P - I) h) as the series sum_k w[k] mat P^k, for the weight
-    row w of length h from `_poisson_table`.
+    """mat @ expm((P - I) h) as the series sum_k w[k] mat P^k, by gemm on a
+    dense P, for the weight row w of length h from `_poisson_table`.
 
     With an `occupation` vector, also adds int_0^h (row sums of the evolving
     rows) dt into it: term k's integral of e^-t t^k / k! is 1 - cum_k.
 
-    Forward evolution passes the evolver's `_Stencil` (no `occupation`); the
-    absorbed path passes a dense free block from 128 free states, and runs
-    smaller ones as chunks (`_Evolver._chunk_series`, `_chain`).  On the
-    table one row runs on the Krylov rows, one gather and one dot a term;
-    more rows run gemm on its dense matrix.  For a window kernel's N rows a
-    term (gemm plus a fifth of one `matrix` write, about the terms a segment
-    takes) was measured against the 2d column gathers contracted with
-    1/(2d): 2.3 against 4.9 us at N = 16 (d = 1), 11 against 21 us at N = 64
-    (d = 2) and 38 against 87 ms at N = 1024, but 0.64 against 0.48 ms at
-    N = 256.  No benchmark workload runs window kernels, so one rule, gemm,
-    serves every N.
+    Forward evolution runs many rows (a window kernel) here on the evolver's
+    `_Stencil.matrix`, and one row on the table itself (`_Evolver._forward`);
+    the absorbed path passes a dense free block from 128 free states, and runs
+    smaller ones as chunks (`_Evolver._chunk_series`, `_chain`).  For a window
+    kernel's N rows a term (gemm plus a fifth of one `matrix` write, about the
+    terms a segment takes) was measured against the 2d column gathers
+    contracted with 1/(2d): 2.3 against 4.9 us at N = 16 (d = 1), 11 against
+    21 us at N = 64 (d = 2) and 38 against 87 ms at N = 1024, but 0.64
+    against 0.48 ms at N = 256.  No benchmark workload runs window kernels,
+    so one rule, gemm, serves every N.
     """
-    if isinstance(P, _Stencil):
-        if len(mat) == 1:
-            return P.series(mat, w)
-        P = P.matrix()  # many rows: gemm, faster except near N = 256
     acc = w[0] * mat
     if occupation is not None:
         c = 1.0 - np.cumsum(w)
@@ -394,11 +387,20 @@ class _Evolver:
     then writes the two entries of its edge, through flat positions in the
     table computed once per edge: across the edge when it opens, back home
     when it closes.  The table holds ints only, so it always equals a fresh
-    build.  Forward evolution runs one series per segment on the rows
-    themselves, K gathers (or gemms) and one dot by the segment's row of one
-    weight table per block of up to `_TABLE_ROWS` pieces (`_pieces`), with
-    the flips applied between them; it skips segments with no open edge, by
-    a count of open edges that each flip keeps.
+    build.
+
+    Forward evolution (`_forward`, and `advance` as its one-stop case) takes
+    its pieces from `_blocks`: a window of flips, read as arrays, merged with
+    the grid times in time order into blocks of up to `_TABLE_ROWS` cuts,
+    which may span several grid times, and split by one `_pieces` call.  A
+    window ends at the next grid time or, if later, the stream's watermark,
+    so no flip is read that the stream has not already sorted, beyond the
+    next grid time.  One `_poisson_table` weighs a block's pieces, and one
+    tight loop runs a series per piece, applies each flip to the table
+    inline and yields at each grid time.  A single row runs its series on
+    two Krylov buffers, the sum of one written into row 0 of the other; many
+    rows run gemm (`_apply_uniformized`).  A segment with no open edge runs
+    no series, by a count of open edges that each flip keeps.
 
     With an `absorbing` vertex mask the walk is absorbed there, and only the
     sub-stochastic block of P on the free vertices (those off the mask) is
@@ -411,36 +413,39 @@ class _Evolver:
     environment's sorted stream doubles its watermark, so the stream grows
     only about as far as the evolution reads.
 
-    The absorbed path works in chunks: before each flip the free rows of
-    the table are copied onto an int stack, with one gather through flat
-    positions computed once, and reading `_stack` scatters all the stacked
-    pieces' dense blocks at once (`_Stencil.blocks`, one bincount).  A
-    stretch longer than `_MAX_SEGMENT` is stacked as several pieces, split
-    by `_pieces` as on the forward path.  When the stack is full, one weight table
-    serves all its pieces and one Horner pass runs on them, longest series
-    first (`_chunk_series`): each piece r gets its propagator E_r (the
-    series applied to the identity) and its occupation J_r = int E_r(t) 1 dt,
-    as A_r = [[E_r, J_r], [0, 1]].  A pairwise product tree multiplies the
-    chunk's A_r in time order, log2 of its size batched matmuls, and
-    [mat | occupation] times that product is the state after the chunk.
-    `advance` stops at the first flip after which every row has less than
-    1e-14 mass left, since later segments add nothing.  Row mass never
-    grows, so only a chunk that ends below that mass holds the stop: its
-    pieces are chained one by one from the chunk's start to find the flip,
-    and pieces stacked past it are not counted.  A chunk holds at most
-    `_CHUNK` pieces and `_CHUNK_BYTES` of stacked blocks.  The block and
-    flip state run ahead of an early stop, so such an evolver is meant for
-    a single `advance`.
+    The absorbed path works in chunks.  `_stack_pieces` stacks a window's
+    pieces a chunk at a time, in a few array operations: the state of each
+    free-row slot's edge before piece r is its state at the slice's start
+    XOR the parity of that edge's flips before r, which gives the block
+    columns of every piece's free rows at once (`_rows`); the slice's net
+    flips are then applied to the table once (`_toggle`).  Reading `_stack`
+    scatters all the stacked pieces' dense blocks at once (`_Stencil.blocks`,
+    one bincount).  A stretch longer than `_MAX_SEGMENT` is stacked as
+    several pieces, split by `_pieces` as on the forward path.  When the
+    stack is full, one weight table serves all its pieces and one Horner
+    pass runs on them, longest series first (`_chunk_series`): each piece r
+    gets its propagator E_r (the series applied to the identity) and its
+    occupation J_r = int E_r(t) 1 dt, as A_r = [[E_r, J_r], [0, 1]].  A
+    pairwise product tree multiplies the chunk's A_r in time order, log2 of
+    its size batched matmuls, and [mat | occupation] times that product is
+    the state after the chunk.  `advance` stops at the first flip after
+    which every row has less than 1e-14 mass left, since later segments add
+    nothing.  Row mass never grows, so only a chunk that ends below that
+    mass holds the stop: its pieces are chained one by one from the chunk's
+    start to find the flip, and pieces stacked past it are not counted.  A
+    chunk holds at most `_CHUNK` pieces and `_CHUNK_BYTES` of stacked
+    blocks.  The block and flip state run ahead of an early stop, so such
+    an evolver is meant for a single `advance`.
 
     Every series stops at the Poisson tail `tail`: `_SERIES_TAIL`, unless
     a caller sets it before the first `advance`, as `_laws` does for the
     coarse pass.  Counters: `segments` (uniformization series run and
     used), `terms` (matrix products taken by those series) and `dropped`
     (the Poisson tail mass those series left out, the sum of their
-    `_poisson_table` entries: each below `tail` or, for a sum stuck just
-    under 1 - `_SERIES_TAIL`, about 1.1e-15).  Evolution is an L1
-    contraction, so each row's truncation error is at most `dropped`: at
-    `_SERIES_TAIL`, the bound to hold against `EXACT_TOL`.
+    `_poisson_table` entries in time order: each below `tail` or, for a sum
+    stuck just under 1 - `_SERIES_TAIL`, about 1.1e-15).  Evolution is an
+    L1 contraction, so each row's truncation error is at most `dropped`:
+    at `_SERIES_TAIL`, the bound to hold against `EXACT_TOL`.
     """
 
     def __init__(self, env: EnvTrajectory, t0: float,
@@ -453,28 +458,32 @@ class _Evolver:
         self.open_mask = env.open_mask_at(t0)
         self._n_open = int(np.count_nonzero(self.open_mask))
         self.P = _Stencil(g, self.open_mask)
-        self._nbr = self.P.nbr.reshape(-1)  # a flat view, for `_flip` and the free rows
+        self._nbr = self.P.nbr.reshape(-1)  # a flat view, for the flips
         N = g.n_vertices
         axis = np.arange(g.n_edges) % g.d
         u, v = g.edge_uv.T
         # per edge: the flat positions in nbr of its entries at u and at v
         # (v is neighbour 2 * axis of u, and u neighbour 2 * axis + 1 of v),
         # then u and v
-        self._pos = np.stack([2 * axis * N + u, (2 * axis + 1) * N + v, u, v],
-                             axis=1).tolist()
+        self._pos = np.stack([2 * axis * N + u, (2 * axis + 1) * N + v, u, v], axis=1)
         self.occupation = None
         if absorbing is not None:
             free = ~absorbing
             n = int(free.sum())
             self._live_edge = free[g.edge_uv].any(axis=1)
-            # flat positions in nbr of the free rows, and the block column
-            # of each vertex: n for the absorbing ones, which `blocks` drops
-            self._free_rows = np.arange(2 * g.d)[:, None] * N + np.flatnonzero(free)
-            self._col = np.full(N, n)
-            self._col[free] = np.arange(n)
+            # per slot (k, j), entry k of free vertex j: its edge, and its
+            # block column when that edge is open (n for an absorbing
+            # neighbour, which `blocks` drops) and when it is closed (j)
+            at = np.flatnonzero(free)
+            col = np.full(N, n)
+            col[free] = np.arange(n)
+            self._slot_edge = g.incident_edges[at].T.reshape(-1)
+            self._far_col = col[g.neighbor_vertices[at].T].reshape(-1)
+            self._home_col = np.tile(np.arange(n), 2 * g.d)
             self.occupation = np.zeros(n)
             size = max(1, min(_CHUNK, _CHUNK_BYTES // (8 * max(n, 1) ** 2)))
-            self._rows = np.empty((size, 2 * g.d, n), dtype=np.int64)  # in time order
+            # the block columns of each stacked piece's free rows, in time order
+            self._rows = np.empty((size, 2 * g.d, n), dtype=np.int64)
             self._blocks = np.empty((size, n, n))
             self._lengths: list[float] = []
             self._at_flip: list[bool] = []  # piece ends a flip segment
@@ -483,31 +492,35 @@ class _Evolver:
         self.segments = 0
         self.terms = 0
 
-    def _flip(self, e: int) -> None:
-        """Toggle edge e: its two table entries point across it when open, home when closed."""
-        is_open = not self.open_mask[e]
-        self.open_mask[e] = is_open
-        self._n_open += 1 if is_open else -1
-        at_u, at_v, u, v = self._pos[e]
-        self._nbr[at_u], self._nbr[at_v] = (v, u) if is_open else (u, v)
+    def _toggle(self, edges: np.ndarray) -> None:
+        """Flip each of the distinct `edges`: its two table entries point
+        across it when open, home when closed."""
+        is_open = ~self.open_mask[edges]
+        self.open_mask[edges] = is_open
+        self._n_open += 2 * int(np.count_nonzero(is_open)) - len(edges)
+        at_u, at_v, u, v = self._pos[edges].T
+        self._nbr[at_u] = np.where(is_open, v, u)
+        self._nbr[at_v] = np.where(is_open, u, v)
 
     @property
     def _stack(self) -> np.ndarray:
         """The free blocks of the pieces stacked so far, in time order.
 
         Not a stored value: every read scatters all of them anew from their
-        rows of the table (one `_Stencil.blocks` call, a bincount over the
-        whole stack) and overwrites the block buffer.  `_run_chunk` reads it
-        once, on entry.
+        rows of block columns (one `_Stencil.blocks` call, a bincount over
+        the whole stack) and overwrites the block buffer.  `_run_chunk`
+        reads it once, on entry.
         """
         m = len(self._lengths)
-        self.P.blocks(self._col[self._rows[:m]], self._blocks[:m])
+        self.P.blocks(self._rows[:m], self._blocks[:m])
         return self._blocks
 
-    def _count(self, terms: int, dropped: float) -> None:
-        self.segments += 1
-        self.terms += terms
-        self.dropped += dropped
+    def _count(self, K: list[int], dropped: list[float]) -> None:
+        """Count the series of K and dropped, adding dropped in order."""
+        self.segments += len(K)
+        self.terms += sum(K)
+        for d in dropped:
+            self.dropped += d
 
     def advance(self, mat: np.ndarray, t1: float) -> np.ndarray:
         """Evolve mat from the current time to t1."""
@@ -515,18 +528,93 @@ class _Evolver:
             raise InputError("cannot evolve backwards")
         if self.absorbing is not None:
             return self._advance_absorbed(mat, t1)
-        times, eids = self.env.flip_events(self.t, t1)
-        pieces = _pieces([self.t, *times.tolist(), t1], eids.tolist())
-        self.t = t1
-        while block := list(islice(pieces, _TABLE_ROWS)):
-            W, K, dropped = _poisson_table([h for h, _ in block], self.tail)
-            for (h, e), w, k, d in zip(block, W, K.tolist(), dropped.tolist()):
-                if h > 0.0 and self._n_open:  # no open edge: P = I
-                    mat = _apply_uniformized(mat, self.P, w[:k + 1])
-                    self._count(k, d)
-                if e is not None:
-                    self._flip(e)
-        return mat
+        for mat, _ in self._forward(mat, np.array([t1], dtype=float)):
+            return mat
+
+    def _forward(self, mat: np.ndarray,
+                 stops: np.ndarray) -> Iterator[tuple[np.ndarray, float]]:
+        """(mat, dropped) at each time of `stops`, a nondecreasing array of
+        times from the current one on: mat evolved to it (a copy for one
+        row), and the tail mass left out so far.
+
+        The evolver's time, table and counters are those of the last stop
+        yielded, so a run may be left after any stop.
+        """
+        P, tail = self.P, self.tail
+        nbr, mask, n_open = self._nbr, self.open_mask, self._n_open
+        pos = self._pos.tolist()
+        segments, terms, dropped = self.segments, self.terms, self.dropped
+        one_row = len(mat) == 1
+        if one_row:  # the Krylov buffers: a[0] holds the row, and b[0] its next value
+            a, b = np.empty((2, 16, mat.shape[1]))
+            a[0] = mat[0]
+            rows_a, rows_b = list(a), list(b)
+        stop_times = iter(stops.tolist())
+        for hs, es in self._blocks(stops):
+            W, K, D = _poisson_table(hs, tail)
+            if one_row and K.max() >= len(a):
+                a, b = np.empty((2, K.max() + 1, mat.shape[1]))
+                a[0] = rows_a[0]
+                rows_a, rows_b = list(a), list(b)
+            for h, e, w, k, d in zip(hs.tolist(), es.tolist(), W, K.tolist(), D.tolist()):
+                if h > 0.0 and n_open:  # no open edge: P = I
+                    if one_row:
+                        P.krylov(rows_a, k)
+                        np.dot(w[:k + 1], a[:k + 1], out=rows_b[0])
+                        a, b, rows_a, rows_b = b, a, rows_b, rows_a
+                    else:
+                        mat = _apply_uniformized(mat, P.matrix(), w[:k + 1])
+                    segments += 1
+                    terms += k
+                    dropped += d
+                if e >= 0:
+                    at_u, at_v, u, v = pos[e]
+                    if mask[e]:
+                        mask[e] = False
+                        n_open -= 1
+                        nbr[at_u], nbr[at_v] = u, v
+                    else:
+                        mask[e] = True
+                        n_open += 1
+                        nbr[at_u], nbr[at_v] = v, u
+                elif e == -2:
+                    self.t = next(stop_times)
+                    self._n_open = n_open
+                    self.segments, self.terms, self.dropped = segments, terms, dropped
+                    yield (a[:1].copy() if one_row else mat), dropped
+
+    def _blocks(self, stops: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The series pieces (h, e) from the current time through each time
+        of `stops`, at most `_TABLE_ROWS` at a time: e is the flip that ends
+        a piece, -2 at a stop and -1 for neither.
+
+        Each window of flips ends at the next stop or, if later, at the
+        stream's watermark, and is cut after its last stop; its flips and
+        stops are merged in time order, a flip before a stop at its time,
+        `_TABLE_ROWS` at a time.
+        """
+        env, t, i = self.env, self.t, 0  # t: the last cut
+        while i < len(stops):
+            window = max(stops[i], env._mark)
+            times, eids = env.flip_events(t, window)
+            end = i + int(np.searchsorted(stops[i:], window, "right"))
+            # later flips are read again, with the next window
+            last = np.searchsorted(times, stops[end - 1], "right")
+            times, eids = times[:last], eids[:last]
+            c = 0
+            while i < end:
+                F, S = times[c:c + _TABLE_ROWS], stops[i:min(end, i + _TABLE_ROWS)]
+                cuts = np.concatenate((F, S))
+                order = np.argsort(cuts, kind="stable")[:_TABLE_ROWS]
+                cuts = cuts[order]
+                ends = np.concatenate((eids[c:c + len(F)], np.full(len(S), -2)))[order]
+                flips = int(np.count_nonzero(order < len(F)))
+                c += flips
+                i += len(cuts) - flips
+                hs, es = _pieces(t, cuts, ends)
+                t = float(cuts[-1])
+                for r in range(0, len(hs), _TABLE_ROWS):
+                    yield hs[r:r + _TABLE_ROWS], es[r:r + _TABLE_ROWS]
 
     def _advance_absorbed(self, mat: np.ndarray, t1: float) -> np.ndarray:
         env, live, t0 = self.env, self._live_edge, self.t
@@ -538,30 +626,49 @@ class _Evolver:
             span *= 2.0
             times, eids = env.flip_events(a, b)
             keep = live[eids]
-            cuts = [prev, *times[keep].tolist()]
-            for h, e in _pieces(cuts, eids[keep].tolist()):  # each ends at a flip
-                if h > 0.0:
-                    mat, stopped = self._push(mat, h, at_flip=e is not None)
-                    if stopped:
-                        return mat
-                if e is not None:
-                    self._flip(e)
-            prev, a = cuts[-1], b
-        for h, _ in _pieces([prev, t1], []):
-            if h > 0.0:
-                mat, _ = self._push(mat, h, at_flip=False)
+            times = times[keep]
+            mat, stopped = self._stack_pieces(mat, *_pieces(prev, times, eids[keep]))
+            if stopped:
+                return mat
+            if len(times):
+                prev = float(times[-1])
+            a = b
+        h, e = _pieces(prev, np.array([t1]), np.array([-1]))
+        for r in range(len(h)):  # a stop here is not taken: the stretch runs on
+            mat, _ = self._stack_pieces(mat, h[r:r + 1], e[r:r + 1])
         return self._run_chunk(mat)[0]
 
-    def _push(self, mat: np.ndarray, h: float, at_flip: bool) -> tuple[np.ndarray, bool]:
-        """Stack the block for a piece of length h, running the chunk once it
-        is full."""
-        i = len(self._lengths)
-        self._nbr.take(self._free_rows, out=self._rows[i])
-        self._lengths.append(h)
-        self._at_flip.append(at_flip)
-        if i + 1 < len(self._rows):
-            return mat, False
-        return self._run_chunk(mat)
+    def _stack_pieces(self, mat: np.ndarray, h: np.ndarray,
+                      e: np.ndarray) -> tuple[np.ndarray, bool]:
+        """Stack the pieces (h, e) of `_pieces`, each with the table before
+        its flip e (none at -1), in slices that fill the stack, running each
+        full chunk.  A piece of length 0 stacks nothing, but its flip is
+        applied.  Returns (mat, stopped) at the first chunk that stops."""
+        rows = self._rows.reshape(len(self._rows), -1)
+        slot_edge = self._slot_edge
+        r = 0
+        while r < len(h):
+            m = len(self._lengths)
+            hs, es = h[r:r + len(rows) - m], e[r:r + len(rows) - m]
+            r += len(hs)
+            # per piece and slot: the edge's state before the piece's flip
+            parity = np.logical_xor.accumulate(es[:, None] == slot_edge, axis=0)
+            before = np.empty_like(parity)
+            before[0] = self.open_mask[slot_edge]
+            np.logical_xor(before[0], parity[:-1], out=before[1:])
+            used = hs > 0.0
+            k = m + int(np.count_nonzero(used))
+            rows[m:k] = np.where(before[used], self._far_col, self._home_col)
+            self._lengths += hs[used].tolist()
+            self._at_flip += (es[used] >= 0).tolist()
+            flips = es[es >= 0]
+            if len(flips):
+                self._toggle(np.flatnonzero(np.bincount(flips) & 1))
+            if k == len(rows):
+                mat, stopped = self._run_chunk(mat)
+                if stopped:
+                    return mat, True
+        return mat, False
 
     def _run_chunk(self, mat: np.ndarray) -> tuple[np.ndarray, bool]:
         """Run the stacked pieces' series, then chain them in time order.
@@ -577,7 +684,7 @@ class _Evolver:
         if m == 1:  # a lone piece runs its series on the rows themselves
             W, K, dropped = _poisson_table(lengths, self.tail)
             mat = _apply_uniformized(mat, blocks[0], W[0, :K[0] + 1], self.occupation)
-            self._count(int(K[0]), float(dropped[0]))
+            self._count(K.tolist(), dropped.tolist())
             return mat, at_flip[0] and mat.sum(axis=1).max(initial=0.0) < 1e-14
         A, K, dropped = self._chunk_series(blocks[:m], lengths)
         n = len(self.occupation)
@@ -589,14 +696,12 @@ class _Evolver:
             # are the pieces chained one by one, to find its flip
             for i in range(m):
                 state = state @ A[i]
-                self._count(K[i], dropped[i])
                 stopped = at_flip[i] and state[:, :n].sum(axis=1).max(initial=0.0) < 1e-14
                 if stopped:
                     break
             end = state
-        else:
-            for k, d in zip(K, dropped):
-                self._count(k, d)
+            K, dropped = K[:i + 1], dropped[:i + 1]
+        self._count(K, dropped)
         self.occupation = end[:, n]
         return end[:, :n], stopped
 
@@ -681,9 +786,8 @@ def _laws(env: EnvTrajectory, x0: int, grid: Sequence[float],
     ev.tail = tail
     vec = np.zeros((1, g.n_vertices))
     vec[0, x0] = 1.0
-    for t in map(float, grid):  # lazily: a run may stop long before the horizon
-        vec = ev.advance(vec, t)
-        yield vec[0], ev.dropped
+    for law, dropped in ev._forward(vec, grid):
+        yield law[0], dropped
 
 
 def exact_quenched_distribution(env: EnvTrajectory, x0: int, t: float) -> np.ndarray:

@@ -6,9 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dynaperc import cli
+from dynaperc import cli, dist
+from dynaperc.dynenv import DynParams
+from dynaperc.torus import TorusGraph
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -92,6 +95,41 @@ def test_hit_samples_the_configured_init(tmp_path):
     # `init`, both gave the stationary value)
     assert values["stationary"] == pytest.approx(14.463691758139671, abs=1e-9)
     assert values["all-closed"] > values["stationary"] + 1.0
+
+
+def test_sweep_samples_the_configured_init_and_start(tmp_path):
+    # both scenarios draw their environments from `init`, and the mixing
+    # cells start the walk at `x`; each cell equals the library run with
+    # the cell's seed (before, `sweep` used the stationary law and vertex 0
+    # whatever the config said, and wrote the configured x into its row)
+    seed = 2
+    g = TorusGraph(1, 8)
+    values = {}
+    for scenario, x in (("subcritical-mixing", 5), ("hitting", 0)):
+        for init in ("stationary", "all-closed"):
+            cfg = tmp_path / f"{scenario}-{init}.ini"
+            cfg.write_text("[run]\nd = 1\nn_grid = 8\nmu_grid = 0.5\nenv_samples = 3\n"
+                           f"init = {init}\nx = {x}\n")
+            out = tmp_path / f"{scenario}-{init}"
+            assert run(["sweep", "--scenario", scenario, "--config", str(cfg),
+                        "--seed", str(seed), "--out", str(out)]) == 0
+            lines = (out / "sweep.csv").read_text().splitlines()
+            row = dict(zip(lines[1].split(","), lines[2].split(",")))
+            assert int(row["x"]) == x
+            if scenario == "hitting":
+                params = DynParams(0.5, 0.5, 50.0 * 64 / 0.5)
+                A = cli._arc_target(g, np.random.default_rng(seed + 8))
+                rep = dist.hitting_time_stats(g, params, A, env_samples=3,
+                                              seed=seed + 8000, init=init)
+                want = float(rep.annealed_means.max())
+            else:
+                params = DynParams(0.5, 0.5, 20.0 * 64 / 0.5)
+                envs = dist.sample_envs(g, params, init, seed + 8000, 3)
+                want = float(np.median([dist.quenched_mixing_time(env, x, 0.25)
+                                        for env in envs]))
+            values[scenario, init] = float(row["value"])
+            assert values[scenario, init] == want
+        assert values[scenario, "all-closed"] != values[scenario, "stationary"]
 
 
 def test_bound_with_config(tmp_path):
@@ -303,3 +341,25 @@ def test_mixing_sweep_csv_pinned(tmp_path):
                 "--seed", "3", "--out", str(out)]) == 0
     assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == (
         "9b5ba65c3d26e198f0846f22bf397bdec4ddec4827342142f7483d116017ff0e")
+
+
+# sha256 digests of the hitting outputs, recorded before the absorbed path
+# built its chunks from a window's arrays: the chunks, series and early stop
+# must keep every bit
+def test_hitting_sweep_csv_pinned(tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[run]\nd = 1\nn_grid = 8,12\nmu_grid = 0.25\nenv_samples = 3\n")
+    out = tmp_path / "o"
+    assert run(["sweep", "--scenario", "hitting", "--config", str(cfg),
+                "--seed", "4", "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == (
+        "bbe76040e4bd3902969cc688e32776d9c908d7008c68d175fe794831ee89885e")
+
+
+def test_hit_csv_pinned(tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[run]\nd = 2\nn = 4\nmu = 0.25\nenv_samples = 3\n")
+    out = tmp_path / "o"
+    assert run(["hit", "--config", str(cfg), "--seed", "6", "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "hit.csv").read_bytes()).hexdigest() == (
+        "72ad775b294a1e5c9a3adcc23802467016c8c243fa133b2f2a2bac7ce390e362")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from dynaperc.dynenv import DynParams, sample_env
+from dynaperc.dynenv import _KEPT, DynParams, EnvTrajectory, sample_env
 from dynaperc.errors import CapabilityError, HorizonError, InputError
 from dynaperc.torus import TorusGraph
 from dynaperc import dist, walk
@@ -260,6 +260,7 @@ def test_every_exact_entry_point_checks_the_size(entry, monkeypatch):
         raise AssertionError("work started past the size limit")
 
     monkeypatch.setattr(walk, "_Stencil", no_work)
+    monkeypatch.setattr(walk, "_poisson_table", no_work)  # every series' weights
     monkeypatch.setattr(walk, "_apply_uniformized", no_work)
     monkeypatch.setattr(dist, "sample_env", no_work)
     with pytest.raises(CapabilityError):
@@ -514,10 +515,9 @@ def test_chunk_series_matches_lone_series(d, n):
     k = int((~ev.absorbing).sum())
     rng = np.random.default_rng(d)
     lengths = [1e-9, 0.3, 2.5, 9.0, 23.020593414678842, _MAX_SEGMENT, 0.05]
-    for h in lengths:
-        ev._push(np.eye(k), h, at_flip=False)
-        for e in rng.integers(g.n_edges, size=3):
-            ev._flip(e)
+    for h in lengths:  # each piece, then three flips
+        ev._stack_pieces(np.eye(k), np.array([h, 0.0, 0.0]), rng.integers(g.n_edges, size=3))
+    assert ev._lengths == lengths
     blocks = ev._stack[:len(lengths)]
     A, K, dropped = ev._chunk_series(blocks, lengths)
     W, K_table, dropped_table = walk._poisson_table(lengths, walk._SERIES_TAIL)
@@ -620,12 +620,12 @@ def test_in_place_flips_match_fresh_step_matrix(d, n):
     rng = np.random.default_rng(d)
     for e in rng.integers(g.n_edges, size=300):
         mask[e] = not mask[e]
-        forward._flip(e)
-        absorbed._flip(e)
+        forward._toggle(np.array([e]))
+        absorbed._toggle(np.array([e]))
         fresh = rebuild_step_matrix(g, mask)
         assert np.array_equal(forward.P.matrix(), fresh)
         absorbed._lengths, absorbed._at_flip = [], []  # restack into slot 0
-        absorbed._push(rows, 1.0, at_flip=False)
+        absorbed._stack_pieces(rows, np.array([1.0]), np.array([-1]))
         assert np.array_equal(absorbed._stack[0], fresh[np.ix_(free, free)])
 
 
@@ -641,10 +641,17 @@ def test_in_place_flips_match_fresh_stencil_table(d, n):
         mask[e] = not mask[e]
         fresh = rebuild_neighbour_table(g, mask)
         for ev in (forward, absorbed):
-            ev._flip(e)
+            ev._toggle(np.array([e]))
             assert np.array_equal(ev.open_mask, mask)
             assert ev._n_open == mask.sum()
             assert np.array_equal(ev.P.nbr, fresh)
+
+
+def _term(stencil, row):
+    """One Krylov term, row @ P, from `_Stencil.krylov`."""
+    rows = [row, np.empty_like(row)]
+    stencil.krylov(rows, 1)
+    return rows[1]
 
 
 @given(st.sampled_from([(1, 7), (2, 4), (3, 3)]), st.integers(0, 2 ** 32 - 1))
@@ -654,8 +661,8 @@ def test_table_term_matches_step_matrix(shape, seed):
     g = TorusGraph(*shape)
     rng = np.random.default_rng(seed)
     mask = rng.random(g.n_edges) < rng.random()
-    row = rng.random((1, g.n_vertices))
-    term = walk._Stencil(g, mask).series(row, [0.0, 1.0])
+    row = rng.random(g.n_vertices)
+    term = _term(walk._Stencil(g, mask), row)
     assert np.abs(term - row @ rebuild_step_matrix(g, mask)).max() <= 1e-15
 
 
@@ -668,8 +675,8 @@ def test_table_term_of_a_unit_row_is_a_row_of_step_matrix(d, n):
     for k in range(2 * d + 1):
         mask = np.ones(g.n_edges, dtype=bool)
         mask[g.incident_edges[0, :k]] = False
-        term = walk._Stencil(g, mask).series(unit, [0.0, 1.0])
-        assert np.array_equal(term[0], rebuild_step_matrix(g, mask)[0])
+        term = _term(walk._Stencil(g, mask), unit[0])
+        assert np.array_equal(term, rebuild_step_matrix(g, mask)[0])
 
 
 @pytest.mark.parametrize("name", ["sampled-d2-n4", "many-chunks"])
@@ -725,6 +732,191 @@ def test_stencil_matches_dense_operator(d, n):
     env = sample_env(TorusGraph(d, n), DynParams(0.5, 0.5, 40.0), seed=d)
     grid = np.arange(2.0, 40.0, 2.0)
     _assert_forward_matches_rebuild(env, grid, (1.5, 30.0), grid[-1])
+
+
+def _loop_pieces(prev, cuts, ends):
+    """Reference for `walk._pieces`: each segment cut by repeated
+    subtraction of `_MAX_SEGMENT`, one piece at a time."""
+    out = []
+    for a, b, e in zip([prev, *cuts[:-1]], cuts, ends):
+        s = b - a
+        while s > _MAX_SEGMENT:
+            out.append((_MAX_SEGMENT, -1))
+            s -= _MAX_SEGMENT
+        out.append((s, e))
+    return out
+
+
+@given(st.floats(0.0, 1e4), st.lists(st.floats(0.0, 200.0), max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_pieces_match_repeated_subtraction(prev, gaps):
+    # whole multiples of _MAX_SEGMENT, just above them and empty segments
+    gaps = gaps + [0.0, _MAX_SEGMENT, 2 * _MAX_SEGMENT, 64.000000001, 1e-300]
+    cuts = (prev + np.cumsum(gaps)).tolist()
+    ends = list(range(len(cuts)))
+    h, e = walk._pieces(prev, np.array(cuts), np.array(ends))
+    assert list(zip(h.tolist(), e.tolist())) == _loop_pieces(prev, cuts, ends)
+
+
+def _forward_cases():
+    cases = []
+    for d, n, mu, seed in [(1, 8, 0.25, 0), (2, 4, 0.5, 2), (3, 3, 0.25, 3)]:
+        env = sample_env(TorusGraph(d, n), DynParams(0.5, mu, 120.0), seed=seed)
+        times, _ = env.flip_events(0.0, 120.0)
+        # flips exactly at grid times, a flip time twice, and a time repeated
+        # at the start, in the middle and at the end
+        grid = np.sort(np.concatenate((np.arange(0.0, 120.0, 1.5), times[::9],
+                                       times[4:5], [0.0, 33.0, 33.0, 120.0, 120.0])))
+        cases.append((f"d{d}", env, grid))
+    # rare flips: segments and grid gaps longer than _MAX_SEGMENT
+    env = sample_env(TorusGraph(1, 6), DynParams(0.5, 0.005, 2000.0), seed=4)
+    cases.append(("long-gaps", env, np.array([0.0, 10.0, 100.0, 100.0, 181.0, 700.0, 1990.0])))
+    return cases
+
+
+_FORWARD_CASES = _forward_cases()
+
+
+def _fresh(env):
+    """env sampled anew, its stream sorted to 37.3, off every grid time, so
+    a window can end between two grid times."""
+    env = sample_env(env.graph, env.params, seed=env.seed)
+    env.flip_events(0.0, 37.3)
+    return env
+
+
+def _step_by_step(env, rows, grid):
+    """The rows and (segments, terms, dropped) at each grid time, one
+    `advance` per grid time."""
+    ev = _Evolver(env, 0.0)
+    out = []
+    for t in grid.tolist():
+        rows = ev.advance(rows, t)
+        out.append((rows, _counters(ev)))
+    return out
+
+
+def _assert_fresh_table(ev):
+    # the table, mask and open count of an evolver at ev.t equal a fresh build
+    mask = ev.env.open_mask_at(ev.t)
+    assert np.array_equal(ev.open_mask, mask)
+    assert ev._n_open == mask.sum()
+    assert np.array_equal(ev.P.nbr, rebuild_neighbour_table(ev.env.graph, mask))
+
+
+@pytest.mark.parametrize("table_rows", [7, 256])
+@pytest.mark.parametrize("name, env, grid", _FORWARD_CASES, ids=[c[0] for c in _FORWARD_CASES])
+def test_forward_block_loop_matches_one_grid_time_at_a_time(name, env, grid, table_rows,
+                                                            monkeypatch):
+    # one pass through the grid, in blocks that span several grid times
+    # (7 rows: blocks end mid-window and long segments split across tables),
+    # against one advance per grid time: every law, running dropped and
+    # counter bit for bit, one row and many rows
+    monkeypatch.setattr(walk, "_TABLE_ROWS", table_rows)
+    N = env.graph.n_vertices
+    tables = _spy_tables(monkeypatch)
+    for rows in (np.eye(N)[:1], np.eye(N)):
+        env = _fresh(env)
+        tables.clear()
+        ev = _Evolver(env, 0.0)
+        got = list(ev._forward(rows, grid))
+        if table_rows > len(grid) > 20:  # one table serves several grid times
+            assert len(tables) < len(grid) / 2
+        want = _step_by_step(env, rows, grid)
+        assert len(got) == len(want)
+        for (law, dropped), (ref, counts) in zip(got, want):
+            assert np.array_equal(law, ref)
+            assert dropped == counts[2]
+        assert _counters(ev) == want[-1][1]
+        assert ev.t == grid[-1]
+        _assert_fresh_table(ev)
+    assert ev.segments > 0
+
+
+@pytest.mark.parametrize("name, env, grid", _FORWARD_CASES, ids=[c[0] for c in _FORWARD_CASES])
+def test_forward_loop_closed_mid_block(name, env, grid, monkeypatch):
+    # a consumer that leaves after stop k, inside a block that runs past
+    # it, leaves the evolver at grid[k], as if it had advanced there, and
+    # it goes on from there bit for bit
+    row = np.eye(env.graph.n_vertices)[:1]
+    want = _step_by_step(env, row, grid)
+    k = int(np.searchsorted(grid, 20.0, "right")) - 2  # a block runs to 37.3 or the stop before
+    env = _fresh(env)
+    tables = _spy_tables(monkeypatch)
+    ev = _Evolver(env, 0.0)
+    laws = ev._forward(row, grid)
+    for j, (law, _) in enumerate(laws):
+        if j == k:
+            break
+    laws.close()
+    assert sum(sum(lengths) for lengths, *_ in tables) > grid[k]  # the block ran past it
+    assert (ev.t, _counters(ev)) == (grid[k], want[k][1])
+    _assert_fresh_table(ev)
+    assert np.array_equal(ev.advance(law, grid[k + 1]), want[k + 1][0])
+    assert _counters(ev) == want[k + 1][1]
+
+
+def test_forward_loop_reads_no_flip_past_the_kept_window(monkeypatch):
+    # a mixing-sized run that leaves at the last grid time of the kept
+    # window reads ahead only as far as the stream is sorted, so it never
+    # re-derives its environment
+    derived = []
+    know = EnvTrajectory._know
+
+    def spy(self, t):
+        derived.append(t > self._known)
+        know(self, t)
+
+    monkeypatch.setattr(EnvTrajectory, "_know", spy)
+    env = sample_env(TorusGraph(2, 6), DynParams(0.5, 0.5, 20.0 * 36 / 0.5), seed=3)
+    grid = dist.default_grid(env.params)
+    keep = _KEPT * env.horizon
+    for _, t in zip(walk._laws(env, 0, grid, walk._DECISION_TAIL), grid):
+        if t + 2.0 > keep:  # the last grid time in the window
+            break
+    assert env._mark == keep and derived and not any(derived)
+    assert env._known == keep
+
+
+@pytest.mark.parametrize("name", ["sampled-d2-n4", "long-gaps", "many-chunks"])
+def test_bulk_stacking_matches_piece_by_piece(name, monkeypatch):
+    # a window's pieces stacked in slices of a chunk against one piece per
+    # call, whose table is the running one: the same output, occupation
+    # and counters bit for bit, through windows of more than _CHUNK live
+    # flips and an early stop inside a window
+    _, env, A, horizon = _case(name)
+    stack, run_chunk = _Evolver._stack_pieces, _Evolver._run_chunk
+    runs = []
+    for bulk in (True, False):
+        calls, chunks = [], []
+
+        def spy(self, mat, h, e):
+            calls.append((int((h > 0).sum()), int((e >= 0).sum())))
+            if bulk:
+                return stack(self, mat, h, e)
+            for r in range(len(h)):
+                mat, stopped = stack(self, mat, h[r:r + 1], e[r:r + 1])
+                if stopped:
+                    return mat, True
+            return mat, False
+
+        def chunk_spy(self, mat):
+            chunks.append(len(self._lengths))
+            return run_chunk(self, mat)
+
+        monkeypatch.setattr(_Evolver, "_stack_pieces", spy)
+        monkeypatch.setattr(_Evolver, "_run_chunk", chunk_spy)
+        ev = _Evolver(env, 0.0, absorbing=A)
+        out = ev.advance(np.eye(int((~A).sum())), horizon)
+        runs.append((out, ev.occupation, _counters(ev), calls, chunks))
+    (out, occ, counts, calls, chunks), (out_1, occ_1, counts_1, *_) = runs
+    assert np.array_equal(out, out_1) and np.array_equal(occ, occ_1)
+    assert counts == counts_1 == _ABSORBED_COUNTS[name] + (counts[2],)
+    if name == "long-gaps":
+        assert max(n for n, _ in calls) > 1
+    else:
+        assert max(flips for _, flips in calls) > walk._CHUNK
+        assert sum(n for n, _ in calls) > sum(chunks)  # pieces left in the stopping window
 
 
 def test_stencil_at_torus_scale():
