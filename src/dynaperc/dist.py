@@ -159,10 +159,8 @@ def _exact_mixing_time(env: EnvTrajectory, x: int, eps: float,
 class AnnealedMixReport:
     time: float
     ci: tuple[float, float]
-    grid: np.ndarray
-    annealed_tvs: np.ndarray
-    mean_quenched_tvs: np.ndarray
-    n_envs: int
+    annealed_tvs: np.ndarray       # per grid time evolved
+    mean_quenched_tvs: np.ndarray  # per grid time evolved
 
 
 def annealed_mixing_time(g: TorusGraph, params: DynParams, x: int, eps: float,
@@ -174,6 +172,12 @@ def annealed_mixing_time(g: TorusGraph, params: DynParams, x: int, eps: float,
     is asserted per grid time.  The CI is a 200-resample bootstrap over
     environment samples.  A start off the torus or `eps` <= 0 raises
     `InputError` before any environment is drawn.
+
+    The environments evolve in lockstep and stop at the first grid time where
+    every quenched TV is <= eps, or at the horizon.  Quenched TV never rises
+    along the grid, and a resample's annealed TV is at most its mean
+    quenched TV, so every resample has mixed by then and no later law moves
+    the time or the CI.  The report's TVs cover the grid times evolved.
     """
     g._check_vertex(x)
     if not eps > 0.0:
@@ -181,17 +185,19 @@ def annealed_mixing_time(g: TorusGraph, params: DynParams, x: int, eps: float,
     envs = sample_envs(g, params, "stationary", seed, env_samples)
     grid = default_grid(params)
     if eps >= 1.0:
-        return AnnealedMixReport(0.0, (0.0, 0.0), grid, np.empty(0), np.empty(0), env_samples)
+        return AnnealedMixReport(0.0, (0.0, 0.0), np.empty(0), np.empty(0))
     N = g.n_vertices
     uniform = np.full(N, 1.0 / N)
-    laws = np.empty((env_samples, len(grid), N))
-    for i, env in enumerate(envs):
-        for j, law in enumerate(walkmod.quenched_laws(env, x, grid)):
-            laws[i, j] = law
-    mean_law = laws.mean(axis=0)
-    annealed_tvs = 0.5 * np.abs(mean_law - uniform).sum(axis=1)
-    quenched_tvs = 0.5 * np.abs(laws - uniform).sum(axis=2)
-    mean_q = quenched_tvs.mean(axis=0)
+    rows, quenched = [], []  # per grid time: every environment's law and TV
+    for now in zip(*(walkmod.quenched_laws(env, x, grid) for env in envs)):
+        rows.append(np.array(now))
+        quenched.append(0.5 * np.abs(rows[-1] - uniform).sum(axis=1))
+        if (quenched[-1] <= eps).all():
+            break
+    # (environment, grid time, state)
+    laws = np.stack(rows, axis=1) if rows else np.empty((env_samples, 0, N))
+    annealed_tvs = 0.5 * np.abs(laws.mean(axis=0) - uniform).sum(axis=1)
+    mean_q = np.reshape(quenched, (-1, env_samples)).mean(axis=1)
     if np.any(annealed_tvs > mean_q + 1e-9):
         raise AssertionError("convexity violated: annealed TV above mean quenched TV")
 
@@ -209,9 +215,8 @@ def annealed_mixing_time(g: TorusGraph, params: DynParams, x: int, eps: float,
         ci = (float(np.percentile(finite, 2.5)), float(np.percentile(finite, 97.5)))
     else:
         ci = (NOT_MIXED, NOT_MIXED)
-    return AnnealedMixReport(time=t_hat, ci=ci, grid=grid,
-                             annealed_tvs=annealed_tvs,
-                             mean_quenched_tvs=mean_q, n_envs=env_samples)
+    return AnnealedMixReport(time=t_hat, ci=ci, annealed_tvs=annealed_tvs,
+                             mean_quenched_tvs=mean_q)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ mass ratios read, so a set has the same mass everywhere.
 
 The evolving-set step is S' = {y : Q(S, y) / pi(y) >= U}, U uniform on
 [0, 1] (non-strict, so U = 0 yields the full space).  One private function,
-`_threshold`, applies it to a table of sets at once: with the states sorted
-by decreasing ratio r, S' is the top j states with probability
-r_(j) - r_(j+1), where r_(0) = 1 (j = 0 is the empty set) and r_(m+1) = 0.
+`_threshold`, applies it to a table of sets under one kernel or a stack of
+kernels at once: with the states sorted by decreasing ratio r, S' is the top
+j states with probability r_(j) - r_(j+1), where r_(0) = 1 (j = 0 is the
+empty set) and r_(m+1) = 0.
 Every law reads that table:
 - the plain law (`step_law`);
 - the Doob transform (`doob_step_law`), which reweights by pi(S') / pi(S)
@@ -24,8 +25,10 @@ table bit for bit.
 
 Exact set-law propagation, here and in the joint certificate of `envlab`,
 runs on one law table (`set_law_table`): the laws of every subset, indexed by
-bitmask, one threshold table per distinct kernel; weights move through it by
-one bincount per step.
+bitmask, for each distinct kernel, all from one threshold pass over the stack
+of those kernels.  `propagate_set_law` moves the weights through it by one
+bincount per step into one (steps + 1, 2^m) array, which the Doob Z bound
+reads as it is.
 """
 
 from __future__ import annotations
@@ -155,70 +158,82 @@ class SetLaw:
         return sum(p * mass for p, mass in zip(probs, set_mass(np.array(sets), pi).tolist()))
 
 
-def _ratios(masks, K: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """r_y = Q(S, y) / pi(y) for every state y: one row per bitmask of `masks`
-    (an int or an array).
+def _ratios(masks, Ks: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """r_y = Q(S, y) / pi(y) for every bitmask of `masks` (an int or an
+    array) and every state y, under one kernel, shape (m, m), or each of a
+    stack of kernels, shape (k, m, m): shape (n, m) or (k, n, m).
 
     Each row's Q(S, .) is its own vector-matrix product over the members of
-    S, so a row does not depend on the rows computed with it (the rows of
-    one product W @ K can differ from it in the last bits).  A table makes
-    the products of its rows with k members as one stack; one row makes its
-    product directly, which is cheaper than a stack of one."""
+    S, so a row does not depend on the rows or kernels computed with it (the
+    rows of one product W @ K can differ from it in the last bits).  A table
+    makes the products of its rows with j members as one stack, the kernels
+    a leading axis of it; one row makes its product directly, which is
+    cheaper than a stack of one."""
     members = mask_members(np.atleast_1d(masks), len(pi))
     if len(members) == 1:
-        return (pi[members[0]] @ K[members[0]])[None] / pi
+        return (pi[members[0]] @ Ks[..., members[0], :])[..., None, :] / pi
     size = members.sum(axis=1)
-    q = np.zeros(members.shape)
-    for k in set(size.tolist()) - {0}:
-        rows = size == k
-        idx = members[rows].nonzero()[1].reshape(-1, k)  # member ids, increasing
-        q[rows] = np.matmul(pi[idx][:, None], K[idx])[:, 0]
+    q = np.zeros(Ks.shape[:-2] + members.shape)
+    for j in set(size.tolist()) - {0}:
+        rows = size == j
+        idx = members[rows].nonzero()[1].reshape(-1, j)  # member ids, increasing
+        q[..., rows, :] = np.matmul(pi[idx][:, None], Ks[..., idx, :])[..., 0, :]
     return q / pi
 
 
-def _threshold(masks: np.ndarray, K: np.ndarray, pi: np.ndarray):
-    """The threshold rule S' = {y : r_y >= U} for a table of sets.
+def _threshold(masks: np.ndarray, Ks: np.ndarray, pi: np.ndarray):
+    """The threshold rule S' = {y : r_y >= U} for a table of sets under one
+    kernel or each of a stack of kernels (`_ratios`).
 
-    Returns (gaps, tops), one row per bitmask of `masks` and one column per
-    j in [0, m]: with the states sorted by decreasing ratio, S' is the top j
-    states, bitmask tops[:, j], with probability
-    gaps[:, j] = r_(j) - r_(j+1), where r_(0) = 1 and r_(m+1) = 0.  So j = 0
-    is the empty set, with probability 1 - r_max, and tied ratios give gap 0
-    until the last of the tie, so each level set is counted once.
+    Returns (gaps, tops), of shape (n, m + 1) or (k, n, m + 1): one row per
+    bitmask of `masks` (and kernel), and one column per j in [0, m].  With
+    the states sorted by decreasing ratio, S' is the top j states, bitmask
+    tops[..., j], with probability gaps[..., j] = r_(j) - r_(j+1), where
+    r_(0) = 1 and r_(m+1) = 0.  So j = 0 is the empty set, with probability
+    1 - r_max, and tied ratios give gap 0 until the last of the tie, so each
+    level set is counted once.
     """
-    neg = -_ratios(masks, K, pi)
-    n, m = neg.shape
-    # levels[:, j] = -r_(j) for j in [0, m + 1]; negation is exact, so the
+    neg = -_ratios(masks, Ks, pi)
+    m = neg.shape[-1]
+    # levels[..., j] = -r_(j) for j in [0, m + 1]; negation is exact, so the
     # gaps are the same floats as r_(j) - r_(j+1)
-    levels = np.zeros((n, m + 2))
-    levels[:, 0] = -1.0
-    levels[:, 1:-1] = np.sort(neg, axis=1)
-    gaps = levels[:, 1:] - levels[:, :-1]
-    if gaps[:, 0].min(initial=0.0) < -1e-12:
-        raise InputError(f"ratio Q(S, y) / pi(y) = {-float(levels[:, 1].min())!r} exceeds 1")
-    tops = np.zeros((n, m + 1), dtype=np.int64)
-    tops[:, 1:] = np.cumsum(_BIT[np.argsort(neg, axis=1, kind="stable")], axis=1)
+    levels = np.zeros(neg.shape[:-1] + (m + 2,))
+    levels[..., 0] = -1.0
+    levels[..., 1:-1] = np.sort(neg, axis=-1)
+    gaps = levels[..., 1:] - levels[..., :-1]
+    if gaps[..., 0].min(initial=0.0) < -1e-12:
+        raise InputError(f"ratio Q(S, y) / pi(y) = {-float(levels[..., 1].min())!r} exceeds 1")
+    tops = np.zeros(gaps.shape, dtype=np.int64)
+    tops[..., 1:] = np.cumsum(_BIT[np.argsort(neg, axis=-1, kind="stable")], axis=-1)
     return gaps, tops
 
 
 def _mass_ratios(masks: np.ndarray, tops: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """pi(S') / pi(S) for each level set S' (bitmask tops[i, j]) of each set
-    S (bitmask masks[i]), read from the mass of every subset."""
+    """pi(S') / pi(S) for each level set S' (bitmask tops[..., i, j]) of each
+    set S (bitmask masks[i]).
+
+    A table reads one vector of every subset mass; one set reads only the
+    masses it needs.  Both are `_subset_masses`, so the floats agree."""
+    if len(masks) == 1:
+        mass = _subset_masses(np.concatenate((masks, tops.ravel())), pi)
+        return mass[1:].reshape(tops.shape) / mass[0]
     mass = _subset_masses(np.arange(1 << len(pi)), pi)
     return mass[tops] / mass[masks][:, None]
 
 
-def _law_table(masks: np.ndarray, K: np.ndarray, pi: np.ndarray, doob: bool):
-    """One-step set laws of a table of sets: (sets, probs, keep), one row per
-    bitmask of `masks`, whose law is sets[keep] with probabilities
-    probs[keep], the empty set first and then by decreasing level.
+def _law_table(masks: np.ndarray, Ks: np.ndarray, pi: np.ndarray, doob: bool):
+    """One-step set laws of a table of sets under one kernel or each of a
+    stack of kernels (`_ratios`): (sets, probs, keep), of shape (n, m + 1)
+    or (k, n, m + 1), whose row for bitmask masks[i] (and kernel) is the law
+    sets[..., i, :][keep[..., i, :]] with those probs, the empty set first
+    and then by decreasing level.
 
     The Doob law reweights by pi(S') / pi(S) and so never reaches the empty
     set.  Each law must sum to 1."""
-    gaps, sets = _threshold(masks, K, pi)
+    gaps, sets = _threshold(masks, Ks, pi)
     probs = gaps * _mass_ratios(masks, sets, pi) if doob else gaps
     keep = probs > 0.0
-    err = abs(np.add.reduce(probs, axis=1, where=keep) - 1.0)
+    err = abs(np.add.reduce(probs, axis=-1, where=keep) - 1.0)
     if err.max(initial=0.0) > 1e-12:
         raise InputError(f"set law misses 1 by {err.max():.3e}")
     return sets, probs, keep
@@ -242,10 +257,12 @@ def doob_step_law(mask: int, K: np.ndarray, pi: np.ndarray) -> SetLaw:
     return _one_law(_check_mask(mask, len(pi), nonempty=True), K, pi, doob=True)
 
 
-def _psi(masks: np.ndarray, K: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """psi_p(S) = 1 - E[sqrt(pi(S') / pi(S))] for a table of nonempty sets."""
-    gaps, tops = _threshold(masks, K, pi)
-    return 1.0 - (gaps * np.sqrt(_mass_ratios(masks, tops, pi))).sum(axis=1)
+def _psi(masks: np.ndarray, Ks: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """psi_p(S) = 1 - E[sqrt(pi(S') / pi(S))] for a table of nonempty sets
+    under one kernel or each of a stack of kernels (`_ratios`): shape (n,)
+    or (k, n)."""
+    gaps, tops = _threshold(masks, Ks, pi)
+    return 1.0 - (gaps * np.sqrt(_mass_ratios(masks, tops, pi))).sum(axis=-1)
 
 
 def expected_sqrt_ratio(mask: int, K: np.ndarray, pi: np.ndarray) -> float:
@@ -255,15 +272,22 @@ def expected_sqrt_ratio(mask: int, K: np.ndarray, pi: np.ndarray) -> float:
 
 def _distinct_kernels(kernels: Sequence[np.ndarray]) -> tuple[list[np.ndarray], list[int]]:
     """The distinct kernels (one copy of each set of equal entries) and, for
-    each given kernel, the position of its copy among them."""
+    each given kernel, the position of its copy among them.
+
+    A kernel object seen before is matched by identity, so a sequence that
+    repeats a few kernels compares each object's entries once."""
     uniq: list[np.ndarray] = []
     which = []
+    seen: dict[int, tuple[np.ndarray, int]] = {}  # id -> (kernel, position)
     for K in kernels:
-        j = next((i for i, U in enumerate(uniq)
-                  if K is U or (K.shape == U.shape and np.array_equal(K, U))), len(uniq))
-        if j == len(uniq):
-            uniq.append(K)
-        which.append(j)
+        hit = seen.get(id(K))
+        if hit is None:
+            j = next((i for i, U in enumerate(uniq)
+                      if K.shape == U.shape and np.array_equal(K, U)), len(uniq))
+            if j == len(uniq):
+                uniq.append(K)
+            hit = seen[id(K)] = (K, j)  # holding K keeps its id from reuse
+        which.append(hit[1])
     return uniq, which
 
 
@@ -281,40 +305,39 @@ def set_law_table(kernels: Sequence[np.ndarray], pi: np.ndarray,
     P(next = c | now = r) = v for bitmasks r, c; the rows are every r in
     [0, 2^m), or [1, 2^m) for Doob laws, in increasing order, each with its
     law's entries in `step_law` order.  The i-th given kernel is distinct
-    kernel `which[i]`.
+    kernel `which[i]`.  One threshold pass makes the tables of every
+    distinct kernel.
     """
     _check_cap(len(pi))
     uniq, which = _distinct_kernels(kernels)
     masks = np.arange(int(doob), 1 << len(pi), dtype=np.int64)
-    transitions = []
-    for K in uniq:
-        sets, probs, keep = _law_table(masks, K, pi, doob)
-        rows = np.broadcast_to(masks[:, None], keep.shape)[keep]
-        transitions.append((rows, sets[keep], probs[keep]))
+    sets, probs, keep = _law_table(masks, np.stack(uniq), pi, doob)
+    rows = np.broadcast_to(masks[:, None], keep.shape[1:])
+    transitions = [(rows[kept], s[kept], p[kept]) for s, p, kept in zip(sets, probs, keep)]
     return transitions, which
 
 
 def propagate_set_law(kernels: Sequence[np.ndarray], pi: np.ndarray, s0: int,
                       doob: bool = False,
-                      prune: float = PRUNE_EPS) -> tuple[list[dict[int, float]], float]:
-    """Exact subset-law propagation: list of {mask: prob} per step, plus the
-    total pruned mass (entries below `prune` after a step; added to the
-    caller's error budget)."""
+                      prune: float = PRUNE_EPS) -> tuple[np.ndarray, float]:
+    """Exact subset-law propagation from the set `s0` through each kernel in
+    turn: (weights, pruned), where weights[k, S] is P(S_k = S), one row per
+    step k in [0, len(kernels)] and one column per bitmask S in [0, 2^m),
+    and pruned is the total mass of the entries below `prune` after a step,
+    set to 0 there and added to the caller's error budget."""
     s0 = _check_mask(s0, len(pi), nonempty=doob)
     transitions, which = set_law_table(kernels, pi, doob)
-    weights = np.zeros(1 << len(pi))
-    weights[s0] = 1.0
-    laws = [{s0: 1.0}]
+    weights = np.zeros((len(which) + 1, 1 << len(pi)))
+    weights[0, s0] = 1.0
     pruned = 0.0
-    for j in which:
+    for k, j in enumerate(which):
         rows, cols, vals = transitions[j]
-        weights = np.bincount(cols, weights=weights[rows] * vals, minlength=len(weights))
-        small = weights < prune
-        pruned += float(weights[small].sum())
-        weights[small] = 0.0
-        live = np.flatnonzero(weights)
-        laws.append(dict(zip(live.tolist(), weights[live].tolist())))
-    return laws, pruned
+        now = weights[k + 1]
+        now[:] = np.bincount(cols, weights=weights[k, rows] * vals, minlength=len(now))
+        small = now < prune
+        pruned += float(now[small].sum())
+        now[small] = 0.0
+    return weights, pruned
 
 
 def psi_profile_kernels(kernels: Sequence[np.ndarray], pi: np.ndarray) -> ExpansionProfile:
@@ -328,9 +351,8 @@ def _psi_profile(kernels: Sequence[np.ndarray], pi: np.ndarray) -> ExpansionProf
     """`psi_profile_kernels` of a chain already checked."""
     _check_cap(len(pi))
     # one table per distinct kernel keeps cycled sequences cheap
-    uniq, _ = _distinct_kernels(kernels)
-    return enumerated_profile(
-        pi, lambda masks, _: np.min([_psi(masks, K, pi) for K in uniq], axis=0))
+    Ks = np.stack(_distinct_kernels(kernels)[0])
+    return enumerated_profile(pi, lambda masks, _: _psi(masks, Ks, pi).min(axis=0))
 
 
 def psi_step_count(chain: InhomChain, x: int, eps: float) -> int:
@@ -365,10 +387,11 @@ def doob_z_bound_check(chain: InhomChain, x: int,
     if eps is not None:
         check_eps(eps)
     k = len(chain.kernels)
-    laws, pruned = propagate_set_law(chain.kernels, pi, s0, doob=True)
-    masks = sorted(set().union(*laws))
-    z_of = dict(zip(masks, z_statistic(np.array(masks), pi).tolist()))
-    z_exp = np.array([sum(p * z_of[mask] for mask, p in law.items()) for law in laws])
+    weights, pruned = propagate_set_law(chain.kernels, pi, s0, doob=True)
+    # the Doob process never reaches the empty set, whose Z is undefined;
+    # each expectation sums its terms in increasing bitmask order
+    z = np.append(0.0, z_statistic(np.arange(1, weights.shape[1]), pi))
+    z_exp = np.cumsum(weights * z, axis=1)[:, -1]
     walk_laws = np.zeros((k + 1, chain.n_states))  # law of X_j in row j
     walk_laws[0, x] = 1.0
     for j in range(k):

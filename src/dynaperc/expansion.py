@@ -19,9 +19,9 @@ of the phi and psi profiles, unpacks it from the chunk's masks.
 
 A set is a bool mask over the states (`as_mask` rejects anything else, so an
 index list or an int 0/1 vector is an error, not a different set).  Int
-bitmasks are kept only inside `evoset`'s set-law engine, where they are dict
-keys and table indices, and as the `masks` of `half_mass_subsets` (which
-`torus.iso_profile` reads by popcount).
+bitmasks are kept only inside `evoset`'s set-law engine, where they index the
+law tables and the weight arrays, and as the `masks` of `half_mass_subsets`
+(which `torus.iso_profile` reads by popcount).
 """
 
 from __future__ import annotations
@@ -93,12 +93,17 @@ def _subset_masses(masks, pi: np.ndarray):
     """pi(S) of one bitmask, or of each of an array of bitmasks, in [0, 2^m).
 
     The one subset-mass rule: the members' pi summed in increasing state
-    order.  The low min(m, SUBSET_CHUNK_BITS) bits are read from
-    `_mass_table` and each higher member is added after them, in order
-    (adding 0.0 for a non-member leaves a mass unchanged), so a mask's mass
-    is the same float whichever chunk or call computes it."""
+    order.  Few masks (fewer member slots than table entries) sum their
+    members directly, adding 0.0 for each non-member, which leaves a mass
+    unchanged.  Otherwise the low min(m, SUBSET_CHUNK_BITS) bits are read
+    from `_mass_table` and each higher member is added after them, in
+    order.  Either way a mask's mass is the same float whichever chunk or
+    call computes it."""
     low = min(len(pi), SUBSET_CHUNK_BITS)
     masks = np.asarray(masks, dtype=np.int64)
+    if masks.size * len(pi) < 1 << low:
+        terms = np.where(mask_members(masks, len(pi)), pi, 0.0)
+        return np.cumsum(terms, axis=-1)[..., -1]
     masses = _mass_table(pi, low)[masks & ((1 << low) - 1)]
     for j in range(low, len(pi)):
         masses = masses + np.where(masks >> j & 1, pi[j], 0.0)
@@ -241,7 +246,11 @@ def profile_from_values(masses: Sequence[float], phis: Sequence[float],
     """Build the running-infimum step profile from per-set (mass, phi) pairs.
 
     Only masses <= 1/2 contribute; phi(r) for r between knots equals the
-    infimum over all sets of mass at most the previous knot.
+    infimum over all sets of mass at most the previous knot.  With the sets
+    in increasing mass order, a set joins the current knot while its mass is
+    within `_KNOT_TIE` of the knot's first mass, and starts a new knot
+    otherwise; a knot holds the running infimum at its last set, and a knot
+    where the infimum does not move is dropped (keeps profiles small).
     """
     masses = np.asarray(masses, dtype=float)
     phis = np.asarray(phis, dtype=float)
@@ -250,23 +259,53 @@ def profile_from_values(masses: Sequence[float], phis: Sequence[float],
     if len(masses) == 0:
         raise InputError("no sets of mass <= 1/2")
     order = np.argsort(masses, kind="stable")
-    masses, phis = masses[order], phis[order]
-    knots, values = [], []
-    running = math.inf
-    for m, f in zip(masses, phis):
-        running = min(running, f)
-        if knots and abs(m - knots[-1]) < 1e-15:
-            values[-1] = running
-        else:
-            knots.append(float(m))
-            values.append(running)
-    # collapse runs where the infimum did not move (keeps profiles small)
-    ks, vs = [knots[0]], [values[0]]
-    for k, v in zip(knots[1:], values[1:]):
-        if v < vs[-1] - 0.0:
-            ks.append(k)
-            vs.append(v)
-    return ExpansionProfile(np.array(ks), np.array(vs), provenance, pi_star)
+    masses = masses[order]
+    # fmin skips a NaN value, as a running min(running, f) from +inf does
+    running = np.fmin.accumulate(phis[order])
+    starts = _knot_starts(masses)
+    knots, values = masses[starts[:-1]], running[starts[1:] - 1]
+    moved = np.ones(len(knots), dtype=bool)
+    moved[1:] = values[1:] < values[:-1]
+    return ExpansionProfile(knots[moved], values[moved], provenance, pi_star)
+
+
+# Masses this close to a knot's first mass join that knot.
+_KNOT_TIE = 1e-15
+
+
+def _knot_starts(masses: np.ndarray) -> np.ndarray:
+    """Positions of the sorted `masses` that start a knot, then len(masses):
+    the first, and each one at least `_KNOT_TIE` above the start of the knot
+    before it, the difference taken in floating point.
+
+    A mass at least `_KNOT_TIE` above the mass before it is a start, since
+    every earlier start is at least as far below.  Between two such starts,
+    the masses hold more starts only when they span `_KNOT_TIE`, a chain of
+    near-ties.  Then each position i has one successor, nxt[i], the first
+    position far enough from it; the starts are the orbit of position 0
+    under nxt, followed from each sure start by pointer doubling until it
+    has reached the next one.
+    """
+    n = len(masses)
+    starts = np.ones(n + 1, dtype=bool)  # position n stands past the last mass
+    starts[1:n] = masses[1:] - masses[:-1] >= _KNOT_TIE
+    sure = np.flatnonzero(starts)
+    if not (masses[sure[1:] - 1] - masses[sure[:-1]] >= _KNOT_TIE).any():
+        return sure
+    # the first mass above fl(m_i + tie) is far enough from m_i; masses just
+    # below it may be too, as the differences round
+    nxt = np.searchsorted(masses, np.nextafter(masses + _KNOT_TIE, np.inf))
+    back = np.flatnonzero(nxt - 1 > np.arange(n))
+    while len(back):
+        far = masses[nxt[back] - 1] - masses[back] >= _KNOT_TIE
+        back = back[far]
+        nxt[back] = np.searchsorted(masses, masses[nxt[back] - 1])  # first of a tie
+        back = back[nxt[back] - 1 > back]
+    jump = np.append(nxt, n)
+    while (jump[sure[:-1]] < sure[1:]).any():
+        starts[jump[starts]] = True  # the orbit doubles its reach from each start
+        jump = jump[jump]
+    return np.flatnonzero(starts)
 
 
 def profile_phi_kernels(kernels: Sequence[np.ndarray], pi: np.ndarray) -> ExpansionProfile:

@@ -20,16 +20,19 @@ References, each a second way to compute what the library computes:
   and on it `rebuild_forward` and `rebuild_hitting_profile`, forward and
   absorbed evolution with P rebuilt per flip; `rebuild_neighbour_table`,
   the evolvers' neighbour-or-self table built edge by edge;
+  `horizon_annealed_mixing_time`, the annealed mixing time and its
+  bootstrap from every environment evolved to the horizon;
 - subset masses: `scalar_mass`, the members' pi summed in increasing order;
 - evolving sets: the threshold rule one mask at a time (`scalar_ratios`,
   `evolve_step` for one draw of U, `scalar_step_law` for the exact law and
-  `scalar_psi`), the dict set-law loop `dict_propagate_set_law` on it, the
-  set-law marginal identity
+  `scalar_psi`), the dict set-law loop `dict_propagate_set_law` on it and
+  its Z expectations `dict_z_expectations`, the set-law marginal identity
   `marginal_identity_check`, and the joint Doob loop `dict_doob_z_expectation`;
 - finite environments: `phi_env`, one environment step of expansion, and the
   quenched chi tail by path enumeration (`enumerate_tail`) or by Monte Carlo
   over environment paths (`mc_tail`, with `wilson_interval`);
-- profiles: `assert_profiles_close`.
+- profiles: the running-infimum loop `loop_profile_from_values`, and
+  `assert_profiles_close`.
 """
 
 import io
@@ -108,15 +111,16 @@ def scalar_psi(mask, K, pi):
 
 
 def dict_propagate_set_law(kernels, pi, s0, doob=False, prune=1e-15):
-    """Reference for `evoset.propagate_set_law`: the subset law as a dict,
-    with one `scalar_step_law` per (mask, step) and entries below `prune`
-    moved into the pruned total after each step."""
+    """Reference for `evoset.propagate_set_law`: the subset law as a dict per
+    step, with one `scalar_step_law` per (mask, step) and entries below
+    `prune` moved into the pruned total after each step.  Each step adds the
+    masks' terms in increasing mask order."""
     laws = [{s0: 1.0}]
     pruned = 0.0
     current = {s0: 1.0}
     for K in kernels:
         nxt = {}
-        for mask, prob in current.items():
+        for mask, prob in sorted(current.items()):
             for s, p in scalar_step_law(mask, K, pi, doob):
                 nxt[s] = nxt.get(s, 0.0) + prob * p
         if prune > 0.0:
@@ -125,6 +129,47 @@ def dict_propagate_set_law(kernels, pi, s0, doob=False, prune=1e-15):
         current = nxt
         laws.append(dict(current))
     return laws, pruned
+
+
+def dict_z_expectations(chain, x):
+    """Reference for `evoset.doob_z_bound_check`'s Z expectations: E-hat[Z_k]
+    per step k, a Python sum over each step's `dict_propagate_set_law` Doob
+    law in increasing mask order."""
+    from dynaperc.evoset import PRUNE_EPS, z_statistic
+
+    laws, _ = dict_propagate_set_law(chain.kernels, chain.pi, 1 << x, doob=True,
+                                     prune=PRUNE_EPS)
+    return [sum(p * float(z_statistic(mask, chain.pi)) for mask, p in sorted(law.items()))
+            for law in laws]
+
+
+def loop_profile_from_values(masses, phis, provenance, pi_star):
+    """Reference for `expansion.profile_from_values`: one Python pass over the
+    sets in increasing mass order.  A set joins the current knot while its
+    mass is within 1e-15 of the knot's first mass; knots where the running
+    infimum does not move are dropped after."""
+    from dynaperc.expansion import ExpansionProfile
+
+    masses = np.asarray(masses, dtype=float)
+    phis = np.asarray(phis, dtype=float)
+    keep = masses <= 0.5 + 1e-12
+    masses, phis = masses[keep], phis[keep]
+    order = np.argsort(masses, kind="stable")
+    knots, values = [], []
+    running = math.inf
+    for m, f in zip(masses[order], phis[order]):
+        running = min(running, f)
+        if knots and abs(m - knots[-1]) < 1e-15:
+            values[-1] = running
+        else:
+            knots.append(float(m))
+            values.append(running)
+    ks, vs = [knots[0]], [values[0]]
+    for k, v in zip(knots[1:], values[1:]):
+        if v < vs[-1]:
+            ks.append(k)
+            vs.append(v)
+    return ExpansionProfile(np.array(ks), np.array(vs), provenance, pi_star)
 
 
 def dict_doob_z_expectation(chain, x, zeta0, n, number=float):
@@ -395,6 +440,32 @@ def rebuild_forward(env, rows, t0, grid):
     return out
 
 
+def horizon_annealed_mixing_time(g, params, x, eps, env_samples, seed):
+    """Reference for `dist.annealed_mixing_time`: (time, ci) from every
+    environment's quenched laws over the whole grid, to the horizon."""
+    from dynaperc import dist
+    from dynaperc.walk import quenched_laws
+
+    grid = dist.default_grid(params)
+    uniform = np.full(g.n_vertices, 1.0 / g.n_vertices)
+    laws = np.array([list(quenched_laws(env, x, grid)) for env in
+                     dist.sample_envs(g, params, "stationary", seed, env_samples)])
+    laws = laws.reshape(env_samples, len(grid), g.n_vertices)
+
+    def first_time(stack):
+        tvs = 0.5 * np.abs(stack.mean(axis=0) - uniform).sum(axis=1)
+        hit = np.nonzero(tvs <= eps)[0]
+        return float(grid[hit[0]]) if len(hit) else math.inf
+
+    rng = np.random.default_rng(seed + 10 ** 6)
+    boots = [first_time(laws[rng.integers(env_samples, size=env_samples)])
+             for _ in range(200)]
+    finite = [b for b in boots if math.isfinite(b)]
+    ci = ((float(np.percentile(finite, 2.5)), float(np.percentile(finite, 97.5)))
+          if finite else (math.inf, math.inf))
+    return first_time(laws), ci
+
+
 def rebuild_hitting_profile(env, A, horizon):
     """Reference for `walk.exact_hitting_profile`: the N x N absorbed chain,
     with P rebuilt by `rebuild_step_matrix` after every flip (flips inside A
@@ -563,11 +634,8 @@ def marginal_identity_check(chain, x, k):
     s0 = start_mask(x, m)
     if k > len(chain.kernels):
         raise InputError("k exceeds the kernel sequence length")
-    laws, pruned = propagate_set_law(chain.kernels[:k], pi, s0, doob=False,
-                                     prune=0.0)
-    final = laws[-1]
-    member_prob = np.array(list(final.values())) @ np.array(
-        [mask_members(mask, m) for mask in final])
+    weights, _ = propagate_set_law(chain.kernels[:k], pi, s0, doob=False, prune=0.0)
+    member_prob = weights[-1] @ mask_members(np.arange(1 << m), m)
     vec = np.zeros(m)
     vec[x] = 1.0
     for K in chain.kernels[:k]:

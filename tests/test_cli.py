@@ -363,3 +363,65 @@ def test_hit_csv_pinned(tmp_path):
     assert run(["hit", "--config", str(cfg), "--seed", "6", "--out", str(out)]) == 0
     assert hashlib.sha256((out / "hit.csv").read_bytes()).hexdigest() == (
         "72ad775b294a1e5c9a3adcc23802467016c8c243fa133b2f2a2bac7ce390e362")
+
+
+def _spy(monkeypatch, module, name, seen):
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: seen.append(fn(*a, **kw)) or seen[-1])
+
+
+def _report_digest(reports, fields):
+    h = hashlib.sha256()
+    for rep in reports:
+        for f in fields:
+            h.update(np.asarray(getattr(rep, f)).tobytes())
+    return h.hexdigest()
+
+
+# sha256 digests recorded before the set-law layer ran on stacked kernel
+# tables: the CSVs carry only pass/fail, so the floats behind them are
+# pinned too
+def test_evoset_csv_pinned(tmp_path, monkeypatch):
+    from dynaperc import evoset
+    reports = []
+    _spy(monkeypatch, evoset, "doob_z_bound_check", reports)
+    out = tmp_path / "o"
+    assert run(["evoset", "--seed", "7", "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "evoset.csv").read_bytes()).hexdigest() == (
+        "1fac8e16761e91d33cdd6c4d037bbe23357aacc1d76712a5fe5bf713d82c942d")
+    assert len(reports) == 10
+    assert _report_digest(reports, ("chi_values", "z_expectations", "psi_steps",
+                                    "z_at_psi_steps", "pruned_mass")) == (
+        "daeb9f74e44aec81e63d93277e1c54570e92ff9682396945bcde6bc8216d54ff")
+
+
+def test_lab_theorem_csv_pinned(tmp_path, monkeypatch):
+    from dynaperc import envlab
+    reports = []
+    _spy(monkeypatch, envlab, "theorem_2_1_check", reports)
+    out = tmp_path / "o"
+    assert run(["lab", "--scenario", "theorem", "--seed", "7", "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "lab.csv").read_bytes()).hexdigest() == (
+        "889b624f02aa028e439e5cbe4c95bdd25ad2a7af6844a013838e3f2aa741f4c3")
+    assert len(reports) == 1
+    assert _report_digest(reports, ("steps", "per_zeta_certificate")) == (
+        "a9c538f17033f3fb85e3ca0535a39f81e11ec7ad519577c83d30a963559cf989")
+
+
+# the annealed rows, recorded before annealed evolution stopped at the first
+# grid time where every environment has mixed
+@pytest.mark.parametrize("cfg_text, digest", [
+    ("[run]\nd = 1\nn = 8\nmu = 0.25\nenv_samples = 10\n",
+     "932f24ab642f30ed59d5190d68680ddc3ce416d47cf628fb2b8c2d5c7f733281"),
+    ("[run]\nd = 2\nn = 4\nmu = 0.5\nenv_samples = 6\n",
+     "df0075dc7e275fbb51340dc316895399c646fa978dec52b13206f382aa84d6ec"),
+], ids=["d1", "d2"])
+def test_mix_annealed_rows_pinned(tmp_path, cfg_text, digest):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(cfg_text)
+    out = tmp_path / "o"
+    assert run(["mix", "--config", str(cfg), "--seed", "5", "--out", str(out)]) == 0
+    rows = [ln for ln in (out / "mix.csv").read_text().splitlines(keepends=True)
+            if ":t_mix_annealed" in ln]
+    assert len(rows) == 1
+    assert hashlib.sha256("".join(rows).encode()).hexdigest() == digest

@@ -10,6 +10,8 @@ from dynaperc.dynenv import DynParams, sample_env
 from dynaperc.errors import InputError
 from dynaperc.torus import TorusGraph
 
+from helpers import horizon_annealed_mixing_time
+
 
 def test_tv_basics():
     assert D.tv([1, 0], [0, 1]) == 1.0
@@ -173,6 +175,28 @@ def test_annealed_mixing_and_convexity():
     assert (rep.annealed_tvs <= rep.mean_quenched_tvs + 1e-9).all()
     assert rep.ci[0] <= rep.time <= rep.ci[1] or rep.ci[0] <= rep.ci[1]
     assert D.annealed_mixing_time(g, params, 0, eps=1.0, env_samples=2, seed=4).time == 0.0
+
+
+# (p, mu, horizon, seed, environments): in the first, two of the eight
+# environments never mix within the five grid times
+@pytest.mark.parametrize("p, mu, horizon, seed, k", [
+    (0.3, 0.05, 100.0, 0, 8), (0.5, 0.25, 200.0, 4, 12), (0.5, 0.5, 60.0, 2, 5),
+    (0.3, 0.02, 100.0, 8, 8), (0.5, 0.25, 3.0, 1, 3)])
+def test_annealed_mixing_stops_where_every_environment_has_mixed(p, mu, horizon, seed, k):
+    g = TorusGraph(d=1, n=6)
+    params = DynParams(p=p, mu=mu, horizon=horizon)
+    rep = D.annealed_mixing_time(g, params, 0, eps=0.25, env_samples=k, seed=seed)
+    assert (rep.time, rep.ci) == horizon_annealed_mixing_time(g, params, 0, 0.25, k, seed)
+    grid = D.default_grid(params)
+    times = [D.quenched_mixing_time(env, 0, 0.25)
+             for env in D.sample_envs(g, params, "stationary", seed, k)]
+    # evolved to the last environment's mixing time, or to the horizon
+    last = max(times)
+    evolved = len(grid) if math.isinf(last) else int(np.searchsorted(grid, last)) + 1
+    assert len(rep.annealed_tvs) == len(rep.mean_quenched_tvs) == evolved
+    assert (rep.annealed_tvs <= rep.mean_quenched_tvs + 1e-9).all()
+    if (p, seed) == (0.3, 0):
+        assert sum(math.isinf(t) for t in times) == 2 and evolved == len(grid) == 5
 
 
 @pytest.mark.parametrize("x", [-1, 6])

@@ -9,9 +9,10 @@ from dynaperc import evoset as E
 from dynaperc.errors import CapabilityError, InputError
 from dynaperc.expansion import expansion_phi, profile_from_values
 
-from helpers import (assert_profiles_close, dict_propagate_set_law, evolve_step,
-                     lazy, marginal_identity_check, random_pi, random_kernels,
-                     random_reversible_kernel, scalar_psi, scalar_step_law)
+from helpers import (assert_profiles_close, dict_propagate_set_law, dict_z_expectations,
+                     evolve_step, lazy, marginal_identity_check, random_pi,
+                     random_kernels, random_reversible_kernel, scalar_mass, scalar_psi,
+                     scalar_step_law)
 
 
 def _chain(seed, m=4, k=3, activity=0.4):
@@ -135,12 +136,13 @@ def test_propagate_set_law_and_doob_consistency():
     pi = chain.pi
     plain, _ = E.propagate_set_law(chain.kernels, pi, 0b0001, prune=0.0)
     doob, _ = E.propagate_set_law(chain.kernels, pi, 0b0001, doob=True, prune=0.0)
+    assert plain.shape == doob.shape == (5, 16)
+    assert (doob[:, 0] == 0.0).all()
     # importance weights recover the plain law restricted to survival
     mass0 = E.set_mass(0b0001, pi)
+    importance = mass0 / E.set_mass(np.arange(1, 16), pi)
     for k in range(5):
-        lhs = sum(p * mass0 / E.set_mass(s, pi) for s, p in doob[k].items())
-        survive = sum(p for s, p in plain[k].items() if s != 0)
-        assert lhs == pytest.approx(survive, abs=1e-12)
+        assert doob[k, 1:] @ importance == pytest.approx(plain[k, 1:].sum(), abs=1e-12)
 
 
 @pytest.mark.parametrize("prune", [0.0, 1e-15])
@@ -158,10 +160,10 @@ def test_propagate_set_law_matches_dict_reference(repeat, doob, prune):
         s0 = 1 << int(rng.integers(m))
         got, got_pruned = E.propagate_set_law(kernels, pi, s0, doob=doob, prune=prune)
         want, want_pruned = dict_propagate_set_law(kernels, pi, s0, doob=doob, prune=prune)
-        assert len(got) == len(want)
+        assert got.shape == (len(want), 1 << m)
         for g, w in zip(got, want):
-            assert g.keys() == w.keys()
-            assert max(abs(g[s] - w[s]) for s in w) <= 1e-15
+            live = np.flatnonzero(g)
+            assert dict(zip(live.tolist(), g[live].tolist())) == w  # bit for bit
         assert abs(got_pruned - want_pruned) <= 1e-15
 
 
@@ -277,6 +279,105 @@ def test_law_table_rows_equal_one_set_laws(m, doob):
             lo, hi = starts[mask], starts[mask + 1]
             row = tuple(zip(cols[lo:hi].tolist(), vals[lo:hi].tolist()))
             assert row == law(mask, K, pi).entries, mask
+
+
+def _distinct_stack(rng, pi, count):
+    """`count` kernels: the ones with tied ratios first, then random ones."""
+    kernels = list(_kernels_with_ties(rng, pi).values())[1:]
+    kernels.insert(0, random_reversible_kernel(rng, pi, activity=0.9))
+    while len(kernels) < count:
+        kernels.append(random_reversible_kernel(rng, pi))
+    return kernels[:count]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("m", range(3, 9))
+@pytest.mark.parametrize("doob", [False, True])
+def test_stacked_tables_equal_one_kernel_tables(count, m, doob):
+    # one threshold pass over a stack of kernels keeps each kernel's bits
+    rng = np.random.default_rng(300 + 10 * m + count)
+    pi = random_pi(rng, m)
+    kernels = _distinct_stack(rng, pi, count)
+    transitions, which = E.set_law_table(kernels + kernels[::-1], pi, doob)
+    assert which == list(range(count)) + list(range(count))[::-1]
+    masks = np.arange(1, 1 << m)
+    psis = E._psi(masks, np.stack(kernels), pi)
+    for K, got, psi in zip(kernels, transitions, psis):
+        (want,), _ = E.set_law_table([K], pi, doob)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(psi, E._psi(masks, K, pi))
+        assert psi.tolist() == [E.expected_sqrt_ratio(mask, K, pi) for mask in range(1, 1 << m)]
+
+
+@pytest.mark.parametrize("doob", [False, True])
+def test_stacked_law_rows_equal_one_set_laws_at_11_states(doob):
+    rng = np.random.default_rng(11)
+    m = 11
+    pi = random_pi(rng, m)
+    kernels = _distinct_stack(rng, pi, 3)
+    masks = rng.choice(np.arange(1, 1 << m), size=300, replace=False)
+    sets, probs, keep = E._law_table(masks, np.stack(kernels), pi, doob)
+    psis = E._psi(masks, np.stack(kernels), pi)
+    law = E.doob_step_law if doob else E.step_law
+    for j, K in enumerate(kernels):
+        for i, mask in enumerate(masks.tolist()):
+            row = tuple(zip(sets[j, i][keep[j, i]].tolist(), probs[j, i][keep[j, i]].tolist()))
+            assert row == law(mask, K, pi).entries
+            assert psis[j, i] == E.expected_sqrt_ratio(mask, K, pi)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("distinct", [1, 3])
+def test_z_expectations_equal_sequential_dict_sums(m, distinct):
+    # the cumsum over each step's weight row adds the same terms in the same
+    # order as a Python sum over the step's dict law; pruning is on
+    rng = np.random.default_rng(40 + m + distinct)
+    pi = random_pi(rng, m)
+    kernels = random_kernels(rng, pi, distinct, activity=0.9)
+    chain = E.InhomChain(pi=pi, kernels=kernels * (24 // distinct))
+    rep = E.doob_z_bound_check(chain, x=1)
+    assert rep.z_expectations.tolist() == dict_z_expectations(chain, 1)
+
+
+def test_distinct_kernels_match_repeated_objects_by_identity(monkeypatch):
+    rng = np.random.default_rng(5)
+    pi = random_pi(rng, 4)
+    A, B = random_kernels(rng, pi, 2)
+    compared = []
+    equal = np.array_equal
+    monkeypatch.setattr(E.np, "array_equal",
+                        lambda a, b: compared.append(1) or equal(a, b))
+    uniq, which = E._distinct_kernels([A] * 80 + [K for _ in range(5) for K in (B, A.copy(), B)])
+    assert len(uniq) == 2 and uniq[0] is A and uniq[1] is B
+    assert which == [0] * 80 + [1, 0, 1] * 5
+    # B against A once; each of the five copies of A against A once
+    assert len(compared) == 6
+    # fresh arrays, freed once matched, are held so that no id is reused
+    uniq, which = E._distinct_kernels(np.full((2, 2), float(i % 7)) for i in range(40))
+    assert len(uniq) == 7 and which == [i % 7 for i in range(40)]
+
+
+@pytest.mark.parametrize("m", [3, 14, 20])
+def test_few_masses_read_no_table(m, monkeypatch):
+    # a one-set law reads the masses of its set and level sets, the same
+    # floats as the table of every subset mass
+    from dynaperc import expansion as X
+    rng = np.random.default_rng(m)
+    pi = random_pi(rng, m)
+    few = rng.integers(0, 1 << m, size=2 + (m > 3))
+    table = X._subset_masses(np.arange(1 << m), pi)
+    monkeypatch.setattr(X, "_mass_table", None)
+    assert X._subset_masses(few, pi).tolist() == table[few].tolist()
+    assert X._subset_masses(few, pi).tolist() == [scalar_mass(int(s), pi) for s in few]
+    if 3 < m <= E.SET_LAW_MAX_STATES:  # at 3 states the table is the cheaper read
+        K = lazy(random_reversible_kernel(rng, pi))
+        mask = int(few[-1]) | 1
+        law = E.doob_step_law(mask, K, pi)
+        monkeypatch.undo()
+        gaps, tops = E._threshold(np.array([mask]), K, pi)
+        ratios = table[tops[0]] / table[mask]
+        assert [p for _, p in law.entries] == [p for p in (gaps[0] * ratios).tolist() if p > 0]
 
 
 @pytest.mark.parametrize("doob", [False, True])

@@ -16,8 +16,8 @@ from dynaperc.dynenv import DynParams, sample_env
 from dynaperc.errors import InputError, UncertifiedProfileError
 from dynaperc.torus import TorusGraph
 
-from helpers import (assert_profiles_close, lazy, phi_env, random_pi,
-                     random_reversible_kernel, scalar_mass)
+from helpers import (assert_profiles_close, lazy, loop_profile_from_values, phi_env,
+                     random_pi, random_reversible_kernel, scalar_mass)
 
 
 def test_q_flow_and_phi_basic():
@@ -122,6 +122,53 @@ def test_profile_running_infimum():
     assert prof.value(0.45) == 0.3
     assert prof.value(0.9) == prof.value(0.5)  # constant above 1/2
     assert prof.value(0.0) == prof.value(0.1)  # clamped below first knot
+
+
+def _profile_inputs(kind, rng):
+    """(masses, values) of one kind of input to `profile_from_values`."""
+    if kind == "random":
+        masses = rng.random(300) * 0.6
+    elif kind == "uniform-pi":  # exact ties: every set of k states has one mass
+        masses = X._subset_masses(np.arange(1, 1 << 10), np.full(10, 0.1))
+    elif kind == "near-tie-chains":  # runs 4e-16 apart chain past 1e-15
+        base = rng.random(12) * 0.45
+        masses = (base[:, None] + 4e-16 * np.arange(9)).ravel()
+    elif kind == "ulp-steps":  # masses one ulp apart around each 1e-15 step
+        # near 0.003, m + 1e-15 rounds up, so m + 1e-15 - m >= 1e-15
+        start = rng.choice([0.3, 0.003]) * (1.0 + 2.3e-16 * np.arange(-3, 4))
+        masses = (start[:, None] + np.arange(0, 6e-15, 1e-15)).ravel()
+        masses = np.concatenate([masses, np.nextafter(masses, 1.0)])
+    else:  # a single set
+        masses = rng.random(1) * 0.5
+    values = rng.random(len(masses))
+    if kind != "random":
+        values = np.sort(values)[::-1] if rng.random() < 0.5 else values
+    return rng.permutation(masses), values
+
+
+@pytest.mark.parametrize("kind", ["random", "uniform-pi", "near-tie-chains", "ulp-steps",
+                                  "single"])
+def test_profile_from_values_matches_the_loop(kind):
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        masses, values = _profile_inputs(kind, rng)
+        got = X.profile_from_values(masses, values, "exact-enumerated", 0.01)
+        want = loop_profile_from_values(masses, values, "exact-enumerated", 0.01)
+        assert got.knots.tolist() == want.knots.tolist()
+        assert got.values.tolist() == want.values.tolist()
+
+
+def test_profile_knots_follow_a_chain_of_near_ties():
+    # each mass is within 1e-15 of the one before it, but the chain is not:
+    # a knot starts at the first mass at least 1e-15 above the knot's start
+    masses = 0.2 + 4e-16 * np.arange(8)
+    prof = X.profile_from_values(masses, np.linspace(0.9, 0.2, 8), "exact-enumerated", 0.1)
+    starts = [0]
+    for i, m in enumerate(masses):
+        if m - masses[starts[-1]] >= 1e-15:
+            starts.append(i)
+    assert len(starts) == 3
+    assert prof.knots.tolist() == masses[starts].tolist()
 
 
 def test_profile_serialize_roundtrip():
