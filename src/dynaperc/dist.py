@@ -230,20 +230,17 @@ class HittingReport:
 
 def hitting_time_stats(g: TorusGraph, params: DynParams, A: np.ndarray,
                        env_samples: int, seed: Optional[int] = None,
-                       init="stationary", allow_small: bool = False) -> HittingReport:
+                       init="stationary") -> HittingReport:
     """Quenched and annealed E[min(tau_A, T)] estimates via exact absorbed
     evolution up to the environment horizon T, over `env_samples`
     environments.
 
-    A is a bool vertex mask.  For theorem-scope experiments |A| >= n^d / 2
-    is required; pass `allow_small=True` to probe smaller targets.
+    A is a bool vertex mask with |A| >= n^d / 2, the theorem's scope; a
+    smaller A raises `InputError`.
     """
     A = as_mask(A, g.n_vertices)
-    size = int(A.sum())
-    if size == 0:
-        raise InputError("A must be nonempty")
-    if not allow_small and 2 * size < g.n_vertices:
-        raise InputError("|A| < n^d / 2; pass allow_small=True to override")
+    if 2 * int(A.sum()) < g.n_vertices:
+        raise InputError("|A| < n^d / 2")
     q_means = []
     censored = []
     for env in sample_envs(g, params, init, seed, env_samples):

@@ -18,13 +18,13 @@ tens of times that, so most environments are never re-run.  Every read goes
 through `_know`, which does this; `flip_times`, `offsets`, `env.edges` (the
 read-only per-edge `EdgeTrajectory` views, built on first access, through
 which the benchmark tracer counts flips) and the dump give the whole horizon.
-`flip_events` reads a time-sorted (time, edge) stream that is built lazily:
-it is sorted up to a watermark, and a query past the watermark at least
-doubles it, up to the end of the kept flips.  One bisection on the flat
-arrays, `_first_after`, answers every other question and leaves the stream
-alone: `flip_counts` and `open_mask_at` (each edge at one time), the
-watermark's advance, and the batched point query `states_at` (edge i at
-time i, for a batch of walkers).
+Re-deriving is the one change an environment ever makes to itself: every
+query is answered from the flat arrays by one bisection, `_first_after`,
+and leaves nothing behind.  It serves `flip_counts` and `open_mask_at`
+(each edge at one time), the batched point query `states_at` (edge i at
+time i, for a batch of walkers) and `flip_events`, which bisects each
+edge's range at both ends of a window and sorts the flips between them
+into time order.
 
 The sampler draws standard exponentials in blocks, edge after edge, and
 scales and sums them as one `t += rng.exponential(1 / rate)` per hold would,
@@ -90,12 +90,13 @@ class EnvTrajectory:
     `offsets` (int64[E + 1], nondecreasing from 0 to `len(flip_times)`);
     anything else raises `InputError`.  A built environment knows all of
     [0, T]; `sample_env` keeps the flips of [0, T/16] only, and `_know`
-    re-derives the rest on the first read past them.
+    re-derives the rest on the first read past them.  That is the only state
+    a read changes: every query, `flip_events` too, is a bisection of the
+    flat arrays.
     """
 
     __slots__ = ("graph", "params", "init_tag", "seed", "initial", "_flips",
-                 "_offsets", "_known", "_rng_state", "_edges", "_mark", "_next",
-                 "_times", "_edge_ids")
+                 "_offsets", "_known", "_rng_state", "_edges")
 
     def __init__(self, graph: TorusGraph, params: DynParams, initial: np.ndarray,
                  flip_times: np.ndarray, offsets: np.ndarray, init_tag: str,
@@ -126,12 +127,6 @@ class EnvTrajectory:
         self._known = params.horizon
         self._rng_state: Optional[dict] = None
         self._edges: Optional[tuple[EdgeTrajectory, ...]] = None
-        # the (time, edge) stream holds every flip at or before _mark;
-        # _next[e] indexes edge e's first flip after it
-        self._mark = -1.0
-        self._next = offsets[:-1].copy()
-        self._times = np.empty(0)
-        self._edge_ids = np.empty(0, dtype=np.int64)
 
     @property
     def flip_times(self) -> np.ndarray:
@@ -178,15 +173,13 @@ class EnvTrajectory:
     def _know(self, t: float) -> None:
         """Make the kept flips cover [0, t].  Past the kept window, re-run the
         sampler from its saved state over the whole horizon: the same draws,
-        so the same flips bit for bit; the stream's cursors move onto the new
-        offsets."""
+        so the same flips bit for bit."""
         if not t > self._known:
             return
         rng = np.random.default_rng()
         rng.bit_generator.state = self._rng_state
-        flips, offsets = _sample_flips(rng, self.params, self.initial, self.horizon)
-        self._next = offsets[:-1] + (self._next - self._offsets[:-1])
-        self._flips, self._offsets = flips, offsets
+        self._flips, self._offsets = _sample_flips(rng, self.params, self.initial,
+                                                   self.horizon)
         self._known, self._rng_state = self.horizon, None
 
     def _first_after(self, t, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -196,7 +189,8 @@ class EnvTrajectory:
 
         One bisection runs on all the ranges at once, so no pass over the
         whole flat array is made.  It serves the per-edge counts (a range per
-        edge and one time) and the point queries (a range and a time each).
+        edge and one time), the point queries (a range and a time each) and
+        the ends of a flip window.
         """
         flips = self._flips
         t = np.broadcast_to(t, lo.shape)
@@ -209,29 +203,6 @@ class EnvTrajectory:
             hi[act[~below]] = mid[~below]
             act = act[lo[act] < hi[act]]
         return lo
-
-    def _extend(self, t: float) -> None:
-        """Sort every flip up to at least t into the stream.
-
-        The watermark at least doubles, up to the end of the kept flips.  A
-        stable sort of the edge-major new slice keeps equal times in edge order.
-        """
-        if t <= self._mark:
-            return
-        self._know(t)
-        mark = min(self._known, max(t, 2.0 * self._mark))
-        lo = self._first_after(mark, self._next, self._offsets[1:])
-        counts = lo - self._next
-        idx = np.repeat(self._next - (np.cumsum(counts) - counts), counts) \
-            + np.arange(counts.sum())
-        flips = self._flips
-        order = np.argsort(flips[idx], kind="stable")
-        self._times = np.concatenate((self._times, flips[idx[order]]))
-        self._edge_ids = np.concatenate(
-            (self._edge_ids, np.repeat(np.arange(len(counts)), counts)[order]))
-        self._times.flags.writeable = self._edge_ids.flags.writeable = False
-        self._next = lo
-        self._mark = mark
 
     def flip_counts(self, t: float) -> np.ndarray:
         """Flips of each edge at or before t, counted on the flat arrays."""
@@ -267,15 +238,23 @@ class EnvTrajectory:
     def flip_events(self, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
         """All flips with time in (t0, t1], time-sorted: (times, edge ids).
 
-        Equal times come in edge order.  Both are read-only views of the
-        stream, which only ever grows by a new array, so a window costs no
-        copy and stays valid.
+        Each edge's range is bisected at t0 and at t1, both in one
+        `_first_after` call, and the flips between are gathered edge after
+        edge and stable-sorted, so equal times come in edge order.  Both
+        arrays are new: nothing is kept between calls.
         """
         self._check_time(t0)
         self._check_time(t1)
-        self._extend(t1)
-        i, j = np.searchsorted(self._times, (t0, t1), side="right")
-        return self._times[i:j], self._edge_ids[i:j]
+        self._know(t1)
+        start, stop = self._offsets[:-1], self._offsets[1:]
+        E = len(start)
+        lo, hi = self._first_after(np.repeat([t0, t1], E), np.tile(start, 2),
+                                   np.tile(stop, 2)).reshape(2, E)
+        counts = np.maximum(hi - lo, 0)  # none when t1 < t0
+        idx = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+        times = self._flips[idx]
+        order = np.argsort(times, kind="stable")
+        return times[order], np.repeat(np.arange(E), counts)[order]
 
 
 # standard exponentials drawn per rng call, and flips checked per pass, at most

@@ -34,8 +34,12 @@ of free (off-target) states is evolved, and each segment's time off the
 target is added up too.  The absorbed path stacks the free rows of up to 128
 pieces at once from the parities of the window's flips, and runs one Horner
 pass and one pairwise product tree per chunk, so the Python cost of a product
-is paid once per chunk rather than once per segment.  It reads the flips a
-window at a time and stops at absorption.
+is paid once per chunk rather than once per segment.  It stops at absorption.
+
+Both paths read the flips a window at a time, by one read-ahead rule,
+`_window_end`: a run from t0 reads to t0 + 1/mu, t0 + 2/mu, t0 + 4/mu, ...,
+and a window that would cross the end of the flips kept at sampling stops
+there, so a run that ends inside them never re-derives its environment.
 
 One rule truncates every series, forward or absorbed: it stops at the first
 term where its Poisson tail is below `_SERIES_TAIL` or, past the peak of the
@@ -372,6 +376,21 @@ def _chain(A: np.ndarray) -> np.ndarray:
     return A[0]
 
 
+def _window_end(env: EnvTrajectory, t0: float, t: float) -> float:
+    """Where the flip window that starts at t ends, in a run from t0: the
+    first t0 + 2^k/mu (k = 0, 1, ...) past t, or the end of the kept flips
+    (`env._known`) if that lies between.
+
+    Windows double, so a run reads about as far ahead as it has come and
+    makes a number of reads logarithmic in its length.
+    """
+    span = 1.0 / env.params.mu
+    while t0 + span <= t:
+        span *= 2.0
+    end = t0 + span
+    return env._known if t < env._known < end else end
+
+
 def check_exact_size(g: TorusGraph) -> None:
     """Raise `CapabilityError` when g has more than `EXACT_STATE_BUDGET` states."""
     if g.n_vertices > EXACT_STATE_BUDGET:
@@ -393,9 +412,9 @@ class _Evolver:
     its pieces from `_blocks`: a window of flips, read as arrays, merged with
     the grid times in time order into blocks of up to `_TABLE_ROWS` cuts,
     which may span several grid times, and split by one `_pieces` call.  A
-    window ends at the next grid time or, if later, the stream's watermark,
-    so no flip is read that the stream has not already sorted, beyond the
-    next grid time.  One `_poisson_table` weighs a block's pieces, and one
+    window ends at the last grid time at or before `_window_end`, or at the
+    next grid time if none is, so every flip it reads is used.  One
+    `_poisson_table` weighs a block's pieces, and one
     tight loop runs a series per piece, applies each flip to the table
     inline and yields at each grid time.  A single row runs its series on
     two Krylov buffers, the sum of one written into row 0 of the other; many
@@ -409,16 +428,15 @@ class _Evolver:
     `occupation` accumulates, per row, the time spent off the mask.  Flips on
     edges with both ends in the mask leave that block unchanged and are
     skipped (their `open_mask` entries go stale).  Flips are fetched in
-    windows ending at t0 + 1/mu, t0 + 2/mu, t0 + 4/mu, ..., doubling as the
-    environment's sorted stream doubles its watermark, so the stream grows
-    only about as far as the evolution reads.
+    windows that end at `_window_end` or t1, whichever comes first; a
+    window's end is no cut, as a segment runs from flip to flip across it.
 
     The absorbed path works in chunks.  `_stack_pieces` stacks a window's
     pieces a chunk at a time, in a few array operations: the state of each
     free-row slot's edge before piece r is its state at the slice's start
     XOR the parity of that edge's flips before r, which gives the block
     columns of every piece's free rows at once (`_rows`); the slice's net
-    flips are then applied to the table once (`_toggle`).  Reading `_stack`
+    flips are then applied to the table once (`_toggle`).  `_run_chunk`
     scatters all the stacked pieces' dense blocks at once (`_Stencil.blocks`,
     one bincount).  A stretch longer than `_MAX_SEGMENT` is stacked as
     several pieces, split by `_pieces` as on the forward path.  When the
@@ -502,19 +520,6 @@ class _Evolver:
         self._nbr[at_u] = np.where(is_open, v, u)
         self._nbr[at_v] = np.where(is_open, u, v)
 
-    @property
-    def _stack(self) -> np.ndarray:
-        """The free blocks of the pieces stacked so far, in time order.
-
-        Not a stored value: every read scatters all of them anew from their
-        rows of block columns (one `_Stencil.blocks` call, a bincount over
-        the whole stack) and overwrites the block buffer.  `_run_chunk`
-        reads it once, on entry.
-        """
-        m = len(self._lengths)
-        self.P.blocks(self._rows[:m], self._blocks[:m])
-        return self._blocks
-
     def _count(self, K: list[int], dropped: list[float]) -> None:
         """Count the series of K and dropped, adding dropped in order."""
         self.segments += len(K)
@@ -588,19 +593,16 @@ class _Evolver:
         of `stops`, at most `_TABLE_ROWS` at a time: e is the flip that ends
         a piece, -2 at a stop and -1 for neither.
 
-        Each window of flips ends at the next stop or, if later, at the
-        stream's watermark, and is cut after its last stop; its flips and
+        Each window of flips ends at the last stop at or before
+        `_window_end`, or at the next stop if there is none; its flips and
         stops are merged in time order, a flip before a stop at its time,
         `_TABLE_ROWS` at a time.
         """
-        env, t, i = self.env, self.t, 0  # t: the last cut
+        env, t0, t, i = self.env, self.t, self.t, 0  # t: the last cut
         while i < len(stops):
-            window = max(stops[i], env._mark)
-            times, eids = env.flip_events(t, window)
-            end = i + int(np.searchsorted(stops[i:], window, "right"))
-            # later flips are read again, with the next window
-            last = np.searchsorted(times, stops[end - 1], "right")
-            times, eids = times[:last], eids[:last]
+            ahead = _window_end(env, t0, t)
+            end = max(i + 1, int(np.searchsorted(stops, ahead, "right")))
+            times, eids = env.flip_events(t, stops[end - 1])
             c = 0
             while i < end:
                 F, S = times[c:c + _TABLE_ROWS], stops[i:min(end, i + _TABLE_ROWS)]
@@ -620,10 +622,8 @@ class _Evolver:
         env, live, t0 = self.env, self._live_edge, self.t
         self.t = t1
         prev = a = t0
-        span = 1.0 / env.params.mu  # window ends at t0 + span, span doubling
         while a < t1:
-            b = min(t1, t0 + span)
-            span *= 2.0
+            b = min(t1, _window_end(env, t0, a))
             times, eids = env.flip_events(a, b)
             keep = live[eids]
             times = times[keep]
@@ -675,18 +675,19 @@ class _Evolver:
 
         Returns (mat, stopped); pieces after an early stop are not counted.
         """
-        blocks = self._stack  # scatters the chunk's blocks
         lengths, at_flip = self._lengths, self._at_flip
         self._lengths, self._at_flip = [], []
         m = len(lengths)
         if m == 0:
             return mat, False
+        blocks = self._blocks[:m]
+        self.P.blocks(self._rows[:m], blocks)  # scatters the chunk's blocks
         if m == 1:  # a lone piece runs its series on the rows themselves
             W, K, dropped = _poisson_table(lengths, self.tail)
             mat = _apply_uniformized(mat, blocks[0], W[0, :K[0] + 1], self.occupation)
             self._count(K.tolist(), dropped.tolist())
             return mat, at_flip[0] and mat.sum(axis=1).max(initial=0.0) < 1e-14
-        A, K, dropped = self._chunk_series(blocks[:m], lengths)
+        A, K, dropped = self._chunk_series(blocks, lengths)
         n = len(self.occupation)
         state = np.column_stack((mat, self.occupation))  # [mat | occupation]
         end = state @ _chain(A)

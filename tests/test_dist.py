@@ -281,9 +281,6 @@ def test_hitting_stats_shapes_and_gate():
     small = np.arange(8) == 0
     with pytest.raises(InputError):
         D.hitting_time_stats(g, params, small, env_samples=2)
-    rep2 = D.hitting_time_stats(g, params, small, env_samples=2, seed=6,
-                                allow_small=True)
-    assert rep2.annealed_means.max() > 0
 
 
 def test_csv_format_deterministic():
@@ -304,8 +301,6 @@ def test_hitting_gate_counts_members():
     A = np.arange(8) < 3
     with pytest.raises(InputError):
         D.hitting_time_stats(g, params, A, env_samples=1, seed=5)
-    rep = D.hitting_time_stats(g, params, A, env_samples=1, seed=5, allow_small=True)
-    assert (rep.quenched_means[:, A] == 0.0).all()
 
 
 @pytest.mark.parametrize("A", [(np.arange(8) < 4).astype(int),  # int 0/1 vector
@@ -315,7 +310,7 @@ def test_hitting_stats_rejects_malformed_sets(A):
     g = TorusGraph(d=1, n=8)
     with pytest.raises(InputError):
         D.hitting_time_stats(g, DynParams(p=0.5, mu=0.25, horizon=100.0), A,
-                             env_samples=1, seed=5, allow_small=True)
+                             env_samples=1, seed=5)
 
 
 def test_cli_sized_runs_read_only_the_kept_flips():

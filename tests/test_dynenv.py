@@ -384,7 +384,7 @@ def _index_envs():
 @pytest.mark.parametrize("kind", ["sampled", "loaded", "hand-built", "all-open-p1"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_event_index_matches_per_edge_loops(kind, seed):
-    # fresh envs: the query order drives the watermark
+    # fresh envs: the query order decides which read re-derives the horizon
     env, ref = _index_envs()[kind], _index_envs()[kind]
     T = env.horizon
     rng = np.random.default_rng(seed)
@@ -438,7 +438,7 @@ def test_event_index_rejects_times_outside_horizon(kind):
     for t in (-1e-12, T + 1e-9, math.nan):
         with pytest.raises(HorizonError):
             env.open_mask_at(t)
-    env.flip_events(T / 2, T)  # the watermark has moved; still refused
+    env.flip_events(T / 2, T)  # past the kept flips, if any; still refused
     with pytest.raises(HorizonError):
         env.open_mask_at(T * 2)
 
@@ -547,15 +547,16 @@ def test_kept_window_is_invisible(d, n, p, mu, horizon, init, seed, reads):
 
 
 def test_kept_window_survives_a_stream_past_it():
-    # the sorted stream's watermark doubles up to the end of the window; a
-    # read past the window re-derives the horizon and rebases the stream
+    # contiguous windows read only the kept flips up to their end, the first
+    # window past it re-derives the horizon, and each window, before and
+    # after, is that of the environment known whole
     g = TorusGraph(1, 6)
     env = sample_env(g, DynParams(0.5, 0.25, 160.0), seed=3)
     full = loads_env(dumps_env(sample_env(g, env.params, seed=3)))
     w = env._known
+    known = []
     for t0, t1 in ((0.0, 0.6 * w), (0.6 * w, 0.7 * w), (0.7 * w, w), (w, 3.0 * w),
-                   (3.0 * w, 160.0)):
+                   (3.0 * w, 160.0), (0.0, w)):
         assert _same(env.flip_events(t0, t1), full.flip_events(t0, t1))
-        if t1 == 0.7 * w:  # the doubled watermark, 1.2 w, stopped at the window
-            assert env._mark == env._known == w
-    assert env._known == env._mark == 160.0
+        known.append(env._known)
+    assert known == [w, w, w, 160.0, 160.0, 160.0]

@@ -461,6 +461,16 @@ def _case(name):
     return next(c for c in _HITTING_CASES if c[0] == name)
 
 
+def _stacked(ev, m=None):
+    """The free blocks of the first m stack slots (by default, of the pieces
+    ev has stacked so far), in time order, scattered as `_run_chunk` scatters
+    them, into a new buffer."""
+    m = len(ev._lengths) if m is None else m
+    blocks = np.empty((m,) + ev._blocks.shape[1:])
+    ev.P.blocks(ev._rows[:m], blocks)
+    return blocks
+
+
 def test_chunk_splits_long_stretches(monkeypatch):
     _, env, A, horizon = _case("long-gaps")
     stacks = []
@@ -518,7 +528,7 @@ def test_chunk_series_matches_lone_series(d, n):
     for h in lengths:  # each piece, then three flips
         ev._stack_pieces(np.eye(k), np.array([h, 0.0, 0.0]), rng.integers(g.n_edges, size=3))
     assert ev._lengths == lengths
-    blocks = ev._stack[:len(lengths)]
+    blocks = _stacked(ev)
     A, K, dropped = ev._chunk_series(blocks, lengths)
     W, K_table, dropped_table = walk._poisson_table(lengths, walk._SERIES_TAIL)
     assert (K, dropped) == (K_table.tolist(), dropped_table.tolist())
@@ -540,9 +550,8 @@ def test_tree_chaining_stops_at_the_sequential_flip(name, monkeypatch):
     run_chunk = _Evolver._run_chunk
 
     def spy(self, mat):
-        m = len(self._lengths)
         before = (mat.copy(), self.occupation.copy(), list(self._lengths),
-                  list(self._at_flip), self._stack[:m].copy(), self.segments)
+                  list(self._at_flip), _stacked(self), self.segments)
         out, stopped = run_chunk(self, mat)
         chunks.append((before, out.copy(), self.occupation.copy(), stopped, self.segments))
         return out, stopped
@@ -569,25 +578,73 @@ def test_tree_chaining_stops_at_the_sequential_flip(name, monkeypatch):
     assert inside == 1
 
 
-def test_hitting_reads_flips_a_window_at_a_time(monkeypatch):
-    # a fresh environment: the shared cases' streams have been read to the end
-    _, env, A, horizon = _case("many-chunks")
-    env = sample_env(env.graph, env.params, seed=env.seed)
+def _spy_windows(monkeypatch) -> list:
+    """The (t0, t1) of every `flip_events` call, in order."""
     windows = []
-    flip_events = type(env).flip_events
+    flip_events = EnvTrajectory.flip_events
 
     def spy(self, t0, t1):
         windows.append((t0, t1))
         return flip_events(self, t0, t1)
 
-    monkeypatch.setattr(type(env), "flip_events", spy)
+    monkeypatch.setattr(EnvTrajectory, "flip_events", spy)
+    return windows
+
+
+def _spy_know(monkeypatch) -> list:
+    """For every `_know` call, in order: did it ask past the kept flips?"""
+    derived = []
+    know = EnvTrajectory._know
+
+    def spy(self, t):
+        derived.append(t > self._known)
+        know(self, t)
+
+    monkeypatch.setattr(EnvTrajectory, "_know", spy)
+    return derived
+
+
+def test_hitting_reads_flips_a_window_at_a_time(monkeypatch):
+    # a fresh environment: the shared cases' have been re-derived
+    _, env, A, horizon = _case("many-chunks")
+    env = sample_env(env.graph, env.params, seed=env.seed)
+    windows = _spy_windows(monkeypatch)
     ev = _Evolver(env, 0.0, absorbing=A)
     ev.advance(np.eye(int((~A).sum())), horizon)
     assert ev.segments > 4 * walk._CHUNK
     assert len(windows) > 4
+    # contiguous windows from 0 that end at 1/mu, 2/mu, 4/mu, ...
+    assert windows[0][0] == 0.0
     assert all(b == c for (_, b), (c, _) in zip(windows, windows[1:]))
-    # the early stop came long before the horizon, and so did the sorting
-    assert env._mark < horizon / 10
+    assert [b for _, b in windows] == [2.0 ** k / env.params.mu
+                                       for k in range(len(windows))]
+    # the early stop came long before the horizon, and so did the reads
+    assert windows[-1][1] < horizon / 10
+    assert env._known == _KEPT * horizon
+
+
+def test_hitting_stopped_inside_the_kept_window_reads_no_flip_past_it(monkeypatch):
+    # the doubled window from 512 would end at 1024, past the kept flips'
+    # end at 800; it stops there instead, and the run is absorbed inside it,
+    # so the environment is never re-derived, and the profile is that of
+    # the environment known whole
+    g = TorusGraph(1, 8)
+    A = np.arange(8) < 4
+    params = DynParams(0.5, 0.25, 12800.0)
+    whole = sample_env(g, params, seed=0)
+    whole = EnvTrajectory(g, params, whole.initial, whole.flip_times, whole.offsets,
+                          whole.init_tag, whole.seed)
+    want = exact_hitting_profile(whole, A, params.horizon)
+    env = sample_env(g, params, seed=0)
+    keep = _KEPT * params.horizon
+    windows, derived = _spy_windows(monkeypatch), _spy_know(monkeypatch)
+    got = exact_hitting_profile(env, A, params.horizon)
+    assert [b for _, b in windows] == [2.0 ** k / params.mu for k in range(8)] + [keep]
+    assert all(b == c for (_, b), (c, _) in zip(windows, windows[1:]))
+    assert derived and not any(derived)
+    assert env._known == keep
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 def test_hitting_skips_flips_inside_target():
@@ -626,7 +683,8 @@ def test_in_place_flips_match_fresh_step_matrix(d, n):
         assert np.array_equal(forward.P.matrix(), fresh)
         absorbed._lengths, absorbed._at_flip = [], []  # restack into slot 0
         absorbed._stack_pieces(rows, np.array([1.0]), np.array([-1]))
-        assert np.array_equal(absorbed._stack[0], fresh[np.ix_(free, free)])
+        # slot 0, also where a one-slot stack has run it as a chunk
+        assert np.array_equal(_stacked(absorbed, 1)[0], fresh[np.ix_(free, free)])
 
 
 @pytest.mark.parametrize("d, n", _OPERATOR_SHAPES)
@@ -692,14 +750,13 @@ def test_stacked_blocks_match_fresh_free_block(name, monkeypatch):
     run_chunk = _Evolver._run_chunk
 
     def spy(self, mat):
-        m = len(self._lengths)
-        pieces.extend(zip(self._lengths, self._stack[:m].copy()))
+        pieces.extend(zip(self._lengths, _stacked(self)))
         return run_chunk(self, mat)
 
     monkeypatch.setattr(_Evolver, "_run_chunk", spy)
     ev = _Evolver(env, 0.0, absorbing=A)
     ev.advance(np.eye(int(free.sum())), horizon)
-    assert len(pieces) > 4 * len(ev._stack)
+    assert len(pieces) > 4 * len(ev._blocks)
     t = 0.0
     for h, block in pieces:
         fresh = rebuild_step_matrix(g, env.open_mask_at(t + h / 2))
@@ -778,11 +835,8 @@ _FORWARD_CASES = _forward_cases()
 
 
 def _fresh(env):
-    """env sampled anew, its stream sorted to 37.3, off every grid time, so
-    a window can end between two grid times."""
-    env = sample_env(env.graph, env.params, seed=env.seed)
-    env.flip_events(0.0, 37.3)
-    return env
+    """env sampled anew, so that a run reads past its kept flips."""
+    return sample_env(env.graph, env.params, seed=env.seed)
 
 
 def _step_by_step(env, rows, grid):
@@ -840,7 +894,9 @@ def test_forward_loop_closed_mid_block(name, env, grid, monkeypatch):
     # it goes on from there bit for bit
     row = np.eye(env.graph.n_vertices)[:1]
     want = _step_by_step(env, row, grid)
-    k = int(np.searchsorted(grid, 20.0, "right")) - 2  # a block runs to 37.3 or the stop before
+    # a window runs past stop k: the one from 16 to 32 (1/mu = 2 or 4), or
+    # for long gaps the one from 0 to 100
+    k = int(np.searchsorted(grid, 20.0, "right")) - 2
     env = _fresh(env)
     tables = _spy_tables(monkeypatch)
     ev = _Evolver(env, 0.0)
@@ -858,23 +914,18 @@ def test_forward_loop_closed_mid_block(name, env, grid, monkeypatch):
 
 def test_forward_loop_reads_no_flip_past_the_kept_window(monkeypatch):
     # a mixing-sized run that leaves at the last grid time of the kept
-    # window reads ahead only as far as the stream is sorted, so it never
-    # re-derives its environment
-    derived = []
-    know = EnvTrajectory._know
-
-    def spy(self, t):
-        derived.append(t > self._known)
-        know(self, t)
-
-    monkeypatch.setattr(EnvTrajectory, "_know", spy)
+    # window has read flips only up to it, in contiguous windows, so it
+    # never re-derives its environment
+    derived, windows = _spy_know(monkeypatch), _spy_windows(monkeypatch)
     env = sample_env(TorusGraph(2, 6), DynParams(0.5, 0.5, 20.0 * 36 / 0.5), seed=3)
     grid = dist.default_grid(env.params)
     keep = _KEPT * env.horizon
     for _, t in zip(walk._laws(env, 0, grid, walk._DECISION_TAIL), grid):
         if t + 2.0 > keep:  # the last grid time in the window
             break
-    assert env._mark == keep and derived and not any(derived)
+    assert windows[-1][1] == t <= keep
+    assert all(b == c for (_, b), (c, _) in zip(windows, windows[1:]))
+    assert derived and not any(derived)
     assert env._known == keep
 
 
