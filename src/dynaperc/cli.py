@@ -124,6 +124,15 @@ def _median_row(cfg: dict, times: list[float], **kw) -> dict:
                      censored_frac=1.0 - len(finite) / len(times), **kw)
 
 
+def _worst_start_row(cfg: dict, rep: dist.HittingReport, **kw) -> dict:
+    """The hitting row of the worst start, the one with the largest annealed
+    mean: its `x`, that mean and its censored fraction."""
+    worst = int(np.argmax(rep.annealed_means))
+    return _base_row(cfg, x=worst, statistic="hit_time_annealed_max",
+                     value=float(rep.annealed_means[worst]),
+                     censored_frac=float(rep.censored_frac[worst]), **kw)
+
+
 def _record_hash(line: str) -> Optional[str]:
     """The config hash of one manifest line, None if it is not a record."""
     try:
@@ -282,10 +291,7 @@ def cmd_hit(run: Runner) -> int:
         A = _arc_target(g, rng)
         rep = dist.hitting_time_stats(g, params, A, env_samples=run.cfg["env_samples"],
                                       seed=run.seed, init=run.cfg["init"])
-        worst = int(np.argmax(rep.annealed_means))
-        return [_base_row(run.cfg, x=worst, statistic="hit_time_annealed_max",
-                          value=float(rep.annealed_means[worst]),
-                          censored_frac=float(rep.censored_frac[worst]))]
+        return [_worst_start_row(run.cfg, rep)]
 
     run.cell("hit", body)
     return run.finish("hit.csv")
@@ -445,10 +451,7 @@ def cmd_sweep(run: Runner) -> int:
         A = _arc_target(g, np.random.default_rng(run.seed + g.n))
         rep = dist.hitting_time_stats(g, params, A, env_samples=cfg["env_samples"],
                                       seed=run.seed + 1000 * g.n, init=cfg["init"])
-        return [_base_row(cfg, statistic="hit_time_annealed_max",
-                          value=float(rep.annealed_means.max()),
-                          cell_id=f"n{g.n}mu{params.mu}",
-                          censored_frac=float(rep.censored_frac.max()))]
+        return [_worst_start_row(cfg, rep, cell_id=f"n{g.n}mu{params.mu}")]
 
     # scenario: (horizon in units of n^2/mu, cell body)
     bodies = {"subcritical-mixing": (20.0, mixing_cell), "hitting": (50.0, hitting_cell)}

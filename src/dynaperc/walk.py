@@ -12,8 +12,7 @@ uniformization over the piecewise-constant jump generator between environment
 flips, exact up to `EXACT_TOL` in total variation.  All positions are reported
 right continuously.
 
-One core does all exact evolution, `_Evolver`, and it takes the flips of
-the environment a window at a time, as arrays.  The jump operator is held
+One core does all exact evolution, `_Evolver`.  The jump operator is held
 one way only, as the int neighbour-or-self table `_Stencil.nbr`, (2d, N):
 entry k of v is v's neighbour k when that edge is open and v itself when it
 is closed.  An attempt across a closed edge stays home, so P = I + Q is the
@@ -22,24 +21,24 @@ once per evolver and each flip rewrites the two entries of its edge in
 place.  Every form has the entries of `step_matrix`, whose diagonal is a
 vertex's closed edges times 1/(2d), the sum of their gathers.
 
-Forward laws, window kernels and TV curves run one loop, `_Evolver._forward`
-(`advance` is its one-stop case): it merges a window of flips, read as
-arrays, with the grid times into blocks that may span several grid times,
-weighs each block with one `_poisson_table`, and runs a series per piece,
-applying flips to the table inline.  A single row (a law, a TV curve) needs
-no N x N matrix: one gather and one dot a term (about 2 us at N = 256).
-Many rows (a window kernel) run gemm on a dense P written from the table.
+Both paths take their pieces from one flip reader, `_Evolver._blocks`: it
+reads the flips a window at a time, as arrays, by one read-ahead rule,
+`_window_end` (a run from t0 reads to t0 + 1/mu, t0 + 2/mu, t0 + 4/mu, ...,
+and a window that would cross the end of the flips kept at sampling stops
+there, so a run that ends inside them never re-derives its environment), and
+merges them with the stops into series pieces.  Forward laws, window kernels
+and TV curves run one loop, `_Evolver._forward` (`advance` is its one-stop
+case): it weighs up to `_TABLE_ROWS` pieces, which may span several grid
+times, with one `_poisson_table`, and runs a series per piece, applying flips
+to the table inline.  A single row (a law, a TV curve) needs no N x N
+matrix: one gather and one dot a term (about 2 us at N = 256).  Many rows (a
+window kernel) run gemm on a dense P written from the table.
 Hitting profiles run on the chain absorbed in the target set: only the block
 of free (off-target) states is evolved, and each segment's time off the
 target is added up too.  The absorbed path stacks the free rows of up to 128
 pieces at once from the parities of the window's flips, and runs one Horner
 pass and one pairwise product tree per chunk, so the Python cost of a product
 is paid once per chunk rather than once per segment.  It stops at absorption.
-
-Both paths read the flips a window at a time, by one read-ahead rule,
-`_window_end`: a run from t0 reads to t0 + 1/mu, t0 + 2/mu, t0 + 4/mu, ...,
-and a window that would cross the end of the flips kept at sampling stops
-there, so a run that ends inside them never re-derives its environment.
 
 One rule truncates every series, forward or absorbed: it stops at the first
 term where its Poisson tail is below `_SERIES_TAIL` or, past the peak of the
@@ -100,11 +99,10 @@ _MAX_SEGMENT = 32.0
 # the hitting profiles of the 16- and 20-cycle (8 and 10 free states).
 _CHUNK = 128
 _CHUNK_BYTES = 1 << 17
-# A forward block merges at most this many flips and grid times, and a
-# Poisson weight table holds at most this many series, so no run allocates a
-# flips x terms table.  256 was faster than 1024 on the 16- and 32-cycle
-# mixing cells (5.2 against 6.0 ms an environment; a table is as wide as its
-# longest piece needs) and as fast on the 16 x 16 torus.
+# A forward Poisson weight table holds at most this many series, so no run
+# allocates a flips x terms table.  256 was faster than 1024 on the 16- and
+# 32-cycle mixing cells (5.2 against 6.0 ms an environment; a table is as wide
+# as its longest piece needs) and as fast on the 16 x 16 torus.
 _TABLE_ROWS = 256
 
 
@@ -379,7 +377,8 @@ def _chain(A: np.ndarray) -> np.ndarray:
 def _window_end(env: EnvTrajectory, t0: float, t: float) -> float:
     """Where the flip window that starts at t ends, in a run from t0: the
     first t0 + 2^k/mu (k = 0, 1, ...) past t, or the end of the kept flips
-    (`env._known`) if that lies between.
+    (`env._known`) if that lies between.  `_Evolver._blocks` ends a window
+    here or at its last stop, whichever comes first.
 
     Windows double, so a run reads about as far ahead as it has come and
     makes a number of reads logarithmic in its length.
@@ -408,38 +407,39 @@ class _Evolver:
     when it closes.  The table holds ints only, so it always equals a fresh
     build.
 
-    Forward evolution (`_forward`, and `advance` as its one-stop case) takes
-    its pieces from `_blocks`: a window of flips, read as arrays, merged with
-    the grid times in time order into blocks of up to `_TABLE_ROWS` cuts,
-    which may span several grid times, and split by one `_pieces` call.  A
-    window ends at the last grid time at or before `_window_end`, or at the
-    next grid time if none is, so every flip it reads is used.  One
-    `_poisson_table` weighs a block's pieces, and one
-    tight loop runs a series per piece, applies each flip to the table
-    inline and yields at each grid time.  A single row runs its series on
-    two Krylov buffers, the sum of one written into row 0 of the other; many
-    rows run gemm (`_apply_uniformized`).  A segment with no open edge runs
-    no series, by a count of open edges that each flip keeps.
+    Both paths take their pieces from one flip reader, `_blocks`: a window
+    of flips, read as arrays and filtered to the live edges (`_live_edge`:
+    every edge forward, the edges not inside an absorbing mask), merged with
+    the stops in time order and split by one `_pieces` call.  A window ends
+    at `_window_end` or at the last stop, whichever comes first, and is no
+    cut.  Forward evolution (`_forward`, and `advance` as its one-stop case)
+    weighs up to `_TABLE_ROWS` pieces, which may span several grid times,
+    with one `_poisson_table`, and one tight loop runs a series per piece,
+    applies each flip to the table inline and yields at each grid time.  A
+    single row runs its series on two Krylov buffers, the sum of one written
+    into row 0 of the other; many rows run gemm (`_apply_uniformized`).  A
+    segment with no open edge runs no series, by a count of open edges that
+    each flip keeps.
 
     With an `absorbing` vertex mask the walk is absorbed there, and only the
     sub-stochastic block of P on the free vertices (those off the mask) is
     evolved, since absorbed rows and columns never feed back into it: rows
     and columns of `mat` are the free vertices in increasing order, and
     `occupation` accumulates, per row, the time spent off the mask.  Flips on
-    edges with both ends in the mask leave that block unchanged and are
-    skipped (their `open_mask` entries go stale).  Flips are fetched in
-    windows that end at `_window_end` or t1, whichever comes first; a
-    window's end is no cut, as a segment runs from flip to flip across it.
+    edges with both ends in the mask leave that block unchanged, so they are
+    not live and `_blocks` skips them (their `open_mask` entries go stale).
 
-    The absorbed path works in chunks.  `_stack_pieces` stacks a window's
-    pieces a chunk at a time, in a few array operations: the state of each
-    free-row slot's edge before piece r is its state at the slice's start
-    XOR the parity of that edge's flips before r, which gives the block
-    columns of every piece's free rows at once (`_rows`); the slice's net
-    flips are then applied to the table once (`_toggle`).  `_run_chunk`
-    scatters all the stacked pieces' dense blocks at once (`_Stencil.blocks`,
-    one bincount).  A stretch longer than `_MAX_SEGMENT` is stacked as
-    several pieces, split by `_pieces` as on the forward path.  When the
+    The absorbed path works in chunks.  `_advance_absorbed` feeds the pieces
+    of `_blocks([t1])` to `_stack_pieces`, whose stop piece (e = -2) stacks
+    as one with no flip, and then runs the last chunk.  `_stack_pieces`
+    stacks a window's pieces a chunk at a time, in a few array operations:
+    the state of each free-row slot's edge before piece r is its state at
+    the slice's start XOR the parity of that edge's flips before r, which
+    gives the block columns of every piece's free rows at once (`_rows`);
+    the slice's net flips are then applied to the table once (`_toggle`).
+    `_run_chunk` scatters all the stacked pieces' dense blocks at once
+    (`_Stencil.blocks`, one bincount).  A stretch longer than `_MAX_SEGMENT`
+    is stacked as the several pieces `_pieces` splits it into.  When the
     stack is full, one weight table serves all its pieces and one Horner
     pass runs on them, longest series first (`_chunk_series`): each piece r
     gets its propagator E_r (the series applied to the identity) and its
@@ -485,6 +485,7 @@ class _Evolver:
         # then u and v
         self._pos = np.stack([2 * axis * N + u, (2 * axis + 1) * N + v, u, v], axis=1)
         self.occupation = None
+        self._live_edge = np.ones(g.n_edges, dtype=bool)  # edges whose flips are read
         if absorbing is not None:
             free = ~absorbing
             n = int(free.sum())
@@ -502,7 +503,7 @@ class _Evolver:
             size = max(1, min(_CHUNK, _CHUNK_BYTES // (8 * max(n, 1) ** 2)))
             # the block columns of each stacked piece's free rows, in time order
             self._rows = np.empty((size, 2 * g.d, n), dtype=np.int64)
-            self._blocks = np.empty((size, n, n))
+            self._block_buf = np.empty((size, n, n))
             self._lengths: list[float] = []
             self._at_flip: list[bool] = []  # piece ends a flip segment
         self.tail = _SERIES_TAIL  # every series' Poisson tail, set before a run
@@ -555,7 +556,9 @@ class _Evolver:
             a[0] = mat[0]
             rows_a, rows_b = list(a), list(b)
         stop_times = iter(stops.tolist())
-        for hs, es in self._blocks(stops):
+        blocks = ((h[r:r + _TABLE_ROWS], e[r:r + _TABLE_ROWS])
+                  for h, e in self._blocks(stops) for r in range(0, len(h), _TABLE_ROWS))
+        for hs, es in blocks:
             W, K, D = _poisson_table(hs, tail)
             if one_row and K.max() >= len(a):
                 a, b = np.empty((2, K.max() + 1, mat.shape[1]))
@@ -590,59 +593,48 @@ class _Evolver:
 
     def _blocks(self, stops: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The series pieces (h, e) from the current time through each time
-        of `stops`, at most `_TABLE_ROWS` at a time: e is the flip that ends
-        a piece, -2 at a stop and -1 for neither.
+        of `stops`, a window at a time: e is the live flip that ends a
+        piece, -2 at a stop and -1 for neither.  It is the one reader of
+        flips, for both paths.
 
-        Each window of flips ends at the last stop at or before
-        `_window_end`, or at the next stop if there is none; its flips and
-        stops are merged in time order, a flip before a stop at its time,
-        `_TABLE_ROWS` at a time.
+        A window of flips ends at `_window_end` or at the last stop,
+        whichever comes first, and makes no cut: a segment runs from cut to
+        cut across it.  Its flips on live edges (`_live_edge`) and its stops
+        are merged in time order, a flip before a stop at its time, and
+        split into pieces by one `_pieces` call.
         """
-        env, t0, t, i = self.env, self.t, self.t, 0  # t: the last cut
-        while i < len(stops):
-            ahead = _window_end(env, t0, t)
-            end = max(i + 1, int(np.searchsorted(stops, ahead, "right")))
-            times, eids = env.flip_events(t, stops[end - 1])
-            c = 0
-            while i < end:
-                F, S = times[c:c + _TABLE_ROWS], stops[i:min(end, i + _TABLE_ROWS)]
-                cuts = np.concatenate((F, S))
-                order = np.argsort(cuts, kind="stable")[:_TABLE_ROWS]
-                cuts = cuts[order]
-                ends = np.concatenate((eids[c:c + len(F)], np.full(len(S), -2)))[order]
-                flips = int(np.count_nonzero(order < len(F)))
-                c += flips
-                i += len(cuts) - flips
-                hs, es = _pieces(t, cuts, ends)
-                t = float(cuts[-1])
-                for r in range(0, len(hs), _TABLE_ROWS):
-                    yield hs[r:r + _TABLE_ROWS], es[r:r + _TABLE_ROWS]
-
-    def _advance_absorbed(self, mat: np.ndarray, t1: float) -> np.ndarray:
         env, live, t0 = self.env, self._live_edge, self.t
-        self.t = t1
-        prev = a = t0
-        while a < t1:
-            b = min(t1, _window_end(env, t0, a))
+        t = a = t0  # t: the last cut, a: the window's start
+        i = 0
+        while i < len(stops):
+            b = min(_window_end(env, t0, a), stops[-1])
             times, eids = env.flip_events(a, b)
             keep = live[eids]
-            times = times[keep]
-            mat, stopped = self._stack_pieces(mat, *_pieces(prev, times, eids[keep]))
+            end = int(np.searchsorted(stops, b, "right"))
+            cuts = np.concatenate((times[keep], stops[i:end]))
+            ends = np.concatenate((eids[keep], np.full(end - i, -2)))
+            order = np.argsort(cuts, kind="stable")
+            if len(order):
+                cuts = cuts[order]
+                yield _pieces(t, cuts, ends[order])
+                t = float(cuts[-1])
+            i, a = end, b
+
+    def _advance_absorbed(self, mat: np.ndarray, t1: float) -> np.ndarray:
+        for h, e in self._blocks(np.array([t1])):
+            mat, stopped = self._stack_pieces(mat, h, e)
             if stopped:
-                return mat
-            if len(times):
-                prev = float(times[-1])
-            a = b
-        h, e = _pieces(prev, np.array([t1]), np.array([-1]))
-        for r in range(len(h)):  # a stop here is not taken: the stretch runs on
-            mat, _ = self._stack_pieces(mat, h[r:r + 1], e[r:r + 1])
-        return self._run_chunk(mat)[0]
+                break
+        else:
+            mat = self._run_chunk(mat)[0]
+        self.t = t1
+        return mat
 
     def _stack_pieces(self, mat: np.ndarray, h: np.ndarray,
                       e: np.ndarray) -> tuple[np.ndarray, bool]:
-        """Stack the pieces (h, e) of `_pieces`, each with the table before
-        its flip e (none at -1), in slices that fill the stack, running each
-        full chunk.  A piece of length 0 stacks nothing, but its flip is
+        """Stack the pieces (h, e) of `_blocks`, each with the table before
+        its flip e (none where e < 0), in slices that fill the stack, running
+        each full chunk.  A piece of length 0 stacks nothing, but its flip is
         applied.  Returns (mat, stopped) at the first chunk that stops."""
         rows = self._rows.reshape(len(self._rows), -1)
         slot_edge = self._slot_edge
@@ -680,7 +672,7 @@ class _Evolver:
         m = len(lengths)
         if m == 0:
             return mat, False
-        blocks = self._blocks[:m]
+        blocks = self._block_buf[:m]
         self.P.blocks(self._rows[:m], blocks)  # scatters the chunk's blocks
         if m == 1:  # a lone piece runs its series on the rows themselves
             W, K, dropped = _poisson_table(lengths, self.tail)

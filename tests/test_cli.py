@@ -101,7 +101,10 @@ def test_sweep_samples_the_configured_init_and_start(tmp_path):
     # both scenarios draw their environments from `init`, and the mixing
     # cells start the walk at `x`; each cell equals the library run with
     # the cell's seed (before, `sweep` used the stationary law and vertex 0
-    # whatever the config said, and wrote the configured x into its row)
+    # whatever the config said, and wrote the configured x into its row).
+    # A hitting row holds the worst start, as `hit`'s does: its x, its mean
+    # and its censored fraction (it held the configured x and the largest
+    # censored fraction over every start)
     seed = 2
     g = TorusGraph(1, 8)
     values = {}
@@ -115,14 +118,17 @@ def test_sweep_samples_the_configured_init_and_start(tmp_path):
                         "--seed", str(seed), "--out", str(out)]) == 0
             lines = (out / "sweep.csv").read_text().splitlines()
             row = dict(zip(lines[1].split(","), lines[2].split(",")))
-            assert int(row["x"]) == x
             if scenario == "hitting":
                 params = DynParams(0.5, 0.5, 50.0 * 64 / 0.5)
                 A = cli._arc_target(g, np.random.default_rng(seed + 8))
                 rep = dist.hitting_time_stats(g, params, A, env_samples=3,
                                               seed=seed + 8000, init=init)
-                want = float(rep.annealed_means.max())
+                worst = int(np.argmax(rep.annealed_means))
+                want = float(rep.annealed_means[worst])
+                assert int(row["x"]) == worst
+                assert float(row["censored_frac"]) == float(rep.censored_frac[worst])
             else:
+                assert int(row["x"]) == x
                 params = DynParams(0.5, 0.5, 20.0 * 64 / 0.5)
                 envs = dist.sample_envs(g, params, init, seed + 8000, 3)
                 want = float(np.median([dist.quenched_mixing_time(env, x, 0.25)
@@ -347,13 +353,17 @@ def test_mixing_sweep_csv_pinned(tmp_path):
 # built its chunks from a window's arrays: the chunks, series and early stop
 # must keep every bit
 def test_hitting_sweep_csv_pinned(tmp_path):
+    # re-recorded when the rows took the worst start's x and censored
+    # fraction (were the configured x and the largest censored mass): only
+    # x moved, 0 -> 2 in both rows, as that start holds the largest
+    # censored mass too
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[run]\nd = 1\nn_grid = 8,12\nmu_grid = 0.25\nenv_samples = 3\n")
     out = tmp_path / "o"
     assert run(["sweep", "--scenario", "hitting", "--config", str(cfg),
                 "--seed", "4", "--out", str(out)]) == 0
     assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == (
-        "bbe76040e4bd3902969cc688e32776d9c908d7008c68d175fe794831ee89885e")
+        "cff7a9d688603bd1877e0f6f022bcefcc0fb2e4de4cff3a9ea30c0de40a101da")
 
 
 def test_hit_csv_pinned(tmp_path):

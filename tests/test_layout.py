@@ -64,3 +64,21 @@ def test_no_public_function_is_reached_only_by_tests():
     assert not only_tests, (
         f"reached only from tests/: {only_tests}; move an independent "
         "reference to tests/helpers.py, or delete the code and its tests")
+
+
+def test_no_attribute_shadows_a_method():
+    # an instance attribute named like a method of its class hides that
+    # method on every instance that sets it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            methods = {node.name for node in cls.body
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+            found += [f"{path.name}:{node.lineno} {cls.name}.{node.attr}"
+                      for node in ast.walk(cls)
+                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                      and isinstance(node.value, ast.Name) and node.value.id == "self"
+                      and node.attr in methods]
+    assert not found, f"attributes that shadow methods: {found}"

@@ -466,7 +466,7 @@ def _stacked(ev, m=None):
     ev has stacked so far), in time order, scattered as `_run_chunk` scatters
     them, into a new buffer."""
     m = len(ev._lengths) if m is None else m
-    blocks = np.empty((m,) + ev._blocks.shape[1:])
+    blocks = np.empty((m,) + ev._block_buf.shape[1:])
     ev.P.blocks(ev._rows[:m], blocks)
     return blocks
 
@@ -658,6 +658,31 @@ def test_hitting_skips_flips_inside_target():
     assert ev.terms > ev.segments
 
 
+def test_hitting_stops_at_a_flip_whose_chunk_the_last_stretch_completes(monkeypatch):
+    # the free block {3, 4, 5} of the 6-cycle loses mass at rate about 0.29
+    # and is below 1e-14 long before its one flip at 270, the ninth piece
+    # (8 x 32 + 14); chunks of 2 pair it with the first _MAX_SEGMENT piece
+    # of the stretch to the horizon, which completes the chunk that holds the
+    # stop.  The run stops at the flip, as one that ends there does, and
+    # counts no piece of the stretch
+    monkeypatch.setattr(walk, "_CHUNK", 2)
+    g = TorusGraph(1, 6)
+    A = np.arange(6) < 3
+    edge = int(np.flatnonzero((g.edge_uv == [3, 4]).all(axis=1))[0])
+    flips = [[270.0] if e == edge else [] for e in range(g.n_edges)]
+    env = make_env(g, DynParams(p=0.5, mu=0.25, horizon=270.0 + 4 * _MAX_SEGMENT),
+                   np.ones(g.n_edges), flips)
+    runs = []
+    for horizon in (270.0, env.horizon):
+        ev = _Evolver(env, 0.0, absorbing=A)
+        mat = ev.advance(np.eye(3), horizon)
+        runs.append((mat, ev.occupation, _counters(ev)))
+    (mat_f, occ_f, counts_f), (mat, occ, counts) = runs  # to the flip, to the horizon
+    assert counts == counts_f and counts[0] == math.ceil(270.0 / _MAX_SEGMENT)
+    assert mat.sum(axis=1).max() < 1e-14 and mat_f.sum(axis=1).max() < 1e-14
+    assert np.all(np.abs(occ - occ_f) <= 1e-12 * occ_f)
+
+
 # 2d a power of two at d = 1, 2 and 4, and not at d = 3 and 5
 _OPERATOR_SHAPES = [(1, 7), (2, 4), (3, 3), (4, 3), (5, 3)]
 
@@ -756,7 +781,7 @@ def test_stacked_blocks_match_fresh_free_block(name, monkeypatch):
     monkeypatch.setattr(_Evolver, "_run_chunk", spy)
     ev = _Evolver(env, 0.0, absorbing=A)
     ev.advance(np.eye(int(free.sum())), horizon)
-    assert len(pieces) > 4 * len(ev._blocks)
+    assert len(pieces) > 4 * len(ev._block_buf)
     t = 0.0
     for h, block in pieces:
         fresh = rebuild_step_matrix(g, env.open_mask_at(t + h / 2))
@@ -1035,33 +1060,41 @@ def test_coarse_laws_bound_the_exact_ones(d, n, init):
 # 2.8e-16 and 1.4e-16 from `rebuild_forward`.  The three d = 3 outputs were
 # re-recorded when P's diagonal became the closed-edge count x 1/(2d) at
 # every d: the TV curve at 2.6e-16 and the law at 6.2e-17 from
-# `rebuild_forward`, the window kernel equal to it.
+# `rebuild_forward`, the window kernel equal to it.  The last case's TV
+# grid, 0.7 + 1.3k, meets no window end (t0 + 2^k/mu, or the end of the kept
+# flips at 60/16 = 3.75); it was recorded at 3.3e-16 from `rebuild_forward`,
+# the law at 9.7e-17 and the window kernel equal to it.
 _FORWARD_HASHES = [
-    ((1, 8, 0.25, 0),
+    ((1, 8, 0.25, 0), (2.0, 2.0),
      ("4d6833e24b7201e1da1f849563b4f991cb8e3add6b74a5ed45e3673f4ac7489c",
       "df8bf02a14ecf04aeebd20709266f56054a308a7d8c20bce7399a9903d59d27f",
       "334a35c658f57f94ba68553721795c043bd7d72bc9990514a6c9eec2de42dc87")),
-    ((1, 16, 0.125, 1),
+    ((1, 16, 0.125, 1), (2.0, 2.0),
      ("2db514c3f95f0b2994900a5c618695606259b23ed37e2174646b4f945e7c1f57",
       "2740569c6f0582e6b1068727d6c3d68c48b9f36fdb05f3d06c16794db4a4ad69",
       "b70913209136ed234ce08acb618209b39e8d6bfccab2dfd6ee234237cdf87bd8")),
-    ((2, 4, 0.5, 2),
+    ((2, 4, 0.5, 2), (2.0, 2.0),
      ("2cd7d1be803c4decd7f24824619da7a7fd6ea4c60fd31bd2197ebfeb3005cc39",
       "cb93e9eb4f08b9e92e5545276f55911637e700d41436b5c4255bd6ea272280d8",
       "fe0fc9ab94c01624942e498eb4db91060dc679f113b053789a36d538e4456bc4")),
-    ((3, 3, 0.25, 3),
+    ((3, 3, 0.25, 3), (2.0, 2.0),
      ("1221298cae15776a9d22050651848f8e8a9dbcf2061828ac07c1051ec81bb8c4",
       "ffb05220d70a4c3072840696a0536bd8f60e6e79c0346edb5a323a0d9187bf61",
       "67b4ed669681bd8407941daa6d13de09f13bd8618140d48d9203454c49b97b6e")),
+    ((2, 4, 0.3, 4), (0.7, 1.3),
+     ("86f2ba906530bada3babe4305483107a53fc5039189ee7d60975b1e8da3d9045",
+      "1bb4bb66b27bdad58ed989ca26dbc66831be0a1ab7b2461af51a43e713bef1ae",
+      "01d232bfe1534d90c801d9753018aa90b817d69e8d9df5ae60714d692e057f83")),
 ]
 
 
-@pytest.mark.parametrize("case, digests", _FORWARD_HASHES,
+@pytest.mark.parametrize("case, grid, digests", _FORWARD_HASHES,
                          ids=[str(i) for i in range(len(_FORWARD_HASHES))])
-def test_forward_outputs_pinned(case, digests):
+def test_forward_outputs_pinned(case, grid, digests):
     d, n, mu, seed = case
+    first, step = grid
     env = sample_env(TorusGraph(d, n), DynParams(0.5, mu, 60.0), seed=seed)
-    outs = (quenched_tv_curve(env, 0, np.arange(2.0, 60.0, 2.0)),
+    outs = (quenched_tv_curve(env, 0, np.arange(first, 60.0, step)),
             window_kernel(env, (1.5, 40.0)),
             exact_quenched_distribution(env, 1, 60.0))
     assert tuple(hashlib.sha256(o.tobytes()).hexdigest() for o in outs) == digests
