@@ -302,13 +302,13 @@ def cmd_evoset(run: Runner) -> int:
 
     def body():
         rng = np.random.default_rng(run.seed)
-        from .evoset import InhomChain, doob_z_bound_check, psi_step_count
         rows = []
         for i in range(10):
             pi, kernels = _random_chain(rng, n_states=4, n_kernels=1)
-            steps = psi_step_count(InhomChain(pi=pi, kernels=kernels), x=0, eps=eps)
-            chain = InhomChain(pi=pi, kernels=kernels * max(steps, 1))
-            rep = doob_z_bound_check(chain, x=0, eps=eps)
+            steps = evoset.psi_step_count(evoset.InhomChain(pi=pi, kernels=kernels),
+                                          x=0, eps=eps)
+            chain = evoset.InhomChain(pi=pi, kernels=kernels * max(steps, 1))
+            rep = evoset.doob_z_bound_check(chain, x=0, eps=eps)
             ok = rep.chi_ok and bool(rep.z_bound_ok)
             rows.append(_base_row(run.cfg, statistic="evoset_z_bound_ok",
                                   value=float(ok), env_seed=i))

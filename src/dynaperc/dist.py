@@ -164,8 +164,7 @@ class AnnealedMixReport:
 
 
 def annealed_mixing_time(g: TorusGraph, params: DynParams, x: int, eps: float,
-                         env_samples: int,
-                         seed: Optional[int] = None) -> AnnealedMixReport:
+                         env_samples: int, seed: Optional[int]) -> AnnealedMixReport:
     """First grid time where TV of the eta-averaged law to uniform is <= eps.
 
     Environments start stationary.  Convexity (annealed TV <= mean quenched TV)

@@ -297,7 +297,7 @@ def _check_cap(m: int) -> None:
 
 
 def set_law_table(kernels: Sequence[np.ndarray], pi: np.ndarray,
-                  doob: bool = False) -> tuple[list[tuple], list[int]]:
+                  doob: bool) -> tuple[list[tuple], list[int]]:
     """One-step set laws (Doob laws if `doob`) of every subset, by bitmask.
 
     Returns (transitions, which): `transitions[j]` is the one-step transition

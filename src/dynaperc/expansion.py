@@ -340,7 +340,7 @@ def torus_analytic_profile(d: int, n: int, mu: float, c: float) -> ExpansionProf
 
 
 def profile_integral(profile: ExpansionProfile, lo: float, hi: float,
-                     power: int = 2) -> float:
+                     power: int) -> float:
     """Closed-form integral of du / (u * phi(u)^power) over [lo, hi]."""
     if hi <= lo:
         return 0.0

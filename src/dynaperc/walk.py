@@ -35,10 +35,11 @@ matrix: one gather and one dot a term (about 2 us at N = 256).  Many rows (a
 window kernel) run gemm on a dense P written from the table.
 Hitting profiles run on the chain absorbed in the target set: only the block
 of free (off-target) states is evolved, and each segment's time off the
-target is added up too.  The absorbed path stacks the free rows of up to 128
-pieces at once from the parities of the window's flips, and runs one Horner
-pass and one pairwise product tree per chunk, so the Python cost of a product
-is paid once per chunk rather than once per segment.  It stops at absorption.
+target is added up too.  The absorbed path cuts its pieces into chunks of
+up to 128 and runs each chunk in one call: the free rows of all its pieces
+at once, from the parities of its flips, then one Horner pass and one
+pairwise product tree, so the Python cost of a product is paid once per
+chunk rather than once per segment.  It stops at absorption.
 
 One rule truncates every series, forward or absorbed: it stops at the first
 term where its Poisson tail is below `_SERIES_TAIL` or, past the peak of the
@@ -67,7 +68,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -92,7 +92,7 @@ _DECISION_TAIL = 1e-9
 # Uniformization segments longer than this are split to avoid exp underflow.
 _MAX_SEGMENT = 32.0
 # Absorbed evolution runs one Horner pass and one product tree per chunk of
-# at most _CHUNK pieces and _CHUNK_BYTES of stacked blocks: 128 pieces up to
+# at most _CHUNK pieces and _CHUNK_BYTES of dense blocks: 128 pieces up to
 # 11 free states, 64 at 16, 16 at 32, and from 128 free states one piece at
 # a time, on the rows themselves, where a stacked series was measured slower
 # than a series per piece.  Chunks of 64 and 256 were no faster than 128 on
@@ -152,7 +152,7 @@ def _attempted_jumps(env: EnvTrajectory, x0: int, horizon: float, n_walkers: int
 
 
 def simulate_walks(env: EnvTrajectory, x0: int, horizon: float, n_walkers: int,
-                   seed: Optional[int] = None) -> list[WalkPath]:
+                   seed: Optional[int]) -> list[WalkPath]:
     """n_walkers independent walks from x0 through one fixed environment, up
     to `horizon`, all drawn from one generator seeded with `seed`.
 
@@ -429,19 +429,20 @@ class _Evolver:
     edges with both ends in the mask leave that block unchanged, so they are
     not live and `_blocks` skips them (their `open_mask` entries go stale).
 
-    The absorbed path works in chunks.  `_advance_absorbed` feeds the pieces
-    of `_blocks([t1])` to `_stack_pieces`, whose stop piece (e = -2) stacks
-    as one with no flip, and then runs the last chunk.  `_stack_pieces`
-    stacks a window's pieces a chunk at a time, in a few array operations:
-    the state of each free-row slot's edge before piece r is its state at
-    the slice's start XOR the parity of that edge's flips before r, which
-    gives the block columns of every piece's free rows at once (`_rows`);
-    the slice's net flips are then applied to the table once (`_toggle`).
-    `_run_chunk` scatters all the stacked pieces' dense blocks at once
-    (`_Stencil.blocks`, one bincount).  A stretch longer than `_MAX_SEGMENT`
-    is stacked as the several pieces `_pieces` splits it into.  When the
-    stack is full, one weight table serves all its pieces and one Horner
-    pass runs on them, longest series first (`_chunk_series`): each piece r
+    The absorbed path works in chunks.  `_advance_absorbed` holds the
+    pieces of `_blocks([t1])` it has not yet run, the stop piece (e = -2)
+    among them as one with no flip, and cuts a chunk after every
+    `len(_block_buf)`-th piece of positive length; the rest runs after the
+    last window.  `_run_chunk` runs one chunk in one call, in a few array
+    operations: the state of each free-row slot's edge before piece r is
+    its state at the chunk's start XOR the parity of that edge's flips
+    before r, which gives the block columns of every piece's free rows at
+    once; the chunk's net flips are then applied to the table once
+    (`_toggle`), and all its pieces' dense blocks are scattered at once
+    (`_Stencil.blocks`, one bincount).  A stretch longer than
+    `_MAX_SEGMENT` runs as the several pieces `_pieces` splits it into.
+    One weight table serves all the chunk's pieces and one Horner pass
+    runs on them, longest series first (`_chunk_series`): each piece r
     gets its propagator E_r (the series applied to the identity) and its
     occupation J_r = int E_r(t) 1 dt, as A_r = [[E_r, J_r], [0, 1]].  A
     pairwise product tree multiplies the chunk's A_r in time order, log2 of
@@ -450,10 +451,10 @@ class _Evolver:
     which every row has less than 1e-14 mass left, since later segments add
     nothing.  Row mass never grows, so only a chunk that ends below that
     mass holds the stop: its pieces are chained one by one from the chunk's
-    start to find the flip, and pieces stacked past it are not counted.  A
-    chunk holds at most `_CHUNK` pieces and `_CHUNK_BYTES` of stacked
-    blocks.  The block and flip state run ahead of an early stop, so such
-    an evolver is meant for a single `advance`.
+    start to find the flip, and pieces run past it are not counted.  A
+    chunk holds at most `_CHUNK` pieces and `_CHUNK_BYTES` of dense
+    blocks.  The flip state runs ahead of an early stop, to the chunk's
+    end, so such an evolver is meant for a single `advance`.
 
     Every series stops at the Poisson tail `tail`: `_SERIES_TAIL`, unless
     a caller sets it before the first `advance`, as `_laws` does for the
@@ -501,11 +502,7 @@ class _Evolver:
             self._home_col = np.tile(np.arange(n), 2 * g.d)
             self.occupation = np.zeros(n)
             size = max(1, min(_CHUNK, _CHUNK_BYTES // (8 * max(n, 1) ** 2)))
-            # the block columns of each stacked piece's free rows, in time order
-            self._rows = np.empty((size, 2 * g.d, n), dtype=np.int64)
-            self._block_buf = np.empty((size, n, n))
-            self._lengths: list[float] = []
-            self._at_flip: list[bool] = []  # piece ends a flip segment
+            self._block_buf = np.empty((size, n, n))  # a chunk's free blocks
         self.tail = _SERIES_TAIL  # every series' Poisson tail, set before a run
         self.dropped = 0.0
         self.segments = 0
@@ -610,77 +607,68 @@ class _Evolver:
             b = min(_window_end(env, t0, a), stops[-1])
             times, eids = env.flip_events(a, b)
             keep = live[eids]
+            times, eids = times[keep], eids[keep]
             end = int(np.searchsorted(stops, b, "right"))
-            cuts = np.concatenate((times[keep], stops[i:end]))
-            ends = np.concatenate((eids[keep], np.full(end - i, -2)))
-            order = np.argsort(cuts, kind="stable")
-            if len(order):
-                cuts = cuts[order]
-                yield _pieces(t, cuts, ends[order])
+            at = np.searchsorted(times, stops[i:end], "right")  # after flips at its time
+            cuts = np.insert(times, at, stops[i:end])
+            if len(cuts):
+                yield _pieces(t, cuts, np.insert(eids, at, -2))
                 t = float(cuts[-1])
             i, a = end, b
 
     def _advance_absorbed(self, mat: np.ndarray, t1: float) -> np.ndarray:
-        for h, e in self._blocks(np.array([t1])):
-            mat, stopped = self._stack_pieces(mat, h, e)
-            if stopped:
-                break
-        else:
-            mat = self._run_chunk(mat)[0]
-        self.t = t1
-        return mat
-
-    def _stack_pieces(self, mat: np.ndarray, h: np.ndarray,
-                      e: np.ndarray) -> tuple[np.ndarray, bool]:
-        """Stack the pieces (h, e) of `_blocks`, each with the table before
-        its flip e (none where e < 0), in slices that fill the stack, running
-        each full chunk.  A piece of length 0 stacks nothing, but its flip is
-        applied.  Returns (mat, stopped) at the first chunk that stops."""
-        rows = self._rows.reshape(len(self._rows), -1)
-        slot_edge = self._slot_edge
-        r = 0
-        while r < len(h):
-            m = len(self._lengths)
-            hs, es = h[r:r + len(rows) - m], e[r:r + len(rows) - m]
-            r += len(hs)
-            # per piece and slot: the edge's state before the piece's flip
-            parity = np.logical_xor.accumulate(es[:, None] == slot_edge, axis=0)
-            before = np.empty_like(parity)
-            before[0] = self.open_mask[slot_edge]
-            np.logical_xor(before[0], parity[:-1], out=before[1:])
-            used = hs > 0.0
-            k = m + int(np.count_nonzero(used))
-            rows[m:k] = np.where(before[used], self._far_col, self._home_col)
-            self._lengths += hs[used].tolist()
-            self._at_flip += (es[used] >= 0).tolist()
-            flips = es[es >= 0]
-            if len(flips):
-                self._toggle(np.flatnonzero(np.bincount(flips) & 1))
-            if k == len(rows):
-                mat, stopped = self._run_chunk(mat)
+        """Evolve the free block's rows to t1 a chunk at a time: the pieces
+        of `_blocks([t1])` not yet run are held as two arrays, cut after
+        every `len(_block_buf)`-th piece of positive length, and each chunk
+        runs in one `_run_chunk` call; the rest runs after the last window.
+        A window is read only while the pieces held fill no chunk, so a run
+        that stops early reads no flip past its chunk."""
+        size = len(self._block_buf)
+        h, e = np.empty(0), np.empty(0, dtype=np.int64)
+        for h_new, e_new in self._blocks(np.array([t1])):
+            h, e = np.concatenate((h, h_new)), np.concatenate((e, e_new))
+            start = 0
+            for end in (np.flatnonzero(h > 0.0)[size - 1::size] + 1).tolist():
+                mat, stopped = self._run_chunk(mat, h[start:end], e[start:end])
                 if stopped:
-                    return mat, True
-        return mat, False
+                    self.t = t1
+                    return mat
+                start = end
+            h, e = h[start:], e[start:]
+        self.t = t1
+        return self._run_chunk(mat, h, e)[0]
 
-    def _run_chunk(self, mat: np.ndarray) -> tuple[np.ndarray, bool]:
-        """Run the stacked pieces' series, then chain them in time order.
+    def _run_chunk(self, mat: np.ndarray, h: np.ndarray,
+                   e: np.ndarray) -> tuple[np.ndarray, bool]:
+        """Run the chunk of pieces (h, e), each with the table before its
+        flip e (none where e < 0), and chain them in time order.  A piece
+        of length 0 runs nothing, but its flip is applied.
 
         Returns (mat, stopped); pieces after an early stop are not counted.
         """
-        lengths, at_flip = self._lengths, self._at_flip
-        self._lengths, self._at_flip = [], []
+        slot_edge = self._slot_edge
+        # per piece and slot: the edge's state before the piece's flip, its
+        # state at the chunk's start XOR the parity of its flips before it
+        hit = e[:, None] == slot_edge
+        before = np.logical_xor.accumulate(hit, axis=0) ^ hit ^ self.open_mask[slot_edge]
+        used = h > 0.0
+        rows = np.where(before[used], self._far_col, self._home_col)
+        flips = e[e >= 0]
+        if len(flips):
+            self._toggle(np.flatnonzero(np.bincount(flips) & 1))
+        lengths, at_flip = h[used].tolist(), (e[used] >= 0).tolist()
         m = len(lengths)
         if m == 0:
             return mat, False
+        n = len(self.occupation)
         blocks = self._block_buf[:m]
-        self.P.blocks(self._rows[:m], blocks)  # scatters the chunk's blocks
+        self.P.blocks(rows.reshape(m, -1, n), blocks)  # the chunk's free blocks
         if m == 1:  # a lone piece runs its series on the rows themselves
             W, K, dropped = _poisson_table(lengths, self.tail)
             mat = _apply_uniformized(mat, blocks[0], W[0, :K[0] + 1], self.occupation)
             self._count(K.tolist(), dropped.tolist())
             return mat, at_flip[0] and mat.sum(axis=1).max(initial=0.0) < 1e-14
         A, K, dropped = self._chunk_series(blocks, lengths)
-        n = len(self.occupation)
         state = np.column_stack((mat, self.occupation))  # [mat | occupation]
         end = state @ _chain(A)
         stopped = False

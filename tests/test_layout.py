@@ -82,3 +82,25 @@ def test_no_attribute_shadows_a_method():
                       and isinstance(node.value, ast.Name) and node.value.id == "self"
                       and node.attr in methods]
     assert not found, f"attributes that shadow methods: {found}"
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # `__init__.py` imports to re-export; every other module uses what it
+    # imports, by name
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in used]
+    assert not found, f"imported and never used: {found}"

@@ -461,14 +461,40 @@ def _case(name):
     return next(c for c in _HITTING_CASES if c[0] == name)
 
 
-def _stacked(ev, m=None):
-    """The free blocks of the first m stack slots (by default, of the pieces
-    ev has stacked so far), in time order, scattered as `_run_chunk` scatters
-    them, into a new buffer."""
-    m = len(ev._lengths) if m is None else m
-    blocks = np.empty((m,) + ev._block_buf.shape[1:])
-    ev.P.blocks(ev._rows[:m], blocks)
-    return blocks
+def _spy_blocks(monkeypatch) -> list:
+    """A copy of the free blocks of every `_Stencil.blocks` call, in order."""
+    scattered = []
+    scatter = walk._Stencil.blocks
+
+    def spy(self, cols, out):
+        scatter(self, cols, out)
+        scattered.append(out.copy())
+
+    monkeypatch.setattr(walk._Stencil, "blocks", spy)
+    return scattered
+
+
+def _spy_chunks(monkeypatch) -> list:
+    """For every `_run_chunk` call, in order: ((mat, occupation, segments)
+    before it, the lengths of its pieces of positive length, whether each
+    ends at a flip, the free blocks it scattered for them), then (mat,
+    occupation, stopped, segments) after it."""
+    chunks = []
+    scattered = _spy_blocks(monkeypatch)
+    run_chunk = _Evolver._run_chunk
+
+    def spy(self, mat, h, e):
+        before = (mat.copy(), self.occupation.copy(), self.segments)
+        scattered.clear()
+        out, stopped = run_chunk(self, mat, h, e)
+        used = h > 0.0
+        chunks.append((before, h[used].tolist(), (e[used] >= 0).tolist(),
+                       scattered[0] if scattered else [],
+                       (out.copy(), self.occupation.copy(), stopped, self.segments)))
+        return out, stopped
+
+    monkeypatch.setattr(_Evolver, "_run_chunk", spy)
+    return chunks
 
 
 def test_chunk_splits_long_stretches(monkeypatch):
@@ -515,8 +541,8 @@ def test_stuck_sums_stop_at_the_first_idle_term():
 
 
 @pytest.mark.parametrize("d, n", [(1, 10), (2, 4)])
-def test_chunk_series_matches_lone_series(d, n):
-    # one Horner pass over a stack against each piece's series on the
+def test_chunk_series_matches_lone_series(d, n, monkeypatch):
+    # one Horner pass over a chunk against each piece's series on the
     # identity, its occupation summed alongside; lengths from a near-empty
     # piece to a whole _MAX_SEGMENT one and a stuck sum
     g = TorusGraph(d, n)
@@ -525,10 +551,18 @@ def test_chunk_series_matches_lone_series(d, n):
     k = int((~ev.absorbing).sum())
     rng = np.random.default_rng(d)
     lengths = [1e-9, 0.3, 2.5, 9.0, 23.020593414678842, _MAX_SEGMENT, 0.05]
-    for h in lengths:  # each piece, then three flips
-        ev._stack_pieces(np.eye(k), np.array([h, 0.0, 0.0]), rng.integers(g.n_edges, size=3))
-    assert ev._lengths == lengths
-    blocks = _stacked(ev)
+    h = np.zeros(3 * len(lengths))
+    h[::3] = lengths  # each piece, then three flips
+    series, calls = _Evolver._chunk_series, []
+
+    def spy(self, blocks, lengths):
+        calls.append((blocks.copy(), lengths))
+        return series(self, blocks, lengths)
+
+    monkeypatch.setattr(_Evolver, "_chunk_series", spy)
+    ev._run_chunk(np.eye(k), h, rng.integers(g.n_edges, size=len(h)))
+    ((blocks, ran),) = calls
+    assert ran == lengths
     A, K, dropped = ev._chunk_series(blocks, lengths)
     W, K_table, dropped_table = walk._poisson_table(lengths, walk._SERIES_TAIL)
     assert (K, dropped) == (K_table.tolist(), dropped_table.tolist())
@@ -546,21 +580,11 @@ def test_tree_chaining_stops_at_the_sequential_flip(name, monkeypatch):
     # the same state: the same end and, where the mass fell below 1e-14 at a
     # flip inside the chunk, the same stopping flip and count
     _, env, A, horizon = _case(name)
-    chunks = []
-    run_chunk = _Evolver._run_chunk
-
-    def spy(self, mat):
-        before = (mat.copy(), self.occupation.copy(), list(self._lengths),
-                  list(self._at_flip), _stacked(self), self.segments)
-        out, stopped = run_chunk(self, mat)
-        chunks.append((before, out.copy(), self.occupation.copy(), stopped, self.segments))
-        return out, stopped
-
-    monkeypatch.setattr(_Evolver, "_run_chunk", spy)
+    chunks = _spy_chunks(monkeypatch)
     ev = _Evolver(env, 0.0, absorbing=A)
     ev.advance(np.eye(int((~A).sum())), horizon)
     inside = 0
-    for (mat, occ, lengths, at_flip, blocks, counted), out, occ_out, stopped, now in chunks:
+    for (mat, occ, counted), lengths, at_flip, blocks, (out, occ_out, stopped, now) in chunks:
         if len(lengths) < 2:
             continue
         pieces, _, _ = ev._chunk_series(blocks, lengths)
@@ -688,9 +712,9 @@ _OPERATOR_SHAPES = [(1, 7), (2, 4), (3, 3), (4, 3), (5, 3)]
 
 
 @pytest.mark.parametrize("d, n", _OPERATOR_SHAPES)
-def test_in_place_flips_match_fresh_step_matrix(d, n):
+def test_in_place_flips_match_fresh_step_matrix(d, n, monkeypatch):
     # the operands of the dense products after every flip: a forward
-    # evolver's scattered P and the free block an absorbed evolver stacks
+    # evolver's scattered P and the free block an absorbed evolver scatters
     g = TorusGraph(d, n)
     env = _env(d=d, n=n, horizon=10.0, seed=d)
     A = _half_target(g, d)
@@ -700,16 +724,17 @@ def test_in_place_flips_match_fresh_step_matrix(d, n):
     rows = np.eye(int(free.sum()))
     mask = env.open_mask_at(3.0)
     rng = np.random.default_rng(d)
+    scattered = _spy_blocks(monkeypatch)
     for e in rng.integers(g.n_edges, size=300):
         mask[e] = not mask[e]
         forward._toggle(np.array([e]))
         absorbed._toggle(np.array([e]))
         fresh = rebuild_step_matrix(g, mask)
         assert np.array_equal(forward.P.matrix(), fresh)
-        absorbed._lengths, absorbed._at_flip = [], []  # restack into slot 0
-        absorbed._stack_pieces(rows, np.array([1.0]), np.array([-1]))
-        # slot 0, also where a one-slot stack has run it as a chunk
-        assert np.array_equal(_stacked(absorbed, 1)[0], fresh[np.ix_(free, free)])
+        scattered.clear()
+        absorbed._run_chunk(rows, np.array([1.0]), np.array([-1]))  # one piece, no flip
+        ((block,),) = scattered
+        assert np.array_equal(block, fresh[np.ix_(free, free)])
 
 
 @pytest.mark.parametrize("d, n", _OPERATOR_SHAPES)
@@ -764,23 +789,17 @@ def test_table_term_of_a_unit_row_is_a_row_of_step_matrix(d, n):
 
 @pytest.mark.parametrize("name", ["sampled-d2-n4", "many-chunks"])
 def test_stacked_blocks_match_fresh_free_block(name, monkeypatch):
-    # every block the absorbed path stacks, over a run of several chunks
-    # that reuse their slots, is the free block of P rebuilt for that
+    # every block the absorbed path scatters, over a run of several chunks
+    # that reuse their buffer, is the free block of P rebuilt for that
     # piece's time, bit for bit: the scatter writes the whole pattern and
     # entries off it stay 0
     _, env, A, horizon = _case(name)
     g = env.graph
     free = ~A
-    pieces = []
-    run_chunk = _Evolver._run_chunk
-
-    def spy(self, mat):
-        pieces.extend(zip(self._lengths, _stacked(self)))
-        return run_chunk(self, mat)
-
-    monkeypatch.setattr(_Evolver, "_run_chunk", spy)
+    chunks = _spy_chunks(monkeypatch)
     ev = _Evolver(env, 0.0, absorbing=A)
     ev.advance(np.eye(int(free.sum())), horizon)
+    pieces = [piece for _, lengths, _, blocks, _ in chunks for piece in zip(lengths, blocks)]
     assert len(pieces) > 4 * len(ev._block_buf)
     t = 0.0
     for h, block in pieces:
@@ -954,45 +973,46 @@ def test_forward_loop_reads_no_flip_past_the_kept_window(monkeypatch):
     assert env._known == keep
 
 
+def _windows_of(span):
+    """A `_window_end` whose windows from t0 end at t0 + k span, k = 1, 2, ..."""
+    def window_end(env, t0, t):
+        end = t0 + (math.floor((t - t0) / span) + 1) * span
+        return end if end > t else end + span
+    return window_end
+
+
+@pytest.mark.parametrize("chunk", [7, 128])
 @pytest.mark.parametrize("name", ["sampled-d2-n4", "long-gaps", "many-chunks"])
-def test_bulk_stacking_matches_piece_by_piece(name, monkeypatch):
-    # a window's pieces stacked in slices of a chunk against one piece per
-    # call, whose table is the running one: the same output, occupation
-    # and counters bit for bit, through windows of more than _CHUNK live
-    # flips and an early stop inside a window
+def test_chunk_cuts_do_not_depend_on_window_ends(name, chunk, monkeypatch):
+    # the doubling windows against windows of 1/mu and against one window
+    # to the horizon: the same chunks, piece for piece, and the same
+    # output, occupation and counters bit for bit, also where a run of
+    # several chunks stops early inside a window (many-chunks)
     _, env, A, horizon = _case(name)
-    stack, run_chunk = _Evolver._stack_pieces, _Evolver._run_chunk
     runs = []
-    for bulk in (True, False):
-        calls, chunks = [], []
+    for window_end in (walk._window_end, _windows_of(1.0 / env.params.mu),
+                       lambda env, t0, t: math.inf):
+        monkeypatch.setattr(walk, "_CHUNK", chunk)
+        monkeypatch.setattr(walk, "_window_end", window_end)
+        windows = _spy_windows(monkeypatch)
+        pieces, run_chunk = [], _Evolver._run_chunk
 
         def spy(self, mat, h, e):
-            calls.append((int((h > 0).sum()), int((e >= 0).sum())))
-            if bulk:
-                return stack(self, mat, h, e)
-            for r in range(len(h)):
-                mat, stopped = stack(self, mat, h[r:r + 1], e[r:r + 1])
-                if stopped:
-                    return mat, True
-            return mat, False
+            pieces.append((h.tolist(), e.tolist()))
+            return run_chunk(self, mat, h, e)
 
-        def chunk_spy(self, mat):
-            chunks.append(len(self._lengths))
-            return run_chunk(self, mat)
-
-        monkeypatch.setattr(_Evolver, "_stack_pieces", spy)
-        monkeypatch.setattr(_Evolver, "_run_chunk", chunk_spy)
+        monkeypatch.setattr(_Evolver, "_run_chunk", spy)
         ev = _Evolver(env, 0.0, absorbing=A)
         out = ev.advance(np.eye(int((~A).sum())), horizon)
-        runs.append((out, ev.occupation, _counters(ev), calls, chunks))
-    (out, occ, counts, calls, chunks), (out_1, occ_1, counts_1, *_) = runs
-    assert np.array_equal(out, out_1) and np.array_equal(occ, occ_1)
-    assert counts == counts_1 == _ABSORBED_COUNTS[name] + (counts[2],)
-    if name == "long-gaps":
-        assert max(n for n, _ in calls) > 1
-    else:
-        assert max(flips for _, flips in calls) > walk._CHUNK
-        assert sum(n for n, _ in calls) > sum(chunks)  # pieces left in the stopping window
+        runs.append((out, ev.occupation, _counters(ev), pieces, len(windows)))
+        monkeypatch.undo()
+    (out, occ, counts, pieces, n_windows), *others = runs
+    assert counts[:2] == _ABSORBED_COUNTS[name]
+    for out_w, occ_w, counts_w, pieces_w, n_windows_w in others:
+        assert np.array_equal(out, out_w) and np.array_equal(occ, occ_w)
+        assert counts == counts_w and pieces == pieces_w
+        assert n_windows_w != n_windows
+    assert others[-1][-1] == 1  # one window to the horizon
 
 
 def test_stencil_at_torus_scale():
